@@ -1,11 +1,17 @@
 """Exact arithmetic in cyclotomic fields.
 
-The field Q(w), w = exp(2*pi*i/n), is represented on the power basis
-1, w, ..., w^(phi(n)-1).  Coordinates are rational numbers and reduction
-happens modulo the n-th cyclotomic polynomial Phi_n, so everything in
-this module is exact.  Floating point enters only through complex_embed,
-which exists for sanity checks and reports, never for decisions inside
-the exact pipeline.
+An element of Q(w), w = exp(2*pi*i/n), is one vector of n rational
+coefficients on w^0, ..., w^(n-1) in a canonical normal form: its
+coordinates on the integral basis of Zumbroich (W. Bosma, "Canonical
+bases for cyclotomic fields", AAECC 1, 1990; GAP's basis for its
+cyclotomic numbers).  Normalizing costs O(n * number of primes of n)
+and keeps integer vectors integral.  Equality and rationality are
+vector comparisons, lifts and Galois maps are index maps followed by a
+normalization, and a product is one big-integer multiply folded mod
+x^n - 1.  Power-basis coordinates on 1, w, ..., w^(phi(n)-1), by long
+division modulo Phi_n, are computed only for pretty, coords and inverse.
+Floating point enters only through complex_embed, which exists for
+sanity checks and reports, never for decisions.
 
 Elements of different conductors may be mixed freely; they are lifted to
 the compositum Q(zeta_lcm) on demand.
@@ -13,6 +19,7 @@ the compositum Q(zeta_lcm) on demand.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -106,8 +113,10 @@ def coset_reps(k: int, n: int) -> list[int]:
 
 def _num(c):
     """Normalize a coefficient: Fractions with denominator 1 become ints."""
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
         return c
     raise TypeError(f"rational coefficient expected, got {type(c).__name__}")
@@ -360,17 +369,95 @@ def cyclo_field(conductor: int) -> "CycloField":
     return fld
 
 
+def _relations(n: int) -> tuple:
+    """(q, n/p, forbidden residues mod q) for each prime power q = p^a || n.
+
+    w^j has the p-part zeta_q^t, t = j * (n/q)^(-1) mod q; it is forbidden
+    when the top base-p digit of t is 0 (odd p) or 1 (p = 2).  The relation
+    sum over c < p of w^(j + c n/p) = 0 runs that digit through all p
+    values and fixes the other prime parts, so a forbidden coefficient is
+    cleared by subtracting it at its p - 1 allowed partners.
+    """
+    out = []
+    for p, a in factorize(n):
+        q = p**a
+        top = q // p
+        unit = pow(n // q, -1, q)
+        forbidden = 1 if p == 2 else 0
+        residues = tuple(r for r in range(q) if (r * unit % q) // top == forbidden)
+        out.append((q, n // p, residues))
+    return tuple(out)
+
+
+def _slots(v: list[int], width: int, offset: int) -> int:
+    """The nonnegative integer with v[j] + offset in the j-th slot of width bytes."""
+    return int.from_bytes(b"".join([(x + offset).to_bytes(width, "little") for x in v]), "little")
+
+
+def _kronecker(a: list[int], b: list[int]) -> list[int]:
+    """a * b mod x^n - 1 for integer vectors of length n, by Kronecker substitution.
+
+    Slots of a power-of-two number of bytes hold every product coefficient.
+    """
+    n = len(a)
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    bound = max(ma, mb, n * ma * mb)
+    width = 1
+    while 8 * width < bound.bit_length() + 2:
+        width *= 2
+    offset = 1 << (8 * width - 1)  # slots are stored shifted to be nonnegative
+    bias = int.from_bytes(offset.to_bytes(width, "little") * n, "little")
+    prod = (_slots(a, width, offset) - bias) * (_slots(b, width, offset) - bias)
+    bits = 8 * width * n
+    low = prod & ((1 << bits) - 1)
+    if low >> (bits - 1):  # the signed slots below x^n add up to a negative number
+        low -= 1 << bits
+    raw = (low + ((prod - low) >> bits) + bias).to_bytes(width * n, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - offset for i in range(0, width * n, width)
+    ]
+
+
+def _all_int(vec) -> bool:
+    return set(map(type, vec)) == {int}
+
+
+def _integral(vec) -> tuple[list[int], int]:
+    """Integer numerators of a rational vector over their common denominator."""
+    if _all_int(vec):
+        return vec, 1
+    den = math.lcm(*[x.denominator for x in vec])
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def cyclic_product(a, b) -> list:
+    """a * b mod x^n - 1 for rational vectors of one length n, over a common denominator."""
+    x, dx = _integral(a)
+    y, dy = _integral(b)
+    prod = _kronecker(x, y)
+    if dx * dy == 1:
+        return prod
+    return [_num(Fraction(c, dx * dy)) for c in prod]
+
+
 class CycloField:
-    """Q(zeta_n) on the power basis 1, w, ..., w^(phi(n)-1)."""
+    """Q(zeta_n); elements are normal-form vectors on w^0, ..., w^(n-1)."""
 
     def __init__(self, conductor: int):
         if conductor < 1:
             raise ValueError("conductor must be a positive integer")
         self.conductor = conductor
-        self.modulus_int = cyclotomic_int(conductor)
-        self.phi = len(self.modulus_int) - 1
-        # x^j mod Phi_n for j = 0, 1, ...; grown on demand up to 2*phi
-        self._xpow: list[tuple[int, ...]] = []
+        self.phi = euler_phi(conductor)
+        self._relations = _relations(conductor)
+        one = [0] * conductor
+        one[0] = 1
+        # the normal form of 1: (+-1) on a fixed support, 0 elsewhere
+        self._one = self._normal(one)
+        self._one_at = next(j for j, x in enumerate(self._one) if x)
+
+    @functools.cached_property
+    def modulus_int(self) -> tuple[int, ...]:
+        return cyclotomic_int(self.conductor)
 
     def __repr__(self):
         return f"CycloField({self.conductor})"
@@ -381,40 +468,23 @@ class CycloField:
     def __hash__(self):
         return hash(("CycloField", self.conductor))
 
-    # -- basis tables
-
-    def xpow(self, j: int) -> tuple[int, ...]:
-        """Coordinates of x^j mod Phi_n; j is taken modulo n."""
-        j %= self.conductor
-        tab = self._xpow
-        if not tab:
-            tab.append(tuple([1] + [0] * (self.phi - 1)) if self.phi > 1 else (1,))
-        while len(tab) <= j:
-            prev = tab[-1]
-            shifted = [0] + list(prev)
-            lead = shifted.pop()
-            if lead:
-                mod = self.modulus_int
-                for t in range(self.phi):
-                    shifted[t] -= lead * mod[t]
-            tab.append(tuple(shifted))
-        return tab[j]
+    def _normal(self, v: list) -> tuple:
+        """Normal form of sum v[j] w^j, for a list of length n that is overwritten."""
+        n = self.conductor
+        for q, h, residues in self._relations:
+            for r in residues:
+                for j in range(r, n, q):
+                    x = v[j]
+                    if x:
+                        v[j] = 0
+                        for t in range(j + h, j + n, h):
+                            v[t % n] -= x
+        return tuple(v)
 
     def reduce(self, coeffs: Iterable) -> tuple:
-        """Reduce an arbitrary coefficient list mod Phi_n to phi coordinates.
-
-        Exponents >= n are first folded with x^n = 1, which keeps the
-        numbers small when the input came from a cyclic-convolution
-        computation mod x^n - 1.
-        """
-        n, phi = self.conductor, self.phi
+        """Power-basis coordinates of sum c_j w^j, j < n, by long division mod Phi_n."""
+        phi = self.phi
         cs = [_num(c) for c in coeffs]
-        if len(cs) > n:
-            folded = [0] * n
-            for i, c in enumerate(cs):
-                if c:
-                    folded[i % n] += c
-            cs = folded
         low = self.modulus_int[:phi]
         for i in range(len(cs) - 1, phi - 1, -1):
             c = cs[i]
@@ -422,56 +492,56 @@ class CycloField:
                 cs[i] = 0
                 lo = i - phi
                 cs[lo:i] = [a - c * b for a, b in zip(cs[lo:i], low)]
-        cs = cs[:phi]
-        cs += [0] * (phi - len(cs))
+        cs = cs[:phi] + [0] * (phi - len(cs))
         return tuple(_num(c) for c in cs)
 
     # -- constructors
 
     def element(self, coeffs: Iterable) -> "CycloElement":
         """Element with the given coefficients over powers of w (any length)."""
-        return CycloElement(self, self.reduce(coeffs))
+        n = self.conductor
+        v = [0] * n
+        for i, c in enumerate(coeffs):
+            if c:
+                v[i % n] += c
+        vec = self._normal(v)
+        if not _all_int(vec):
+            vec = tuple(map(_num, vec))
+        return CycloElement(self, vec)
 
     def zero(self) -> "CycloElement":
-        return CycloElement(self, (0,) * self.phi)
+        return CycloElement(self, (0,) * self.conductor)
 
     def one(self) -> "CycloElement":
-        return self.from_rational(1)
+        return CycloElement(self, self._one)
 
     def from_rational(self, q) -> "CycloElement":
-        return CycloElement(self, (_num(Fraction(q)),) + (0,) * (self.phi - 1))
+        q = _num(Fraction(q))
+        return CycloElement(self, self._scaled_one(q))
+
+    def _scaled_one(self, q) -> tuple:
+        return tuple([q * x if x else 0 for x in self._one])
 
     def omega(self) -> "CycloElement":
         return self.omega_power(1)
 
     def omega_power(self, j: int) -> "CycloElement":
-        return CycloElement(self, self.xpow(j))
+        return self.element([0] * (j % self.conductor) + [1])
 
     def coerce(self, v) -> "CycloElement":
         if isinstance(v, CycloElement):
-            if v.field.conductor == self.conductor:
+            small = v.field.conductor
+            if small == self.conductor:
                 return v
-            if self.conductor % v.field.conductor == 0:
-                return _lift(v, self)
-            raise ValueError(
-                f"cannot coerce conductor {v.field.conductor} into {self.conductor}"
-            )
+            if self.conductor % small == 0:
+                # zeta_small = w^(n/small): the vector spreads onto every (n/small)-th place
+                out = [0] * self.conductor
+                out[:: self.conductor // small] = v.vec
+                return CycloElement(self, self._normal(out))
+            raise ValueError(f"cannot coerce conductor {small} into {self.conductor}")
         if isinstance(v, (int, Fraction)):
             return self.from_rational(v)
         raise TypeError(f"cannot coerce {type(v).__name__} into {self!r}")
-
-
-def _lift(a: "CycloElement", big: CycloField) -> "CycloElement":
-    """Embed a into the larger field; zeta_small = zeta_big^(L/small)."""
-    step = big.conductor // a.field.conductor
-    out = [0] * big.phi
-    for i, c in enumerate(a.coords):
-        if c:
-            xp = big.xpow(i * step)
-            for t in range(big.phi):
-                if xp[t]:
-                    out[t] += c * xp[t]
-    return CycloElement(big, tuple(_num(c) for c in out))
 
 
 def common_field(f1: CycloField, f2: CycloField) -> CycloField:
@@ -479,27 +549,36 @@ def common_field(f1: CycloField, f2: CycloField) -> CycloField:
     return cyclo_field(math.lcm(f1.conductor, f2.conductor))
 
 
+def _scaled(vec: tuple, q) -> tuple:
+    return tuple([_num(x * q) for x in vec])
+
+
 class CycloElement:
-    """An element of a cyclotomic field, exact power-basis coordinates."""
+    """An element of Q(zeta_n) as its normal-form vector on w^0, ..., w^(n-1)."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "vec")
 
-    def __init__(self, field: CycloField, coords: tuple):
-        if len(coords) != field.phi:
-            raise ValueError("coordinate length does not match the field degree")
+    def __init__(self, field: CycloField, vec: tuple):
+        if len(vec) != field.conductor:
+            raise ValueError("vector length does not match the conductor")
         self.field = field
-        self.coords = coords
+        self.vec = vec
+
+    @property
+    def coords(self) -> tuple:
+        """Power-basis coordinates on 1, w, ..., w^(phi-1)."""
+        return self.field.reduce(self.vec)
 
     # -- coercion
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self, self.field.from_rational(other)
         if isinstance(other, CycloElement):
             if other.field.conductor == self.field.conductor:
                 return self, other
             big = common_field(self.field, other.field)
             return big.coerce(self), big.coerce(other)
+        if isinstance(other, (int, Fraction)):
+            return self, self.field.from_rational(other)
         return None
 
     # -- ring operations
@@ -509,38 +588,30 @@ class CycloElement:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloElement(a.field, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return CycloElement(a.field, tuple([x + y for x, y in zip(a.vec, b.vec)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.field, tuple(-x for x in self.coords))
+        return CycloElement(self.field, tuple([-x for x in self.vec]))
 
     def __sub__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloElement(a.field, tuple(x - y for x, y in zip(a.coords, b.coords)))
+        return CycloElement(a.field, tuple([x - y for x, y in zip(a.vec, b.vec)]))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, CycloElement):
+            a, b = self._pair(other)
+            return CycloElement(a.field, a.field._normal(cyclic_product(a.vec, b.vec)))
         if isinstance(other, (int, Fraction)):
-            return CycloElement(self.field, tuple(_num(c * other) for c in self.coords))
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        ca, cb = a.coords, b.coords
-        out = [0] * (2 * len(ca) - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    if y:
-                        out[i + j] += x * y
-        return CycloElement(a.field, a.field.reduce(out))
+            return CycloElement(self.field, _scaled(self.vec, other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -549,6 +620,9 @@ class CycloElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         fld = self.field
+        q = self.rational_value()
+        if q is not None:
+            return fld.from_rational(1 / q)
         g, s, _ = rat_poly_xgcd(RatPoly(self.coords), RatPoly(fld.modulus_int))
         if g.degree != 0:
             raise ArithmeticError("cyclotomic modulus is not irreducible?")
@@ -559,8 +633,7 @@ class CycloElement:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            q = Fraction(1, 1) / other
-            return CycloElement(self.field, tuple(_num(c * q) for c in self.coords))
+            return CycloElement(self.field, _scaled(self.vec, Fraction(1, 1) / other))
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
@@ -586,30 +659,48 @@ class CycloElement:
     # -- predicates
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
         if isinstance(other, CycloElement):
-            pair = self._pair(other)
-            a, b = pair
-            return a.coords == b.coords
+            a, b = self._pair(other)
+            return a.vec == b.vec
+        if isinstance(other, (int, Fraction)):
+            return self.is_zero() if other == 0 else self.rational_value() == other
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.field.conductor, self.coords))
+        n, vec = self._minimal()
+        return hash(vec[0]) if n == 1 else hash((n, vec))
+
+    def _minimal(self) -> tuple[int, tuple]:
+        """(d, v): the least d with self in Q(zeta_d), and the normal form v there.
+
+        The candidate in Q(zeta_(n/p)) sits on the positions p*i, or, for
+        odd p || n where those are forbidden, negated on p*i + n/p; it is
+        taken when it lifts back to the vector.
+        """
+        n, v = self.field.conductor, self.vec
+        descended = True
+        while descended:
+            descended = False
+            for p, a in factorize(n):
+                m = n // p
+                sign, start = (-1, m) if p > 2 and a == 1 else (1, 0)
+                small = cyclo_field(m)
+                w = small._normal([sign * v[(start + p * i) % n] for i in range(m)])
+                if cyclo_field(n).coerce(CycloElement(small, w)).vec == v:
+                    n, v, descended = m, w, True
+                    break
+        return n, v
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.vec)
 
     def __bool__(self):
         return not self.is_zero()
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
     def rational_value(self) -> Optional[Fraction]:
-        return Fraction(self.coords[0]) if self.is_rational() else None
+        fld = self.field
+        q = self.vec[fld._one_at] * fld._one[fld._one_at]
+        return Fraction(q) if self.vec == fld._scaled_one(q) else None
 
     def conjugate(self) -> "CycloElement":
         """Complex conjugation, i.e. the Galois map w -> w^(-1)."""
@@ -634,14 +725,11 @@ class GaloisMap:
     def __call__(self, a: CycloElement) -> CycloElement:
         fld = self.field
         a = fld.coerce(a)
-        out = [0] * fld.phi
-        for i, c in enumerate(a.coords):
-            if c:
-                xp = fld.xpow(i * self.m)
-                for t in range(fld.phi):
-                    if xp[t]:
-                        out[t] += c * xp[t]
-        return CycloElement(fld, tuple(_num(c) for c in out))
+        n = fld.conductor
+        out = [0] * n
+        for j, c in enumerate(a.vec):
+            out[j * self.m % n] = c
+        return CycloElement(fld, fld._normal(out))
 
     def __repr__(self):
         return f"GaloisMap(w -> w^{self.m} on Q(zeta_{self.field.conductor}))"
@@ -655,15 +743,12 @@ def galois_apply(a: CycloElement, m: int) -> CycloElement:
 def gaussian_period(field: CycloField, k: int, j: int) -> CycloElement:
     """The Gaussian period eta_j = sum of w^(j * k^i) over i < ord_k."""
     n = field.conductor
-    s0 = multiplicative_order(k, n)
-    out = [0] * field.phi
+    out = [0] * n
     e = j % n
-    for _ in range(s0):
-        xp = field.xpow(e)
-        for t in range(field.phi):
-            out[t] += xp[t]
+    for _ in range(multiplicative_order(k, n)):
+        out[e] += 1
         e = (e * k) % n
-    return CycloElement(field, tuple(out))
+    return CycloElement(field, field._normal(out))
 
 
 # ----------------------------------------------------------------------
@@ -693,8 +778,8 @@ class Rationality:
 def rationality(a: CycloElement) -> Rationality:
     """Classify a as integer, non-integer rational, or irrational.
 
-    On the power basis an element is rational exactly when every
-    coordinate above the constant one vanishes.
+    An element is rational exactly when its normal-form vector is a
+    multiple of the normal form of 1.
     """
     v = a.rational_value()
     if v is None:
@@ -713,9 +798,8 @@ def complex_embed(a: CycloElement, digits: int = 15) -> mpmath.mpc:
         n = a.field.conductor
         w = mpmath.e ** (2j * mpmath.pi / n)
         acc = mpmath.mpc(0)
-        for c in reversed(a.coords):
-            acc = acc * w + (mpmath.mpf(c.numerator) / c.denominator
-                             if isinstance(c, Fraction) else mpmath.mpf(c))
+        for c in reversed(a.vec):
+            acc = acc * w + mpmath.mpf(c.numerator) / c.denominator
         return acc
 
 
@@ -733,49 +817,13 @@ def _div(c, piv):
     return c / piv
 
 
-def solve_exact(rows: list[list], rhs: list) -> Optional[list]:
-    """One exact solution of (rows) * x = rhs, or None when inconsistent.
+def _rref(a: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of the rows in place on their first ncols columns.
 
-    The system may be overdetermined; free variables are set to zero.
+    Pivot rows are scaled to 1 and moved to the top; returns the pivot
+    columns in order.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, m):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        piv = aug[row][col]
-        aug[row] = [_div(c, piv) for c in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [c - f * d for c, d in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][ncols] != 0:
-            return None
-    x = [0] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
-    return x
-
-
-def nullspace(rows: list[list]) -> list[list]:
-    """A basis of the right nullspace of the matrix, exact."""
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    a = [list(r) for r in rows]
+    m = len(a)
     pivots = []
     row = 0
     for col in range(ncols):
@@ -797,6 +845,31 @@ def nullspace(rows: list[list]) -> list[list]:
         row += 1
         if row == m:
             break
+    return pivots
+
+
+def solve_exact(rows: list[list], rhs: list) -> Optional[list]:
+    """One exact solution of (rows) * x = rhs, or None when inconsistent.
+
+    The system may be overdetermined; free variables are set to zero.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = _rref(aug, ncols)
+    for i in range(len(pivots), len(aug)):
+        if aug[i][ncols] != 0:
+            return None
+    x = [0] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][ncols]
+    return x
+
+
+def nullspace(rows: list[list]) -> list[list]:
+    """A basis of the right nullspace of the matrix, exact."""
+    ncols = len(rows[0]) if rows else 0
+    a = [list(r) for r in rows]
+    pivots = _rref(a, ncols)
     basis = []
     free = [c for c in range(ncols) if c not in pivots]
     for fc in free:

@@ -81,7 +81,7 @@ class CycloPoly:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
-        return hash((self.field.conductor, self.coeffs))
+        return hash(self.coeffs)
 
     def __add__(self, other):
         pair = self._pair(other)
@@ -129,31 +129,6 @@ class CycloPoly:
         return CycloPoly(a.field, out)
 
     __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        if isinstance(other, (int, Fraction, CycloElement)):
-            other = CycloPoly(self.field, [other])
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        a, b = self._pair(other)
-        rem = list(a.coeffs)
-        db = b.degree
-        lead_inv = b.coeffs[-1].inverse()
-        q = [a.field.zero()] * max(0, len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if not c.is_zero():
-                f = c * lead_inv
-                q[i - db] = f
-                for j, cb in enumerate(b.coeffs):
-                    rem[i - db + j] = rem[i - db + j] - f * cb
-        return CycloPoly(a.field, q), CycloPoly(a.field, rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def substitute_power(self, e: int) -> "CycloPoly":
         """p(x^e)."""
@@ -246,7 +221,7 @@ class PolyMatrix:
         )
 
     def __hash__(self):
-        return hash((self.field.conductor, self.rows))
+        return hash(self.rows)
 
     def __mul__(self, other):
         if not isinstance(other, PolyMatrix):

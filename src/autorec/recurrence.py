@@ -37,6 +37,7 @@ from .numberfield import (
     CycloField,
     GaloisMap,
     coset_reps,
+    cyclic_product,
     cyclo_field,
     factorize,
     gaussian_period,
@@ -46,6 +47,7 @@ from .numberfield import (
 from .polymatrix import (
     LEFT,
     RIGHT,
+    CycloPoly,
     PolyMatrix,
     reduced_matrix,
     span_analysis,
@@ -285,8 +287,8 @@ def _flatten(m):
 # evaluating the ordered matrix product at a root of unity
 #
 # The whole product is first accumulated modulo x^r0 - 1 (exponents of x
-# only matter mod r0 once x is a root of unity of order r0), then the
-# resulting cyclic vectors are reduced modulo the cyclotomic polynomial.
+# only matter mod r0 once x is a root of unity of order r0), then each
+# resulting cyclic vector becomes a field element at the chosen root.
 # The cyclic stage is independent of which primitive root is meant, so
 # it is cached and shared across all exponents e.
 
@@ -307,17 +309,8 @@ def _cyc_add_scaled(dst: list, src: list, shift: int, c) -> None:
 
 
 def _entry_scalars(p, rational_mode: bool):
-    """Sparse (exponent, coefficient) view of a CycloPoly entry."""
-    out = []
-    for i, c in enumerate(p.coeffs):
-        if c.is_zero():
-            continue
-        if rational_mode:
-            q = c.rational_value()
-            out.append((i, int(q) if q.denominator == 1 else q))
-        else:
-            out.append((i, c))
-    return out
+    """Sparse (exponent, coefficient) view of a CycloPoly entry; plain rationals over Q."""
+    return [(i, c.vec[0] if rational_mode else c) for i, c in enumerate(p.coeffs) if c]
 
 
 _PRODUCT_CACHE: dict = {}
@@ -329,7 +322,9 @@ def _product_mod_cyclic(mhat: PolyMatrix, k: int, s: int, r0: int, side: str):
     Entries come back as dense length-r0 vectors of rationals (or of
     output-field elements when the outputs are irrational).
     """
-    key = (mhat, k, s, r0, side)
+    # equal matrices over different fields compare and hash equal, but the
+    # cached entries are typed by the field, so the conductor is part of the key
+    key = (mhat.field.conductor, mhat, k, s, r0, side)
     got = _PRODUCT_CACHE.get(key)
     if got is not None:
         return got
@@ -380,42 +375,32 @@ def _dense_from_sparse(pairs, r0, zero):
     return vec
 
 
-def _lift_vector(vec, out_conductor: int, r0: int, prim_e: int, L: int) -> list:
-    """Length-L rational vector for sum_j vec[j] * w^j, w = zeta_r0^prim_e.
+def _root_vector(vec, root: RootSpec, L: int) -> list:
+    """sum_j vec[j] * w^j, w = zeta_r0^e, as a vector mod x^L - 1 (not normalized).
 
-    Entries of vec are rationals (out_conductor 1) or output-field
-    elements; both unfold into powers of zeta_L.
+    Entries of vec are rationals or output-field elements.
     """
-    coords = [0] * L
-    step = (L // r0) * prim_e
-    if out_conductor == 1:
-        for j, sc in enumerate(vec):
-            if sc:
-                coords[(j * step) % L] += sc
-    else:
-        lift = L // out_conductor
-        for j, sc in enumerate(vec):
-            if isinstance(sc, (int, Fraction)):
-                if sc:
-                    coords[(j * step) % L] += sc
-                continue
-            for i, ci in enumerate(sc.coords):
+    step = (L // root.r0) * root.primitive_exponent
+    out = [0] * L
+    for j, sc in enumerate(vec):
+        if not sc:
+            continue
+        if type(sc) is CycloElement:
+            lift = L // sc.field.conductor
+            for i, ci in enumerate(sc.vec):
                 if ci:
-                    coords[(i * lift + j * step) % L] += ci
-    return coords
+                    out[(i * lift + j * step) % L] += ci
+        else:
+            out[(j * step) % L] += sc
+    return out
 
 
 def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
     """M-hat(k^s; w) (Left) or its Right mirror, as a scalar matrix."""
-    r0 = root.r0
-    mo = mhat.field.conductor
-    L = math.lcm(mo, r0)
-    K = cyclo_field(L)
-    vecs = _product_mod_cyclic(mhat, root.k, root.s, r0, side)
-    return [
-        [K.element(_lift_vector(vec, mo, r0, root.primitive_exponent, L)) for vec in row]
-        for row in vecs
-    ], K
+    K = cyclo_field(math.lcm(mhat.field.conductor, root.r0))
+    vecs = _product_mod_cyclic(mhat, root.k, root.s, root.r0, side)
+    L = K.conductor
+    return [[K.element(_root_vector(vec, root, L)) for vec in row] for row in vecs], K
 
 
 # ----------------------------------------------------------------------
@@ -478,18 +463,10 @@ class BlockSums:
     def __init__(self, a: Dfao, r0: int):
         self.a = a
         self.r0 = r0
-        mo = a.output_field.conductor
-        self._rational = mo == 1
-        if self._rational:
-            z = 0
-            self._outs = [
-                int(q) if q.denominator == 1 else q
-                for q in (v.rational_value() for v in a.outputs)
-            ]
-        else:
-            z = a.output_field.zero()
-            self._outs = list(a.outputs)
-        self._zero = z
+        # over Q the outputs are the plain rationals v.vec[0]
+        rational = a.output_field.conductor == 1
+        self._outs = [v.vec[0] if rational else v for v in a.outputs]
+        self._zero = 0 if rational else a.output_field.zero()
         self._kpow = [1 % r0]
         self._tables = []  # per free-suffix length
         self._buckets: dict[int, list] = {}
@@ -620,8 +597,9 @@ _BLOCK_CACHE: dict = {}
 
 
 def block_sums(a: Dfao, r0: int) -> BlockSums:
-    """Shared BlockSums instance per automaton and conductor."""
-    key = (a.to_text(), r0)
+    """Shared BlockSums instance per automaton structure and conductor."""
+    outs = tuple(v.vec for v in a.outputs)
+    key = (a.base, a.direction, a.delta, a.output_field.conductor, outs, r0)
     got = _BLOCK_CACHE.get(key)
     if got is None:
         got = BlockSums(a, r0)
@@ -631,11 +609,8 @@ def block_sums(a: Dfao, r0: int) -> BlockSums:
 
 def partial_sum_fast(a: Dfao, n: int, root: RootSpec) -> CycloElement:
     """A(n; w) through the block evaluator; exact for huge n."""
-    vec = block_sums(a, root.r0).bucket_vector(n)
-    mo = a.output_field.conductor
-    L = math.lcm(mo, root.r0)
-    K = cyclo_field(L)
-    return K.element(_lift_vector(vec, mo, root.r0, root.primitive_exponent, L))
+    L = math.lcm(a.output_field.conductor, root.r0)
+    return cyclo_field(L).element(_root_vector(block_sums(a, root.r0).bucket_vector(n), root, L))
 
 
 # ----------------------------------------------------------------------
@@ -658,31 +633,32 @@ def verify(
     if rec.k != a.base:
         raise AutorecError("recurrence and automaton disagree on the base k")
     root = rec.root
-    r0 = root.r0
-    mo = a.output_field.conductor
-    L = math.lcm(mo, r0)
-    K = cyclo_field(L)
-    cs = [K.coerce(c).coords for c in rec.coefficients]
-    blocks = block_sums(a, r0)
+    K = cyclo_field(math.lcm(a.output_field.conductor, root.r0))
+    L = K.conductor
+    cs = []
+    for c in rec.coefficients:
+        q = c.rational_value()
+        # a rational coefficient scales the vector, the others multiply it mod x^L - 1
+        cs.append(K.coerce(c).vec if q is None else int(q) if q.denominator == 1 else q)
+    blocks = block_sums(a, root.r0)
     step = root.k ** root.s
     work = 0
     first_failure = None
     for n in range(1, n_max + 1):
+        # the residual as a vector mod x^L - 1, normalized once per n
         acc = [0] * L
         arg = n
-        for coords in cs:
-            vec = blocks.bucket_vector(arg)
-            lifted = _lift_vector(vec, mo, r0, root.primitive_exponent, L)
-            for i, ci in enumerate(coords):
-                if ci:
-                    _cyc_add_scaled(acc, lifted, i, ci)
+        for c in cs:
+            vec = _root_vector(blocks.bucket_vector(arg), root, L)
+            term = cyclic_product(c, vec) if type(c) is tuple else [c * x for x in vec]
+            acc = [x + y for x, y in zip(acc, term)]
             work += L + arg.bit_length()
             arg *= step
         if budget is not None and work > budget:
             raise BudgetError(
                 f"verification budget exhausted at n = {n} ({work} > {budget} units)"
             )
-        if any(K.reduce(acc)):
+        if not K.element(acc).is_zero():
             first_failure = n
             break
     return VerificationReport(n_max, first_failure is None, first_failure)
@@ -710,21 +686,12 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
                     )
     base_rec = synthesize(a, root)
     field = root.field
-    reps = coset_reps(root.k, root.r0)
-    prod = [field.one()]
-    for u in reps:
+    prod = CycloPoly(field, [1])
+    for u in coset_reps(root.k, root.r0):
         psi = GaloisMap(field, u)
-        factor = [psi(field.coerce(c)) for c in base_rec.coefficients]
-        new = [field.zero()] * (len(prod) + len(factor) - 1)
-        for i, p in enumerate(prod):
-            if p.is_zero():
-                continue
-            for j, f in enumerate(factor):
-                if not f.is_zero():
-                    new[i + j] = new[i + j] + p * f
-        prod = new
+        prod = prod * CycloPoly(field, [psi(c) for c in base_rec.coefficients])
     rat = []
-    for c in prod:
+    for c in prod.coeffs:
         q = c.rational_value()
         if q is None:
             raise AutorecError(
@@ -782,8 +749,8 @@ def galois_invariance_report(rec: Recurrence) -> GaloisReport:
             "rational": str(c.rational_value()) if c.rational_value() is not None else None,
         }
         if periods is not None and inv:
-            rows = [[Fraction(p.coords[i]) for p in periods] for i in range(field.phi)]
-            sol = solve_exact(rows, [Fraction(x) for x in c.coords])
+            rows = [[Fraction(p.vec[i]) for p in periods] for i in range(r0)]
+            sol = solve_exact(rows, [Fraction(x) for x in c.vec])
             entry["period_coords"] = None if sol is None else [str(Fraction(v)) for v in sol]
         entries.append(entry)
     return GaloisReport(all_inv, len(reps) == 1, entries)

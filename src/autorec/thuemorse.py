@@ -27,9 +27,11 @@ import mpmath
 from .errors import AutorecError
 from .numberfield import (
     CycloElement,
+    GaloisMap,
     RatPoly,
     cyclo_field,
     euler_phi,
+    galois_apply,
     is_prime_power,
     multiplicative_order,
     rationality,
@@ -107,7 +109,7 @@ def tm_coefficient(r0: int, e: int = 1) -> CycloElement:
     """T(2^s0; w) for w = zeta_r0^e, with s0 the order of 2 mod cond(w).
 
     The product is accumulated modulo x^r0 - 1 (one shift-and-subtract
-    per factor) and reduced modulo the cyclotomic polynomial at the end.
+    per factor) and brought into normal form at the end.
     The pair (r0, e) is normalized to the actual conductor first, so
     gcd(e, r0) > 1 is allowed; e = 0 gives T(2; 1) = 0.
     """
@@ -117,9 +119,7 @@ def tm_coefficient(r0: int, e: int = 1) -> CycloElement:
     if e == 0:
         return cyclo_field(1).zero()
     g = math.gcd(e, r0)
-    rr, ee = r0 // g, e // g
-    field = cyclo_field(rr)
-    return field.element(_tm_cyclic(rr, ee))
+    return cyclo_field(r0 // g).element(_tm_cyclic(r0 // g, e // g))
 
 
 class TmClassification:
@@ -169,12 +169,9 @@ def tm_classify(r0: int) -> TmClassification:
         raise AutorecError("conductor must be odd and at least 3")
     s0 = multiplicative_order(2, r0)
     phi = euler_phi(r0)
-    field = cyclo_field(r0)
-    vec = _tm_cyclic(r0)
-    value = field.element(vec)
-    conj = field.element([vec[0]] + vec[:0:-1])
-    psi2 = field.element(_permute_cyclic(vec, 2))
-    if psi2 != value:
+    value = cyclo_field(r0).element(_tm_cyclic(r0))
+    conj = value.conjugate()
+    if galois_apply(value, 2) != value:
         raise AutorecError(f"value not invariant under psi_2 at r0 = {r0}")
 
     is_real = value == conj
@@ -216,16 +213,6 @@ def tm_classify(r0: int) -> TmClassification:
         else:
             case = CASE_OTHER
     return TmClassification(r0, s0, phi, case, value, is_real, is_imag, rat, abs_square)
-
-
-def _permute_cyclic(vec: list[int], m: int) -> list[int]:
-    """x -> x^m on a vector mod x^r - 1 (exponent indices times m)."""
-    r = len(vec)
-    out = [0] * r
-    for j, c in enumerate(vec):
-        if c:
-            out[(j * m) % r] += c
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -311,22 +298,17 @@ def _scan_exact(r0: int):
     phi = euler_phi(r0)
     if s0 % 2:
         return (r0, "odd_s0")
+    value = cyclo_field(r0).element(_tm_cyclic(r0))
+    q = value.rational_value()
     if pow(2, s0 // 2, r0) == r0 - 1:
-        field = cyclo_field(r0)
-        vec = _tm_cyclic(r0)
-        red = field.reduce(vec)
-        rev = field.reduce([vec[0]] + vec[:0:-1])
-        if red != rev or not any(red[1:]):
+        if value.conjugate() != value or q is not None:
             raise AutorecError(f"forced real non-integer fails at r0 = {r0}")
         return (r0, "forced_real")
-    field = cyclo_field(r0)
-    red = field.reduce(_tm_cyclic(r0))
-    if any(red[1:]):
+    if q is None:
         row = ROW_NONINTEGER
+    elif q not in (1, -1):
+        raise AutorecError(f"non-unit integer {q} at r0 = {r0}")
     else:
-        q = red[0]
-        if q not in (1, -1):
-            raise AutorecError(f"non-unit integer {q} at r0 = {r0}")
         row = ROW_ONE if q == 1 else ROW_MINUS_ONE
     col = COL_PHI_EQ if phi == 2 * s0 else COL_PHI_GT
     return (r0, (row, col))
@@ -443,9 +425,7 @@ def tm_table(
 def find_unit_coefficient(limit: int = 500) -> Optional[int]:
     """Smallest odd conductor with T(2^s0; w) exactly 1, if any <= limit."""
     for r0 in range(3, limit + 1, 2):
-        field = cyclo_field(r0)
-        red = field.reduce(_tm_cyclic(r0))
-        if not any(red[1:]) and red[0] == 1:
+        if cyclo_field(r0).element(_tm_cyclic(r0)) == 1:
             return r0
     return None
 
@@ -527,10 +507,8 @@ def tilde_demo(root: RootSpec, n_max: int) -> TildeReport:
             vec[m % r0] += 1
         if (m + 1) in need:
             values[m + 1] = vec[:]
-    ee = root.primitive_exponent
-    uvals = {
-        n: field.element(_spread(v, ee, r0)) for n, v in values.items()
-    }
+    psi = GaloisMap(field, root.primitive_exponent)  # zeta_r0 -> w
+    uvals = {n: psi(field.element(v)) for n, v in values.items()}
     w = root.omega
     half = Fraction(1, 2)
     inv = (w - field.one()).inverse()
@@ -544,12 +522,3 @@ def tilde_demo(root: RootSpec, n_max: int) -> TildeReport:
             return report
     report.root_identity_ok = True
     return report
-
-
-def _spread(vec: list[int], e: int, r0: int) -> list[int]:
-    """Bucket vector for residues j becomes exponents j*e of zeta_r0."""
-    out = [0] * r0
-    for j, c in enumerate(vec):
-        if c:
-            out[(j * e) % r0] += c
-    return out

@@ -244,6 +244,23 @@ def test_rationality_stable_under_galois():
             assert rationality(img) == rationality(a)
 
 
+def test_equal_values_hash_equal_across_conductors():
+    a = cyclo_field(3).omega()
+    b = cyclo_field(6).omega_power(2)
+    c = cyclo_field(15).omega_power(5)
+    assert a == b == c
+    assert len({a, b, c}) == 1
+    # rationals hash as their value, in any field
+    q = Fraction(-3, 4)
+    assert hash(cyclo_field(35).from_rational(q)) == hash(q)
+    assert len({cyclo_field(12).from_rational(q), q}) == 1
+    # conductors 2 mod 4 fold onto n / 2
+    assert hash(cyclo_field(10).omega_power(4)) == hash(cyclo_field(5).omega_power(2))
+    # a value from Q(zeta_9) lifted into Q(zeta_45) and Q(zeta_36)
+    x = cyclo_field(9).element([1, 0, -2, 5, 0, 0, 1])
+    assert hash(x) == hash(cyclo_field(45).coerce(x)) == hash(cyclo_field(36).coerce(x))
+
+
 # ----------------------------------------------------------------------
 # rationality, periods, conversions
 
@@ -370,3 +387,70 @@ def test_rat_poly_arithmetic_and_canonical_form():
 def test_rat_poly_pretty():
     assert RatPoly([1, -1, 0, 2]).pretty() == "1 - x + 2*x^3"
     assert RatPoly([]).pretty() == "0"
+
+
+# ----------------------------------------------------------------------
+# the normal form against long division by Phi_n
+#
+# The oracle never touches the normal form: a value is the remainder of
+# its coefficient polynomial modulo cyclotomic_poly(n), computed by
+# RatPoly division.
+
+
+def _oracle(coeffs, n):
+    return list((RatPoly(coeffs) % cyclotomic_poly(n)).coeffs)
+
+
+def _power_basis(x):
+    coords = list(x.coords)
+    while coords and coords[-1] == 0:
+        coords.pop()
+    return coords
+
+
+def _check_against_oracle(n, rng, lifts):
+    field = cyclo_field(n)
+    # huge coefficients for odd n, so products also take slots wider than 8 bytes
+    p1 = [rng.randint(-3, 3) * 10 ** (20 * (n % 2)) for _ in range(n)]
+    # short, so that the Fraction arithmetic of the oracle stays cheap
+    p2 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+    x, y = field.element(p1), field.element(p2)
+    assert _power_basis(x) == _oracle(p1, n), n
+    assert _power_basis(y) == _oracle(p2, n), n
+
+    # equality: adding a shifted multiple of Phi_n changes nothing
+    shift = RatPoly.monomial(rng.randrange(n), rng.randint(1, 3)) * cyclotomic_poly(n)
+    assert field.element((RatPoly(p1) + shift).coeffs) == x, n
+    assert (x == y) == (_oracle(p1, n) == _oracle(p2, n)), n
+
+    assert _power_basis(x * y) == _oracle((RatPoly(p1) * RatPoly(p2)).coeffs, n), n
+
+    m = rng.choice([m for m in range(1, n) if math.gcd(m, n) == 1] or [1])
+    image = [0] * n
+    for j, c in enumerate(p1):
+        image[j * m % n] += c
+    assert _power_basis(galois_apply(x, m)) == _oracle(image, n), (n, m)
+
+    for d in rng.sample(divisors(n), min(lifts, len(divisors(n)))):
+        small = [rng.randint(-3, 3) for _ in range(d)]
+        lifted = field.coerce(cyclo_field(d).element(small))
+        assert _power_basis(lifted) == _oracle(RatPoly(small).substitute_power(n // d).coeffs, n)
+        assert lifted == cyclo_field(d).element(small), (n, d)
+        assert hash(lifted) == hash(cyclo_field(d).element(small)), (n, d)
+
+    # low degree keeps the extended Euclidean algorithm of inverse() cheap
+    p3 = [rng.randint(-3, 3) for _ in range(4)]
+    z = field.element(p3)
+    if not z.is_zero():
+        assert _oracle((RatPoly(z.inverse().coords) * RatPoly(p3)).coeffs, n) == [1], n
+
+
+def test_normal_form_against_long_division_small_conductors():
+    rng = random.Random(200)
+    for n in range(1, 200):
+        _check_against_oracle(n, rng, lifts=2)
+
+
+@pytest.mark.parametrize("n", [315, 1155])
+def test_normal_form_against_long_division_large_conductors(n):
+    _check_against_oracle(n, random.Random(n), lifts=3)

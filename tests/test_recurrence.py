@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from autorec.automaton import PatternSpec, pattern_dfao, sequence_term
+from autorec.automaton import FORWARD, Dfao, PatternSpec, pattern_dfao, sequence_term
 from autorec.errors import AutorecError, BudgetError
 from autorec.numberfield import cyclo_field
 from autorec.recurrence import (
@@ -235,6 +235,36 @@ def test_verify_rejects_tampered_recurrence(rs):
     assert not rep.all_zero
     assert rep.first_failure == 1
     assert rep.to_json_dict() == {"n_max": 10, "all_zero": False, "first_failure": 1}
+
+
+def test_verify_accepts_api_built_automaton_with_irrational_outputs():
+    # 1 + zeta_3 is neither rational nor a root of unity, so the automaton
+    # has no text form; verification must still work on it
+    f3 = cyclo_field(3)
+    a = Dfao(2, FORWARD, ["s0", "s1"], [f3.one() + f3.omega(), 1], [[0, 1], [1, 0]])
+    for rr, ee in ((5, 1), (7, 3)):
+        rec = synthesize(a, RootSpec(2, rr, ee))
+        assert verify(rec, a, 30).all_zero, (rr, ee)
+
+
+def _fresh_caches(monkeypatch):
+    monkeypatch.setattr("autorec.recurrence._PRODUCT_CACHE", {})
+    monkeypatch.setattr("autorec.recurrence._BLOCK_CACHE", {})
+
+
+def test_caches_keep_equal_machines_over_different_fields_apart(tm, monkeypatch):
+    # the same Thue-Morse machine with outputs typed in Q(zeta_3): its reduced
+    # matrix equals the rational one, but cached products must not be shared
+    f3 = cyclo_field(3)
+    a3 = Dfao(2, FORWARD, ["s0", "s1"], [f3.from_rational(1), f3.from_rational(-1)], [[0, 1], [1, 0]])
+    root = RootSpec(2, 5, 1)
+    _fresh_caches(monkeypatch)
+    cold = synthesize(tm, root).coefficients
+    _fresh_caches(monkeypatch)
+    assert verify(synthesize(a3, root), a3, 30).all_zero
+    rec = synthesize(tm, root)
+    assert rec.coefficients == cold
+    assert verify(rec, tm, 30).all_zero
 
 
 def test_verify_budget_aborts(rs):
