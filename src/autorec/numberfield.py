@@ -836,7 +836,11 @@ def _rref(a: list[list], ncols: int) -> list[int]:
             continue
         a[row], a[sel] = a[sel], a[row]
         piv = a[row][col]
-        a[row] = [_div(c, piv) for c in a[row]]
+        if isinstance(piv, CycloElement):  # one inverse per pivot row, not one per entry
+            inv = piv.inverse()
+            a[row] = [c * inv for c in a[row]]
+        else:
+            a[row] = [_div(c, piv) for c in a[row]]
         for i in range(m):
             if i != row and a[i][col] != 0:
                 f = a[i][col]

@@ -376,22 +376,18 @@ def _dense_from_sparse(pairs, r0, zero):
 
 
 def _root_vector(vec, root: RootSpec, L: int) -> list:
-    """sum_j vec[j] * w^j, w = zeta_r0^e, as a vector mod x^L - 1 (not normalized).
+    """sum of vec[j*m + i] * zeta_m^i * w^j, w = zeta_r0^e, as a vector mod x^L - 1.
 
-    Entries of vec are rationals or output-field elements.
+    vec holds m = len(vec) / r0 rationals per residue class j, m | L; not normalized.
     """
+    m = len(vec) // root.r0
+    lift = L // m
     step = (L // root.r0) * root.primitive_exponent
     out = [0] * L
-    for j, sc in enumerate(vec):
-        if not sc:
-            continue
-        if type(sc) is CycloElement:
-            lift = L // sc.field.conductor
-            for i, ci in enumerate(sc.vec):
-                if ci:
-                    out[(i * lift + j * step) % L] += ci
-        else:
-            out[(j * step) % L] += sc
+    for slot, c in enumerate(vec):
+        if c:
+            j, i = divmod(slot, m)
+            out[(i * lift + j * step) % L] += c
     return out
 
 
@@ -399,6 +395,8 @@ def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
     """M-hat(k^s; w) (Left) or its Right mirror, as a scalar matrix."""
     K = cyclo_field(math.lcm(mhat.field.conductor, root.r0))
     vecs = _product_mod_cyclic(mhat, root.k, root.s, root.r0, side)
+    if mhat.field.conductor > 1:  # field-element entries, flattened to slots j*m + i
+        vecs = [[[x for c in vec for x in c.vec] for vec in row] for row in vecs]
     L = K.conductor
     return [[K.element(_root_vector(vec, root, L)) for vec in row] for row in vecs], K
 
@@ -451,22 +449,29 @@ def partial_sum_value(a: Dfao, n: int, root: RootSpec) -> CycloElement:
 
 
 class BlockSums:
-    """Exact residue-class partial sums of an automatic sequence.
+    """Exact residue-class partial sums of an automatic sequence, in rationals only.
 
-    bucket_vector(N)[j] = sum of a(m) over m < N with m = j mod r0,
-    valid for arbitrarily large N: words of equal length are grouped,
-    and one table per word length propagates (state, value residue)
-    weights, so the cost per call is O(len(digits of N)^2) small vector
-    operations rather than O(N).
+    bucket_vector(N) is one flat vector of length r0 * m, where m is the
+    conductor of the output field: slot j*m + i holds the coefficient of
+    zeta_m^i in the sum of a(t) over t < N with t = j mod r0.  It is valid
+    for arbitrarily large N: words of equal length are grouped, and one
+    table per word length propagates (state, value residue) weights, so a
+    call costs O(len(digits of N)^2) vector rotations and no field
+    arithmetic.  Forward tables hold flat output sums, where a residue
+    shift s is a flat rotation by s*m.  Backward tables hold integer word
+    counts per residue; a call adds them into one count vector per
+    distinct output value, starting from the counts of all shorter words
+    (kept per length), and folds the values in once at the end, in
+    O(values * r0 * m).  Over Q (m = 1) both are plain residue vectors.
     """
 
     def __init__(self, a: Dfao, r0: int):
         self.a = a
         self.r0 = r0
-        # over Q the outputs are the plain rationals v.vec[0]
-        rational = a.output_field.conductor == 1
-        self._outs = [v.vec[0] if rational else v for v in a.outputs]
-        self._zero = 0 if rational else a.output_field.zero()
+        self.m = a.output_field.conductor
+        self._values = list(dict.fromkeys(v.vec for v in a.outputs))
+        self._value_of = [self._values.index(v.vec) for v in a.outputs]
+        self._full = [[[0] * r0 for _ in self._values]]  # backward: per-value counts of 1..k^t - 1
         self._kpow = [1 % r0]
         self._tables = []  # per free-suffix length
         self._buckets: dict[int, list] = {}
@@ -477,105 +482,95 @@ class BlockSums:
         return self._kpow[i]
 
     def _ensure(self, length: int) -> None:
-        a, r0 = self.a, self.r0
-        k, d = a.base, a.size
+        a, r0, m = self.a, self.r0, self.m
+        fwd = a.direction == FORWARD
         tabs = self._tables
         if not tabs:
-            if a.direction == FORWARD:
-                base = [[self._zero] * r0 for _ in range(d)]
-                for q in range(d):
-                    base[q][0] = self._outs[q]
+            if fwd:
+                base = [list(v.vec) + [0] * ((r0 - 1) * m) for v in a.outputs]
             else:
-                base = [[0] * r0 for _ in range(d)]
+                base = [[0] * r0 for _ in range(a.size)]
                 base[0][0] = 1
             tabs.append(base)
         while len(tabs) <= length:
-            lv = len(tabs) - 1
-            shift_unit = self._kp(lv)
             prev = tabs[-1]
-            if a.direction == FORWARD:
-                cur = [[self._zero] * r0 for _ in range(d)]
-                for q in range(d):
-                    dst = cur[q]
-                    for dig in range(k):
-                        _cyc_add_scaled(dst, prev[a.delta[q][dig]], (dig * shift_unit) % r0, 1)
-            else:
-                cur = [[0] * r0 for _ in range(d)]
-                for q in range(d):
-                    src = prev[q]
-                    for dig in range(k):
-                        _cyc_add_scaled(cur[a.delta[q][dig]], src, (dig * shift_unit) % r0, 1)
+            unit = self._kp(len(tabs) - 1) * (m if fwd else 1)
+            cur = [[0] * len(prev[0]) for _ in prev]
+            # forward tables pull from the state a digit leads to, backward ones push to it
+            for q, row in enumerate(a.delta):
+                for dig, p in enumerate(row):
+                    dst, src = (cur[q], prev[p]) if fwd else (cur[p], prev[q])
+                    _cyc_add_scaled(dst, src, dig * unit, 1)
             tabs.append(cur)
 
     def bucket_vector(self, n: int) -> list:
-        """Residue-class sums over m < n; cached per n."""
+        """Flat residue-class sums over t < n; cached per n."""
         got = self._buckets.get(n)
         if got is not None:
             return got
-        a, r0 = self.a, self.r0
-        k = a.base
-        vec = [self._zero] * r0
-        if n >= 1:
-            # m = 0 reads the empty word
-            vec[0] = vec[0] + self._outs[0]
-        digits = expansion(n, k)
-        t = len(digits)
-        if t:
-            self._ensure(t - 1)
-        fwd = a.direction == FORWARD
-        if fwd:
-            self._fill_forward(vec, digits)
-        else:
-            self._fill_backward(vec, digits)
+        m = self.m
+        vec = [0] * (self.r0 * m)
+        digits = expansion(n, self.a.base)
+        if digits:
+            vec[:m] = self.a.outputs[0].vec  # t = 0 reads the empty word
+            self._ensure(len(digits) - 1)
+            if self.a.direction == FORWARD:
+                self._fill_forward(vec, digits)
+            else:
+                self._fill_backward(vec, digits)
         self._buckets[n] = vec
         return vec
 
     def _fill_forward(self, vec, digits):
-        a, r0 = self.a, self.r0
+        a, m = self.a, self.m
         k = a.base
         t = len(digits)
         tabs = self._tables
         # full blocks: words of length ell < t, leading digit nonzero
         for ell in range(1, t):
-            unit = self._kp(ell - 1)
+            unit = self._kp(ell - 1) * m
             for dig in range(1, k):
-                _cyc_add_scaled(vec, tabs[ell - 1][a.delta[0][dig]], (dig * unit) % r0, 1)
+                _cyc_add_scaled(vec, tabs[ell - 1][a.delta[0][dig]], dig * unit, 1)
         # the top block: proper prefixes of the digit string of n
         state = 0
         val = 0
         for i, ni in enumerate(digits):
             free = t - i - 1
-            unit = self._kp(free)
+            unit = self._kp(free) * m
             lo = 1 if i == 0 else 0
             for dig in range(lo, ni):
-                shift = ((val * k + dig) * unit) % r0
-                _cyc_add_scaled(vec, tabs[free][a.delta[state][dig]], shift, 1)
+                _cyc_add_scaled(vec, tabs[free][a.delta[state][dig]], (val * k + dig) * unit, 1)
             state = a.delta[state][ni]
-            val = (val * k + ni) % r0
+            val = (val * k + ni) % self.r0
 
     def _fill_backward(self, vec, digits):
-        a, r0 = self.a, self.r0
+        a, r0, m = self.a, self.r0, self.m
         k, d = a.base, a.size
         t = len(digits)
         tabs = self._tables
-        outs = self._outs
-        for ell in range(1, t):
+        value_of = self._value_of
+        # full blocks: words of length ell < t, leading digit nonzero; their
+        # counts depend on t only, so they are summed once per length
+        full = self._full
+        while len(full) < t:
+            ell = len(full)
             unit = self._kp(ell - 1)
             tab = tabs[ell - 1]
+            counts = [list(c) for c in full[-1]]
             for q in range(d):
                 src = tab[q]
                 if not any(src):
                     continue
                 for dig in range(1, k):
-                    _cyc_add_scaled(vec, src, (dig * unit) % r0, outs[a.delta[q][dig]])
+                    _cyc_add_scaled(counts[value_of[a.delta[q][dig]]], src, dig * unit, 1)
+            full.append(counts)
+        counts = [list(c) for c in full[t - 1]]
         # suffix maps: maps[i](q) = state after reading digits[:i] reversed from q
         cur = list(range(d))
         maps = [cur]
         for ni in digits[:-1]:
             cur = [cur[a.delta[q][ni]] for q in range(d)]
             maps.append(cur)
-        # note maps[i] corresponds to the prefix digits[:i] read in reverse:
-        # maps[i][q] = delta(q, reverse(digits[:i]))
         val = 0
         for i, ni in enumerate(digits):
             free = t - i - 1
@@ -584,13 +579,19 @@ class BlockSums:
             mp = maps[i]
             lo = 1 if i == 0 else 0
             for dig in range(lo, ni):
-                shift = ((val * k + dig) * unit) % r0
+                shift = (val * k + dig) * unit
                 for q in range(d):
                     src = tab[q]
                     if not any(src):
                         continue
-                    _cyc_add_scaled(vec, src, shift, outs[mp[a.delta[q][dig]]])
+                    _cyc_add_scaled(counts[value_of[mp[a.delta[q][dig]]]], src, shift, 1)
             val = (val * k + ni) % r0
+        # each output value enters once: slot j*m + i gains count[j] * value[i]
+        for value, count in zip(self._values, counts):
+            for j, c in enumerate(count):
+                if c:
+                    lo = j * m
+                    vec[lo : lo + m] = [x + c * y for x, y in zip(vec[lo : lo + m], value)]
 
 
 _BLOCK_CACHE: dict = {}

@@ -5,13 +5,14 @@ from itertools import product as iproduct
 
 import pytest
 
-from autorec.automaton import word_value
-from autorec.numberfield import cyclo_field
+from autorec.automaton import FORWARD, Dfao, PatternSpec, pattern_dfao, reverse_dfao, word_value
+from autorec.numberfield import cyclo_field, solve_exact
 from autorec.polymatrix import (
     LEFT,
     RIGHT,
     CycloPoly,
     PolyMatrix,
+    SpanAnalysis,
     power_product,
     reduced_matrix,
     span_analysis,
@@ -199,12 +200,70 @@ def test_span_witness_table_is_consistent(rs):
             assert row[i] == rs.state_output(rs.run(i, w))
 
 
+def check_relation(sp, rel) -> bool:
+    """Does sum_i rel[i] * f_i vanish on every witness word?"""
+    for row in sp.tuple_table:
+        acc = sp.field.zero()
+        for i, c in rel.items():
+            acc = acc + row[i] * c
+        if not acc.is_zero():
+            return False
+    return True
+
+
 def test_check_relation_accepts_known_dependence(rs):
     sp = span_analysis(rs)
     f = rs.output_field
     # f_3 = -f_0 on this machine
-    assert sp.check_relation({3: f.one(), 0: f.one()})
-    assert not sp.check_relation({0: f.one()})
+    assert check_relation(sp, {3: f.one(), 0: f.one()})
+    assert not check_relation(sp, {0: f.one()})
+
+
+def span_by_columns(sp) -> SpanAnalysis:
+    """The span structure column by column: one solve per state against the pivots so far."""
+    field = sp.field
+    table = sp.tuple_table
+    d = len(table[0])
+    cols = [[row[j] for row in table] for j in range(d)]
+    pivots, exprs = [], {}
+    for j in range(d):
+        if pivots:
+            sol = solve_exact([[cols[p][r] for p in pivots] for r in range(len(table))], cols[j])
+        else:
+            sol = [] if all(v.is_zero() for v in cols[j]) else None
+        if sol is None:
+            pivots.append(j)
+        else:
+            exprs[j] = sol
+    generators = pivots if 0 in pivots else [0] + pivots
+    gpos = {g: t for t, g in enumerate(generators)}
+    alphas = {}
+    for p in range(d):
+        if p not in gpos:
+            coeffs = [field.zero()] * len(generators)
+            for t, c in enumerate(exprs[p]):
+                coeffs[gpos[pivots[t]]] = field.coerce(c)
+            alphas[p] = tuple(coeffs)
+    return SpanAnalysis(field, sp.witness_words, sp.tuples, table, len(pivots), generators, alphas)
+
+
+def test_span_matches_column_by_column_solves(shipped):
+    machines = list(shipped)
+    for name, a in shipped:
+        machines.append((name + " reversed", reverse_dfao(a)))
+    for v, k in (((0, 0, 0), 3), ((0, 1, 0), 2), ((1, 1), 2)):
+        spec = PatternSpec(k, v, 3)
+        a = pattern_dfao(spec)
+        machines += [(repr(spec), a), (repr(spec) + " reversed", reverse_dfao(a))]
+    zero = Dfao(2, FORWARD, "abc", [0, 0, 0], [[1, 2], [2, 0], [0, 1]])
+    machines.append(("all outputs zero", zero))
+    for name, a in machines:
+        sp = span_analysis(a)
+        want = span_by_columns(sp)
+        assert sp.rank == want.rank, name
+        assert sp.generators == want.generators, name
+        assert sp.alphas == want.alphas, name
+        assert sp.to_json_dict() == want.to_json_dict(), name
 
 
 def test_reduced_matrices_frozen_forms(tm, rs, bs):

@@ -4,10 +4,19 @@ import random
 
 import pytest
 
-from autorec.automaton import FORWARD, Dfao, PatternSpec, pattern_dfao, sequence_term
+from autorec.automaton import (
+    BACKWARD,
+    FORWARD,
+    Dfao,
+    PatternSpec,
+    pattern_dfao,
+    reverse_dfao,
+    sequence_term,
+)
 from autorec.errors import AutorecError, BudgetError
-from autorec.numberfield import cyclo_field
+from autorec.numberfield import CycloElement, cyclo_field
 from autorec.recurrence import (
+    BlockSums,
     RootSpec,
     block_sums,
     char_poly,
@@ -211,6 +220,64 @@ def test_block_sums_cache_reuse(tm):
     bs1 = block_sums(tm, 7)
     bs2 = block_sums(tm, 7)
     assert bs1 is bs2
+
+
+def _irrational_machines():
+    """Backward machines and Q(zeta_3) outputs, both reading directions."""
+    f3 = cyclo_field(3)
+    outs = [f3.one() + f3.omega(), f3.omega() / 2, 0]
+    delta = [[1, 2], [2, 0], [1, 1]]
+    out = [
+        ("api forward", Dfao(2, FORWARD, "abc", outs, delta)),
+        ("api backward", Dfao(2, BACKWARD, "abc", outs, delta)),
+    ]
+    for spec in (PatternSpec(2, (0, 1, 0), 3), PatternSpec(2, (1, 1), 3)):
+        a = pattern_dfao(spec)
+        out += [(repr(spec), a), (repr(spec) + " reversed", reverse_dfao(a))]
+    return out
+
+
+def test_block_sums_with_irrational_outputs_agree_with_direct_summation(bs):
+    # gcd(3, r0) is 1 for r0 = 5 and 3 for r0 = 3, 9, 15
+    roots = ((3, 1), (5, 2), (9, 1), (9, 6), (15, 4), (15, 5))
+    probes = (0, 1, 2, 13, 64, 3**7)
+    for name, a in _irrational_machines() + [("baum_sweet", bs)]:
+        for rr, ee in roots:
+            root = RootSpec(2, rr, ee)
+            for n in probes:
+                want = partial_sum_value(a, n, root)
+                assert partial_sum_fast(a, n, root) == want, (name, rr, ee, n)
+
+
+def test_block_sums_do_no_field_multiplication(monkeypatch):
+    # the verifier's residue sums stay in rationals: no CycloElement product
+    # may run inside BlockSums, however irrational the outputs are
+    a = reverse_dfao(pattern_dfao(PatternSpec(2, (0, 1, 0), 3)))
+    rec = synthesize(a, RootSpec(2, 5, 2))
+    _fresh_caches(monkeypatch)
+    inside, calls, muls = [0], [0], [0]
+    mul = CycloElement.__mul__
+
+    def counted_mul(self, other):
+        muls[0] += inside[0]
+        return mul(self, other)
+
+    bucket_vector = BlockSums.bucket_vector
+
+    def counted_bucket_vector(self, n):
+        inside[0] += 1
+        calls[0] += 1
+        try:
+            return bucket_vector(self, n)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(CycloElement, "__mul__", counted_mul)
+    monkeypatch.setattr(CycloElement, "__rmul__", counted_mul)
+    monkeypatch.setattr(BlockSums, "bucket_vector", counted_bucket_vector)
+    assert verify(rec, a, 30).all_zero
+    assert calls[0] > 0
+    assert muls[0] == 0
 
 
 # ----------------------------------------------------------------------
