@@ -23,7 +23,7 @@ from importlib import resources
 from typing import Iterable, Optional
 
 from .errors import AutorecError, ParseError
-from .numberfield import CycloElement, cyclo_field, common_field, nullspace
+from .numberfield import CycloElement, cyclo_field, common_field
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -516,85 +516,3 @@ def pattern_dfao(spec: PatternSpec) -> Dfao:
     if v[0] == 0:
         a = add_initial_state(a)
     return a
-
-
-# ----------------------------------------------------------------------
-# state symmetries
-
-
-class SymmetryReport:
-    """Result of check_symmetry: commutation flag plus induced relations."""
-
-    def __init__(self, commutes, failure, period, betas, relations):
-        self.commutes = commutes
-        self.failure = failure  # (state, digit) witnessing non-commutation
-        self.period = period
-        self.betas = betas
-        self.relations = relations  # list of {state index: coefficient}
-
-    def __repr__(self):
-        return f"SymmetryReport(commutes={self.commutes}, {len(self.relations)} relations)"
-
-
-def check_symmetry(a: Dfao, rho: dict[int, int], q_start: int) -> SymmetryReport:
-    """Test delta(rho(q), d) = rho(delta(q, d)) on the domain of rho.
-
-    The domain must be closed under both rho and the transitions.  When
-    the test passes, every exact linear dependence among the output rows
-    (output(rho^i(q)))_i that holds for all q reachable from q_start is
-    returned as a relation sum_i beta_i f_(rho^i(q)) = 0, instantiated
-    per reachable state, consumable as a span-analysis cross check.
-    """
-    dom = set(rho)
-    if q_start not in dom:
-        raise AutorecError("start state is outside the domain of rho")
-    for q, img in rho.items():
-        if img not in dom:
-            raise AutorecError("rho does not map its domain into itself")
-    for q in dom:
-        for d in range(a.base):
-            if a.delta[q][d] not in dom:
-                raise AutorecError("domain of rho is not closed under transitions")
-    for q in dom:
-        for d in range(a.base):
-            if a.delta[rho[q]][d] != rho[a.delta[q][d]]:
-                return SymmetryReport(False, (q, d), None, [], [])
-
-    # reachable part from q_start
-    reach = {q_start}
-    todo = [q_start]
-    while todo:
-        q = todo.pop()
-        for d in range(a.base):
-            t = a.delta[q][d]
-            if t not in reach:
-                reach.add(t)
-                todo.append(t)
-    reach = sorted(reach)
-
-    # iterate rho as a map on the domain until it repeats
-    dom_sorted = sorted(dom)
-    cur = {q: q for q in dom_sorted}
-    seen = [dict(cur)]
-    while True:
-        cur = {q: rho[cur[q]] for q in dom_sorted}
-        if any(cur == s for s in seen):
-            break
-        seen.append(dict(cur))
-    period = len(seen)
-
-    rows = [[a.outputs[it[q]] for it in seen] for q in reach]
-    betas = nullspace(rows)
-    relations = []
-    for beta in betas:
-        for q in reach:
-            rel: dict[int, CycloElement] = {}
-            for i, b in enumerate(beta):
-                if b == 0:
-                    continue
-                st = seen[i][q]
-                rel[st] = rel.get(st, 0) + b
-            rel = {s: c for s, c in rel.items() if c != 0}
-            if rel:
-                relations.append(rel)
-    return SymmetryReport(True, None, period, betas, relations)

@@ -252,38 +252,6 @@ class PolyMatrix:
     def truncate_entries(self, n: int) -> "PolyMatrix":
         return PolyMatrix(self.field, [[p.truncate(n) for p in row] for row in self.rows])
 
-    def eval_at(self, x: CycloElement) -> list[list[CycloElement]]:
-        return [[p(x) for p in row] for row in self.rows]
-
-    def trace(self) -> CycloPoly:
-        acc = CycloPoly(self.field)
-        for i in range(self.dim):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def char_poly(self) -> list[CycloPoly]:
-        """Coefficients (c_0, ..., c_d) of det(y I - M), constant first.
-
-        Faddeev-LeVerrier over the polynomial ring; division only by
-        integers, so everything stays exact.
-        """
-        n = self.dim
-        coeffs = [CycloPoly(self.field, [1])]  # leading coefficient of y^n
-        m = PolyMatrix.identity(self.field, n)
-        cur = self
-        for j in range(1, n + 1):
-            mj = cur * m if j > 1 else cur
-            c = mj.trace() * Fraction(-1, j)
-            coeffs.append(c)
-            if j < n:
-                m = _add_scalar(mj, c)
-        coeffs.reverse()
-        return coeffs
-
-    def det_cofactor(self) -> CycloPoly:
-        """Determinant by cofactor expansion; an independent small-d route."""
-        return _det_cofactor(self.rows, self.field)
-
     def pretty(self, var: str = "x") -> str:
         cells = [[p.pretty(var) for p in row] for row in self.rows]
         width = max((len(c) for row in cells for c in row), default=0)
@@ -302,29 +270,6 @@ class PolyMatrix:
         return f"PolyMatrix(dim={self.dim})\n{self.pretty()}"
 
 
-def _add_scalar(m: PolyMatrix, c: CycloPoly) -> PolyMatrix:
-    rows = [list(r) for r in m.rows]
-    for i in range(m.dim):
-        rows[i][i] = rows[i][i] + c
-    return PolyMatrix(m.field, rows)
-
-
-def _det_cofactor(rows, field) -> CycloPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = CycloPoly(field)
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [
-            [rows[i][t] for t in range(n) if t != j] for i in range(1, n)
-        ]
-        term = rows[0][j] * _det_cofactor(minor, field)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 # ----------------------------------------------------------------------
 # transition matrices
 
@@ -332,12 +277,13 @@ def _det_cofactor(rows, field) -> CycloPoly:
 def transition_matrix(a: Dfao) -> PolyMatrix:
     """M(x) with m_ij(x) = sum of x^digit over transitions q_i -> q_j."""
     field = a.output_field
+    zero, one = field.zero(), field.one()
     d = a.size
     rows = []
     for i in range(d):
-        coeffs = [[0] * a.base for _ in range(d)]
+        coeffs = [[zero] * a.base for _ in range(d)]
         for dig in range(a.base):
-            coeffs[a.delta[i][dig]][dig] = 1
+            coeffs[a.delta[i][dig]][dig] = one
         rows.append([CycloPoly(field, cs) for cs in coeffs])
     return PolyMatrix(field, rows)
 

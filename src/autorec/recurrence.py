@@ -375,19 +375,30 @@ def _dense_from_sparse(pairs, r0, zero):
     return vec
 
 
-def _root_vector(vec, root: RootSpec, L: int) -> list:
-    """sum of vec[j*m + i] * zeta_m^i * w^j, w = zeta_r0^e, as a vector mod x^L - 1.
+def _root_map(m: int, root: RootSpec) -> list[list[int]]:
+    """The slot-to-power map of bucket vectors, as g lists of slots per power.
 
-    vec holds m = len(vec) / r0 rationals per residue class j, m | L; not normalized.
+    Slot j*m + i (the coefficient of zeta_m^i in residue class j) goes to
+    power (i*L/m + j*(L/r0)*u) mod L of zeta_L, where L = lcm(m, r0) and
+    w = zeta_r0^u.  The map is an additive homomorphism Z_r0 x Z_m -> Z_L
+    onto, so every power receives g = r0*m/L slots; list t holds the t-th
+    slot of each power.  g = 1 (a bijection) when gcd(m, r0) = 1.
     """
-    m = len(vec) // root.r0
+    L = math.lcm(m, root.r0)
     lift = L // m
     step = (L // root.r0) * root.primitive_exponent
-    out = [0] * L
-    for slot, c in enumerate(vec):
-        if c:
-            j, i = divmod(slot, m)
-            out[(i * lift + j * step) % L] += c
+    slots: list[list[int]] = [[] for _ in range(L)]
+    for j in range(root.r0):
+        for i in range(m):
+            slots[(i * lift + j * step) % L].append(j * m + i)
+    return [list(col) for col in zip(*slots)]
+
+
+def _at_root(vec: list, inv: list[list[int]]) -> list:
+    """sum of vec[j*m + i] zeta_m^i w^j as a vector mod x^L - 1, not normalized."""
+    out = [vec[s] for s in inv[0]]
+    for more in inv[1:]:
+        out = [x + vec[s] for x, s in zip(out, more)]
     return out
 
 
@@ -397,8 +408,8 @@ def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
     vecs = _product_mod_cyclic(mhat, root.k, root.s, root.r0, side)
     if mhat.field.conductor > 1:  # field-element entries, flattened to slots j*m + i
         vecs = [[[x for c in vec for x in c.vec] for vec in row] for row in vecs]
-    L = K.conductor
-    return [[K.element(_root_vector(vec, root, L)) for vec in row] for row in vecs], K
+    inv = _root_map(mhat.field.conductor, root)
+    return [[K.element(_at_root(vec, inv)) for vec in row] for row in vecs], K
 
 
 # ----------------------------------------------------------------------
@@ -456,22 +467,38 @@ class BlockSums:
     zeta_m^i in the sum of a(t) over t < N with t = j mod r0.  It is valid
     for arbitrarily large N: words of equal length are grouped, and one
     table per word length propagates (state, value residue) weights, so a
-    call costs O(len(digits of N)^2) vector rotations and no field
+    call costs O(k * len(digits of N)) vector rotations and no field
     arithmetic.  Forward tables hold flat output sums, where a residue
     shift s is a flat rotation by s*m.  Backward tables hold integer word
     counts per residue; a call adds them into one count vector per
-    distinct output value, starting from the counts of all shorter words
-    (kept per length), and folds the values in once at the end, in
+    distinct output value and folds the values in once at the end, in
     O(values * r0 * m).  Over Q (m = 1) both are plain residue vectors.
+
+    The words shorter than N (the full blocks) are summed once per word
+    length t of the arguments asked for, each from the nearest shorter
+    length already summed, and kept in `_full`; lengths never asked for
+    are not kept, so the cache grows with the distinct argument lengths
+    only.
     """
 
     def __init__(self, a: Dfao, r0: int):
         self.a = a
         self.r0 = r0
         self.m = a.output_field.conductor
+        self._fwd = a.direction == FORWARD
         self._values = list(dict.fromkeys(v.vec for v in a.outputs))
         self._value_of = [self._values.index(v.vec) for v in a.outputs]
-        self._full = [[[0] * r0 for _ in self._values]]  # backward: per-value counts of 1..k^t - 1
+        # per word length t: the sums over all words shorter than t; t = 1
+        # holds the empty word alone, which reads the output of state 0
+        if self._fwd:
+            base = [0] * (r0 * self.m)
+            base[: self.m] = a.outputs[0].vec
+        else:
+            base = [[0] * r0 for _ in self._values]
+            base[self._value_of[0]][0] = 1
+        self._full = {1: base}
+        # `at` before any digit is read (see _add_words): state 0, or the identity map
+        self._start = 0 if self._fwd else list(range(a.size))
         self._kpow = [1 % r0]
         self._tables = []  # per free-suffix length
         self._buckets: dict[int, list] = {}
@@ -482,8 +509,7 @@ class BlockSums:
         return self._kpow[i]
 
     def _ensure(self, length: int) -> None:
-        a, r0, m = self.a, self.r0, self.m
-        fwd = a.direction == FORWARD
+        a, r0, m, fwd = self.a, self.r0, self.m, self._fwd
         tabs = self._tables
         if not tabs:
             if fwd:
@@ -503,95 +529,83 @@ class BlockSums:
                     _cyc_add_scaled(dst, src, dig * unit, 1)
             tabs.append(cur)
 
+    def _copy(self, acc) -> list:
+        return list(acc) if self._fwd else [list(c) for c in acc]
+
+    def _add_words(self, acc, at, val: int, digs, free: int) -> None:
+        """Add the words prefix, dig, then `free` arbitrary digits, for dig in digs.
+
+        val is the prefix's value mod r0.  Forward, at is the state the
+        prefix leads to and acc a flat vector.  Backward, at[q] is the state
+        reached by reading the prefix, least significant digit first, from
+        q, and acc holds one count vector per distinct output value.
+        """
+        a, k = self.a, self.a.base
+        tab = self._tables[free]
+        unit = self._kp(free)
+        if self._fwd:
+            unit *= self.m
+            for dig in digs:
+                _cyc_add_scaled(acc, tab[a.delta[at][dig]], (val * k + dig) * unit, 1)
+            return
+        value_of = self._value_of
+        for dig in digs:
+            shift = (val * k + dig) * unit
+            for q, src in enumerate(tab):
+                if any(src):
+                    _cyc_add_scaled(acc[value_of[at[a.delta[q][dig]]]], src, shift, 1)
+
+    def _shorter(self, t: int) -> list:
+        """The sums over all words shorter than t digits, t >= 1 (shared; do not mutate)."""
+        full = self._full
+        got = full.get(t)
+        if got is None:
+            below = max(ell for ell in full if ell < t)
+            got = self._copy(full[below])
+            for ell in range(below, t):  # words of exactly ell digits, leading digit nonzero
+                self._add_words(got, self._start, 0, range(1, self.a.base), ell - 1)
+            full[t] = got
+        return got
+
     def bucket_vector(self, n: int) -> list:
         """Flat residue-class sums over t < n; cached per n."""
         got = self._buckets.get(n)
         if got is not None:
             return got
-        m = self.m
-        vec = [0] * (self.r0 * m)
-        digits = expansion(n, self.a.base)
-        if digits:
-            vec[:m] = self.a.outputs[0].vec  # t = 0 reads the empty word
-            self._ensure(len(digits) - 1)
-            if self.a.direction == FORWARD:
-                self._fill_forward(vec, digits)
-            else:
-                self._fill_backward(vec, digits)
+        a, r0, m = self.a, self.r0, self.m
+        digits = expansion(n, a.base)
+        if not digits:
+            vec = [0] * (r0 * m)
+        else:
+            t = len(digits)
+            self._ensure(t - 1)
+            acc = self._copy(self._shorter(t))
+            # the top block: proper prefixes of the digit string of n
+            at = self._start
+            val = 0
+            for i, ni in enumerate(digits):
+                lo = 1 if i == 0 else 0
+                if ni > lo:
+                    self._add_words(acc, at, val, range(lo, ni), t - i - 1)
+                if self._fwd:
+                    at = a.delta[at][ni]
+                else:
+                    at = [at[a.delta[q][ni]] for q in range(a.size)]
+                val = (val * a.base + ni) % r0
+            vec = acc if self._fwd else self._fold(acc)
         self._buckets[n] = vec
         return vec
 
-    def _fill_forward(self, vec, digits):
-        a, m = self.a, self.m
-        k = a.base
-        t = len(digits)
-        tabs = self._tables
-        # full blocks: words of length ell < t, leading digit nonzero
-        for ell in range(1, t):
-            unit = self._kp(ell - 1) * m
-            for dig in range(1, k):
-                _cyc_add_scaled(vec, tabs[ell - 1][a.delta[0][dig]], dig * unit, 1)
-        # the top block: proper prefixes of the digit string of n
-        state = 0
-        val = 0
-        for i, ni in enumerate(digits):
-            free = t - i - 1
-            unit = self._kp(free) * m
-            lo = 1 if i == 0 else 0
-            for dig in range(lo, ni):
-                _cyc_add_scaled(vec, tabs[free][a.delta[state][dig]], (val * k + dig) * unit, 1)
-            state = a.delta[state][ni]
-            val = (val * k + ni) % self.r0
-
-    def _fill_backward(self, vec, digits):
-        a, r0, m = self.a, self.r0, self.m
-        k, d = a.base, a.size
-        t = len(digits)
-        tabs = self._tables
-        value_of = self._value_of
-        # full blocks: words of length ell < t, leading digit nonzero; their
-        # counts depend on t only, so they are summed once per length
-        full = self._full
-        while len(full) < t:
-            ell = len(full)
-            unit = self._kp(ell - 1)
-            tab = tabs[ell - 1]
-            counts = [list(c) for c in full[-1]]
-            for q in range(d):
-                src = tab[q]
-                if not any(src):
-                    continue
-                for dig in range(1, k):
-                    _cyc_add_scaled(counts[value_of[a.delta[q][dig]]], src, dig * unit, 1)
-            full.append(counts)
-        counts = [list(c) for c in full[t - 1]]
-        # suffix maps: maps[i](q) = state after reading digits[:i] reversed from q
-        cur = list(range(d))
-        maps = [cur]
-        for ni in digits[:-1]:
-            cur = [cur[a.delta[q][ni]] for q in range(d)]
-            maps.append(cur)
-        val = 0
-        for i, ni in enumerate(digits):
-            free = t - i - 1
-            unit = self._kp(free)
-            tab = tabs[free]
-            mp = maps[i]
-            lo = 1 if i == 0 else 0
-            for dig in range(lo, ni):
-                shift = (val * k + dig) * unit
-                for q in range(d):
-                    src = tab[q]
-                    if not any(src):
-                        continue
-                    _cyc_add_scaled(counts[value_of[mp[a.delta[q][dig]]]], src, shift, 1)
-            val = (val * k + ni) % r0
-        # each output value enters once: slot j*m + i gains count[j] * value[i]
+    def _fold(self, counts) -> list:
+        """Each output value enters once: slot j*m + i gains count[j] * value[i]."""
+        m = self.m
+        vec = [0] * (self.r0 * m)
         for value, count in zip(self._values, counts):
             for j, c in enumerate(count):
                 if c:
                     lo = j * m
                     vec[lo : lo + m] = [x + c * y for x, y in zip(vec[lo : lo + m], value)]
+        return vec
 
 
 _BLOCK_CACHE: dict = {}
@@ -610,8 +624,9 @@ def block_sums(a: Dfao, r0: int) -> BlockSums:
 
 def partial_sum_fast(a: Dfao, n: int, root: RootSpec) -> CycloElement:
     """A(n; w) through the block evaluator; exact for huge n."""
-    L = math.lcm(a.output_field.conductor, root.r0)
-    return cyclo_field(L).element(_root_vector(block_sums(a, root.r0).bucket_vector(n), root, L))
+    m = a.output_field.conductor
+    vec = _at_root(block_sums(a, root.r0).bucket_vector(n), _root_map(m, root))
+    return cyclo_field(math.lcm(m, root.r0)).element(vec)
 
 
 # ----------------------------------------------------------------------
@@ -627,15 +642,21 @@ def verify(
     """Re-check the recurrence against directly computed partial sums.
 
     For every n up to n_max the residual sum of C_m(w) A(k^(ms) n; w) is
-    evaluated exactly and compared with zero.  The budget, when given,
-    caps the number of elementary block operations and aborts with a
-    BudgetError instead of running without bound.
+    evaluated exactly, as one vector mod x^L - 1, and its normal form is
+    compared with zero.  The bucket vectors of BlockSums are carried to
+    powers of zeta_L through one slot-to-power map, built once per call;
+    a rational coefficient scales in the same pass, the others multiply
+    the mapped vector mod x^L - 1.  The budget, when given, caps the
+    number of elementary block operations and aborts with a BudgetError
+    instead of running without bound.
     """
     if rec.k != a.base:
         raise AutorecError("recurrence and automaton disagree on the base k")
     root = rec.root
-    K = cyclo_field(math.lcm(a.output_field.conductor, root.r0))
+    m = a.output_field.conductor
+    K = cyclo_field(math.lcm(m, root.r0))
     L = K.conductor
+    inv = _root_map(m, root)
     cs = []
     for c in rec.coefficients:
         q = c.rational_value()
@@ -646,20 +667,22 @@ def verify(
     work = 0
     first_failure = None
     for n in range(1, n_max + 1):
-        # the residual as a vector mod x^L - 1, normalized once per n
         acc = [0] * L
         arg = n
         for c in cs:
-            vec = _root_vector(blocks.bucket_vector(arg), root, L)
-            term = cyclic_product(c, vec) if type(c) is tuple else [c * x for x in vec]
-            acc = [x + y for x, y in zip(acc, term)]
+            vec = blocks.bucket_vector(arg)
+            if type(c) is tuple:
+                acc = [x + y for x, y in zip(acc, cyclic_product(c, _at_root(vec, inv)))]
+            else:
+                for slots in inv:
+                    acc = [x + c * vec[s] for x, s in zip(acc, slots)]
             work += L + arg.bit_length()
             arg *= step
         if budget is not None and work > budget:
             raise BudgetError(
                 f"verification budget exhausted at n = {n} ({work} > {budget} units)"
             )
-        if not K.element(acc).is_zero():
+        if any(K._normal(acc)):
             first_failure = n
             break
     return VerificationReport(n_max, first_failure is None, first_failure)

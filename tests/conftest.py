@@ -8,7 +8,7 @@ import pytest
 
 from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, word_value
 from autorec.numberfield import CycloField
-from autorec.polymatrix import CycloPoly, LEFT
+from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix
 
 
 @pytest.fixture(scope="session")
@@ -104,3 +104,24 @@ def partial_sum_poly(a, span, n: int, t: int, side: str) -> list:
                 coeffs[val] = coeffs[val] + a.state_output(a.run(i, w))
         out.append(CycloPoly(field, coeffs))
     return out
+
+
+def det_cofactor(m: PolyMatrix) -> CycloPoly:
+    """Determinant by cofactor expansion; an independent small-d route."""
+    return _det_cofactor(m.rows, m.field)
+
+
+def _det_cofactor(rows, field) -> CycloPoly:
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = CycloPoly(field)
+    for j in range(n):
+        if rows[0][j].is_zero():
+            continue
+        minor = [
+            [rows[i][t] for t in range(n) if t != j] for i in range(1, n)
+        ]
+        term = rows[0][j] * _det_cofactor(minor, field)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc

@@ -48,7 +48,7 @@ from autorec.recurrence import (
     verify,
 )
 from autorec.thuemorse import tm_identities_check, tm_classify, tm_coefficient, tm_table
-from conftest import occurrences, partial_sum_poly, t_for
+from conftest import det_cofactor, occurrences, partial_sum_poly, t_for
 
 
 @pytest.fixture
@@ -96,7 +96,7 @@ def test_criterion_03_determinant_law(rs, announce):
     m = reduced_matrix(transition_matrix(rs), span_analysis(rs))
     f = rs.output_field
     for s in (1, 2, 3):
-        det = power_product(m, 2, s, RIGHT).det_cofactor()
+        det = det_cofactor(power_product(m, 2, s, RIGHT))
         want = CycloPoly.monomial(f, 2**s - 1, f.from_rational((-2) ** s))
         assert (det - want).is_zero(), s
     announce("criterion 03 PASS: right-product determinant is (-2)^s x^(2^s - 1) for s = 1, 2, 3")

@@ -1,5 +1,6 @@
 """Recurrence synthesis, verification, and the integer coset product."""
 
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from autorec.automaton import (
     FORWARD,
     Dfao,
     PatternSpec,
+    expansion,
     pattern_dfao,
     reverse_dfao,
     sequence_term,
@@ -17,7 +19,9 @@ from autorec.errors import AutorecError, BudgetError
 from autorec.numberfield import CycloElement, cyclo_field
 from autorec.recurrence import (
     BlockSums,
+    Recurrence,
     RootSpec,
+    VerificationReport,
     block_sums,
     char_poly,
     dim_experiment,
@@ -249,6 +253,48 @@ def test_block_sums_with_irrational_outputs_agree_with_direct_summation(bs):
                 assert partial_sum_fast(a, n, root) == want, (name, rr, ee, n)
 
 
+def _direct_buckets(a, r0, ns):
+    """Per n in ns, slot j*m + i: coefficient of zeta_m^i in the sum of a(t), t < n, t = j mod r0."""
+    m = a.output_field.conductor
+    vec = [0] * (r0 * m)
+    out = {}
+    for t in range(max(ns) + 1):
+        if t in ns:
+            out[t] = list(vec)
+        j = t % r0
+        for i, x in enumerate(sequence_term(a, t).vec):
+            vec[j * m + i] += x
+    return out
+
+
+def test_block_sums_full_blocks_cached_per_asked_length(shipped, monkeypatch):
+    # the full-block sums are kept only for the word lengths asked for, and
+    # every query order gives the same vectors
+    huge = 4**28 * 977
+    small = list(range(41)) + [64, 100, 3**7]
+    ns = small + [1000, 12345, huge, huge + 1, 2 * huge]
+    machines = shipped + _irrational_machines()
+    for name, a in machines:
+        for r0 in (3, 5, 9, 15):
+            orders = [sorted(ns), sorted(ns, reverse=True), random.Random(r0).sample(ns, len(ns))]
+            got = []
+            for order in orders:
+                bs = BlockSums(a, r0)
+                got.append({n: bs.bucket_vector(n) for n in order})
+                asked = {len(expansion(n, a.base)) for n in order if n}
+                assert set(bs._full) <= asked | {1}, (name, r0)
+            assert got[0] == got[1] == got[2], (name, r0)
+            for n, want in _direct_buckets(a, r0, small).items():
+                assert got[0][n] == want, (name, r0, n)
+    # partial sums built from a cache filled in shuffled order
+    _fresh_caches(monkeypatch)
+    for name, a in machines:
+        for rr, ee in ((9, 2), (15, 5), (7, 1)):
+            root = RootSpec(2, rr, ee)
+            for n in random.Random(rr).sample(small[:41:3] + [64, 100], 16):
+                assert partial_sum_fast(a, n, root) == partial_sum_value(a, n, root), (name, rr, n)
+
+
 def test_block_sums_do_no_field_multiplication(monkeypatch):
     # the verifier's residue sums stay in rationals: no CycloElement product
     # may run inside BlockSums, however irrational the outputs are
@@ -338,6 +384,79 @@ def test_verify_budget_aborts(rs):
     rec = synthesize(rs, RootSpec(2, 3, 1, s=2))
     with pytest.raises(BudgetError):
         verify(rec, rs, 10_000, budget=50)
+
+
+def _root_vector(vec, root, L):
+    """sum of vec[j*m + i] zeta_m^i w^j as a vector mod x^L - 1, one slot at a time."""
+    m = len(vec) // root.r0
+    lift = L // m
+    step = (L // root.r0) * root.primitive_exponent
+    out = [0] * L
+    for slot, c in enumerate(vec):
+        if c:
+            j, i = divmod(slot, m)
+            out[(i * lift + j * step) % L] += c
+    return out
+
+
+def verify_by_terms(rec, a, n_max, budget=None):
+    """The verifier as a root map and a field element per term: the oracle."""
+    root = rec.root
+    K = cyclo_field(math.lcm(a.output_field.conductor, root.r0))
+    L = K.conductor
+    cs = [K.coerce(c) for c in rec.coefficients]
+    blocks = block_sums(a, root.r0)
+    step = root.k**root.s
+    work = 0
+    for n in range(1, n_max + 1):
+        acc = K.zero()
+        arg = n
+        for c in cs:
+            acc = acc + c * K.element(_root_vector(blocks.bucket_vector(arg), root, L))
+            work += L + arg.bit_length()
+            arg *= step
+        if budget is not None and work > budget:
+            raise BudgetError(
+                f"verification budget exhausted at n = {n} ({work} > {budget} units)"
+            )
+        if not acc.is_zero():
+            return VerificationReport(n_max, False, n)
+    return VerificationReport(n_max, True, None)
+
+
+def _perturbed(rec, i):
+    coeffs = list(rec.coefficients)
+    coeffs[i] = coeffs[i] + coeffs[i].field.one()
+    return Recurrence(rec.k, rec.root, coeffs, "perturbed")
+
+
+def _outcome(check, rec, a, n_max, budget):
+    try:
+        return check(rec, a, n_max, budget).to_json_dict()
+    except BudgetError as exc:
+        return str(exc)
+
+
+def test_verify_matches_per_term_oracle():
+    # gcd(3, r0) = 3 for zeta_9^2, zeta_9^6 = zeta_3^2 and zeta_15^5 = zeta_3,
+    # where several slots fold onto one power; 1 for zeta_5^2 and zeta_7
+    roots = ((9, 2), (9, 6), (15, 5), (5, 2), (7, 1))
+    outcomes = []
+    for name, a in _irrational_machines():
+        for rr, ee in roots:
+            root = RootSpec(2, rr, ee)
+            rec = synthesize(a, root)
+            L = math.lcm(3, root.r0)
+            for cand in [rec] + [_perturbed(rec, i) for i in (0, rec.order)]:
+                # no budget, then one that runs out part of the way through
+                for budget in (None, 6 * (rec.order + 1) * L):
+                    want = _outcome(verify_by_terms, cand, a, 12, budget)
+                    assert _outcome(verify, cand, a, 12, budget) == want, (name, rr, ee)
+                    outcomes.append(want)
+            assert verify(_perturbed(rec, 0), a, 12).first_failure is not None
+    assert any(isinstance(o, dict) and o["all_zero"] for o in outcomes)
+    assert any(isinstance(o, dict) and o["first_failure"] for o in outcomes)
+    assert any(isinstance(o, str) and "at n = 1 " not in o for o in outcomes)
 
 
 # ----------------------------------------------------------------------
