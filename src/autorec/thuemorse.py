@@ -9,9 +9,16 @@ unit +-1, real non-integer), tabulates the classification over ranges
 of conductors, and demonstrates the companion recurrence for the sum
 over odd-weight m only.
 
-All classification is done twice: predicted from the arithmetic of
-(r0, s0, phi) and measured from the exact value; a disagreement would
-falsify a theorem, so it raises instead of being reported as data.
+tm_classify works on the exact value in Q(zeta_r0).  The scan table
+only asks whether the value is +1, -1 or neither, and its exact method
+answers without building the value: it reduces the product modulo
+primes p = 1 mod r0, where a residue other than +-1 refutes and
+agreement modulo primes whose product exceeds 2^s0 + 1 proves.
+
+Classification is checked against theory: what the arithmetic of
+(r0, s0, phi) predicts is compared with what was measured, and a
+disagreement would falsify a theorem, so it raises instead of being
+reported as data.
 """
 
 from __future__ import annotations
@@ -29,8 +36,10 @@ from .numberfield import (
     CycloElement,
     GaloisMap,
     RatPoly,
+    coset_reps,
     cyclo_field,
     euler_phi,
+    factorize,
     galois_apply,
     is_prime_power,
     multiplicative_order,
@@ -292,24 +301,114 @@ class TmTable:
         return "\n".join(lines)
 
 
+# Miller-Rabin with the first 12 primes as bases is deterministic below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality test for 2 <= n < _MR_BOUND."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split_primes(r0: int):
+    """Yield (p, g): the primes p = 1 mod r0 in increasing order, each with
+    the least g = h^((p-1)/r0), h = 2, 3, ..., of exact order r0 mod p."""
+    qs = [q for q, _ in factorize(r0)]
+    for p in range(2 * r0 + 1, _MR_BOUND, 2 * r0):
+        if _is_prime(p):
+            for h in range(2, p):
+                g = pow(h, (p - 1) // r0, p)
+                if all(pow(g, r0 // q, p) != 1 for q in qs):
+                    yield p, g
+                    break
+    raise AutorecError(f"no prime certificate below {_MR_BOUND} at r0 = {r0}")
+
+
+def _tm_residue(p: int, x: int, s0: int) -> int:
+    """prod (1 - x^(2^i)) mod p over i < s0."""
+    v = 1
+    for _ in range(s0):
+        v = v * (1 - x) % p
+        x = x * x % p
+    return v
+
+
+def _unit_certificate(r0: int, s0: int):
+    """Decide whether T = T(2^s0; zeta_r0) is +1 or -1, with no floating point.
+
+    Returns (sign, rows): sign is 1 or -1 when T equals it and None when
+    T is neither, and rows lists (p, g, residues) for each prime used,
+    residues holding the image of T under zeta -> g^u mod p for u in
+    coset_reps(2, r0), in that order (cut short at a refutation).
+
+    For p = 1 mod r0 the prime p splits completely in Z[zeta] and
+    zeta -> g^u, u in (Z/r0)^*, are its reductions; T is fixed by
+    zeta -> zeta^2, so one u per coset of <2> covers them all.  Refute:
+    reduction is a ring homomorphism, so a residue other than +-1, or
+    two of opposite sign, proves T != +-1; this usually happens at the
+    first prime with u = 1, after O(s0) work.  Confirm: residues all
+    equal to eps mod every prime, with product M > 2^s0 + 1, give
+    T - eps = M beta with beta an algebraic integer; every conjugate of
+    T has absolute value at most 2^s0, so every conjugate of beta is
+    smaller than 1 in absolute value; its norm is then an integer of
+    absolute value below 1, hence 0, and beta = 0.
+    """
+    need = (1 << s0) + 1
+    sign, modulus, rows = None, 1, []
+    for p, g in _split_primes(r0):
+        v = _tm_residue(p, g, s0)
+        rows.append((p, g, [v]))
+        s = 1 if v == 1 else -1 if v == p - 1 else None
+        if s is None or sign not in (None, s):
+            return None, rows
+        sign = s
+        modulus *= p
+        if modulus > need:
+            break
+    for u in coset_reps(2, r0)[1:]:
+        for p, g, residues in rows:
+            residues.append(_tm_residue(p, pow(g, u, p), s0))
+            if residues[-1] != sign % p:
+                return None, rows
+    return sign, rows
+
+
 def _scan_exact(r0: int):
-    """Classify one conductor for the table; exact arithmetic only."""
+    """Classify one conductor for the table by _unit_certificate.
+
+    The non-integer row means T != +-1 and T is then not rational
+    either: T is a unit, because its norm is a power of Phi_r0(1) = 1
+    when r0 is not a prime power, and the only rational units are +-1.
+    """
     s0 = multiplicative_order(2, r0)
     phi = euler_phi(r0)
     if s0 % 2:
         return (r0, "odd_s0")
-    value = cyclo_field(r0).element(_tm_cyclic(r0))
-    q = value.rational_value()
+    sign, _ = _unit_certificate(r0, s0)
     if pow(2, s0 // 2, r0) == r0 - 1:
-        if value.conjugate() != value or q is not None:
+        if sign is not None:
             raise AutorecError(f"forced real non-integer fails at r0 = {r0}")
         return (r0, "forced_real")
-    if q is None:
-        row = ROW_NONINTEGER
-    elif q not in (1, -1):
-        raise AutorecError(f"non-unit integer {q} at r0 = {r0}")
-    else:
-        row = ROW_ONE if q == 1 else ROW_MINUS_ONE
+    row = {None: ROW_NONINTEGER, 1: ROW_ONE, -1: ROW_MINUS_ONE}[sign]
     col = COL_PHI_EQ if phi == 2 * s0 else COL_PHI_GT
     return (r0, (row, col))
 
@@ -376,6 +475,16 @@ def _numeric_recheck(r0: int, s0: int) -> str:
         return ROW_NONINTEGER
 
 
+def _collect(outcomes, total: int, progress: bool) -> list:
+    """Gather outcomes in order, logging every 1000th when progress is on."""
+    results = []
+    for i, outcome in enumerate(outcomes):
+        results.append(outcome)
+        if progress and i % 1000 == 999:
+            print(f"scan: {i + 1}/{total} conductors done", file=sys.stderr, flush=True)
+    return results
+
+
 def tm_table(
     bound: int,
     jobs: Optional[int] = None,
@@ -384,11 +493,15 @@ def tm_table(
 ) -> TmTable:
     """Scan odd conductors with >= 2 distinct prime factors up to bound.
 
-    method "exact" decides every value in the cyclotomic field (the
-    reference pipeline; comfortable into the low thousands); "numeric"
-    uses guarded floating products and suits much larger bounds.  jobs
-    spreads the scan over worker processes; the merge is deterministic
-    because results are keyed by conductor.
+    method "exact" proves every outcome with integer arithmetic modulo
+    primes p = 1 mod r0 (see _unit_certificate): a residue other than
+    +-1 refutes T = +-1 after O(s0) work, and T = +-1 is confirmed once
+    the primes used multiply past 2^s0 + 1, which makes it slower than
+    "numeric" beyond bounds of a few thousand.  "numeric" uses guarded
+    floating products.  jobs spreads the scan over worker processes;
+    the merge is deterministic because results are keyed by conductor.
+    progress logs every 1000 conductors to stderr, from this process
+    whether or not jobs is set.
     """
     if bound < 15:
         raise AutorecError("bound must be at least 15, the smallest valid conductor")
@@ -399,13 +512,9 @@ def tm_table(
     if jobs is not None and jobs > 1 and len(targets) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(targets) // (8 * jobs))
-            results = list(pool.map(worker, targets, chunksize=chunk))
+            results = _collect(pool.map(worker, targets, chunksize=chunk), len(targets), progress)
     else:
-        results = []
-        for i, r0 in enumerate(targets):
-            results.append(worker(r0))
-            if progress and i % 1000 == 999:
-                print(f"scan: {i + 1}/{len(targets)} conductors done", file=sys.stderr, flush=True)
+        results = _collect(map(worker, targets), len(targets), progress)
     cells = {r: {c: 0 for c in _COLS} for r in _ROWS}
     odd_s0 = forced_real = in_set = 0
     for _, outcome in sorted(results):
@@ -420,14 +529,6 @@ def tm_table(
     if cells[ROW_NONINTEGER][COL_PHI_EQ]:
         raise AutorecError("a non-integer landed in the phi = 2 s0 column")
     return TmTable(bound, method, cells, len(targets), in_set, odd_s0, forced_real)
-
-
-def find_unit_coefficient(limit: int = 500) -> Optional[int]:
-    """Smallest odd conductor with T(2^s0; w) exactly 1, if any <= limit."""
-    for r0 in range(3, limit + 1, 2):
-        if cyclo_field(r0).element(_tm_cyclic(r0)) == 1:
-            return r0
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The parity-of-bit-count coefficient at roots of unity: identities,
 integrality classification, the scan table, and the odd-weight variant."""
 
+import math
 import os
 
 import pytest
@@ -23,7 +24,11 @@ from autorec.thuemorse import (
     CASE_PRIME_POWER_PRIMITIVE,
     CASE_TWO_FACTOR_REAL,
     CASE_TWO_FACTOR_UNIT,
-    find_unit_coefficient,
+    _MR_BOUND,
+    _is_prime,
+    _scan_exact,
+    _tm_cyclic,
+    _unit_certificate,
     tilde_demo,
     tm_classify,
     tm_coefficient,
@@ -259,6 +264,14 @@ def test_table_rejects_bad_arguments():
         tm_table(100, method="guess")
 
 
+def find_unit_coefficient(limit: int = 500):
+    """Smallest odd conductor with T(2^s0; w) exactly 1, if any <= limit."""
+    for r0 in range(3, limit + 1, 2):
+        if cyclo_field(r0).element(_tm_cyclic(r0)) == 1:
+            return r0
+    return None
+
+
 def test_unit_value_witnesses():
     assert find_unit_coefficient() == 39
     minus = [
@@ -277,6 +290,86 @@ def test_converse_of_unit_criterion_fails():
     assert c.phi > 2 * c.s0
     t = tm_table(300)
     assert t.cells["minus_one"]["phi_gt_2s0"] == 1
+
+
+def test_table_progress_from_parallel_scan(capsys):
+    seq = tm_table(3000, method="numeric", progress=True)
+    seq_err = capsys.readouterr().err
+    par = tm_table(3000, jobs=2, method="numeric", progress=True)
+    par_err = capsys.readouterr().err
+    assert seq.considered > 1000
+    assert par_err == seq_err == f"scan: 1000/{seq.considered} conductors done\n"
+    assert par.cells == seq.cells
+
+
+# ----------------------------------------------------------------------
+# the exact scan's certificate against the exact value
+
+
+def scan_by_vector(r0):
+    """The table outcome at r0 read off the exact value of T(2^s0; w)."""
+    s0 = multiplicative_order(2, r0)
+    if s0 % 2:
+        return (r0, "odd_s0")
+    value = cyclo_field(r0).element(_tm_cyclic(r0))
+    q = value.rational_value()
+    if pow(2, s0 // 2, r0) == r0 - 1:
+        assert value.conjugate() == value and q is None, r0
+        return (r0, "forced_real")
+    row = {None: "noninteger", 1: "one", -1: "minus_one"}[q]
+    col = "phi_eq_2s0" if euler_phi(r0) == 2 * s0 else "phi_gt_2s0"
+    return (r0, (row, col))
+
+
+NON_PRIME_POWERS_TO_400 = [r0 for r0 in range(15, 401, 2) if not is_prime_power(r0)]
+
+
+def test_scan_exact_matches_exact_value():
+    for r0 in NON_PRIME_POWERS_TO_400:
+        assert _scan_exact(r0) == scan_by_vector(r0), r0
+
+
+def test_is_prime_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(2, 20000):
+        assert _is_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to the leading bases, and primes near the bound
+    for n in (2047, 3215031751, 3825123056546413051, 2**61 - 1, 2**89 - 1,
+              sympy.prevprime(_MR_BOUND), _MR_BOUND - 2):
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_unit_certificate_is_a_proof():
+    sympy = pytest.importorskip("sympy")
+    confirmed = 0
+    for r0 in NON_PRIME_POWERS_TO_400:
+        s0 = multiplicative_order(2, r0)
+        if s0 % 2:
+            continue
+        reps = coset_reps(2, r0)
+        sign, rows = _unit_certificate(r0, s0)
+        assert sign == cyclo_field(r0).element(_tm_cyclic(r0)).rational_value(), r0
+        primes = [p for p, _, _ in rows]
+        assert primes == sorted(set(primes)), r0
+        signs = set()
+        for p, g, residues in rows:
+            assert p % r0 == 1 and sympy.isprime(p), (r0, p)
+            assert sympy.n_order(g, p) == r0, (r0, p, g)
+            for u, v in zip(reps, residues):
+                direct = 1
+                for i in range(s0):
+                    direct = direct * (1 - pow(g, u * pow(2, i, r0), p)) % p
+                assert v == direct, (r0, p, u)
+                signs.add({1: 1, p - 1: -1}.get(v))
+        modulus = math.prod(primes)
+        if sign is None:
+            assert None in signs or signs == {1, -1}, r0
+        else:
+            confirmed += 1
+            assert signs == {sign}, r0
+            assert all(len(residues) == len(reps) for _, _, residues in rows), r0
+            assert modulus > 2**s0 + 1 >= modulus // primes[-1], r0
+    assert confirmed == 41
 
 
 @pytest.mark.skipif(
