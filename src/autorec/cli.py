@@ -310,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("tm-table", _cmd_tm_table, "tabulate Thue-Morse coefficient classes up to a bound")
     p.add_argument("--bound", type=int, required=True, help="scan odd conductors up to this bound")
     p.add_argument("--jobs", type=int, default=None, help="worker processes")
-    p.add_argument("--method", choices=("exact", "numeric"), default="exact")
+    p.add_argument(
+        "--method", choices=("exact", "numeric"), default="exact",
+        help="numeric is an alias of exact, reported under its own name",
+    )
     p.add_argument("--progress", action="store_true", help="log scan progress")
 
     p = cmd("pattern", _cmd_pattern, "build the pattern-occurrence-counting automaton")

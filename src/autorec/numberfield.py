@@ -57,14 +57,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n in increasing order."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 def is_prime_power(n: int) -> Optional[tuple[int, int]]:
     """Return (p, a) when n = p^a with a >= 1, otherwise None."""
     fac = factorize(n) if n > 1 else []
@@ -81,11 +73,14 @@ def multiplicative_order(k: int, n: int) -> int:
         raise ValueError(f"gcd({k}, {n}) != 1, no multiplicative order")
     if n == 1:
         return 1
-    s = 1
-    acc = k % n
-    while acc != 1:
-        acc = (acc * k) % n
-        s += 1
+    # start from the Carmichael exponent lambda(n), which every unit's
+    # order divides, and strip prime factors while the power stays 1
+    s = math.lcm(*(2 ** (e - 2) if p == 2 and e > 2 else (p - 1) * p ** (e - 1)
+                   for p, e in factorize(n)))
+    k %= n
+    for q, _ in factorize(s):
+        while s % q == 0 and pow(k, s // q, n) == 1:
+            s //= q
     return s
 
 

@@ -10,10 +10,12 @@ of conductors, and demonstrates the companion recurrence for the sum
 over odd-weight m only.
 
 tm_classify works on the exact value in Q(zeta_r0).  The scan table
-only asks whether the value is +1, -1 or neither, and its exact method
-answers without building the value: it reduces the product modulo
-primes p = 1 mod r0, where a residue other than +-1 refutes and
-agreement modulo primes whose product exceeds 2^s0 + 1 proves.
+only asks whether the value is +1, -1 or neither, and answers without
+building the value or using floating point: it reduces the product
+modulo primes p = 1 mod r0, where a residue other than +-1 refutes,
+and agreement proves once the primes multiply past an integer bound
+on the conjugates of the value (or at once, when the value is
+rational).
 
 Classification is checked against theory: what the arithmetic of
 (r0, s0, phi) predicts is compared with what was measured, and a
@@ -29,14 +31,11 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .errors import AutorecError
 from .numberfield import (
     CycloElement,
     GaloisMap,
     RatPoly,
-    coset_reps,
     cyclo_field,
     euler_phi,
     factorize,
@@ -352,58 +351,123 @@ def _tm_residue(p: int, x: int, s0: int) -> int:
     return v
 
 
-def _unit_certificate(r0: int, s0: int):
-    """Decide whether T = T(2^s0; zeta_r0) is +1 or -1, with no floating point.
+def _real_coset_reps(r0: int, s0: int) -> list[int]:
+    """Least positive representatives of (Z/r0)^* modulo <2, -1>, ascending.
 
-    Returns (sign, rows): sign is 1 or -1 when T equals it and None when
-    T is neither, and rows lists (p, g, residues) for each prime used,
-    residues holding the image of T under zeta -> g^u mod p for u in
-    coset_reps(2, r0), in that order (cut short at a refutation).
-
-    For p = 1 mod r0 the prime p splits completely in Z[zeta] and
-    zeta -> g^u, u in (Z/r0)^*, are its reductions; T is fixed by
-    zeta -> zeta^2, so one u per coset of <2> covers them all.  Refute:
-    reduction is a ring homomorphism, so a residue other than +-1, or
-    two of opposite sign, proves T != +-1; this usually happens at the
-    first prime with u = 1, after O(s0) work.  Confirm: residues all
-    equal to eps mod every prime, with product M > 2^s0 + 1, give
-    T - eps = M beta with beta an algebraic integer; every conjugate of
-    T has absolute value at most 2^s0, so every conjugate of beta is
-    smaller than 1 in absolute value; its norm is then an integer of
-    absolute value below 1, hence 0, and beta = 0.
+    Each coset is closed under u -> r0 - u, so it is marked on a table
+    indexed by min(u, r0 - u) from which the non-units are struck first.
     """
-    need = (1 << s0) + 1
-    sign, modulus, rows = None, 1, []
-    for p, g in _split_primes(r0):
-        v = _tm_residue(p, g, s0)
-        rows.append((p, g, [v]))
-        s = 1 if v == 1 else -1 if v == p - 1 else None
-        if s is None or sign not in (None, s):
-            return None, rows
-        sign = s
-        modulus *= p
-        if modulus > need:
-            break
-    for u in coset_reps(2, r0)[1:]:
-        for p, g, residues in rows:
+    half = r0 // 2
+    seen = bytearray(half + 1)
+    seen[0] = 1
+    for q, _ in factorize(r0):
+        seen[q::q] = b"\x01" * (half // q)
+    reps = []
+    u = seen.find(0)
+    while u != -1:
+        reps.append(u)
+        j = u
+        for _ in range(s0):
+            seen[j if 2 * j < r0 else r0 - j] = 1
+            j = 2 * j % r0
+        u = seen.find(0, u)
+    return reps
+
+
+def _conjugate_bounds(r0: int, s0: int, reps: list[int]) -> list[int]:
+    """Integer upper bounds on |sigma_u(T)| = prod 2 |sin(pi u 2^i / r0)|, u in reps.
+
+    A factor is 2 sin x, x = pi j'/r0 < pi/2 with j' = min(j, r0 - j),
+    j = u 2^i mod r0, and x <= x_hi = 355 j'/(113 r0) as 355/113 > pi.
+    For x >= 0, sin x <= P(x), the Taylor sum ending in +x^9/9!, and P
+    increases on [0, 355/226], which contains pi/2; so the factor is at
+    most min(2 P(x_hi), 2).  Each factor is rounded up to 64 fractional
+    bits, and the product is kept as a 64-bit mantissa times a power of
+    two, rounded up after every factor.
+    """
+    b = 113 * r0
+    bb = b * b
+    c1, c2, c3, c4 = 72 * bb, 3024 * bb**2, 60480 * bb**3, 362880 * bb**4
+    den = 362880 * b**9  # P(a/b) = a h(a^2) / den, h(t) = t^4 - c1 t^3 + c2 t^2 - c3 t + c4
+    cap = 1 << 65  # the factor 2 with 64 fractional bits
+    bounds = []
+    for u in reps:
+        m, e, j = 1, 0, u  # the product so far is at most m 2^e
+        for _ in range(s0):
+            a = 355 * (j if 2 * j < r0 else r0 - j)
+            t = a * a
+            f = -((-a * ((((t - c1) * t + c2) * t - c3) * t + c4) << 65) // den)
+            m *= f if f < cap else cap
+            n = m.bit_length() - 64
+            if n > 0:
+                m = -(-m >> n)
+                e += n
+            e -= 64
+            j = 2 * j % r0
+        bounds.append(m << e if e >= 0 else -(-m >> -e))
+    return bounds
+
+
+def _unit_certificate(r0: int, s0: int, phi: int):
+    """Decide whether T = T(2^s0; zeta_r0) is +1 or -1, with integers only.
+
+    s0 is even and r0 not a prime power.  Returns (sign, reps, bounds,
+    rows): sign is +-1 when T equals it, else None; reps are the least
+    representatives u of (Z/r0)^* modulo H = <2, -1> that were used;
+    bounds[i] >= |sigma_u(T)| for u = reps[i], or [] if none was needed;
+    rows holds (p, g, residues), residues[i] the image of T under
+    zeta -> g^u mod p (cut short at a refutation).
+
+    T is fixed by zeta -> zeta^2 and, by identity (iv) at zeta, by
+    zeta -> 1/zeta, so by H.  For p = 1 mod r0 the maps zeta -> g^u are
+    the reductions modulo the primes above p.  Refute: a residue other
+    than +-1, or two of opposite sign, proves T != +-1; the first one is
+    taken before any other work.  If H is all of (Z/r0)^* (phi = 2 s0,
+    -1 not in <2>), T is rational and a unit (its norm is a power of
+    Phi_r0(1) = 1), so +-1, and any other residue raises.  Otherwise,
+    residues all equal to eps modulo primes whose product M exceeds
+    max(bounds) + 1 give T - eps = M beta with every conjugate of beta
+    below 1 in absolute value; the norm of beta, an integer, is then 0.
+    """
+    primes = _split_primes(r0)
+    p, g = next(primes)
+    residues = [_tm_residue(p, g, s0)]
+    rows = [(p, g, residues)]
+    sign = {1: 1, p - 1: -1}.get(residues[0])
+    if phi == 2 * s0 and pow(2, s0 // 2, r0) != r0 - 1:
+        if sign is None:
+            raise AutorecError(f"rational T(2^s0; w) other than +-1 at r0 = {r0}")
+        return sign, [1], [], rows
+    if sign is None:
+        return None, [1], [], rows
+    reps = _real_coset_reps(r0, s0)
+    bounds, modulus = [], p
+    while True:
+        for u in reps[len(residues):]:
             residues.append(_tm_residue(p, pow(g, u, p), s0))
             if residues[-1] != sign % p:
-                return None, rows
-    return sign, rows
+                return None, reps, bounds, rows
+        # bounding after the first prime's residues keeps it off refutations
+        bounds = bounds or _conjugate_bounds(r0, s0, reps)
+        if modulus > max(bounds) + 1:
+            return sign, reps, bounds, rows
+        p, g = next(primes)
+        residues = []
+        rows.append((p, g, residues))
+        modulus *= p
 
 
 def _scan_exact(r0: int):
     """Classify one conductor for the table by _unit_certificate.
 
-    The non-integer row means T != +-1 and T is then not rational
-    either: T is a unit, because its norm is a power of Phi_r0(1) = 1
-    when r0 is not a prime power, and the only rational units are +-1.
+    The non-integer row means T != +-1, and T is then not rational
+    either: T is a unit, and the only rational units are +-1.
     """
     s0 = multiplicative_order(2, r0)
-    phi = euler_phi(r0)
     if s0 % 2:
         return (r0, "odd_s0")
-    sign, _ = _unit_certificate(r0, s0)
+    phi = euler_phi(r0)
+    sign = _unit_certificate(r0, s0, phi)[0]
     if pow(2, s0 // 2, r0) == r0 - 1:
         if sign is not None:
             raise AutorecError(f"forced real non-integer fails at r0 = {r0}")
@@ -411,68 +475,6 @@ def _scan_exact(r0: int):
     row = {None: ROW_NONINTEGER, 1: ROW_ONE, -1: ROW_MINUS_ONE}[sign]
     col = COL_PHI_EQ if phi == 2 * s0 else COL_PHI_GT
     return (r0, (row, col))
-
-
-def _scan_numeric(r0: int):
-    """Classify one conductor by a double-precision product.
-
-    Powers of w are recomputed from the exponent each step (no error
-    compounding), and the running product is carried as a mantissa times
-    a power of two because the partial products can swing far outside
-    double range even when the final value is a unit.  Classification
-    restores the exponent first; a result too close to the decision
-    boundary is redone in high-precision arithmetic, so it never
-    silently guesses.
-    """
-    s0 = multiplicative_order(2, r0)
-    phi = euler_phi(r0)
-    if s0 % 2:
-        return (r0, "odd_s0")
-    if pow(2, s0 // 2, r0) == r0 - 1:
-        return (r0, "forced_real")
-    tau = 2.0 * math.pi / r0
-    z = 1.0 + 0.0j
-    exp2 = 0
-    j = 1
-    cos, sin = math.cos, math.sin
-    for _ in range(s0):
-        a = tau * j
-        z *= complex(1.0 - cos(a), -sin(a))
-        j = (j * 2) % r0
-        m = abs(z.real) + abs(z.imag)
-        if m > 1e200 or (m and m < 1e-200):
-            sc = 512 if m > 1.0 else -512
-            z *= 2.0 ** (-sc)
-            exp2 += sc
-    if abs(math.log2(abs(z)) + exp2) > 1.0:
-        row = ROW_NONINTEGER
-    else:
-        v = complex(math.ldexp(z.real, exp2), math.ldexp(z.imag, exp2))
-        near = min(abs(v - 1.0), abs(v + 1.0))
-        if near < 1e-6:
-            row = ROW_ONE if abs(v - 1.0) < abs(v + 1.0) else ROW_MINUS_ONE
-        elif near > 1e-3:
-            row = ROW_NONINTEGER
-        else:
-            row = _numeric_recheck(r0, s0)
-    col = COL_PHI_EQ if phi == 2 * s0 else COL_PHI_GT
-    return (r0, (row, col))
-
-
-def _numeric_recheck(r0: int, s0: int) -> str:
-    with mpmath.workdps(60):
-        z = mpmath.mpc(1)
-        j = 1
-        for _ in range(s0):
-            z *= 1 - mpmath.e ** (2j * mpmath.pi * j / r0)
-            j = (j * 2) % r0
-        if abs(z - 1) < mpmath.mpf(10) ** -30:
-            return ROW_ONE
-        if abs(z + 1) < mpmath.mpf(10) ** -30:
-            return ROW_MINUS_ONE
-        if min(abs(z - 1), abs(z + 1)) < mpmath.mpf(10) ** -6:
-            raise AutorecError(f"numeric classification ambiguous at r0 = {r0}")
-        return ROW_NONINTEGER
 
 
 def _collect(outcomes, total: int, progress: bool) -> list:
@@ -493,28 +495,28 @@ def tm_table(
 ) -> TmTable:
     """Scan odd conductors with >= 2 distinct prime factors up to bound.
 
-    method "exact" proves every outcome with integer arithmetic modulo
-    primes p = 1 mod r0 (see _unit_certificate): a residue other than
-    +-1 refutes T = +-1 after O(s0) work, and T = +-1 is confirmed once
-    the primes used multiply past 2^s0 + 1, which makes it slower than
-    "numeric" beyond bounds of a few thousand.  "numeric" uses guarded
-    floating products.  jobs spreads the scan over worker processes;
-    the merge is deterministic because results are keyed by conductor.
-    progress logs every 1000 conductors to stderr, from this process
-    whether or not jobs is set.
+    Every outcome is proved with integer arithmetic modulo primes
+    p = 1 mod r0 (see _unit_certificate): a residue other than +-1
+    refutes T = +-1 after O(s0) work, and T = +-1 is confirmed by one
+    residue when phi = 2 s0 and otherwise, usually, by the residues of
+    one prime against an integer bound on the conjugates of T.  method
+    "numeric" is an alias of "exact" that the table reports under its
+    own name.  jobs spreads the scan over worker processes; the merge is
+    deterministic because results are keyed by conductor.  progress
+    logs every 1000 conductors to stderr, from this process whether or
+    not jobs is set.
     """
     if bound < 15:
         raise AutorecError("bound must be at least 15, the smallest valid conductor")
     if method not in ("exact", "numeric"):
         raise AutorecError(f"unknown method {method!r}")
     targets = [r0 for r0 in range(15, bound + 1, 2) if is_prime_power(r0) is None]
-    worker = _scan_exact if method == "exact" else _scan_numeric
     if jobs is not None and jobs > 1 and len(targets) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(targets) // (8 * jobs))
-            results = _collect(pool.map(worker, targets, chunksize=chunk), len(targets), progress)
+            results = _collect(pool.map(_scan_exact, targets, chunksize=chunk), len(targets), progress)
     else:
-        results = _collect(map(worker, targets), len(targets), progress)
+        results = _collect(map(_scan_exact, targets), len(targets), progress)
     cells = {r: {c: 0 for c in _COLS} for r in _ROWS}
     odd_s0 = forced_real = in_set = 0
     for _, outcome in sorted(results):
@@ -526,8 +528,6 @@ def tm_table(
             row, col = outcome
             cells[row][col] += 1
             in_set += 1
-    if cells[ROW_NONINTEGER][COL_PHI_EQ]:
-        raise AutorecError("a non-integer landed in the phi = 2 s0 column")
     return TmTable(bound, method, cells, len(targets), in_set, odd_s0, forced_real)
 
 

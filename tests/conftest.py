@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, word_value
-from autorec.numberfield import CycloField
+from autorec.numberfield import CycloField, factorize
 from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix
 
 
@@ -35,6 +35,14 @@ def pat11():
 @pytest.fixture(scope="session")
 def shipped(tm, rs, bs, pat11):
     return [("thue_morse", tm), ("rudin_shapiro", rs), ("baum_sweet", bs), ("pattern_11_mod_2", pat11)]
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n in increasing order."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 def random_element(field: CycloField, rng: random.Random, height: int = 9):

@@ -15,7 +15,6 @@ from autorec.numberfield import (
     cyclo_field,
     cyclotomic_int,
     cyclotomic_poly,
-    divisors,
     euler_phi,
     factorize,
     galois_apply,
@@ -26,7 +25,7 @@ from autorec.numberfield import (
     rationality,
     solve_exact,
 )
-from conftest import random_element
+from conftest import divisors, random_element
 
 CONDUCTORS = (3, 5, 7, 9, 15, 21, 33)
 EMBED_TOL = mpmath.mpf("1e-9")
@@ -66,6 +65,18 @@ def test_multiplicative_order_matches_definition():
         assert pow(2, d, n) == 1
         for t in range(1, d):
             assert pow(2, t, n) != 1
+
+
+def test_multiplicative_order_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for n in range(2, 5000):
+        for k in (2, 3, -1, n - 1, n + 2, rng.randrange(-3 * n, 3 * n)):
+            if math.gcd(k, n) == 1:
+                assert multiplicative_order(k, n) == sympy.n_order(k % n, n), (k, n)
+    for k, n in ((2, 0), (2, -3), (6, 9), (0, 5)):
+        with pytest.raises(ValueError):
+            multiplicative_order(k, n)
 
 
 def test_coset_reps_partition_units():

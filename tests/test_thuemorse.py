@@ -4,8 +4,10 @@ integrality classification, the scan table, and the odd-weight variant."""
 import math
 import os
 
+import mpmath
 import pytest
 
+from autorec import thuemorse
 from autorec.errors import AutorecError
 from autorec.numberfield import (
     complex_embed,
@@ -26,6 +28,8 @@ from autorec.thuemorse import (
     CASE_TWO_FACTOR_UNIT,
     _MR_BOUND,
     _is_prime,
+    _conjugate_bounds,
+    _real_coset_reps,
     _scan_exact,
     _tm_cyclic,
     _unit_certificate,
@@ -234,6 +238,7 @@ def test_table_methods_agree():
     assert exact.cells == numeric.cells
     assert exact.in_set == numeric.in_set
     assert exact.considered == numeric.considered
+    assert numeric.to_json_dict()["method"] == "numeric"
 
 
 def test_table_parallel_agrees():
@@ -293,9 +298,9 @@ def test_converse_of_unit_criterion_fails():
 
 
 def test_table_progress_from_parallel_scan(capsys):
-    seq = tm_table(3000, method="numeric", progress=True)
+    seq = tm_table(3000, progress=True)
     seq_err = capsys.readouterr().err
-    par = tm_table(3000, jobs=2, method="numeric", progress=True)
+    par = tm_table(3000, jobs=2, progress=True)
     par_err = capsys.readouterr().err
     assert seq.considered > 1000
     assert par_err == seq_err == f"scan: 1000/{seq.considered} conductors done\n"
@@ -339,6 +344,13 @@ def test_is_prime_against_sympy():
         assert _is_prime(n) == sympy.isprime(n), n
 
 
+def conjugate_abs(r0, s0, u):
+    """|sigma_u(T)| = prod 2 |sin(pi u 2^i / r0)| at the working precision."""
+    return mpmath.fprod(
+        abs(2 * mpmath.sinpi(mpmath.mpf(u * pow(2, i, r0) % r0) / r0)) for i in range(s0)
+    )
+
+
 def test_unit_certificate_is_a_proof():
     sympy = pytest.importorskip("sympy")
     confirmed = 0
@@ -346,30 +358,92 @@ def test_unit_certificate_is_a_proof():
         s0 = multiplicative_order(2, r0)
         if s0 % 2:
             continue
-        reps = coset_reps(2, r0)
-        sign, rows = _unit_certificate(r0, s0)
+        phi = euler_phi(r0)
+        sign, reps, bounds, rows = _unit_certificate(r0, s0, phi)
         assert sign == cyclo_field(r0).element(_tm_cyclic(r0)).rational_value(), r0
+        classes = _real_coset_reps(r0, s0)
+        assert reps == classes[:len(reps)], r0
         primes = [p for p, _, _ in rows]
         assert primes == sorted(set(primes)), r0
         signs = set()
         for p, g, residues in rows:
             assert p % r0 == 1 and sympy.isprime(p), (r0, p)
             assert sympy.n_order(g, p) == r0, (r0, p, g)
+            assert len(residues) <= len(reps), (r0, p)
             for u, v in zip(reps, residues):
                 direct = 1
                 for i in range(s0):
                     direct = direct * (1 - pow(g, u * pow(2, i, r0), p)) % p
                 assert v == direct, (r0, p, u)
                 signs.add({1: 1, p - 1: -1}.get(v))
+        with mpmath.workdps(50):
+            for u, bound in zip(reps, bounds):
+                conj = conjugate_abs(r0, s0, u)
+                assert conj <= bound < conj * (1 + mpmath.mpf(10) ** -3) + 1, (r0, u)
         modulus = math.prod(primes)
         if sign is None:
             assert None in signs or signs == {1, -1}, r0
+            continue
+        confirmed += 1
+        assert signs == {sign}, r0
+        if phi == 2 * s0 and pow(2, s0 // 2, r0) != r0 - 1:
+            # T is rational: one residue modulo one prime decides it
+            assert len(rows) == 1 and reps == [1] and bounds == [], r0
         else:
-            confirmed += 1
-            assert signs == {sign}, r0
+            assert len(bounds) == len(reps) == len(classes), r0
             assert all(len(residues) == len(reps) for _, _, residues in rows), r0
-            assert modulus > 2**s0 + 1 >= modulus // primes[-1], r0
+            assert modulus > max(bounds) + 1 >= modulus // primes[-1], r0
     assert confirmed == 41
+
+
+def test_conjugate_bounds_are_sharp_upper_bounds():
+    # non-units have conjugates far from integers, so the ceiling hides nothing
+    for r0 in NON_PRIME_POWERS_TO_400:
+        s0 = multiplicative_order(2, r0)
+        classes = sorted({
+            min(e * u * pow(2, i, r0) % r0 for i in range(s0) for e in (1, -1))
+            for u in range(1, r0) if math.gcd(u, r0) == 1
+        })
+        reps = _real_coset_reps(r0, s0)
+        assert reps == classes, r0
+        with mpmath.workdps(50):
+            for u, bound in zip(reps, _conjugate_bounds(r0, s0, reps)):
+                conj = conjugate_abs(r0, s0, u)
+                assert conj <= bound < conj * (1 + mpmath.mpf(10) ** -3) + 1, (r0, u)
+
+
+def test_unit_certificate_checks_every_representative_and_prime(monkeypatch):
+    # r0 = 291 has T = -1 and two classes modulo <2, -1>, whose bounds are
+    # far below one prime; these cases do not arise in a real scan
+    r0, s0, phi = 291, multiplicative_order(2, 291), euler_phi(291)
+    monkeypatch.setattr(thuemorse, "_conjugate_bounds", lambda r0, s0, reps: [10**12] * len(reps))
+    sign, reps, bounds, rows = _unit_certificate(r0, s0, phi)
+    assert sign == -1 and reps == [1, 5] and len(rows) > 1
+    assert math.prod(p for p, _, _ in rows) > 10**12 + 1
+    assert all(residues == [p - 1, p - 1] for p, _, residues in rows)
+
+    real = thuemorse._tm_residue
+    calls = []
+
+    def flip_after_first(p, x, s0):
+        calls.append(x)
+        v = real(p, x, s0)
+        return v if len(calls) == 1 else p - v
+
+    monkeypatch.setattr(thuemorse, "_tm_residue", flip_after_first)
+    sign, reps, bounds, rows = _unit_certificate(r0, s0, phi)
+    assert sign is None and len(rows) == 1 and rows[0][2] == [rows[0][0] - 1, 1]
+
+
+def test_rational_value_other_than_a_unit_raises(monkeypatch):
+    # phi = 2 s0 at r0 = 15, so a residue other than +-1 contradicts the proof
+    monkeypatch.setattr(thuemorse, "_tm_residue", lambda p, x, s0: 2)
+    with pytest.raises(AutorecError):
+        _scan_exact(15)
+
+
+def test_scan_binds_no_float_library():
+    assert not hasattr(thuemorse, "mpmath")
 
 
 @pytest.mark.skipif(
@@ -380,7 +454,7 @@ def test_table_full_scale():
     # Counts audited independently: the column split was re-derived for
     # every conductor with sympy's totient and n_order, and the sixty
     # largest-order unit values were re-verified at 60-digit precision.
-    t = tm_table(100_000, jobs=os.cpu_count(), method="numeric")
+    t = tm_table(100_000, jobs=os.cpu_count())
     assert t.cells == {
         "one": {"phi_eq_2s0": 2728, "phi_gt_2s0": 1143},
         "minus_one": {"phi_eq_2s0": 2936, "phi_gt_2s0": 1481},
@@ -421,8 +495,6 @@ def test_tilde_rejects_root_one():
 
 
 def test_embedded_coefficient_matches_float_product():
-    import mpmath
-
     for r0 in (9, 33, 39):
         s0 = multiplicative_order(2, r0)
         v = complex_embed(tm_coefficient(r0), digits=30)
