@@ -20,6 +20,7 @@ cheap.  Everything is computed over Q; floating point never enters.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Optional
 
@@ -30,14 +31,13 @@ from .automaton import (
     expansion,
     prune_inaccessible,
     reverse_dfao,
-    sequence_term,
 )
 from .numberfield import (
     CycloElement,
     CycloField,
+    CyclicMultiplier,
     GaloisMap,
     coset_reps,
-    cyclic_product,
     cyclo_field,
     factorize,
     gaussian_period,
@@ -289,8 +289,6 @@ def _flatten(m):
 # The whole product is first accumulated modulo x^r0 - 1 (exponents of x
 # only matter mod r0 once x is a root of unity of order r0), then each
 # resulting cyclic vector becomes a field element at the chosen root.
-# The cyclic stage is independent of which primitive root is meant, so
-# it is cached and shared across all exponents e.
 
 
 def _cyc_add_scaled(dst: list, src: list, shift: int, c) -> None:
@@ -313,21 +311,12 @@ def _entry_scalars(p, rational_mode: bool):
     return [(i, c.vec[0] if rational_mode else c) for i, c in enumerate(p.coeffs) if c]
 
 
-_PRODUCT_CACHE: dict = {}
-
-
 def _product_mod_cyclic(mhat: PolyMatrix, k: int, s: int, r0: int, side: str):
     """Ordered product of digit-substituted copies of mhat, mod x^r0 - 1.
 
     Entries come back as dense length-r0 vectors of rationals (or of
     output-field elements when the outputs are irrational).
     """
-    # equal matrices over different fields compare and hash equal, but the
-    # cached entries are typed by the field, so the conductor is part of the key
-    key = (mhat.field.conductor, mhat, k, s, r0, side)
-    got = _PRODUCT_CACHE.get(key)
-    if got is not None:
-        return got
     d = mhat.dim
     rational_mode = mhat.field.conductor == 1
     zero = 0 if rational_mode else mhat.field.zero()
@@ -364,7 +353,6 @@ def _product_mod_cyclic(mhat: PolyMatrix, k: int, s: int, r0: int, side: str):
             [_dense_from_sparse([(0, 1)] if i == j else [], r0, zero) for j in range(d)]
             for i in range(d)
         ]
-    _PRODUCT_CACHE[key] = acc
     return acc
 
 
@@ -413,6 +401,39 @@ def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
 
 
 # ----------------------------------------------------------------------
+# process-wide caches, least recently used first
+
+# entries per cache; a root sweep keeps one per automaton and conductor
+# (72 over criterion 02's grid)
+_CACHE_SIZE = 128
+_SYNTH_CACHE: OrderedDict = OrderedDict()
+_BLOCK_CACHE: OrderedDict = OrderedDict()
+
+
+def _cached(cache: OrderedDict, key, build):
+    """cache[key], built on a miss; the least recently used entry goes past _CACHE_SIZE."""
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = build()
+        if len(cache) > _CACHE_SIZE:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return got
+
+
+def clear_caches() -> None:
+    """Empty the synthesis and block-sum caches."""
+    _SYNTH_CACHE.clear()
+    _BLOCK_CACHE.clear()
+
+
+def _structure(a: Dfao) -> tuple:
+    """What synthesis and block sums read of an automaton: equal keys, equal results."""
+    return (a.base, a.direction, a.delta, a.output_field.conductor, tuple(v.vec for v in a.outputs))
+
+
+# ----------------------------------------------------------------------
 # synthesis
 
 
@@ -430,33 +451,47 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
     The coefficients are those of the characteristic polynomial of
     M-hat(k^s; w); with use_minimal the minimal polynomial is taken
     instead, which can shorten the recurrence.
+
+    A root sweep builds one polynomial per automaton, conductor and
+    Galois class, and reaches the other roots of the class by a Galois
+    map.  With outputs in Q(zeta_m), w = zeta_r0^u, L = lcm(m, r0) and
+    g = gcd(m, r0), the product entry at slot (j, i) becomes
+    zeta_m^i w^j.  Take a root u1 already built with u = u1 (mod g).
+    The t mod L with t = 1 (mod m) and t = u / u1 (mod r0) exists, as
+    both congruences agree mod g, and sigma_t: zeta_L -> zeta_L^t fixes
+    zeta_m and sends zeta_r0^u1 to zeta_r0^u.  So M-hat(k^s; zeta^u) is
+    sigma_t of M-hat(k^s; zeta^u1) entry by entry, and so are its
+    characteristic and minimal polynomials; rational coefficients are
+    fixed by sigma_t.  For m = 1 there is one class per conductor.  The
+    construction is shared across roots, never the check: verify
+    re-evaluates every root on its own.
     """
     if root.k != a.base:
         raise AutorecError(f"root was built for k = {root.k}, automaton has base {a.base}")
-    _, _, mhat, side = _prepare(a)
-    scal, field = reduced_product_at_root(mhat, root, side)
-    coeffs = minimal_poly(scal, field) if use_minimal else char_poly(scal, field)
+    m, r0, u = a.output_field.conductor, root.r0, root.primitive_exponent
+    key = (_structure(a), root.s, r0, u % math.gcd(m, r0), use_minimal)
+
+    def build():
+        _, _, mhat, side = _prepare(a)
+        scal, field = reduced_product_at_root(mhat, root, side)
+        return u, minimal_poly(scal, field) if use_minimal else char_poly(scal, field)
+
+    u1, coeffs = _cached(_SYNTH_CACHE, key, build)
+    if u1 != u:
+        psi = GaloisMap(cyclo_field(math.lcm(m, r0)), _conjugator(m, r0, u * pow(u1, -1, r0)))
+        coeffs = [c if c.rational_value() is not None else psi(c) for c in coeffs]
     return Recurrence(a.base, root, coeffs, "min_poly" if use_minimal else "char_poly")
+
+
+def _conjugator(m: int, r0: int, v: int) -> int:
+    """The t mod lcm(m, r0) with t = 1 (mod m) and t = v (mod r0), for v = 1 (mod gcd(m, r0))."""
+    g = math.gcd(m, r0)
+    x = (v - 1) // g * pow(m // g, -1, r0 // g)
+    return (1 + m * x) % math.lcm(m, r0)
 
 
 # ----------------------------------------------------------------------
 # direct partial sums
-
-
-def partial_sum_value(a: Dfao, n: int, root: RootSpec) -> CycloElement:
-    """A(n; w) = sum of a(m) w^m over m < n, by direct summation.
-
-    The running power of w is updated incrementally.  Fine for moderate
-    n; the verifier uses block sums instead so that huge n stay cheap.
-    """
-    w = root.omega
-    field = w.field
-    acc = field.zero()
-    p = field.one()
-    for m in range(n):
-        acc = acc + sequence_term(a, m) * p
-        p = p * w
-    return acc
 
 
 class BlockSums:
@@ -608,25 +643,9 @@ class BlockSums:
         return vec
 
 
-_BLOCK_CACHE: dict = {}
-
-
 def block_sums(a: Dfao, r0: int) -> BlockSums:
     """Shared BlockSums instance per automaton structure and conductor."""
-    outs = tuple(v.vec for v in a.outputs)
-    key = (a.base, a.direction, a.delta, a.output_field.conductor, outs, r0)
-    got = _BLOCK_CACHE.get(key)
-    if got is None:
-        got = BlockSums(a, r0)
-        _BLOCK_CACHE[key] = got
-    return got
-
-
-def partial_sum_fast(a: Dfao, n: int, root: RootSpec) -> CycloElement:
-    """A(n; w) through the block evaluator; exact for huge n."""
-    m = a.output_field.conductor
-    vec = _at_root(block_sums(a, root.r0).bucket_vector(n), _root_map(m, root))
-    return cyclo_field(math.lcm(m, root.r0)).element(vec)
+    return _cached(_BLOCK_CACHE, (_structure(a), r0), lambda: BlockSums(a, r0))
 
 
 # ----------------------------------------------------------------------
@@ -646,9 +665,10 @@ def verify(
     compared with zero.  The bucket vectors of BlockSums are carried to
     powers of zeta_L through one slot-to-power map, built once per call;
     a rational coefficient scales in the same pass, the others multiply
-    the mapped vector mod x^L - 1.  The budget, when given, caps the
-    number of elementary block operations and aborts with a BudgetError
-    instead of running without bound.
+    the mapped vector mod x^L - 1 through one CyclicMultiplier each.
+    The budget, when given, caps the number of elementary block
+    operations and aborts with a BudgetError instead of running without
+    bound.
     """
     if rec.k != a.base:
         raise AutorecError("recurrence and automaton disagree on the base k")
@@ -661,7 +681,10 @@ def verify(
     for c in rec.coefficients:
         q = c.rational_value()
         # a rational coefficient scales the vector, the others multiply it mod x^L - 1
-        cs.append(K.coerce(c).vec if q is None else int(q) if q.denominator == 1 else q)
+        if q is None:
+            cs.append(CyclicMultiplier(K.coerce(c).vec))
+        else:
+            cs.append(int(q) if q.denominator == 1 else q)
     blocks = block_sums(a, root.r0)
     step = root.k ** root.s
     work = 0
@@ -671,8 +694,8 @@ def verify(
         arg = n
         for c in cs:
             vec = blocks.bucket_vector(arg)
-            if type(c) is tuple:
-                acc = [x + y for x, y in zip(acc, cyclic_product(c, _at_root(vec, inv)))]
+            if type(c) is CyclicMultiplier:
+                acc = [x + y for x, y in zip(acc, c(_at_root(vec, inv)))]
             else:
                 for slots in inv:
                     acc = [x + c * vec[s] for x, s in zip(acc, slots)]

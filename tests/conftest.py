@@ -1,14 +1,16 @@
 """Shared fixtures and exact-arithmetic test helpers."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
-from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, word_value
-from autorec.numberfield import CycloField, factorize
+from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, sequence_term, word_value
+from autorec.numberfield import CycloField, cyclo_field, factorize
 from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix
+from autorec.recurrence import _at_root, _root_map, block_sums
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +45,29 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
+
+
+def partial_sum_value(a, n: int, root):
+    """A(n; w) = sum of a(m) w^m over m < n, by direct summation: the oracle.
+
+    The running power of w is updated incrementally.  Fine for moderate
+    n; the verifier uses block sums instead so that huge n stay cheap.
+    """
+    w = root.omega
+    field = w.field
+    acc = field.zero()
+    p = field.one()
+    for m in range(n):
+        acc = acc + sequence_term(a, m) * p
+        p = p * w
+    return acc
+
+
+def partial_sum_fast(a, n: int, root):
+    """A(n; w) through the verifier's block evaluator and root map; exact for huge n."""
+    m = a.output_field.conductor
+    vec = _at_root(block_sums(a, root.r0).bucket_vector(n), _root_map(m, root))
+    return cyclo_field(math.lcm(m, root.r0)).element(vec)
 
 
 def random_element(field: CycloField, rng: random.Random, height: int = 9):

@@ -8,10 +8,12 @@ import mpmath
 import pytest
 
 from autorec.numberfield import (
+    CyclicMultiplier,
     GaloisMap,
     RatPoly,
     complex_embed,
     coset_reps,
+    cyclic_product,
     cyclo_field,
     cyclotomic_int,
     cyclotomic_poly,
@@ -398,6 +400,25 @@ def test_rat_poly_arithmetic_and_canonical_form():
 def test_rat_poly_pretty():
     assert RatPoly([1, -1, 0, 2]).pretty() == "1 - x + 2*x^3"
     assert RatPoly([]).pretty() == "0"
+
+
+def test_cyclic_multiplier_matches_schoolbook_product():
+    # one multiplier per a, reused on vectors whose sizes need slots of 1 to 16 bytes
+    rng = random.Random(5)
+    for n in (1, 2, 7, 30):
+        for a_den in (1, 6):
+            a = [Fraction(rng.randint(-5, 5), a_den) for _ in range(n)]
+            a[0] = Fraction(7, a_den)
+            times_a = CyclicMultiplier(a)
+            for exp in (0, 3, 12, 40, 0, 40):
+                b = [Fraction(rng.randint(-9, 9) * 10**exp, rng.choice((1, 1, 4))) for _ in range(n)]
+                want = [0] * n
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        want[(i + j) % n] += x * y
+                assert cyclic_product(a, b) == want, (n, a_den, exp)
+                assert times_a(b) == want, (n, a_den, exp)
+                assert times_a([0] * n) == [0] * n
 
 
 # ----------------------------------------------------------------------

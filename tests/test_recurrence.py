@@ -15,6 +15,7 @@ from autorec.automaton import (
     reverse_dfao,
     sequence_term,
 )
+from autorec import recurrence
 from autorec.errors import AutorecError, BudgetError
 from autorec.numberfield import CycloElement, cyclo_field
 from autorec.recurrence import (
@@ -24,17 +25,16 @@ from autorec.recurrence import (
     VerificationReport,
     block_sums,
     char_poly,
+    clear_caches,
     dim_experiment,
     galois_invariance_report,
     integer_recurrence,
     lmin_bound,
     minimal_poly,
-    partial_sum_fast,
-    partial_sum_value,
     synthesize,
     verify,
 )
-from conftest import poly_divides, random_element
+from conftest import partial_sum_fast, partial_sum_value, poly_divides, random_element
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +267,7 @@ def _direct_buckets(a, r0, ns):
     return out
 
 
-def test_block_sums_full_blocks_cached_per_asked_length(shipped, monkeypatch):
+def test_block_sums_full_blocks_cached_per_asked_length(shipped):
     # the full-block sums are kept only for the word lengths asked for, and
     # every query order gives the same vectors
     huge = 4**28 * 977
@@ -287,7 +287,7 @@ def test_block_sums_full_blocks_cached_per_asked_length(shipped, monkeypatch):
             for n, want in _direct_buckets(a, r0, small).items():
                 assert got[0][n] == want, (name, r0, n)
     # partial sums built from a cache filled in shuffled order
-    _fresh_caches(monkeypatch)
+    clear_caches()
     for name, a in machines:
         for rr, ee in ((9, 2), (15, 5), (7, 1)):
             root = RootSpec(2, rr, ee)
@@ -300,7 +300,7 @@ def test_block_sums_do_no_field_multiplication(monkeypatch):
     # may run inside BlockSums, however irrational the outputs are
     a = reverse_dfao(pattern_dfao(PatternSpec(2, (0, 1, 0), 3)))
     rec = synthesize(a, RootSpec(2, 5, 2))
-    _fresh_caches(monkeypatch)
+    clear_caches()
     inside, calls, muls = [0], [0], [0]
     mul = CycloElement.__mul__
 
@@ -360,24 +360,92 @@ def test_verify_accepts_api_built_automaton_with_irrational_outputs():
         assert verify(rec, a, 30).all_zero, (rr, ee)
 
 
-def _fresh_caches(monkeypatch):
-    monkeypatch.setattr("autorec.recurrence._PRODUCT_CACHE", {})
-    monkeypatch.setattr("autorec.recurrence._BLOCK_CACHE", {})
-
-
-def test_caches_keep_equal_machines_over_different_fields_apart(tm, monkeypatch):
+def test_caches_keep_equal_machines_over_different_fields_apart(tm):
     # the same Thue-Morse machine with outputs typed in Q(zeta_3): its reduced
-    # matrix equals the rational one, but cached products must not be shared
+    # matrix equals the rational one, but cached syntheses must not be shared
     f3 = cyclo_field(3)
     a3 = Dfao(2, FORWARD, ["s0", "s1"], [f3.from_rational(1), f3.from_rational(-1)], [[0, 1], [1, 0]])
     root = RootSpec(2, 5, 1)
-    _fresh_caches(monkeypatch)
+    clear_caches()
     cold = synthesize(tm, root).coefficients
-    _fresh_caches(monkeypatch)
+    clear_caches()
     assert verify(synthesize(a3, root), a3, 30).all_zero
     rec = synthesize(tm, root)
     assert rec.coefficients == cold
     assert verify(rec, tm, 30).all_zero
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls that recurrence makes to its functions of the given names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(recurrence, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(recurrence, name, counted)
+    return calls
+
+
+def test_sweep_matches_cold_synthesis(shipped):
+    # a root reached by a Galois map from the first root of its class must read
+    # exactly as one synthesized from empty caches, whatever order the sweep takes;
+    # with Q(zeta_3) outputs, g = gcd(3, r0) is 3 at r0 = 3, 9, 15, 21 and 1 at 5, 7
+    roots = [RootSpec(2, rr, ee) for rr in (1, 3, 5, 9, 15, 21) for ee in range(rr)]
+    shuffled = random.Random(7).sample(range(len(roots)), len(roots))
+    for name, a in shipped + _irrational_machines():
+        for use_minimal in (False, True):
+            cold = []
+            for root in roots:
+                clear_caches()
+                cold.append(synthesize(a, root, use_minimal).to_json_dict())
+            for order in (range(len(roots)), shuffled):
+                clear_caches()
+                got = {i: synthesize(a, roots[i], use_minimal).to_json_dict() for i in order}
+                for i, want in enumerate(cold):
+                    assert got[i] == want, (name, use_minimal, roots[i])
+
+
+def test_second_root_of_a_class_reuses_the_construction(tm, monkeypatch):
+    calls = _count_calls(monkeypatch, "span_analysis", "char_poly")
+    clear_caches()
+    synthesize(tm, RootSpec(2, 7, 1))
+    assert calls == {"span_analysis": 1, "char_poly": 1}
+    # over Q one class per conductor: zeta_7^3 and zeta_21^6 = zeta_7^2
+    for root in (RootSpec(2, 7, 3), RootSpec(2, 21, 6)):
+        assert verify(synthesize(tm, root), tm, 30).all_zero
+    assert calls == {"span_analysis": 1, "char_poly": 1}
+    # Q(zeta_3) outputs at r0 = 9: the classes are u = 1 and u = 2 (mod 3)
+    a = _irrational_machines()[2][1]
+    for e, built in ((1, 2), (4, 2), (7, 2), (2, 3), (8, 3)):
+        rec = synthesize(a, RootSpec(2, 9, e))
+        assert calls == {"span_analysis": built, "char_poly": built}, e
+        assert verify(rec, a, 20).all_zero, e
+
+
+def test_caches_evict_the_least_recently_used_entry(tm, monkeypatch):
+    monkeypatch.setattr(recurrence, "_CACHE_SIZE", 2)
+    calls = _count_calls(monkeypatch, "span_analysis")
+    clear_caches()
+    first = {r: synthesize(tm, RootSpec(2, r, 1)).to_json_dict() for r in (3, 5)}
+    synthesize(tm, RootSpec(2, 3, 2))  # a hit: conductor 3 is now the most recent
+    synthesize(tm, RootSpec(2, 7, 1))  # evicts conductor 5
+    assert calls["span_analysis"] == 3 and len(recurrence._SYNTH_CACHE) == 2
+    assert synthesize(tm, RootSpec(2, 3, 1)).to_json_dict() == first[3]
+    assert calls["span_analysis"] == 3
+    assert synthesize(tm, RootSpec(2, 5, 1)).to_json_dict() == first[5]
+    assert calls["span_analysis"] == 4
+    # block sums follow the same policy
+    clear_caches()
+    b3, b5 = block_sums(tm, 3), block_sums(tm, 5)
+    want = b5.bucket_vector(4**9 + 5)
+    assert block_sums(tm, 3) is b3
+    block_sums(tm, 7)
+    assert len(recurrence._BLOCK_CACHE) == 2 and block_sums(tm, 3) is b3
+    again = block_sums(tm, 5)
+    assert again is not b5 and again.bucket_vector(4**9 + 5) == want
 
 
 def test_verify_budget_aborts(rs):
