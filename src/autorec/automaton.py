@@ -16,14 +16,13 @@ between the state functions f_i(w) = output(delta(q_i, w)).
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional
 
 from .errors import AutorecError, ParseError
-from .numberfield import CycloElement, cyclo_field, common_field
+from .numberfield import CycloElement, common_field, cyclo_field, root_of_unity
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -47,14 +46,6 @@ def expansion(n: int, k: int) -> tuple[int, ...]:
         digits.append(n % k)
         n //= k
     return tuple(reversed(digits))
-
-
-def word_value(w: Iterable[int], k: int) -> int:
-    """[w]_k, the integer the digit word denotes (leading zeros allowed)."""
-    v = 0
-    for d in w:
-        v = v * k + d
-    return v
 
 
 # ----------------------------------------------------------------------
@@ -110,9 +101,6 @@ class Dfao:
         for d in word:
             state = self.delta[state][d]
         return state
-
-    def state_output(self, state: int) -> CycloElement:
-        return self.outputs[state]
 
     def __eq__(self, other):
         if not isinstance(other, Dfao):
@@ -187,14 +175,7 @@ def _parse_value(text: str, line_no: int, col: int) -> CycloElement:
         order = int(m.group(1))
         if order < 1:
             raise ParseError("zeta order must be positive", line_no, col)
-        e = int(m.group(2)) if m.group(2) is not None else 1
-        e %= order
-        red = order // math.gcd(order, e) if e else 1
-        if red == 1:
-            return cyclo_field(1).from_rational(1)
-        if red == 2:
-            return cyclo_field(1).from_rational(-1)
-        return cyclo_field(red).omega_power(e // (order // red))
+        return root_of_unity(order, int(m.group(2)) if m.group(2) is not None else 1)
     raise ParseError(f"cannot read output value {text!r}", line_no, col)
 
 
@@ -348,18 +329,34 @@ def sequence_terms(a: Dfao, count: int) -> list[CycloElement]:
 # constructions
 
 
+def closure(start, step, base: int, cap: Optional[int] = None) -> tuple[list, list[list[int]]]:
+    """Breadth-first closure of start under step(item, digit), digits ascending.
+
+    Returns the items in the order found and the index table, whose row i
+    holds the index of step(items[i], digit) for each digit.  Raises once
+    more than cap items appear.
+    """
+    index = {start: 0}
+    items = [start]
+    table = []
+    for item in items:  # grows while it is read
+        row = []
+        for dig in range(base):
+            nxt = step(item, dig)
+            t = index.get(nxt)
+            if t is None:
+                if cap is not None and len(items) >= cap:
+                    raise AutorecError(f"reversal construction exceeded the cap of {cap} states")
+                t = index[nxt] = len(items)
+                items.append(nxt)
+            row.append(t)
+        table.append(row)
+    return items, table
+
+
 def prune_inaccessible(a: Dfao) -> Dfao:
     """Drop states unreachable from the initial state, keeping state order."""
-    seen = {0}
-    todo = [0]
-    while todo:
-        q = todo.pop()
-        for d in range(a.base):
-            t = a.delta[q][d]
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    keep = sorted(seen)
+    keep = sorted(closure(0, lambda q, dig: a.delta[q][dig], a.base)[0])
     if len(keep) == a.size:
         return a
     remap = {old: new for new, old in enumerate(keep)}
@@ -380,30 +377,11 @@ def reverse_dfao(a: Dfao, cap: int = 100000) -> Dfao:
     the reversal of w in the old one.  Raises when more than cap states
     appear.
     """
-    d = a.size
-    ident = tuple(range(d))
-    index = {ident: 0}
-    maps = [ident]
-    delta = []
-    pos = 0
-    while pos < len(maps):
-        h = maps[pos]
-        row = []
-        for dig in range(a.base):
-            # first act with the digit, then with the already-read suffix
-            nh = tuple(h[a.delta[q][dig]] for q in range(d))
-            t = index.get(nh)
-            if t is None:
-                if len(maps) >= cap:
-                    raise AutorecError(
-                        f"reversal construction exceeded the cap of {cap} states"
-                    )
-                t = len(maps)
-                index[nh] = t
-                maps.append(nh)
-            row.append(t)
-        delta.append(row)
-        pos += 1
+    states = range(a.size)
+    # first act with the digit, then with the already-read suffix
+    maps, delta = closure(
+        tuple(states), lambda h, dig: tuple(h[a.delta[q][dig]] for q in states), a.base, cap
+    )
     outputs = [a.outputs[h[0]] for h in maps]
     names = [f"t{i}" for i in range(len(maps))]
     direction = BACKWARD if a.direction == FORWARD else FORWARD
@@ -480,26 +458,13 @@ def pattern_dfao(spec: PatternSpec) -> Dfao:
     k, v, m = spec.k, spec.v, spec.m
     e = len(v)
     fail = _failure_table(v)
-    root = cyclo_field(1).from_rational(1) if m == 1 else None
-
-    def out(p: int) -> CycloElement:
-        if m == 1:
-            return root
-        g = math.gcd(p, m)
-        red = m // g if p else 1
-        if red == 1:
-            return cyclo_field(1).from_rational(1)
-        if red == 2:
-            return cyclo_field(1).from_rational(-1)
-        return cyclo_field(red).omega_power(p // g)
-
     names = []
     outputs = []
     delta = []
     for p in range(m):
         for t in range(e):
             names.append(f"p{p}t{t}")
-            outputs.append(out(p))
+            outputs.append(root_of_unity(m, p))
             row = []
             for dig in range(k):
                 tt = t

@@ -248,29 +248,37 @@ class RatPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def pretty(self, var: str = "x") -> str:
-        return _pretty_terms(self.coeffs, var)
+        return pretty_sum((c, power_atom(var, i)) for i, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"RatPoly({self.pretty()})"
 
 
-def _pretty_terms(coeffs, var: str) -> str:
-    """Human form of a coefficient sequence, constant term first."""
+def power_atom(var: str, i: int) -> str:
+    """The atom of x^i in pretty_sum: "" for the constant term."""
+    return "" if i == 0 else var if i == 1 else f"{var}^{i}"
+
+
+def pretty_sum(terms: Iterable) -> str:
+    """Human form of the sum of c * atom over (c, atom) pairs; the empty atom stands for 1.
+
+    c is rational or a CycloElement.  Zero terms are skipped, signs of
+    rational terms are pulled out, irrational ones are parenthesized, and
+    the empty sum is "0".
+    """
     parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
+    for c, atom in terms:
+        q = c.rational_value() if isinstance(c, CycloElement) else c
+        if q == 0:
             continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
+        neg = q is not None and q < 0
+        if q is None:
+            coef = f"({c.pretty()})"
         else:
-            pw = var if i == 1 else f"{var}^{i}"
-            body = pw if mag == 1 else f"{mag}*{pw}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
+            coef = "" if abs(q) == 1 and atom else str(abs(q))
+        sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
+        parts.append(sign + "*".join(filter(None, (coef, atom))))
+    return " ".join(parts) or "0"
 
 
 def rat_poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
@@ -288,9 +296,6 @@ def rat_poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
 
 # ----------------------------------------------------------------------
 # cyclotomic polynomials
-
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
-
 
 def _int_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Exact division of integer polynomials; den must be monic."""
@@ -318,29 +323,21 @@ def cyclotomic_int(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("conductor must be positive")
-    got = _CYCLO_CACHE.get(n)
-    if got is not None:
-        return got
-    if n == 1:
-        poly = (-1, 1)
-    else:
-        f = [-1, 1]
-        rad = 1
-        for p, _ in factorize(n):
-            rad *= p
-            sub = [0] * ((len(f) - 1) * p + 1)
-            for i, c in enumerate(f):
-                sub[i * p] = c
-            f = _int_divexact(sub, tuple(f))
-        stretch = n // rad
-        if stretch > 1:
-            out = [0] * ((len(f) - 1) * stretch + 1)
-            for i, c in enumerate(f):
-                out[i * stretch] = c
-            f = out
-        poly = tuple(f)
-    _CYCLO_CACHE[n] = poly
-    return poly
+    f = [-1, 1]
+    rad = 1
+    for p, _ in factorize(n):
+        rad *= p
+        sub = [0] * ((len(f) - 1) * p + 1)
+        for i, c in enumerate(f):
+            sub[i * p] = c
+        f = _int_divexact(sub, tuple(f))
+    stretch = n // rad
+    if stretch > 1:
+        out = [0] * ((len(f) - 1) * stretch + 1)
+        for i, c in enumerate(f):
+            out[i * stretch] = c
+        f = out
+    return tuple(f)
 
 
 def cyclotomic_poly(n: int) -> RatPoly:
@@ -352,16 +349,10 @@ def cyclotomic_poly(n: int) -> RatPoly:
 # the field
 
 
-_FIELD_CACHE: dict[int, "CycloField"] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def cyclo_field(conductor: int) -> "CycloField":
-    """Shared CycloField instance for the given conductor."""
-    fld = _FIELD_CACHE.get(conductor)
-    if fld is None:
-        fld = CycloField(conductor)
-        _FIELD_CACHE[conductor] = fld
-    return fld
+    """Shared CycloField instance for the given conductor; the 256 most recently used are kept."""
+    return CycloField(conductor)
 
 
 def _relations(n: int) -> tuple:
@@ -736,7 +727,7 @@ class CycloElement:
         return GaloisMap(self.field, -1)(self)
 
     def pretty(self, var: str = "w") -> str:
-        return _pretty_terms(self.coords, var)
+        return pretty_sum((c, power_atom(var, i)) for i, c in enumerate(self.coords))
 
     def __repr__(self):
         return f"<{self.pretty()} in Q(zeta_{self.field.conductor})>"
@@ -767,6 +758,14 @@ class GaloisMap:
 def galois_apply(a: CycloElement, m: int) -> CycloElement:
     """psi_m(a): the Galois automorphism w -> w^m applied to a."""
     return GaloisMap(a.field, m)(a)
+
+
+def root_of_unity(order: int, e: int) -> CycloElement:
+    """zeta_order^e in the smallest field that holds it; +-1 are rational."""
+    red = order // math.gcd(order, e)
+    if red <= 2:
+        return cyclo_field(1).from_rational(-1 if red == 2 else 1)
+    return cyclo_field(red).omega_power(e // (order // red))
 
 
 def gaussian_period(field: CycloField, k: int, j: int) -> CycloElement:

@@ -18,12 +18,14 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import AutorecError
-from .automaton import Dfao
+from .automaton import Dfao, closure
 from .numberfield import (
     CycloElement,
     CycloField,
     _rref,
     common_field,
+    power_atom,
+    pretty_sum,
 )
 
 LEFT = "left"
@@ -152,27 +154,7 @@ class CycloPoly:
         return acc
 
     def pretty(self, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            q = c.rational_value()
-            pw = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            if q is not None:
-                mag = abs(q)
-                coef = "" if (mag == 1 and pw) else str(mag)
-                body = coef + ("*" if coef and pw else "") + pw
-                negative = q < 0
-            else:
-                body = f"({c.pretty()})" + (f"*{pw}" if pw else "")
-                negative = False
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        return " ".join(parts)
+        return pretty_sum((c, power_atom(var, i)) for i, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"CycloPoly({self.pretty()})"
@@ -376,20 +358,15 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
     partial sums of the induced sequence stay expressible.
     """
     d = a.size
-    start = tuple(range(d))
-    index = {start: 0}
-    tuples = [start]
-    words = [()]
-    pos = 0
-    while pos < len(tuples):
-        tp = tuples[pos]
-        for dig in range(a.base):
-            nt = tuple(a.delta[q][dig] for q in tp)
-            if nt not in index:
-                index[nt] = len(tuples)
-                tuples.append(nt)
-                words.append(words[pos] + (dig,))
-        pos += 1
+    tuples, found = closure(
+        tuple(range(d)), lambda tp, dig: tuple(a.delta[q][dig] for q in tp), a.base
+    )
+    # the first occurrence of t in row-major order is the edge that found it
+    words = [()] + [None] * (len(tuples) - 1)
+    for pos, row in enumerate(found):
+        for dig, t in enumerate(row):
+            if words[t] is None:
+                words[t] = words[pos] + (dig,)
 
     field = a.output_field
     table = [[a.outputs[q] for q in tp] for tp in tuples]

@@ -39,9 +39,8 @@ from .numberfield import (
     GaloisMap,
     coset_reps,
     cyclo_field,
-    factorize,
-    gaussian_period,
     multiplicative_order,
+    pretty_sum,
     solve_exact,
 )
 from .polymatrix import (
@@ -128,25 +127,8 @@ class Recurrence:
 
     def pretty(self) -> str:
         k, s = self.k, self.root.s
-        parts = []
-        for m in range(self.order, -1, -1):
-            c = self.coefficients[m]
-            if c.is_zero():
-                continue
-            arg = "n" if m == 0 else f"{k}^{m * s} n"
-            q = c.rational_value()
-            if q is not None:
-                mag = abs(q)
-                body = f"A({arg})" if mag == 1 else f"{mag}*A({arg})"
-                neg = q < 0
-            else:
-                body = f"({c.pretty()})*A({arg})"
-                neg = False
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts) + " = 0"
+        terms = [(c, f"A({k}^{m * s} n)" if m else "A(n)") for m, c in enumerate(self.coefficients)]
+        return pretty_sum(reversed(terms)) + " = 0"
 
     def to_json_dict(self) -> dict:
         root = self.root
@@ -286,9 +268,10 @@ def _flatten(m):
 # ----------------------------------------------------------------------
 # evaluating the ordered matrix product at a root of unity
 #
-# The whole product is first accumulated modulo x^r0 - 1 (exponents of x
-# only matter mod r0 once x is a root of unity of order r0), then each
-# resulting cyclic vector becomes a field element at the chosen root.
+# With outputs in Q(zeta_m), w = zeta_r0^u and L = lcm(m, r0), the term
+# c zeta_m^i x^e (c rational) of M-hat(x^(k^t)) is c zeta_L^(i L/m + e k^t (L/r0) u)
+# at x = w.  So the whole product is accumulated over Q, modulo x^L - 1 in
+# powers of zeta_L, and each entry becomes one field element at the end.
 
 
 def _cyc_add_scaled(dst: list, src: list, shift: int, c) -> None:
@@ -306,40 +289,35 @@ def _cyc_add_scaled(dst: list, src: list, shift: int, c) -> None:
             dst[:shift] = [x + c * y for x, y in zip(dst[:shift], src[cut:])]
 
 
-def _entry_scalars(p, rational_mode: bool):
-    """Sparse (exponent, coefficient) view of a CycloPoly entry; plain rationals over Q."""
-    return [(i, c.vec[0] if rational_mode else c) for i, c in enumerate(p.coeffs) if c]
+def _product_at_root(mhat: PolyMatrix, root: RootSpec, side: str) -> list:
+    """Ordered product of the s digit-substituted copies of mhat at x = w.
 
-
-def _product_mod_cyclic(mhat: PolyMatrix, k: int, s: int, r0: int, side: str):
-    """Ordered product of digit-substituted copies of mhat, mod x^r0 - 1.
-
-    Entries come back as dense length-r0 vectors of rationals (or of
-    output-field elements when the outputs are irrational).
+    Entries come back as dense rational vectors on the powers of zeta_L.
     """
-    d = mhat.dim
-    rational_mode = mhat.field.conductor == 1
-    zero = 0 if rational_mode else mhat.field.zero()
-
-    sparse = [[_entry_scalars(mhat.entry(i, j), rational_mode) for j in range(d)] for i in range(d)]
-
-    def factor(power):  # exponents of M(x^(k^i)) folded mod r0
-        return [
-            [[((e * power) % r0, c) for e, c in cell] for cell in row] for row in sparse
+    d, m, r0 = mhat.dim, mhat.field.conductor, root.r0
+    L = math.lcm(m, r0)
+    lift = L // m
+    # (power of zeta_L, power of x, rational coefficient) per term of each entry
+    terms = [
+        [
+            [(i * lift, e, c) for e, z in enumerate(p.coeffs) for i, c in enumerate(z.vec) if c]
+            for p in row
         ]
-
+        for row in mhat.rows
+    ]
+    xpow = (L // r0) * root.primitive_exponent  # the power of zeta_L at x^(k^t)
     acc = None
-    power = 1
-    for step in range(s):
-        fac = factor(power)
-        power = (power * k) % r0
-        if acc is None:
-            acc = [[_dense_from_sparse(cell, r0, zero) for cell in row] for row in fac]
-            continue
-        new = [[[zero] * r0 for _ in range(d)] for _ in range(d)]
+    for _ in range(root.s):
+        fac = [[[((i + e * xpow) % L, c) for i, e, c in cell] for cell in row] for row in terms]
+        xpow = xpow * root.k % L
+        new = [[[0] * L for _ in range(d)] for _ in range(d)]
         for i in range(d):
             for j in range(d):
                 dst = new[i][j]
+                if acc is None:
+                    for e, c in fac[i][j]:
+                        dst[e] += c
+                    continue
                 for t in range(d):
                     if side == LEFT:
                         pairs, vec = fac[i][t], acc[t][j]
@@ -348,19 +326,7 @@ def _product_mod_cyclic(mhat: PolyMatrix, k: int, s: int, r0: int, side: str):
                     for e, c in pairs:
                         _cyc_add_scaled(dst, vec, e, c)
         acc = new
-    if acc is None:  # s = 0 never happens for valid RootSpecs, but stay total
-        acc = [
-            [_dense_from_sparse([(0, 1)] if i == j else [], r0, zero) for j in range(d)]
-            for i in range(d)
-        ]
     return acc
-
-
-def _dense_from_sparse(pairs, r0, zero):
-    vec = [zero] * r0
-    for e, c in pairs:
-        vec[e % r0] = vec[e % r0] + c
-    return vec
 
 
 def _root_map(m: int, root: RootSpec) -> list[list[int]]:
@@ -393,11 +359,7 @@ def _at_root(vec: list, inv: list[list[int]]) -> list:
 def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
     """M-hat(k^s; w) (Left) or its Right mirror, as a scalar matrix."""
     K = cyclo_field(math.lcm(mhat.field.conductor, root.r0))
-    vecs = _product_mod_cyclic(mhat, root.k, root.s, root.r0, side)
-    if mhat.field.conductor > 1:  # field-element entries, flattened to slots j*m + i
-        vecs = [[[x for c in vec for x in c.vec] for vec in row] for row in vecs]
-    inv = _root_map(mhat.field.conductor, root)
-    return [[K.element(_at_root(vec, inv)) for vec in row] for row in vecs], K
+    return [[K.element(vec) for vec in row] for row in _product_at_root(mhat, root, side)], K
 
 
 # ----------------------------------------------------------------------
@@ -751,56 +713,6 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     coeffs = [one_field.from_rational(q * den) for q in rat]
     rec = Recurrence(a.base, root, coeffs, "integer_product")
     return rec
-
-
-class GaloisReport:
-    """Invariance of the recurrence coefficients under psi_k."""
-
-    def __init__(self, all_invariant, primitive_root_case, entries):
-        self.all_invariant = all_invariant
-        self.primitive_root_case = primitive_root_case
-        self.entries = entries  # per coefficient: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "all_invariant": self.all_invariant,
-            "primitive_root_case": self.primitive_root_case,
-            "coefficients": self.entries,
-        }
-
-
-def galois_invariance_report(rec: Recurrence) -> GaloisReport:
-    """Check psi_k(C_m) = C_m and expand in Gaussian periods when possible.
-
-    For squarefree conductors the Gaussian periods eta_u over the coset
-    representatives u form a basis of the fixed field of psi_k, so every
-    invariant coefficient gets rational period coordinates.  For a
-    prime-power conductor with k a primitive root the fixed field is Q
-    itself and all coefficients must be rational.
-    """
-    root = rec.root
-    field = root.field
-    r0 = root.r0
-    psi = GaloisMap(field, rec.k % r0) if r0 > 1 else None
-    reps = coset_reps(rec.k, r0)
-    squarefree = all(e == 1 for _, e in factorize(r0))
-    periods = [gaussian_period(field, rec.k, u) for u in reps] if squarefree and r0 > 1 else None
-    entries = []
-    all_inv = True
-    for c in rec.coefficients:
-        c = field.coerce(c)
-        inv = True if psi is None else psi(c) == c
-        all_inv = all_inv and inv
-        entry = {
-            "invariant": inv,
-            "rational": str(c.rational_value()) if c.rational_value() is not None else None,
-        }
-        if periods is not None and inv:
-            rows = [[Fraction(p.vec[i]) for p in periods] for i in range(r0)]
-            sol = solve_exact(rows, [Fraction(x) for x in c.vec])
-            entry["period_coords"] = None if sol is None else [str(Fraction(v)) for v in sol]
-        entries.append(entry)
-    return GaloisReport(all_inv, len(reps) == 1, entries)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, sequence_term, word_value
+from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, sequence_term
 from autorec.numberfield import CycloField, cyclo_field, factorize
 from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix
 from autorec.recurrence import _at_root, _root_map, block_sums
@@ -37,6 +37,14 @@ def pat11():
 @pytest.fixture(scope="session")
 def shipped(tm, rs, bs, pat11):
     return [("thue_morse", tm), ("rudin_shapiro", rs), ("baum_sweet", bs), ("pattern_11_mod_2", pat11)]
+
+
+def word_value(w, k: int) -> int:
+    """[w]_k, the integer the digit word denotes (leading zeros allowed)."""
+    v = 0
+    for d in w:
+        v = v * k + d
+    return v
 
 
 def divisors(n: int) -> list[int]:
@@ -134,7 +142,7 @@ def partial_sum_poly(a, span, n: int, t: int, side: str) -> list:
         for w in iproduct(range(k), repeat=t):
             val = word_value(w if side == LEFT else w[::-1], k)
             if val <= n - 1:
-                coeffs[val] = coeffs[val] + a.state_output(a.run(i, w))
+                coeffs[val] = coeffs[val] + a.outputs[a.run(i, w)]
         out.append(CycloPoly(field, coeffs))
     return out
 

@@ -18,11 +18,10 @@ from autorec.automaton import (
     reverse_dfao,
     sequence_term,
     sequence_terms,
-    word_value,
 )
 from autorec.errors import AutorecError, ParseError
 from autorec.numberfield import CycloElement, cyclo_field, nullspace
-from conftest import occurrences
+from conftest import occurrences, word_value
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +180,8 @@ def test_leading_zero_insensitivity(tm, rs):
 
 
 def test_sequence_term_zero_is_initial_output(tm, bs):
-    assert sequence_term(tm, 0) == tm.state_output(0)
-    assert sequence_term(bs, 0) == bs.state_output(0)
+    assert sequence_term(tm, 0) == tm.outputs[0]
+    assert sequence_term(bs, 0) == bs.outputs[0]
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +202,20 @@ def test_reverse_twice_preserves_sequence(tm):
     assert fwd.direction == tm.direction
     for n in range(2**10):
         assert sequence_term(fwd, n) == sequence_term(tm, n)
+
+
+def test_reverse_delta_frozen():
+    """The breadth-first state order of the reversal, digits ascending."""
+    assert reverse_dfao(load_builtin("rudin_shapiro")).delta == (
+        (1, 2), (1, 3), (4, 5), (1, 6), (4, 2), (7, 2), (8, 3), (7, 5), (8, 6),
+    )
+    assert reverse_dfao(pattern_dfao(PatternSpec(2, (0, 1, 0), 3))).delta == (
+        (1, 2), (1, 3), (4, 5), (6, 7), (4, 8), (9, 5), (6, 10), (11, 7), (12, 13), (9, 14),
+        (15, 16), (11, 3), (12, 17), (18, 13), (19, 5), (15, 20), (21, 16), (22, 23), (18, 8),
+        (19, 24), (25, 26), (21, 10), (22, 27), (28, 23), (29, 30), (25, 3), (31, 26), (32, 33),
+        (28, 17), (29, 34), (35, 30), (31, 20), (32, 8), (36, 33), (37, 38), (35, 24), (36, 27),
+        (37, 14), (39, 38), (39, 34),
+    )
 
 
 def test_reverse_state_cap():

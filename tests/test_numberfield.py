@@ -127,6 +127,13 @@ def test_cyclotomic_poly_monic_of_degree_phi():
         assert p.coefficient(p.degree) == 1
 
 
+def test_field_cache_is_bounded():
+    for n in range(2000, 2300):
+        cyclo_field(n)
+    assert cyclo_field.cache_info().currsize <= 256
+    assert cyclo_field(2299) is cyclo_field(2299)
+
+
 # ----------------------------------------------------------------------
 # field axioms (randomized, exact)
 

@@ -1,12 +1,13 @@
 """Polynomial transition matrices, ordered products, span reduction."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
-from autorec.automaton import FORWARD, Dfao, PatternSpec, pattern_dfao, reverse_dfao, word_value
+from autorec.automaton import FORWARD, Dfao, PatternSpec, load_builtin, pattern_dfao, reverse_dfao
 from autorec.numberfield import cyclo_field, solve_exact
 from autorec.polymatrix import (
     LEFT,
@@ -20,7 +21,7 @@ from autorec.polymatrix import (
     transition_matrix,
     truncate,
 )
-from conftest import det_cofactor, partial_sum_poly, random_word, t_for
+from conftest import det_cofactor, partial_sum_poly, random_word, t_for, word_value
 
 
 # ----------------------------------------------------------------------
@@ -39,6 +40,17 @@ def test_cyclo_poly_arithmetic():
     assert (p - p).is_zero()
     assert p.substitute_power(3).degree == 3
     assert p.truncate(1).degree == 0
+
+
+def test_cyclo_poly_pretty_frozen():
+    f = cyclo_field(3)
+    w = f.omega()
+    assert CycloPoly(f, [w, -1, Fraction(1, 2), 0, 1 + 2 * w, 1]).pretty() == (
+        "(w) - x + 1/2*x^2 + (1 + 2*w)*x^4 + x^5"
+    )
+    assert CycloPoly(f, [-1 - w, w * w, -3]).pretty() == "(-1 - w) + (-1 - w)*x - 3*x^2"
+    assert CycloPoly(f, [Fraction(-5, 2), 0, w]).pretty("y") == "-5/2 + (w)*y^2"
+    assert CycloPoly(f).pretty() == "0"
 
 
 def test_cyclo_poly_mixed_conductors_lift():
@@ -187,10 +199,10 @@ def test_span_relations_hold_on_random_words(shipped):
         for p, coeffs in sp.alphas.items():
             for _ in range(100):
                 w = random_word(rng, a.base)
-                lhs = a.state_output(a.run(p, w))
+                lhs = a.outputs[a.run(p, w)]
                 rhs = a.output_field.zero()
                 for g, c in zip(sp.generators, coeffs):
-                    rhs = rhs + c * a.state_output(a.run(g, w))
+                    rhs = rhs + c * a.outputs[a.run(g, w)]
                 assert lhs == rhs, (name, p, w)
 
 
@@ -199,7 +211,7 @@ def test_span_witness_table_is_consistent(rs):
     assert len(sp.witness_words) == len(sp.tuple_table)
     for w, row in zip(sp.witness_words, sp.tuple_table):
         for i in range(rs.size):
-            assert row[i] == rs.state_output(rs.run(i, w))
+            assert row[i] == rs.outputs[rs.run(i, w)]
 
 
 def check_relation(sp, rel) -> bool:
@@ -247,6 +259,62 @@ def span_by_columns(sp) -> SpanAnalysis:
                 coeffs[gpos[pivots[t]]] = field.coerce(c)
             alphas[p] = tuple(coeffs)
     return SpanAnalysis(field, sp.witness_words, sp.tuples, table, len(pivots), generators, alphas)
+
+
+def test_span_json_frozen():
+    """Witness words, generators and relations, in the printed order."""
+    want = {
+        "thue_morse": {"witness_words": ["", "1"], "rank": 1, "generators": [0], "relations": {"1": ["-1"]}},
+        "rudin_shapiro": {
+            "witness_words": ["", "0", "1", "01", "10", "11", "011", "110", "0110"],
+            "rank": 2,
+            "generators": [0, 1],
+            "relations": {"2": ["0", "-1"], "3": ["-1", "0"]},
+        },
+        "baum_sweet": {
+            "witness_words": ["", "0", "1", "01", "10", "010", "101"],
+            "rank": 2,
+            "generators": [0, 1],
+            "relations": {"2": ["0", "0"]},
+        },
+    }
+    for name, d in want.items():
+        assert json.dumps(span_analysis(load_builtin(name)).to_json_dict()) == json.dumps(d), name
+
+    a = reverse_dfao(pattern_dfao(PatternSpec(2, (0, 1, 0), 3)))
+    words = (
+        ", 0, 1, 01, 10, 11, 010, 011, 101, 110, 0101, 0110, 1010, 1011, 1101, 01010, 01011, "
+        "10101, 10110, 11010, 010101, 010110, 101010, 101011, 110101, 0101010, 0101011, "
+        "1010101, 1010110, 1101010, 1101011, 01010110, 10101010, 10101011, 11010101, "
+        "11010110, 101010110, 110101010, 110101011, 1101010110"
+    ).split(", ")
+    # every relation has one nonzero coefficient: (generator position, value) -> states
+    groups = {
+        (0, "1"): (2, 5, 7, 13),
+        (1, "1"): (4, 9, 11, 18),
+        (2, "1"): (8, 14),
+        (3, "1"): (12, 19),
+        (0, "w"): (16, 23, 30),
+        (1, "w"): (21, 28, 35),
+        (2, "w"): (10, 17, 24),
+        (3, "w"): (15, 22, 29),
+        (0, "-1 - w"): (26, 33, 38),
+        (1, "-1 - w"): (31, 36, 39),
+        (2, "-1 - w"): (20, 27, 34),
+        (3, "-1 - w"): (25, 32, 37),
+    }
+    relations = {}
+    for (j, c), states in groups.items():
+        for p in states:
+            relations[p] = ["0"] * 4
+            relations[p][j] = c
+    d = {
+        "witness_words": words,
+        "rank": 4,
+        "generators": [0, 1, 3, 6],
+        "relations": {str(p): relations[p] for p in sorted(relations)},
+    }
+    assert json.dumps(span_analysis(a).to_json_dict()) == json.dumps(d)
 
 
 def test_span_matches_column_by_column_solves(shipped):

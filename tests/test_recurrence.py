@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,12 +13,29 @@ from autorec.automaton import (
     PatternSpec,
     expansion,
     pattern_dfao,
+    prune_inaccessible,
     reverse_dfao,
     sequence_term,
 )
 from autorec import recurrence
 from autorec.errors import AutorecError, BudgetError
-from autorec.numberfield import CycloElement, cyclo_field
+from autorec.numberfield import (
+    CycloElement,
+    GaloisMap,
+    coset_reps,
+    cyclo_field,
+    factorize,
+    gaussian_period,
+    solve_exact,
+)
+from autorec.polymatrix import (
+    LEFT,
+    RIGHT,
+    power_product,
+    reduced_matrix,
+    span_analysis,
+    transition_matrix,
+)
 from autorec.recurrence import (
     BlockSums,
     Recurrence,
@@ -27,10 +45,10 @@ from autorec.recurrence import (
     char_poly,
     clear_caches,
     dim_experiment,
-    galois_invariance_report,
     integer_recurrence,
     lmin_bound,
     minimal_poly,
+    reduced_product_at_root,
     synthesize,
     verify,
 )
@@ -165,6 +183,18 @@ def test_synthesis_minimal_option(tm, rs):
     rec = synthesize(rs, RootSpec(2, 3, 1, s=2), use_minimal=True)
     assert rec.order == 2
     assert verify(rec, rs, 30).all_zero
+
+
+def test_recurrence_pretty_frozen():
+    f3, f15 = cyclo_field(3), cyclo_field(15)
+    w = f3.omega()
+    coeffs = [-3, f15.omega_power(4) - 1, -1, Fraction(2, 3), -1]
+    rec = Recurrence(2, RootSpec(2, 15, 1), [f15.coerce(c) for c in coeffs], "char_poly")
+    assert rec.pretty() == (
+        "-A(2^16 n) + 2/3*A(2^12 n) - A(2^8 n) + (-1 + w^4)*A(2^4 n) - 3*A(n) = 0"
+    )
+    rec = Recurrence(2, RootSpec(2, 3, 1), [1 + w, f3.from_rational(-2), w], "char_poly")
+    assert rec.pretty() == "(w)*A(2^4 n) - 2*A(2^2 n) + (1 + w)*A(n) = 0"
 
 
 def test_recurrence_json_record(rs):
@@ -568,7 +598,78 @@ def test_integer_recurrence_coefficients_are_integral(shipped):
 
 
 # ----------------------------------------------------------------------
+# the reduced product at a root, against the polynomial product
+
+
+def test_reduced_product_at_root_matches_power_product():
+    """Entries of M-hat(k^s; x) evaluated at x = w, both sides, several u per conductor."""
+    specs = (PatternSpec(2, (1, 1), 3), PatternSpec(3, (0, 0, 0), 3), PatternSpec(2, (0, 1, 0), 3))
+    for spec in specs:
+        fwd = pattern_dfao(spec)
+        for a in (fwd, reverse_dfao(fwd)):
+            a = prune_inaccessible(a)
+            mhat = reduced_matrix(transition_matrix(a), span_analysis(a))
+            for side in (LEFT, RIGHT):
+                products = {}  # per step s
+                for r0 in (5, 9, 15) if spec.k == 2 else (5, 10):
+                    for u in sorted({1, 2, r0 - 1}):
+                        if math.gcd(u, r0) != 1:
+                            continue
+                        root = RootSpec(spec.k, r0, u)
+                        if root.s not in products:
+                            products[root.s] = power_product(mhat, spec.k, root.s, side)
+                        got, K = reduced_product_at_root(mhat, root, side)
+                        w = root.omega
+                        want = [[p(w) for p in row] for row in products[root.s].rows]
+                        assert K.conductor == math.lcm(3, r0)
+                        assert got == want, (spec, a.direction, side, r0, u)
+
+
+# ----------------------------------------------------------------------
 # Galois invariance of synthesized coefficients
+
+
+class GaloisReport:
+    """Invariance of the recurrence coefficients under psi_k."""
+
+    def __init__(self, all_invariant, primitive_root_case, entries):
+        self.all_invariant = all_invariant
+        self.primitive_root_case = primitive_root_case
+        self.entries = entries  # per coefficient: dict
+
+
+def galois_invariance_report(rec: Recurrence) -> GaloisReport:
+    """Check psi_k(C_m) = C_m and expand in Gaussian periods when possible.
+
+    For squarefree conductors the Gaussian periods eta_u over the coset
+    representatives u form a basis of the fixed field of psi_k, so every
+    invariant coefficient gets rational period coordinates.  For a
+    prime-power conductor with k a primitive root the fixed field is Q
+    itself and all coefficients must be rational.
+    """
+    root = rec.root
+    field = root.field
+    r0 = root.r0
+    psi = GaloisMap(field, rec.k % r0) if r0 > 1 else None
+    reps = coset_reps(rec.k, r0)
+    squarefree = all(e == 1 for _, e in factorize(r0))
+    periods = [gaussian_period(field, rec.k, u) for u in reps] if squarefree and r0 > 1 else None
+    entries = []
+    all_inv = True
+    for c in rec.coefficients:
+        c = field.coerce(c)
+        inv = True if psi is None else psi(c) == c
+        all_inv = all_inv and inv
+        entry = {
+            "invariant": inv,
+            "rational": str(c.rational_value()) if c.rational_value() is not None else None,
+        }
+        if periods is not None and inv:
+            rows = [[Fraction(p.vec[i]) for p in periods] for i in range(r0)]
+            sol = solve_exact(rows, [Fraction(x) for x in c.vec])
+            entry["period_coords"] = None if sol is None else [str(Fraction(v)) for v in sol]
+        entries.append(entry)
+    return GaloisReport(all_inv, len(reps) == 1, entries)
 
 
 def test_galois_report_fixed_field_coefficients(tm):
