@@ -94,9 +94,6 @@ class Dfao:
     def size(self) -> int:
         return len(self.states)
 
-    def step(self, state: int, digit: int) -> int:
-        return self.delta[state][digit]
-
     def run(self, state: int, word: Iterable[int]) -> int:
         for d in word:
             state = self.delta[state][d]

@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Optional
 
-from .errors import AutorecError
+from .errors import AutorecError, ParseError
 from .automaton import (
     Dfao,
     PatternSpec,
@@ -53,16 +53,20 @@ def _load_dfao(spec: str) -> Dfao:
     """Resolve --dfao: a readable path first, then a bundled name."""
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            return parse_dfao(fh.read())
+            text = fh.read()
     except FileNotFoundError:
-        pass
-    name = spec[:-5] if spec.endswith(".dfao") else spec
-    if name in builtin_names():
-        return load_builtin(name)
-    raise AutorecError(
-        f"no file or bundled automaton named {spec!r}; bundled: "
-        + ", ".join(builtin_names())
-    )
+        name = spec[:-5] if spec.endswith(".dfao") else spec
+        if name in builtin_names():
+            return load_builtin(name)
+        raise AutorecError(
+            f"no file or bundled automaton named {spec!r}; bundled: "
+            + ", ".join(builtin_names())
+        ) from None
+    except OSError as exc:
+        raise AutorecError(f"cannot read {spec!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{spec!r} is not UTF-8 text (byte {exc.start})") from exc
+    return parse_dfao(text)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -150,13 +154,23 @@ def _recurrence_payload(rec, report) -> dict:
     return payload
 
 
+def _verify(rec, a: Dfao, n_max: int, budget: Optional[int]):
+    """Verify the recurrence to n_max and record how far it holds."""
+    report = verify(rec, a, n_max, budget=budget)
+    rec.verified_to = n_max if report.all_zero else None
+    return report
+
+
+def _verdict(report) -> str:
+    if report.all_zero:
+        return f"holds for all n <= {report.n_max}"
+    return f"FAILS first at n = {report.first_failure}"
+
+
 def _cmd_synth(args) -> int:
     a = _load_dfao(args.dfao)
     rec = synthesize(a, _root_from_args(a, args), use_minimal=args.minimal)
-    report = None
-    if args.verify_n:
-        report = verify(rec, a, args.verify_n, budget=args.budget)
-        rec.verified_to = args.verify_n if report.all_zero else None
+    report = _verify(rec, a, args.verify_n, args.budget) if args.verify_n else None
     _emit(args, _recurrence_payload(rec, report), rec.pretty())
     return 0
 
@@ -164,31 +178,16 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     a = _load_dfao(args.dfao)
     rec = synthesize(a, _root_from_args(a, args), use_minimal=args.minimal)
-    report = verify(rec, a, args.n_max, budget=args.budget)
-    rec.verified_to = args.n_max if report.all_zero else None
-    text = rec.pretty() + "\n" + (
-        f"holds for all n <= {report.n_max}"
-        if report.all_zero
-        else f"FAILS first at n = {report.first_failure}"
-    )
-    _emit(args, _recurrence_payload(rec, report), text)
+    report = _verify(rec, a, args.n_max, args.budget)
+    _emit(args, _recurrence_payload(rec, report), rec.pretty() + "\n" + _verdict(report))
     return 0
 
 
 def _cmd_intrec(args) -> int:
     a = _load_dfao(args.dfao)
     rec = integer_recurrence(a, _root_from_args(a, args))
-    report = None
-    if args.verify_n:
-        report = verify(rec, a, args.verify_n, budget=args.budget)
-        rec.verified_to = args.verify_n if report.all_zero else None
-    text = rec.pretty()
-    if report is not None:
-        text += "\n" + (
-            f"holds for all n <= {report.n_max}"
-            if report.all_zero
-            else f"FAILS first at n = {report.first_failure}"
-        )
+    report = _verify(rec, a, args.verify_n, args.budget) if args.verify_n else None
+    text = rec.pretty() if report is None else rec.pretty() + "\n" + _verdict(report)
     _emit(args, _recurrence_payload(rec, report), text)
     return 0
 
@@ -220,8 +219,11 @@ def _cmd_pattern(args) -> int:
     a = pattern_dfao(spec)
     text = a.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise AutorecError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
         print(f"wrote {a.size}-state automaton to {args.out}")
     else:
         _emit(args, a.to_json_dict(), text)

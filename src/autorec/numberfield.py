@@ -834,22 +834,20 @@ def complex_embed(a: CycloElement, digits: int = 15) -> mpmath.mpc:
 # ----------------------------------------------------------------------
 # exact linear algebra over a field
 #
-# Entries may be CycloElements, Fractions or ints, mixed; all that is
-# used is +, -, *, /, and comparison with zero.
-
-
-def _div(c, piv):
-    """Exact division; int/int must not fall into float arithmetic."""
-    if isinstance(c, int) and isinstance(piv, int):
-        return _num(Fraction(c, piv))
-    return c / piv
+# Synthesis eliminates over CycloElements (the span table, the power
+# table of minimal_poly); rational entries, ints and Fractions, work too.
+# Each pivot row is scaled by one inverse, so all that is used is +, -, *,
+# comparison with zero, and CycloElement.inverse or a Fraction reciprocal.
 
 
 def _rref(a: list[list], ncols: int) -> list[int]:
     """Gauss-Jordan elimination of the rows in place on their first ncols columns.
 
-    Pivot rows are scaled to 1 and moved to the top; returns the pivot
-    columns in order.
+    Pivot rows are scaled to 1 and moved to the top, in the order of
+    their pivot columns, and every other row is zero in each pivot
+    column.  Returns the pivot columns in order.  So a non-pivot column
+    c holds the coefficients of column c over the pivot columns left of
+    it: entry (i, c) goes with the i-th pivot column.
     """
     m = len(a)
     pivots = []
@@ -864,11 +862,8 @@ def _rref(a: list[list], ncols: int) -> list[int]:
             continue
         a[row], a[sel] = a[sel], a[row]
         piv = a[row][col]
-        if isinstance(piv, CycloElement):  # one inverse per pivot row, not one per entry
-            inv = piv.inverse()
-            a[row] = [c * inv for c in a[row]]
-        else:
-            a[row] = [_div(c, piv) for c in a[row]]
+        inv = piv.inverse() if isinstance(piv, CycloElement) else 1 / Fraction(piv)
+        a[row] = [c * inv for c in a[row]]
         for i in range(m):
             if i != row and a[i][col] != 0:
                 f = a[i][col]
@@ -878,36 +873,3 @@ def _rref(a: list[list], ncols: int) -> list[int]:
         if row == m:
             break
     return pivots
-
-
-def solve_exact(rows: list[list], rhs: list) -> Optional[list]:
-    """One exact solution of (rows) * x = rhs, or None when inconsistent.
-
-    The system may be overdetermined; free variables are set to zero.
-    """
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = _rref(aug, ncols)
-    for i in range(len(pivots), len(aug)):
-        if aug[i][ncols] != 0:
-            return None
-    x = [0] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
-    return x
-
-
-def nullspace(rows: list[list]) -> list[list]:
-    """A basis of the right nullspace of the matrix, exact."""
-    ncols = len(rows[0]) if rows else 0
-    a = [list(r) for r in rows]
-    pivots = _rref(a, ncols)
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, col in enumerate(pivots):
-            v[col] = -a[i][fc]
-        basis.append(v)
-    return basis

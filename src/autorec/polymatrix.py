@@ -164,6 +164,24 @@ class CycloPoly:
 # matrices of polynomials
 
 
+def _mat_mul(a, b, zero) -> list[list]:
+    """The product of two square matrices given as rows; entries need +, * and is_zero."""
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        live = [(t, x) for t, x in enumerate(row) if not x.is_zero()]
+        new = []
+        for col in cols:
+            acc = zero
+            for t, x in live:
+                y = col[t]
+                if not y.is_zero():
+                    acc = acc + x * y
+            new.append(acc)
+        out.append(new)
+    return out
+
+
 class PolyMatrix:
     """Square matrix of CycloPoly entries over one field."""
 
@@ -210,21 +228,7 @@ class PolyMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise AutorecError("dimension mismatch")
-        n = self.dim
-        zero = CycloPoly(self.field)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for t in range(n):
-                    a = self.rows[i][t]
-                    b = other.rows[t][j]
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.field, out)
+        return PolyMatrix(self.field, _mat_mul(self.rows, other.rows, CycloPoly(self.field)))
 
     def substitute_power(self, e: int) -> "PolyMatrix":
         return PolyMatrix(

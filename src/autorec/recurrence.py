@@ -37,17 +37,18 @@ from .numberfield import (
     CycloField,
     CyclicMultiplier,
     GaloisMap,
+    _rref,
     coset_reps,
     cyclo_field,
     multiplicative_order,
     pretty_sum,
-    solve_exact,
 )
 from .polymatrix import (
     LEFT,
     RIGHT,
     CycloPoly,
     PolyMatrix,
+    _mat_mul,
     reduced_matrix,
     span_analysis,
     transition_matrix,
@@ -177,92 +178,55 @@ class VerificationReport:
 # scalar matrices over a cyclotomic field
 
 
+def _powers(rows, field: CycloField) -> list:
+    """I, M, M^2, ..., M^d for the d x d matrix M, from d - 1 products."""
+    d = len(rows)
+    m = [[field.coerce(v) for v in row] for row in rows]
+    if any(len(row) != d for row in m):
+        raise AutorecError("matrix must be square")
+    zero, one = field.zero(), field.one()
+    powers = [[[one if i == j else zero for j in range(d)] for i in range(d)], m][: d + 1]
+    while len(powers) <= d:
+        powers.append(_mat_mul(powers[-1], m, zero))
+    return powers
+
+
 def char_poly(rows, field: CycloField) -> list[CycloElement]:
     """Characteristic polynomial coefficients of a scalar matrix.
 
     Returns (c_0, ..., c_d) with det(y I - M) = sum c_m y^m, constant
-    term first and c_d = 1, by the Faddeev-LeVerrier recursion (exact;
-    the only divisions are by the integers 2, ..., d).
+    term first and c_d = 1.  The coefficients come from the power sums
+    p_j = tr(M^j) by Newton's identities,
+    j c_(d-j) = -(p_j + sum over 0 < i < j of c_(d-i) p_(j-i)),
+    so the only divisions are by the integers 2, ..., d.
     """
-    n = len(rows)
-    a = [[field.coerce(v) for v in row] for row in rows]
-    if any(len(row) != n for row in a):
-        raise AutorecError("matrix must be square")
-    zero, one = field.zero(), field.one()
-    cs = [one]  # coefficient of y^n
-    m = a
-    c = -_trace(m, field)
-    cs.append(c)
-    for j in range(2, n + 1):
-        m = _mat_mul(_add_diag(m, c, field), a, field)
-        # careful with order: same result either side for M_j = A (M_(j-1) + c I)
-        c = -_trace(m, field) / j
-        cs.append(c)
-    cs.reverse()
-    return cs
+    powers = _powers(rows, field)
+    d = len(powers) - 1
+    p = [sum((m[i][i] for i in range(d)), field.zero()) for m in powers]
+    top = [field.one()]  # top[i] = c_(d-i)
+    for j in range(1, d + 1):
+        acc = p[j]
+        for i in range(1, j):
+            acc = acc + top[i] * p[j - i]
+        top.append(-acc / j if j > 1 else -acc)  # a division by 1 still costs a pass
+    return top[::-1]
 
 
 def minimal_poly(rows, field: CycloField) -> list[CycloElement]:
-    """Monic minimal polynomial via the kernel of the power stack.
+    """Monic minimal polynomial of a scalar matrix, constant term first.
 
-    Flattened powers I, M, M^2, ... are appended until they become
-    linearly dependent; the first dependence gives the coefficients.
+    One elimination over the table whose column t is M^t flattened,
+    t = 0, ..., d: the first non-pivot column t is the first power that
+    depends on the lower ones, and the pivot rows hold its coefficients,
+    M^t = sum over i < t of table[i][t] M^i.  By Cayley-Hamilton some
+    t <= d is dependent.
     """
-    n = len(rows)
-    a = [[field.coerce(v) for v in row] for row in rows]
-    powers = [_identity(n, field)]
-    while True:
-        t = len(powers)
-        flat_cols = [_flatten(p) for p in powers]
-        target = _flatten(_mat_mul(powers[-1], a, field) if t > 1 else a)
-        rows_ls = [[flat_cols[c][i] for c in range(t)] for i in range(n * n)]
-        sol = solve_exact(rows_ls, target)
-        if sol is not None:
-            coeffs = [-field.coerce(v) for v in sol] + [field.one()]
-            return coeffs
-        powers.append(_mat_mul(powers[-1], a, field) if t > 1 else a)
-        if len(powers) > n + 1:
-            raise AutorecError("minimal polynomial search exceeded the dimension")
-
-
-def _identity(n, field):
-    one, zero = field.one(), field.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _trace(m, field):
-    acc = field.zero()
-    for i in range(len(m)):
-        acc = acc + m[i][i]
-    return acc
-
-
-def _add_diag(m, c, field):
-    out = [list(r) for r in m]
-    for i in range(len(m)):
-        out[i][i] = out[i][i] + c
-    return out
-
-
-def _mat_mul(a, b, field):
-    n = len(a)
-    zero = field.zero()
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for t in range(n):
-                x = a[i][t]
-                if not x.is_zero():
-                    acc = acc + x * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _flatten(m):
-    return [v for row in m for v in row]
+    powers = _powers(rows, field)
+    d = len(powers) - 1
+    table = [[m[i][j] for m in powers] for i in range(d) for j in range(d)]
+    pivots = _rref(table, d + 1)
+    t = next(c for c in range(d + 1) if c not in pivots)
+    return [-table[i][t] for i in range(t)] + [field.one()]
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import product as iproduct
 import pytest
 
 from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, sequence_term
-from autorec.numberfield import CycloField, cyclo_field, factorize
+from autorec.numberfield import CycloField, _rref, cyclo_field, factorize
 from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix
 from autorec.recurrence import _at_root, _root_map, block_sums
 
@@ -166,3 +166,36 @@ def _det_cofactor(rows, field) -> CycloPoly:
         term = rows[0][j] * _det_cofactor(minor, field)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def solve_exact(rows: list[list], rhs: list):
+    """One exact solution of (rows) * x = rhs, or None when inconsistent.
+
+    The system may be overdetermined; free variables are set to zero.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = _rref(aug, ncols)
+    for i in range(len(pivots), len(aug)):
+        if aug[i][ncols] != 0:
+            return None
+    x = [0] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][ncols]
+    return x
+
+
+def nullspace(rows: list[list]) -> list[list]:
+    """A basis of the right nullspace of the matrix, exact."""
+    ncols = len(rows[0]) if rows else 0
+    a = [list(r) for r in rows]
+    pivots = _rref(a, ncols)
+    basis = []
+    free = [c for c in range(ncols) if c not in pivots]
+    for fc in free:
+        v = [0] * ncols
+        v[fc] = 1
+        for i, col in enumerate(pivots):
+            v[col] = -a[i][fc]
+        basis.append(v)
+    return basis

@@ -20,8 +20,8 @@ from autorec.automaton import (
     sequence_terms,
 )
 from autorec.errors import AutorecError, ParseError
-from autorec.numberfield import CycloElement, cyclo_field, nullspace
-from conftest import occurrences, word_value
+from autorec.numberfield import CycloElement, cyclo_field
+from conftest import nullspace, occurrences, word_value
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,34 @@ def test_missing_file_exits_one(capsys):
     assert "error" in err
 
 
+def test_directory_as_dfao_exits_one(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "parse", "--dfao", str(tmp_path))
+    assert code == 1
+    assert not out
+    assert err.startswith("error[domain]: cannot read")
+
+
+def test_undecodable_dfao_exits_one(capsys, tmp_path):
+    path = tmp_path / "latin1.dfao"
+    path.write_bytes("base: 2\n# caf\u00e9\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "parse", "--dfao", str(path))
+    assert code == 1
+    assert not out
+    assert err.startswith("error[parse]: ") and "not UTF-8" in err
+
+
+def test_pattern_out_in_missing_directory_exits_one(capsys, tmp_path):
+    target = tmp_path / "missing" / "p.dfao"
+    code, out, err = run_cli(
+        capsys,
+        "pattern", "--k", "2", "--pattern", "11", "--modulus", "2", "--out", str(target),
+    )
+    assert code == 1
+    assert not out
+    assert err.startswith("error[domain]: cannot write")
+    assert not target.parent.exists()
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["seq", "--dfao", "thue_morse", "--no-such-flag"])

@@ -23,11 +23,9 @@ from autorec.numberfield import (
     gaussian_period,
     is_prime_power,
     multiplicative_order,
-    nullspace,
     rationality,
-    solve_exact,
 )
-from conftest import divisors, random_element
+from conftest import divisors, nullspace, random_element, solve_exact
 
 CONDUCTORS = (3, 5, 7, 9, 15, 21, 33)
 EMBED_TOL = mpmath.mpf("1e-9")

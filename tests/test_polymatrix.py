@@ -8,7 +8,7 @@ from itertools import product as iproduct
 import pytest
 
 from autorec.automaton import FORWARD, Dfao, PatternSpec, load_builtin, pattern_dfao, reverse_dfao
-from autorec.numberfield import cyclo_field, solve_exact
+from autorec.numberfield import cyclo_field
 from autorec.polymatrix import (
     LEFT,
     RIGHT,
@@ -21,7 +21,7 @@ from autorec.polymatrix import (
     transition_matrix,
     truncate,
 )
-from conftest import det_cofactor, partial_sum_poly, random_word, t_for, word_value
+from conftest import det_cofactor, partial_sum_poly, random_word, solve_exact, t_for, word_value
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ from autorec.numberfield import (
     cyclo_field,
     factorize,
     gaussian_period,
-    solve_exact,
 )
 from autorec.polymatrix import (
     LEFT,
@@ -52,7 +51,7 @@ from autorec.recurrence import (
     synthesize,
     verify,
 )
-from conftest import partial_sum_fast, partial_sum_value, poly_divides, random_element
+from conftest import partial_sum_fast, partial_sum_value, poly_divides, random_element, solve_exact
 
 
 # ----------------------------------------------------------------------
@@ -148,6 +147,109 @@ def test_minimal_poly_detects_scalar_matrix():
     rows = [[two, f.zero()], [f.zero(), two]]
     assert [c.rational_value() for c in minimal_poly(rows, f)] == [-2, 1]
     assert [c.rational_value() for c in char_poly(rows, f)] == [4, -4, 1]
+
+
+# differential oracles: the Faddeev-LeVerrier recursion and one exact solve per power
+
+
+def _scalar_mat_mul(a, b, f):
+    n = len(a)
+    return [[sum((a[i][t] * b[t][j] for t in range(n)), f.zero()) for j in range(n)] for i in range(n)]
+
+
+def _char_poly_faddeev_leverrier(rows, f):
+    """M_1 = M, c_(d-1) = -tr M; M_j = M (M_(j-1) + c_(d-j+1) I), c_(d-j) = -tr(M_j) / j."""
+    a = [[f.coerce(v) for v in row] for row in rows]
+    n = len(a)
+    m = a
+    cs = [f.one(), -sum((m[i][i] for i in range(n)), f.zero())]
+    for j in range(2, n + 1):
+        shifted = [[v + cs[-1] if i == t else v for t, v in enumerate(row)] for i, row in enumerate(m)]
+        m = _scalar_mat_mul(a, shifted, f)
+        cs.append(-sum((m[i][i] for i in range(n)), f.zero()) / j)
+    return cs[::-1]
+
+
+def _minimal_poly_by_solves(rows, f):
+    """Append powers of M until the next one solves exactly over the earlier ones."""
+    a = [[f.coerce(v) for v in row] for row in rows]
+    n = len(a)
+    powers = [[[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]]
+    while True:
+        nxt = _scalar_mat_mul(powers[-1], a, f)
+        table = [[p[i][j] for p in powers] for i in range(n) for j in range(n)]
+        sol = solve_exact(table, [v for row in nxt for v in row])
+        if sol is not None:
+            return [-f.coerce(v) for v in sol] + [f.one()]
+        powers.append(nxt)
+
+
+def _assert_matches_oracles(rows, f):
+    cp, mp = char_poly(rows, f), minimal_poly(rows, f)
+    assert cp == _char_poly_faddeev_leverrier(rows, f)
+    assert mp == _minimal_poly_by_solves(rows, f)
+    return cp, mp
+
+
+def _random_matrices(conductor, rng):
+    f = cyclo_field(conductor)
+    return f, [
+        [[random_element(f, rng, 4) for _ in range(d)] for _ in range(d)] for d in (1, 2, 3, 4, 5)
+    ]
+
+
+@pytest.mark.parametrize("conductor", (1, 3, 5, 12))
+def test_char_and_minimal_poly_match_oracles_on_random_matrices(conductor):
+    f, mats = _random_matrices(conductor, random.Random(90 + conductor))
+    for rows in mats:
+        _assert_matches_oracles(rows, f)
+
+
+def _shorter_minimal_cases(f, rng):
+    q = f.from_rational
+    z = f.zero()
+    b = [[random_element(f, rng, 3) for _ in range(2)] for _ in range(2)]
+    return {
+        "scalar": [[q(3) if i == j else z for j in range(3)] for i in range(3)],
+        "diag(2, 2, 3)": [[q((2, 2, 3)[i]) if i == j else z for j in range(3)] for i in range(3)],
+        # the Jordan block J_3(0) and a zero block: minimal y^3, characteristic y^4
+        "nilpotent J_3 + 0": [[f.one() if j == i + 1 < 3 else z for j in range(4)] for i in range(4)],
+        "block-diag(B, B)": [
+            [b[i % 2][j % 2] if i // 2 == j // 2 else z for j in range(4)] for i in range(4)
+        ],
+        "zero": [[z] * 3 for _ in range(3)],
+    }
+
+
+@pytest.mark.parametrize("conductor", (1, 3))
+def test_minimal_poly_shorter_than_char_poly_matches_oracles(conductor):
+    f = cyclo_field(conductor)
+    for name, rows in _shorter_minimal_cases(f, random.Random(7)).items():
+        cp, mp = _assert_matches_oracles(rows, f)
+        assert len(mp) < len(cp), name
+    cp, mp = _assert_matches_oracles([[f.from_rational(-5)]], f)
+    assert cp == mp == [f.from_rational(5), f.one()]
+
+
+@pytest.mark.parametrize("r, e", ((9, 2), (15, 5)))
+def test_char_and_minimal_poly_match_oracles_on_reduced_products(r, e):
+    root = RootSpec(2, r, e)
+    for spec in (PatternSpec(2, (0, 1, 0), 3), PatternSpec(2, (1, 1), 3), PatternSpec(2, (0, 1), 6)):
+        for a in (pattern_dfao(spec), reverse_dfao(pattern_dfao(spec))):
+            _, _, mhat, side = recurrence._prepare(a)
+            rows, f = reduced_product_at_root(mhat, root, side)
+            _assert_matches_oracles(rows, f)
+
+
+def test_char_poly_matches_sympy_on_rational_matrices():
+    sympy = pytest.importorskip("sympy")
+    f = cyclo_field(1)
+    _, mats = _random_matrices(1, random.Random(91))
+    mats += list(_shorter_minimal_cases(f, random.Random(7)).values())
+    for rows in mats:
+        want = sympy.Matrix([[c.rational_value() for c in row] for row in rows]).charpoly()
+        got = [c.rational_value() for c in char_poly(rows, f)]
+        assert got[::-1] == [Fraction(int(c.p), int(c.q)) for c in want.all_coeffs()]
 
 
 # ----------------------------------------------------------------------
