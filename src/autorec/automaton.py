@@ -319,6 +319,8 @@ def sequence_term(a: Dfao, n: int) -> CycloElement:
 
 
 def sequence_terms(a: Dfao, count: int) -> list[CycloElement]:
+    if count < 0:
+        raise AutorecError(f"term count must be nonnegative, got {count}")
     return [sequence_term(a, n) for n in range(count)]
 
 

@@ -15,6 +15,10 @@ sanity checks and reports, never for decisions.
 
 Elements of different conductors may be mixed freely; they are lifted to
 the compositum Q(zeta_lcm) on demand.
+
+Dense polynomials have one implementation, _Poly, which RatPoly (over Q)
+and polymatrix.CycloPoly specialize; RatPoly's long division is the one
+behind cyclotomic_int, CycloField.reduce and rat_poly_xgcd.
 """
 
 from __future__ import annotations
@@ -84,25 +88,38 @@ def multiplicative_order(k: int, n: int) -> int:
     return s
 
 
-def coset_reps(k: int, n: int) -> list[int]:
-    """Smallest positive representatives of (Z/nZ)^* modulo <k>, ascending.
+def coset_reps(k, n: int) -> list[int]:
+    """Least positive representatives of (Z/nZ)^* modulo <k>, ascending; the first is 1.
 
-    The first representative is always 1.  Requires gcd(k, n) = 1.
+    k is one generator or a tuple of them, each prime to n.  A coset is
+    marked on a table of the units by walking the cycles of one generator
+    after another; with -1 among them, each residue with its negative.
     """
-    if math.gcd(k, n) != 1:
+    gens = (k,) if isinstance(k, int) else tuple(k)
+    if any(math.gcd(g, n) != 1 for g in gens):
         raise ValueError(f"gcd({k}, {n}) != 1")
-    if n == 1:
+    if n <= 2:
         return [1]
-    seen = set()
+    mirror = n if any(g % n == n - 1 for g in gens) else 0  # abs(mirror - w) is -w or w
+    gens = [g for g in gens if g % n != n - 1]
+    seen = bytearray(n)
+    seen[0] = 1
+    for q, _ in factorize(n):
+        seen[q::q] = b"\x01" * ((n - 1) // q)
     reps = []
-    for u in range(1, n):
-        if math.gcd(u, n) != 1 or u in seen:
-            continue
+    u = seen.find(0)
+    while u != -1:
         reps.append(u)
-        v = u
-        while v not in seen:
-            seen.add(v)
-            v = (v * k) % n
+        seen[u] = seen[abs(mirror - u)] = 1
+        orbit = [u]
+        for g in gens:
+            for v in orbit[:]:
+                w = v * g % n
+                while not seen[w]:
+                    seen[w] = seen[abs(mirror - w)] = 1
+                    orbit.append(w)
+                    w = w * g % n
+        u = seen.find(0, u)
     return reps
 
 
@@ -118,23 +135,25 @@ def _num(c):
 
 
 # ----------------------------------------------------------------------
-# univariate polynomials over Q
+# dense univariate polynomials
 
 
-class RatPoly:
-    """Dense univariate polynomial with exact rational coefficients."""
+class _Poly:
+    """Dense univariate polynomial: the arithmetic shared by RatPoly and CycloPoly.
+
+    coeffs is a tuple, lowest degree first, with no trailing zero.  A
+    subclass names its coefficient ring by four hooks: _coerce (one value),
+    _zero, _new (its own kind from coefficients) and _lift (self and the
+    other operand in one common kind, or None for NotImplemented).
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_num(Fraction(c) if not isinstance(c, (int, Fraction)) else c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [self._coerce(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def monomial(cls, e: int, c=1) -> "RatPoly":
-        return cls([0] * e + [c])
 
     @property
     def degree(self) -> int:
@@ -147,111 +166,143 @@ class RatPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
+    def coefficient(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._zero()
+
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly([other])
-        if not isinstance(other, RatPoly):
+        pair = self._lift(other)
+        if pair is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return pair[0].coeffs == pair[1].coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly([other])
-        if not isinstance(other, RatPoly):
+        pair = self._lift(other)
+        if pair is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = pair[0].coeffs, pair[1].coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+            out[i] = out[i] + c
+        return pair[0]._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
+        return self._new([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RatPoly) else RatPoly([-other]))
+        pair = self._lift(other)
+        if pair is None:
+            return NotImplemented
+        return pair[0] + (-pair[1])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        if not isinstance(other, RatPoly):
+        pair = self._lift(other)
+        if pair is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return RatPoly(out)
+        a, b = pair
+        if not a.coeffs or not b.coeffs:
+            return a._new(())
+        out = [a._zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    if y:
+                        out[i + j] = out[i + j] + x * y
+        return a._new(out)
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        """Exact polynomial division over Q."""
+    def __call__(self, x):
+        """Evaluate by Horner's rule; works for rationals and field elements."""
+        acc = self._zero()
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def substitute_power(self, e: int):
+        """The polynomial p(x^e)."""
+        if e < 1:
+            raise ValueError("exponent must be >= 1")
+        if not self.coeffs:
+            return self
+        out = [self._zero()] * (e * self.degree + 1)
+        out[::e] = self.coeffs
+        return self._new(out)
+
+    def truncate(self, n: int):
+        """Drop every term of degree >= n."""
+        return self._new(self.coeffs[:n])
+
+    def pretty(self, var: str = "x") -> str:
+        return pretty_sum((c, power_atom(var, i)) for i, c in enumerate(self.coeffs))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.pretty()})"
+
+
+class RatPoly(_Poly):
+    """Polynomial over Q: its coefficients are ints, and Fractions where not integral.
+
+    The ring operations are _Poly's; RatPoly adds exact long division.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, e: int, c=1) -> "RatPoly":
+        return cls([0] * e + [c])
+
+    @staticmethod
+    def _coerce(c):
+        return _num(c if isinstance(c, (int, Fraction)) else Fraction(c))
+
+    @staticmethod
+    def _zero():
+        return 0
+
+    @staticmethod
+    def _new(coeffs) -> "RatPoly":
+        return RatPoly(coeffs)
+
+    def _lift(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatPoly([other])
-        if other.is_zero():
+        return (self, other) if isinstance(other, RatPoly) else None
+
+    def __divmod__(self, other):
+        """Exact polynomial division over Q: (quotient, remainder)."""
+        pair = self._lift(other)
+        if pair is None:
+            return NotImplemented
+        den = pair[1].coeffs
+        if not den:
             raise ZeroDivisionError("polynomial division by zero")
+        db = len(den) - 1
+        inv = _num(1 / Fraction(den[-1]))  # an int for a monic divisor, so ints stay ints
         rem = list(self.coeffs)
-        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        lead = Fraction(other.coeffs[-1])
-        db = other.degree
+        quo = [0] * max(0, len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c:
-                f = _num(c / lead)
-                q[i - db] = f
-                for j, cb in enumerate(other.coeffs):
-                    rem[i - db + j] -= f * cb
-        return RatPoly(q), RatPoly(rem)
+                lo = i - db
+                f = quo[lo] = c * inv
+                rem[lo : i + 1] = [x - f * y for x, y in zip(rem[lo : i + 1], den)]
+        return RatPoly(quo), RatPoly(rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule; works for rationals and field elements."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def substitute_power(self, e: int) -> "RatPoly":
-        """The polynomial p(x^e)."""
-        if e < 1:
-            raise ValueError("exponent must be >= 1")
-        out = [0] * (e * self.degree + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[e * i] = c
-        return RatPoly(out)
-
-    def truncate(self, n: int) -> "RatPoly":
-        """Drop every term of degree >= n."""
-        return RatPoly(self.coeffs[:n])
-
-    def coefficient(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def pretty(self, var: str = "x") -> str:
-        return pretty_sum((c, power_atom(var, i)) for i, c in enumerate(self.coeffs))
-
-    def __repr__(self):
-        return f"RatPoly({self.pretty()})"
 
 
 def power_atom(var: str, i: int) -> str:
@@ -297,22 +348,6 @@ def rat_poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
 # ----------------------------------------------------------------------
 # cyclotomic polynomials
 
-def _int_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials; den must be monic."""
-    assert den[-1] == 1
-    num = list(num)
-    db = len(den) - 1
-    q = [0] * (len(num) - db)
-    for i in range(len(num) - 1, db - 1, -1):
-        c = num[i]
-        if c:
-            q[i - db] = c
-            for j, cb in enumerate(den):
-                num[i - db + j] -= c * cb
-    assert all(c == 0 for c in num[:db]), "division was not exact"
-    return q
-
-
 def cyclotomic_int(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n.
 
@@ -323,21 +358,13 @@ def cyclotomic_int(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("conductor must be positive")
-    f = [-1, 1]
+    f = RatPoly([-1, 1])
     rad = 1
     for p, _ in factorize(n):
         rad *= p
-        sub = [0] * ((len(f) - 1) * p + 1)
-        for i, c in enumerate(f):
-            sub[i * p] = c
-        f = _int_divexact(sub, tuple(f))
-    stretch = n // rad
-    if stretch > 1:
-        out = [0] * ((len(f) - 1) * stretch + 1)
-        for i, c in enumerate(f):
-            out[i * stretch] = c
-        f = out
-    return tuple(f)
+        f, rem = divmod(f.substitute_power(p), f)
+        assert not rem, "division was not exact"
+    return f.substitute_power(n // rad).coeffs
 
 
 def cyclotomic_poly(n: int) -> RatPoly:
@@ -502,18 +529,9 @@ class CycloField:
         return tuple(v)
 
     def reduce(self, coeffs: Iterable) -> tuple:
-        """Power-basis coordinates of sum c_j w^j, j < n, by long division mod Phi_n."""
-        phi = self.phi
-        cs = [_num(c) for c in coeffs]
-        low = self.modulus_int[:phi]
-        for i in range(len(cs) - 1, phi - 1, -1):
-            c = cs[i]
-            if c:
-                cs[i] = 0
-                lo = i - phi
-                cs[lo:i] = [a - c * b for a, b in zip(cs[lo:i], low)]
-        cs = cs[:phi] + [0] * (phi - len(cs))
-        return tuple(_num(c) for c in cs)
+        """Power-basis coordinates of sum c_j w^j, by long division mod Phi_n."""
+        rem = (RatPoly(coeffs) % RatPoly(self.modulus_int)).coeffs
+        return rem + (0,) * (self.phi - len(rem))
 
     # -- constructors
 

@@ -1,5 +1,7 @@
 """Polynomial transition matrices and the span analysis of state functions.
 
+Entries are CycloPolys, numberfield's dense polynomials over the outputs.
+
 For an automaton with states q_0, ..., q_(d-1) the transition matrix is
 
     m_ij(x) = sum of x^a over the digits a with delta(q_i, a) = q_j.
@@ -19,14 +21,7 @@ from typing import Iterable
 
 from .errors import AutorecError
 from .automaton import Dfao, closure
-from .numberfield import (
-    CycloElement,
-    CycloField,
-    _rref,
-    common_field,
-    power_atom,
-    pretty_sum,
-)
+from .numberfield import CycloElement, CycloField, _Poly, _rref, common_field
 
 LEFT = "left"
 RIGHT = "right"
@@ -36,128 +31,44 @@ RIGHT = "right"
 # polynomials with cyclotomic coefficients
 
 
-class CycloPoly:
-    """Dense univariate polynomial over a cyclotomic field."""
+class CycloPoly(_Poly):
+    """Polynomial over a cyclotomic field: its coefficients are CycloElements of .field.
 
-    __slots__ = ("field", "coeffs")
+    The ring operations are numberfield._Poly's.  An operand over another
+    conductor is lifted with self into the compositum, so polynomials of
+    equal value compare and hash equal across conductors.
+    """
+
+    __slots__ = ("field",)
 
     def __init__(self, field: CycloField, coeffs: Iterable = ()):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        super().__init__(coeffs)
 
     @classmethod
     def monomial(cls, field: CycloField, e: int, c=1) -> "CycloPoly":
         return cls(field, [0] * e + [c])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def _coerce(self, c) -> CycloElement:
+        return self.field.coerce(c)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _zero(self) -> CycloElement:
+        return self.field.zero()
 
-    def coefficient(self, i: int) -> CycloElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
+    def _new(self, coeffs) -> "CycloPoly":
+        return CycloPoly(self.field, coeffs)
 
-    def _pair(self, other):
-        if isinstance(other, (int, Fraction, CycloElement)):
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction)):
             other = CycloPoly(self.field, [other])
+        elif isinstance(other, CycloElement):
+            other = CycloPoly(other.field, [other])
         if not isinstance(other, CycloPoly):
             return None
         if other.field.conductor == self.field.conductor:
             return self, other
         big = common_field(self.field, other.field)
-        return (
-            CycloPoly(big, self.coeffs),
-            CycloPoly(big, other.coeffs),
-        )
-
-    def __eq__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a.coeffs == b.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        ca, cb = list(a.coeffs), list(b.coeffs)
-        if len(ca) < len(cb):
-            ca, cb = cb, ca
-        for i, c in enumerate(cb):
-            ca[i] = ca[i] + c
-        return CycloPoly(a.field, ca)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloPoly(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a + (-b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloElement)):
-            return CycloPoly(self.field, [c * other for c in self.coeffs])
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        if a.is_zero() or b.is_zero():
-            return CycloPoly(a.field)
-        out = [a.field.zero()] * (a.degree + b.degree + 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if not cb.is_zero():
-                    out[i + j] = out[i + j] + ca * cb
-        return CycloPoly(a.field, out)
-
-    __rmul__ = __mul__
-
-    def substitute_power(self, e: int) -> "CycloPoly":
-        """p(x^e)."""
-        if e < 1:
-            raise ValueError("exponent must be >= 1")
-        if self.is_zero():
-            return self
-        out = [self.field.zero()] * (e * self.degree + 1)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out[e * i] = c
-        return CycloPoly(self.field, out)
-
-    def truncate(self, n: int) -> "CycloPoly":
-        return CycloPoly(self.field, self.coeffs[:n])
-
-    def __call__(self, x):
-        acc = x - x if isinstance(x, CycloElement) else 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def pretty(self, var: str = "x") -> str:
-        return pretty_sum((c, power_atom(var, i)) for i, c in enumerate(self.coeffs))
-
-    def __repr__(self):
-        return f"CycloPoly({self.pretty()})"
+        return CycloPoly(big, self.coeffs), CycloPoly(big, other.coeffs)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Optional
 
 from .errors import AutorecError, BudgetError
 from .automaton import (
+    BACKWARD,
     FORWARD,
     Dfao,
     expansion,
@@ -363,8 +364,26 @@ def _structure(a: Dfao) -> tuple:
 # synthesis
 
 
+def _check_leading_zeros(a: Dfao) -> None:
+    """Reject a backward machine that reads a most-significant zero as a change.
+
+    Block sums count words zero-padded at the most significant end, so a
+    state reached by an expansion (empty, or last digit read nonzero) must
+    keep its output along its 0-transitions.  Each state of a, pruned, is
+    on such a 0-path, so each 0-transition must keep the output.
+    """
+    for q in range(a.size):
+        if a.outputs[a.delta[q][0]].vec != a.outputs[q].vec:
+            raise AutorecError(
+                f"backward automaton: reading a most-significant zero in state "
+                f"{a.states[q]!r} changes the output, so padded words read a different a(n)"
+            )
+
+
 def _prepare(a: Dfao):
     ap = prune_inaccessible(a)
+    if ap.direction == BACKWARD:
+        _check_leading_zeros(ap)
     span = span_analysis(ap)
     mhat = reduced_matrix(transition_matrix(ap), span)
     side = LEFT if ap.direction == FORWARD else RIGHT
@@ -598,6 +617,8 @@ def verify(
     """
     if rec.k != a.base:
         raise AutorecError("recurrence and automaton disagree on the base k")
+    if n_max < 0:
+        raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
     root = rec.root
     m = a.output_field.conductor
     K = cyclo_field(math.lcm(m, root.r0))
@@ -649,34 +670,24 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     characteristic polynomial is rational, and after clearing one common
     denominator, integral.
     """
-    _, _, mhat, side = _prepare(a)
-    for row in mhat.rows:
-        for p in row:
-            for c in p.coeffs:
-                if c.rational_value() is None:
-                    raise AutorecError(
-                        "integer recurrences need a reduced matrix with rational entries"
-                    )
+    _, _, mhat, _ = _prepare(a)
+    if any(c.rational_value() is None for row in mhat.rows for p in row for c in p.coeffs):
+        raise AutorecError("integer recurrences need a reduced matrix with rational entries")
     base_rec = synthesize(a, root)
     field = root.field
     prod = CycloPoly(field, [1])
     for u in coset_reps(root.k, root.r0):
         psi = GaloisMap(field, u)
         prod = prod * CycloPoly(field, [psi(c) for c in base_rec.coefficients])
-    rat = []
-    for c in prod.coeffs:
-        q = c.rational_value()
-        if q is None:
-            raise AutorecError(
-                "coset product produced an irrational coefficient; "
-                "this contradicts the Galois argument and indicates a bug"
-            )
-        rat.append(q)
+    rat = [c.rational_value() for c in prod.coeffs]
+    if None in rat:
+        raise AutorecError(
+            "coset product produced an irrational coefficient; "
+            "this contradicts the Galois argument and indicates a bug"
+        )
     den = math.lcm(*(q.denominator for q in rat))
-    one_field = cyclo_field(1)
-    coeffs = [one_field.from_rational(q * den) for q in rat]
-    rec = Recurrence(a.base, root, coeffs, "integer_product")
-    return rec
+    coeffs = [cyclo_field(1).from_rational(q * den) for q in rat]
+    return Recurrence(a.base, root, coeffs, "integer_product")
 
 
 # ----------------------------------------------------------------------

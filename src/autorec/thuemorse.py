@@ -36,6 +36,7 @@ from .numberfield import (
     CycloElement,
     GaloisMap,
     RatPoly,
+    coset_reps,
     cyclo_field,
     euler_phi,
     factorize,
@@ -351,29 +352,6 @@ def _tm_residue(p: int, x: int, s0: int) -> int:
     return v
 
 
-def _real_coset_reps(r0: int, s0: int) -> list[int]:
-    """Least positive representatives of (Z/r0)^* modulo <2, -1>, ascending.
-
-    Each coset is closed under u -> r0 - u, so it is marked on a table
-    indexed by min(u, r0 - u) from which the non-units are struck first.
-    """
-    half = r0 // 2
-    seen = bytearray(half + 1)
-    seen[0] = 1
-    for q, _ in factorize(r0):
-        seen[q::q] = b"\x01" * (half // q)
-    reps = []
-    u = seen.find(0)
-    while u != -1:
-        reps.append(u)
-        j = u
-        for _ in range(s0):
-            seen[j if 2 * j < r0 else r0 - j] = 1
-            j = 2 * j % r0
-        u = seen.find(0, u)
-    return reps
-
-
 def _conjugate_bounds(r0: int, s0: int, reps: list[int]) -> list[int]:
     """Integer upper bounds on |sigma_u(T)| = prod 2 |sin(pi u 2^i / r0)|, u in reps.
 
@@ -440,7 +418,7 @@ def _unit_certificate(r0: int, s0: int, phi: int):
         return sign, [1], [], rows
     if sign is None:
         return None, [1], [], rows
-    reps = _real_coset_reps(r0, s0)
+    reps = coset_reps((2, -1), r0)
     bounds, modulus = [], p
     while True:
         for u in reps[len(residues):]:

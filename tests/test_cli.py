@@ -65,6 +65,22 @@ def test_domain_error_exits_one(capsys):
     assert err.startswith("error[domain]")
 
 
+def test_negative_verification_bound_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--dfao", "thue_morse", "--r", "3", "--e", "1", "--n-max", "-1"
+    )
+    assert code == 1
+    assert not out
+    assert err.startswith("error[domain]")
+
+
+def test_negative_term_count_exits_one(capsys):
+    code, out, err = run_cli(capsys, "seq", "--dfao", "thue_morse", "--count", "-3")
+    assert code == 1
+    assert not out
+    assert err.startswith("error[domain]")
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "seq", "--dfao", "no_such_file.dfao", "--count", "3")
     assert code == 1

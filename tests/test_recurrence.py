@@ -358,14 +358,23 @@ def test_block_sums_cache_reuse(tm):
     assert bs1 is bs2
 
 
-def _irrational_machines():
-    """Backward machines and Q(zeta_3) outputs, both reading directions."""
+# reading a most-significant 0 moves the backward machine off state a's output
+_ZERO_SENSITIVE = [[1, 2], [2, 0], [1, 1]]
+# delta(q, 0) = q: the same machine shape, safe under zero padding
+_ZERO_FIXED = [[0, 2], [1, 0], [2, 1]]
+
+
+def _irrational_machines(backward_delta=_ZERO_FIXED):
+    """Backward machines and Q(zeta_3) outputs, both reading directions.
+
+    Synthesis rejects the api backward machine on _ZERO_SENSITIVE, which
+    block sums still read correctly.
+    """
     f3 = cyclo_field(3)
     outs = [f3.one() + f3.omega(), f3.omega() / 2, 0]
-    delta = [[1, 2], [2, 0], [1, 1]]
     out = [
-        ("api forward", Dfao(2, FORWARD, "abc", outs, delta)),
-        ("api backward", Dfao(2, BACKWARD, "abc", outs, delta)),
+        ("api forward", Dfao(2, FORWARD, "abc", outs, _ZERO_SENSITIVE)),
+        ("api backward", Dfao(2, BACKWARD, "abc", outs, backward_delta)),
     ]
     for spec in (PatternSpec(2, (0, 1, 0), 3), PatternSpec(2, (1, 1), 3)):
         a = pattern_dfao(spec)
@@ -377,7 +386,7 @@ def test_block_sums_with_irrational_outputs_agree_with_direct_summation(bs):
     # gcd(3, r0) is 1 for r0 = 5 and 3 for r0 = 3, 9, 15
     roots = ((3, 1), (5, 2), (9, 1), (9, 6), (15, 4), (15, 5))
     probes = (0, 1, 2, 13, 64, 3**7)
-    for name, a in _irrational_machines() + [("baum_sweet", bs)]:
+    for name, a in _irrational_machines(_ZERO_SENSITIVE) + [("baum_sweet", bs)]:
         for rr, ee in roots:
             root = RootSpec(2, rr, ee)
             for n in probes:
@@ -405,7 +414,7 @@ def test_block_sums_full_blocks_cached_per_asked_length(shipped):
     huge = 4**28 * 977
     small = list(range(41)) + [64, 100, 3**7]
     ns = small + [1000, 12345, huge, huge + 1, 2 * huge]
-    machines = shipped + _irrational_machines()
+    machines = shipped + _irrational_machines(_ZERO_SENSITIVE)
     for name, a in machines:
         for r0 in (3, 5, 9, 15):
             orders = [sorted(ns), sorted(ns, reverse=True), random.Random(r0).sample(ns, len(ns))]
@@ -425,6 +434,31 @@ def test_block_sums_full_blocks_cached_per_asked_length(shipped):
             root = RootSpec(2, rr, ee)
             for n in random.Random(rr).sample(small[:41:3] + [64, 100], 16):
                 assert partial_sum_fast(a, n, root) == partial_sum_value(a, n, root), (name, rr, n)
+
+
+def test_backward_machine_that_reads_a_leading_zero_as_a_change_is_rejected():
+    # its block sums count padded words, on which a(n) reads differently, so a
+    # recurrence built from them fails verify at n = 1
+    sensitive = _irrational_machines(_ZERO_SENSITIVE)[1][1]
+    rational = Dfao(2, BACKWARD, "abc", [1, 2, 0], _ZERO_SENSITIVE)
+    for rr, ee in ((3, 1), (5, 2), (7, 1), (9, 2), (9, 6), (15, 5), (1, 0)):
+        root = RootSpec(2, rr, ee)
+        with pytest.raises(AutorecError, match="most-significant zero"):
+            synthesize(sensitive, root)
+        with pytest.raises(AutorecError, match="most-significant zero"):
+            integer_recurrence(rational, root)
+        fixed = _irrational_machines()[1][1]
+        assert verify(synthesize(fixed, root), fixed, 20).all_zero, (rr, ee)
+    # a 0-transition may move the machine, as long as the output stays
+    keeps = Dfao(2, BACKWARD, "abc", [1, 1, 2], [[1, 2], [0, 2], [2, 2]])
+    assert verify(synthesize(keeps, RootSpec(2, 5, 1)), keeps, 20).all_zero
+
+
+def test_verify_rejects_a_negative_bound(tm):
+    rec = synthesize(tm, RootSpec(2, 3, 1))
+    with pytest.raises(AutorecError, match="nonnegative"):
+        verify(rec, tm, -4)
+    assert verify(rec, tm, 0).all_zero
 
 
 def test_block_sums_do_no_field_multiplication(monkeypatch):

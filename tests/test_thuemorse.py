@@ -29,7 +29,6 @@ from autorec.thuemorse import (
     _MR_BOUND,
     _is_prime,
     _conjugate_bounds,
-    _real_coset_reps,
     _scan_exact,
     _tm_cyclic,
     _unit_certificate,
@@ -361,7 +360,7 @@ def test_unit_certificate_is_a_proof():
         phi = euler_phi(r0)
         sign, reps, bounds, rows = _unit_certificate(r0, s0, phi)
         assert sign == cyclo_field(r0).element(_tm_cyclic(r0)).rational_value(), r0
-        classes = _real_coset_reps(r0, s0)
+        classes = coset_reps((2, -1), r0)
         assert reps == classes[:len(reps)], r0
         primes = [p for p, _, _ in rows]
         assert primes == sorted(set(primes)), r0
@@ -404,7 +403,7 @@ def test_conjugate_bounds_are_sharp_upper_bounds():
             min(e * u * pow(2, i, r0) % r0 for i in range(s0) for e in (1, -1))
             for u in range(1, r0) if math.gcd(u, r0) == 1
         })
-        reps = _real_coset_reps(r0, s0)
+        reps = coset_reps((2, -1), r0)
         assert reps == classes, r0
         with mpmath.workdps(50):
             for u, bound in zip(reps, _conjugate_bounds(r0, s0, reps)):
