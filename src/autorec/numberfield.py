@@ -150,7 +150,7 @@ class _Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [self._coerce(c) for c in coeffs]
+        cs = list(map(self._coerce, coeffs))
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -211,6 +211,8 @@ class _Poly:
         a, b = pair
         if not a.coeffs or not b.coeffs:
             return a._new(())
+        if len(b.coeffs) == 1:  # a scalar: no sums to form
+            return a._new([x * b.coeffs[0] for x in a.coeffs])
         out = [a._zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if x:
@@ -733,7 +735,7 @@ class CycloElement:
         return not any(self.vec)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.vec)
 
     def rational_value(self) -> Optional[Fraction]:
         fld = self.field

@@ -175,13 +175,12 @@ def transition_matrix(a: Dfao) -> PolyMatrix:
     """M(x) with m_ij(x) = sum of x^digit over transitions q_i -> q_j."""
     field = a.output_field
     zero, one = field.zero(), field.one()
-    d = a.size
     rows = []
-    for i in range(d):
-        coeffs = [[zero] * a.base for _ in range(d)]
-        for dig in range(a.base):
-            coeffs[a.delta[i][dig]][dig] = one
-        rows.append([CycloPoly(field, cs) for cs in coeffs])
+    for targets in a.delta:
+        row = [CycloPoly(field)] * a.size  # most pairs of states share no digit
+        for j in set(targets):
+            row[j] = CycloPoly(field, [one if t == j else zero for t in targets])
+        rows.append(row)
     return PolyMatrix(field, rows)
 
 
@@ -317,7 +316,7 @@ def reduced_matrix(m: PolyMatrix, span: SpanAnalysis) -> PolyMatrix:
             acc = m.entry(gi, gj)
             for p, coeffs in span.alphas.items():
                 c = coeffs[b]
-                if not c.is_zero():
+                if c and m.entry(gi, p):
                     acc = acc + m.entry(gi, p) * c
             row.append(acc)
         rows.append(row)
