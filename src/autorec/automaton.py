@@ -408,6 +408,32 @@ def add_initial_state(a: Dfao) -> Dfao:
     )
 
 
+def _output_moving_zero(a: Dfao) -> Optional[int]:
+    """The first state whose 0-transition changes the output, or None."""
+    return next((q for q, row in enumerate(a.delta) if a.outputs[row[0]].vec != a.outputs[q].vec), None)
+
+
+def _pad_invariant(a: Dfao) -> Dfao:
+    """A pruned machine a, or one for the same sequence that reads zero-padded words alike.
+
+    Padding goes at the most significant end.  A forward machine with
+    delta(q0, 0) != q0 gets a fresh initial state that absorbs leading
+    zeros.  A backward machine whose output can change on a zero gets
+    states (q, p): q the current state, p the state at the last nonzero
+    digit, whose output (q, p) shows; at most |Q|^2 of them are reachable.
+    """
+    if a.direction == FORWARD:
+        return a if a.delta[0][0] == 0 else prune_inaccessible(add_initial_state(a))
+    if _output_moving_zero(a) is None:
+        return a
+    # a pair (q, p) moves q, and p to the new q on a nonzero digit
+    pairs, delta = closure(
+        (0, 0), lambda qp, dig: (a.delta[qp[0]][dig], a.delta[qp[0]][dig] if dig else qp[1]), a.base
+    )
+    names = [f"s{i}" for i in range(len(pairs))]
+    return Dfao(a.base, BACKWARD, names, [a.outputs[p] for _, p in pairs], delta)
+
+
 # ----------------------------------------------------------------------
 # pattern counting automata
 

@@ -409,22 +409,19 @@ def _slots(v: list[int], width: int, offset: int) -> int:
     return int.from_bytes(b"".join([(x + offset).to_bytes(width, "little") for x in v]), "little")
 
 
-def _layout(n: int, ma: int, mb: int) -> tuple[int, int, int]:
-    """(width, offset, bias) of the slots for a product of length-n vectors bounded by ma and mb.
+def _kronecker(a: list[int], b: list[int]) -> list[int]:
+    """a * b mod x^n - 1 for integer vectors of length n, by Kronecker substitution.
 
     Slots of a power-of-two number of bytes hold every product coefficient.
     """
-    bound = max(ma, mb, n * ma * mb)
+    n = len(a)
+    ma, mb = max(map(abs, a)), max(map(abs, b))
     width = 1
-    while 8 * width < bound.bit_length() + 2:
+    while 8 * width < max(ma, mb, n * ma * mb).bit_length() + 2:
         width *= 2
     offset = 1 << (8 * width - 1)  # slots are stored shifted to be nonnegative
     bias = int.from_bytes(offset.to_bytes(width, "little") * n, "little")
-    return width, offset, bias
-
-
-def _unpack(prod: int, n: int, width: int, offset: int, bias: int) -> list[int]:
-    """The signed slots of a product of two packed vectors, folded mod x^n - 1."""
+    prod = (_slots(a, width, offset) - bias) * (_slots(b, width, offset) - bias)
     bits = 8 * width * n
     low = prod & ((1 << bits) - 1)
     if low >> (bits - 1):  # the signed slots below x^n add up to a negative number
@@ -433,14 +430,6 @@ def _unpack(prod: int, n: int, width: int, offset: int, bias: int) -> list[int]:
     return [
         int.from_bytes(raw[i : i + width], "little") - offset for i in range(0, width * n, width)
     ]
-
-
-def _kronecker(a: list[int], b: list[int]) -> list[int]:
-    """a * b mod x^n - 1 for integer vectors of length n, by Kronecker substitution."""
-    n = len(a)
-    width, offset, bias = _layout(n, max(map(abs, a)), max(map(abs, b)))
-    prod = (_slots(a, width, offset) - bias) * (_slots(b, width, offset) - bias)
-    return _unpack(prod, n, width, offset, bias)
 
 
 def _all_int(vec) -> bool:
@@ -455,38 +444,12 @@ def _integral(vec) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in vec], den
 
 
-def _over(prod: list[int], den: int) -> list:
-    return prod if den == 1 else [_num(Fraction(c, den)) for c in prod]
-
-
 def cyclic_product(a, b) -> list:
     """a * b mod x^n - 1 for rational vectors of one length n, over a common denominator."""
     x, dx = _integral(a)
     y, dy = _integral(b)
-    return _over(_kronecker(x, y), dx * dy)
-
-
-class CyclicMultiplier:
-    """b -> cyclic_product(a, b) for one fixed rational vector a.
-
-    a's common denominator is found once, and its packed slots once per
-    slot width, instead of once per product.
-    """
-
-    def __init__(self, a):
-        self._x, self._den = _integral(a)
-        self._top = max(map(abs, self._x))
-        self._packed: dict[int, int] = {}  # slot width -> a packed, less the bias
-
-    def __call__(self, b) -> list:
-        y, dy = _integral(b)
-        n = len(y)
-        width, offset, bias = _layout(n, self._top, max(map(abs, y)))
-        xa = self._packed.get(width)
-        if xa is None:
-            xa = self._packed[width] = _slots(self._x, width, offset) - bias
-        prod = _unpack(xa * (_slots(y, width, offset) - bias), n, width, offset, bias)
-        return _over(prod, self._den * dy)
+    prod = _kronecker(x, y)
+    return prod if dx * dy == 1 else [_num(Fraction(c, dx * dy)) for c in prod]
 
 
 class CycloField:

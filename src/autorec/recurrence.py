@@ -11,17 +11,27 @@ where s is a multiple of the multiplicative order of k modulo the
 conductor r0 of w.  Products over Galois cosets turn these into integer
 recurrences whenever the reduced matrix has rational entries.
 
-Verification is independent of the synthesis route: partial sums are
-re-evaluated directly from the sequence, with equal-length digit blocks
-grouped so that astronomically large arguments k^(ms) n stay exact and
-cheap.  Everything is computed over Q; floating point never enters.
+Verification is independent of the synthesis route.  On a forward
+machine that reads zero-padded words alike (automaton._pad_invariant),
+the word sums H_l(q) = sum over words y of l digits of out(delta(q, y)) w^[y]
+obey H_l(q) = sum over digits d of w^(d k^(l-1)) H_(l-1)(delta(q, d)),
+H_0 = out; as k^(js) = 1 (mod r0), A(k^(js) n; w) = sum over m < n of
+w^m H_(js)(state(m)).  So the residual at n is the sum over m < n of
+w^m rho(state(m)) with rho = sum over j of C_j H_(js), and the term of
+m is rho(state(m)).  Backward machines push instead: G_l(p) sums w^[y]
+over the y of l digits with delta(q0, y read backwards) = p, G_0 = e_q0,
+rho = sum over j of C_j G_(js), and the term of m is the sum over p of
+rho(p) out(delta(p, m read least significant digit first)).
+Everything is computed over Q; floating point never enters.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .errors import AutorecError, BudgetError
@@ -29,15 +39,16 @@ from .automaton import (
     BACKWARD,
     FORWARD,
     Dfao,
-    expansion,
+    _output_moving_zero,
+    _pad_invariant,
     prune_inaccessible,
     reverse_dfao,
 )
 from .numberfield import (
     CycloElement,
     CycloField,
-    CyclicMultiplier,
     GaloisMap,
+    _integral,
     _rref,
     coset_reps,
     cyclo_field,
@@ -294,33 +305,6 @@ def _product_at_root(mhat: PolyMatrix, root: RootSpec, side: str) -> list:
     return acc
 
 
-def _root_map(m: int, root: RootSpec) -> list[list[int]]:
-    """The slot-to-power map of bucket vectors, as g lists of slots per power.
-
-    Slot j*m + i (the coefficient of zeta_m^i in residue class j) goes to
-    power (i*L/m + j*(L/r0)*u) mod L of zeta_L, where L = lcm(m, r0) and
-    w = zeta_r0^u.  The map is an additive homomorphism Z_r0 x Z_m -> Z_L
-    onto, so every power receives g = r0*m/L slots; list t holds the t-th
-    slot of each power.  g = 1 (a bijection) when gcd(m, r0) = 1.
-    """
-    L = math.lcm(m, root.r0)
-    lift = L // m
-    step = (L // root.r0) * root.primitive_exponent
-    slots: list[list[int]] = [[] for _ in range(L)]
-    for j in range(root.r0):
-        for i in range(m):
-            slots[(i * lift + j * step) % L].append(j * m + i)
-    return [list(col) for col in zip(*slots)]
-
-
-def _at_root(vec: list, inv: list[list[int]]) -> list:
-    """sum of vec[j*m + i] zeta_m^i w^j as a vector mod x^L - 1, not normalized."""
-    out = [vec[s] for s in inv[0]]
-    for more in inv[1:]:
-        out = [x + vec[s] for x, s in zip(out, more)]
-    return out
-
-
 def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
     """M-hat(k^s; w) (Left) or its Right mirror, as a scalar matrix."""
     K = cyclo_field(math.lcm(mhat.field.conductor, root.r0))
@@ -334,7 +318,6 @@ def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
 # (72 over criterion 02's grid)
 _CACHE_SIZE = 128
 _SYNTH_CACHE: OrderedDict = OrderedDict()
-_BLOCK_CACHE: OrderedDict = OrderedDict()
 
 
 def _cached(cache: OrderedDict, key, build):
@@ -350,13 +333,12 @@ def _cached(cache: OrderedDict, key, build):
 
 
 def clear_caches() -> None:
-    """Empty the synthesis and block-sum caches."""
+    """Empty the synthesis cache, the only cache of this module."""
     _SYNTH_CACHE.clear()
-    _BLOCK_CACHE.clear()
 
 
 def _structure(a: Dfao) -> tuple:
-    """What synthesis and block sums read of an automaton: equal keys, equal results."""
+    """What synthesis reads of an automaton: equal keys, equal results."""
     return (a.base, a.direction, a.delta, a.output_field.conductor, tuple(v.vec for v in a.outputs))
 
 
@@ -367,23 +349,24 @@ def _structure(a: Dfao) -> tuple:
 def _check_leading_zeros(a: Dfao) -> None:
     """Reject a backward machine that reads a most-significant zero as a change.
 
-    Block sums count words zero-padded at the most significant end, so a
+    Synthesis counts words zero-padded at the most significant end, so a
     state reached by an expansion (empty, or last digit read nonzero) must
-    keep its output along its 0-transitions.  Each state of a, pruned, is
-    on such a 0-path, so each 0-transition must keep the output.
+    keep its output along its 0-transitions.  Every state of the pruned a
+    is on such a 0-path, so each 0-transition must keep the output.
     """
-    for q in range(a.size):
-        if a.outputs[a.delta[q][0]].vec != a.outputs[q].vec:
-            raise AutorecError(
-                f"backward automaton: reading a most-significant zero in state "
-                f"{a.states[q]!r} changes the output, so padded words read a different a(n)"
-            )
+    q = _output_moving_zero(a)
+    if q is not None:
+        raise AutorecError(
+            f"backward automaton: reading a most-significant zero in state "
+            f"{a.states[q]!r} changes the output, so padded words read a different a(n)"
+        )
 
 
 def _prepare(a: Dfao):
-    ap = prune_inaccessible(a)
-    if ap.direction == BACKWARD:
-        _check_leading_zeros(ap)
+    a = prune_inaccessible(a)
+    if a.direction == BACKWARD:
+        _check_leading_zeros(a)
+    ap = _pad_invariant(a)
     span = span_analysis(ap)
     mhat = reduced_matrix(transition_matrix(ap), span)
     side = LEFT if ap.direction == FORWARD else RIGHT
@@ -411,13 +394,18 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
     construction is shared across roots, never the check: verify
     re-evaluates every root on its own.
     """
+    return _synthesize(a, root, use_minimal, lambda: _prepare(a))
+
+
+def _synthesize(a: Dfao, root: RootSpec, use_minimal: bool, prepare) -> Recurrence:
+    """synthesize, where prepare() gives _prepare(a) on a cache miss."""
     if root.k != a.base:
         raise AutorecError(f"root was built for k = {root.k}, automaton has base {a.base}")
     m, r0, u = a.output_field.conductor, root.r0, root.primitive_exponent
     key = (_structure(a), root.s, r0, u % math.gcd(m, r0), use_minimal)
 
     def build():
-        _, _, mhat, side = _prepare(a)
+        _, _, mhat, side = prepare()
         scal, field = reduced_product_at_root(mhat, root, side)
         return u, minimal_poly(scal, field) if use_minimal else char_poly(scal, field)
 
@@ -436,165 +424,64 @@ def _conjugator(m: int, r0: int, v: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# direct partial sums
-
-
-class BlockSums:
-    """Exact residue-class partial sums of an automatic sequence, in rationals only.
-
-    bucket_vector(N) is one flat vector of length r0 * m, where m is the
-    conductor of the output field: slot j*m + i holds the coefficient of
-    zeta_m^i in the sum of a(t) over t < N with t = j mod r0.  It is valid
-    for arbitrarily large N: words of equal length are grouped, and one
-    table per word length propagates (state, value residue) weights, so a
-    call costs O(k * len(digits of N)) vector rotations and no field
-    arithmetic.  Forward tables hold flat output sums, where a residue
-    shift s is a flat rotation by s*m.  Backward tables hold integer word
-    counts per residue; a call adds them into one count vector per
-    distinct output value and folds the values in once at the end, in
-    O(values * r0 * m).  Over Q (m = 1) both are plain residue vectors.
-
-    The words shorter than N (the full blocks) are summed once per word
-    length t of the arguments asked for, each from the nearest shorter
-    length already summed, and kept in `_full`; lengths never asked for
-    are not kept, so the cache grows with the distinct argument lengths
-    only.
-    """
-
-    def __init__(self, a: Dfao, r0: int):
-        self.a = a
-        self.r0 = r0
-        self.m = a.output_field.conductor
-        self._fwd = a.direction == FORWARD
-        self._values = list(dict.fromkeys(v.vec for v in a.outputs))
-        self._value_of = [self._values.index(v.vec) for v in a.outputs]
-        # per word length t: the sums over all words shorter than t; t = 1
-        # holds the empty word alone, which reads the output of state 0
-        if self._fwd:
-            base = [0] * (r0 * self.m)
-            base[: self.m] = a.outputs[0].vec
-        else:
-            base = [[0] * r0 for _ in self._values]
-            base[self._value_of[0]][0] = 1
-        self._full = {1: base}
-        # `at` before any digit is read (see _add_words): state 0, or the identity map
-        self._start = 0 if self._fwd else list(range(a.size))
-        self._kpow = [1 % r0]
-        self._tables = []  # per free-suffix length
-        self._buckets: dict[int, list] = {}
-
-    def _kp(self, i: int) -> int:
-        while len(self._kpow) <= i:
-            self._kpow.append((self._kpow[-1] * self.a.base) % self.r0)
-        return self._kpow[i]
-
-    def _ensure(self, length: int) -> None:
-        a, r0, m, fwd = self.a, self.r0, self.m, self._fwd
-        tabs = self._tables
-        if not tabs:
-            if fwd:
-                base = [list(v.vec) + [0] * ((r0 - 1) * m) for v in a.outputs]
-            else:
-                base = [[0] * r0 for _ in range(a.size)]
-                base[0][0] = 1
-            tabs.append(base)
-        while len(tabs) <= length:
-            prev = tabs[-1]
-            unit = self._kp(len(tabs) - 1) * (m if fwd else 1)
-            cur = [[0] * len(prev[0]) for _ in prev]
-            # forward tables pull from the state a digit leads to, backward ones push to it
-            for q, row in enumerate(a.delta):
-                for dig, p in enumerate(row):
-                    dst, src = (cur[q], prev[p]) if fwd else (cur[p], prev[q])
-                    _cyc_add_scaled(dst, src, dig * unit, 1)
-            tabs.append(cur)
-
-    def _copy(self, acc) -> list:
-        return list(acc) if self._fwd else [list(c) for c in acc]
-
-    def _add_words(self, acc, at, val: int, digs, free: int) -> None:
-        """Add the words prefix, dig, then `free` arbitrary digits, for dig in digs.
-
-        val is the prefix's value mod r0.  Forward, at is the state the
-        prefix leads to and acc a flat vector.  Backward, at[q] is the state
-        reached by reading the prefix, least significant digit first, from
-        q, and acc holds one count vector per distinct output value.
-        """
-        a, k = self.a, self.a.base
-        tab = self._tables[free]
-        unit = self._kp(free)
-        if self._fwd:
-            unit *= self.m
-            for dig in digs:
-                _cyc_add_scaled(acc, tab[a.delta[at][dig]], (val * k + dig) * unit, 1)
-            return
-        value_of = self._value_of
-        for dig in digs:
-            shift = (val * k + dig) * unit
-            for q, src in enumerate(tab):
-                if any(src):
-                    _cyc_add_scaled(acc[value_of[at[a.delta[q][dig]]]], src, shift, 1)
-
-    def _shorter(self, t: int) -> list:
-        """The sums over all words shorter than t digits, t >= 1 (shared; do not mutate)."""
-        full = self._full
-        got = full.get(t)
-        if got is None:
-            below = max(ell for ell in full if ell < t)
-            got = self._copy(full[below])
-            for ell in range(below, t):  # words of exactly ell digits, leading digit nonzero
-                self._add_words(got, self._start, 0, range(1, self.a.base), ell - 1)
-            full[t] = got
-        return got
-
-    def bucket_vector(self, n: int) -> list:
-        """Flat residue-class sums over t < n; cached per n."""
-        got = self._buckets.get(n)
-        if got is not None:
-            return got
-        a, r0, m = self.a, self.r0, self.m
-        digits = expansion(n, a.base)
-        if not digits:
-            vec = [0] * (r0 * m)
-        else:
-            t = len(digits)
-            self._ensure(t - 1)
-            acc = self._copy(self._shorter(t))
-            # the top block: proper prefixes of the digit string of n
-            at = self._start
-            val = 0
-            for i, ni in enumerate(digits):
-                lo = 1 if i == 0 else 0
-                if ni > lo:
-                    self._add_words(acc, at, val, range(lo, ni), t - i - 1)
-                if self._fwd:
-                    at = a.delta[at][ni]
-                else:
-                    at = [at[a.delta[q][ni]] for q in range(a.size)]
-                val = (val * a.base + ni) % r0
-            vec = acc if self._fwd else self._fold(acc)
-        self._buckets[n] = vec
-        return vec
-
-    def _fold(self, counts) -> list:
-        """Each output value enters once: slot j*m + i gains count[j] * value[i]."""
-        m = self.m
-        vec = [0] * (self.r0 * m)
-        for value, count in zip(self._values, counts):
-            for j, c in enumerate(count):
-                if c:
-                    lo = j * m
-                    vec[lo : lo + m] = [x + c * y for x, y in zip(vec[lo : lo + m], value)]
-        return vec
-
-
-def block_sums(a: Dfao, r0: int) -> BlockSums:
-    """Shared BlockSums instance per automaton structure and conductor."""
-    return _cached(_BLOCK_CACHE, (_structure(a), r0), lambda: BlockSums(a, r0))
-
-
-# ----------------------------------------------------------------------
 # verification
+
+
+def _first_failure(start, step, base: int, nonzero, n_max: int) -> Optional[int]:
+    """1 + the least m < n_max whose expansion leads from start to a state where nonzero holds.
+
+    step(state, digit) reads one digit, most significant first; n = 0 is
+    the empty word.  The expansions of one length ascend with their
+    values, so per state only the least m of each length is kept, and
+    nonzero is tested once per distinct state.
+    """
+    nonzero = functools.cache(nonzero)
+    frontier = {start: 0} if n_max > 0 else {}  # state -> least m, ascending in m
+    digits = range(1, base)
+    while frontier:
+        for state, m in frontier.items():
+            if nonzero(state):
+                return m + 1
+        nxt: dict = {}
+        for state, m in frontier.items():
+            for dig in digits:
+                if m * base + dig >= n_max:
+                    break
+                nxt.setdefault(step(state, dig), m * base + dig)
+        frontier, digits = nxt, range(base)
+    return None
+
+
+def _overrun(rec: Recurrence, L: int, n_max: int, budget: Optional[int]) -> Optional[tuple]:
+    """The first n <= n_max whose work units pass the budget, with the units spent."""
+    if budget is None:
+        return None
+    factors = [rec.k ** (rec.root.s * j) for j in range(rec.order + 1)]
+    work = 0
+    for n in range(1, n_max + 1):
+        work += sum(L + (n * f).bit_length() for f in factors)
+        if work > budget:
+            return n, work
+    return None
+
+
+def _rotated_sum(terms: list, L: int) -> list:
+    """The sum of the (vec, cut) terms, each vec rotated to start at vec[cut], mod x^L - 1.
+
+    About twice as fast in verify as _cyc_add_scaled into a zero vector.
+    """
+    rotated = [vec[cut:] + vec[:cut] for vec, cut in terms] or [[0] * L]
+    acc = rotated[0]
+    for vec in rotated[1:]:
+        acc = list(map(add, acc, vec))
+    return acc
+
+
+def _rows_over_one_denominator(rows: list) -> list:
+    """Integer rows: the rational rows times their common denominator."""
+    flat, _ = _integral([x for row in rows for x in row])
+    width = len(rows[0])
+    return [flat[i : i + width] for i in range(0, len(flat), width)]
 
 
 def verify(
@@ -603,59 +490,82 @@ def verify(
     n_max: int,
     budget: Optional[int] = None,
 ) -> VerificationReport:
-    """Re-check the recurrence against directly computed partial sums.
+    """Re-check the recurrence for n = 1, ..., n_max through the word-sum recursion.
 
-    For every n up to n_max the residual sum of C_m(w) A(k^(ms) n; w) is
-    evaluated exactly, as one vector mod x^L - 1, and its normal form is
-    compared with zero.  The bucket vectors of BlockSums are carried to
-    powers of zeta_L through one slot-to-power map, built once per call;
-    a rational coefficient scales in the same pass, the others multiply
-    the mapped vector mod x^L - 1 through one CyclicMultiplier each.
-    The budget, when given, caps the number of elementary block
-    operations and aborts with a BudgetError instead of running without
-    bound.
+    The first failure is 1 + the least m < n_max whose term (module
+    docstring) is nonzero.  rho comes in Horner form, v <- B(v) + C_j x
+    for j = l, ..., 0, over integer vectors mod x^L - 1, L = lcm(m, r0),
+    with the C_j over one denominator; B is the same s levels each time,
+    as k^s fixes w.  Forward machines pull with x = out, backward ones
+    push from x = e_q0.  Normal forms are taken of the |Q| entries of
+    rho and, once some is nonzero, of each distinct backward state tuple
+    met; none per n.  A call costs l s |Q| k rotations for any n_max, and
+    nothing in it depends on another call, so no cache is kept.  The
+    budget caps the work units, L + (n k^(js)).bit_length() per n and
+    term, with a BudgetError at the first n past it unless an earlier n
+    fails.
     """
     if rec.k != a.base:
         raise AutorecError("recurrence and automaton disagree on the base k")
     if n_max < 0:
         raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
-    root = rec.root
-    m = a.output_field.conductor
-    K = cyclo_field(math.lcm(m, root.r0))
+    a = _pad_invariant(prune_inaccessible(a))
+    K = cyclo_field(math.lcm(a.output_field.conductor, rec.root.r0))
+    cs = _rows_over_one_denominator([K.coerce(c).vec for c in rec.coefficients])
+    failure = _scan(cs, rec.root, a, K, n_max)
+    # the units run out at n before the residual at n is read
+    over = _overrun(rec, K.conductor, failure or n_max, budget)
+    if over is not None:
+        raise BudgetError(
+            f"verification budget exhausted at n = {over[0]} ({over[1]} > {budget} units)"
+        )
+    return VerificationReport(n_max, failure is None, failure)
+
+
+def _scan(cs: list, root: RootSpec, a: Dfao, K: CycloField, n_max: int) -> Optional[int]:
+    """The first n <= n_max with a nonzero residual, for a as _pad_invariant returns it."""
+    k, size = a.base, a.size
     L = K.conductor
-    inv = _root_map(m, root)
-    cs = []
-    for c in rec.coefficients:
-        q = c.rational_value()
-        # a rational coefficient scales the vector, the others multiply it mod x^L - 1
-        if q is None:
-            cs.append(CyclicMultiplier(K.coerce(c).vec))
-        else:
-            cs.append(int(q) if q.denominator == 1 else q)
-    blocks = block_sums(a, root.r0)
-    step = root.k ** root.s
-    work = 0
-    first_failure = None
-    for n in range(1, n_max + 1):
+    fwd = a.direction == FORWARD
+    lift = L // a.output_field.conductor
+    # each output as (power of zeta_L, integer coefficient) pairs, all over one denominator
+    rows = _rows_over_one_denominator([v.vec for v in a.outputs])
+    outs = [[(i * lift, x) for i, x in enumerate(row) if x] for row in rows]
+    # x of the Horner form per state as such pairs: out forward, e_q0 backward
+    xs = outs if fwd else [[(0, 1)]] + [[]] * (size - 1)
+    # level i of B: digit d weighs w^(d k^i), a rotation by -cut; forward pulls
+    # from delta(q, d), backward pushes to it
+    unit = (L // root.r0) * root.primitive_exponent
+    levels = [[-dig * pow(k, i, root.r0) * unit % L for dig in range(k)] for i in range(root.s)]
+    sources: list = [[] for _ in range(size)]
+    for q, row in enumerate(a.delta):
+        for dig, p in enumerate(row):
+            sources[q if fwd else p].append((p if fwd else q, dig))
+    v = [[0] * L for _ in range(size)]
+    for j, c in enumerate(reversed(cs)):
+        for cuts in levels if j else ():
+            v = [_rotated_sum([(v[p], cuts[dig]) for p, dig in src], L) for src in sources]
+        for acc, pairs in zip(v, xs):
+            for shift, x in pairs:
+                _cyc_add_scaled(acc, c, shift, x)
+    rho = [K._normal(x) for x in v]
+    if not any(map(any, rho)):
+        return None  # every term is zero: the recurrence holds for all n
+    if fwd:
+        return _first_failure(0, lambda q, dig: a.delta[q][dig], k, lambda q: any(rho[q]), n_max)
+
+    def nonzero(tau: tuple) -> bool:
+        """Whether the sum over p of rho(p) out(tau(p)) is nonzero."""
         acc = [0] * L
-        arg = n
-        for c in cs:
-            vec = blocks.bucket_vector(arg)
-            if type(c) is CyclicMultiplier:
-                acc = [x + y for x, y in zip(acc, c(_at_root(vec, inv)))]
-            else:
-                for slots in inv:
-                    acc = [x + c * vec[s] for x, s in zip(acc, slots)]
-            work += L + arg.bit_length()
-            arg *= step
-        if budget is not None and work > budget:
-            raise BudgetError(
-                f"verification budget exhausted at n = {n} ({work} > {budget} units)"
-            )
-        if any(K._normal(acc)):
-            first_failure = n
-            break
-    return VerificationReport(n_max, first_failure is None, first_failure)
+        for r, q in zip(rho, tau):
+            for shift, x in outs[q]:
+                _cyc_add_scaled(acc, r, shift, x)
+        return any(K._normal(acc))
+
+    # the state tuple of m maps p to delta(p, m read least significant digit first)
+    return _first_failure(
+        tuple(range(size)), lambda tau, dig: tuple(tau[row[dig]] for row in a.delta), k, nonzero, n_max
+    )
 
 
 # ----------------------------------------------------------------------
@@ -670,10 +580,10 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     characteristic polynomial is rational, and after clearing one common
     denominator, integral.
     """
-    _, _, mhat, _ = _prepare(a)
-    if any(c.rational_value() is None for row in mhat.rows for p in row for c in p.coeffs):
+    prepared = _prepare(a)
+    if any(c.rational_value() is None for row in prepared[2].rows for p in row for c in p.coeffs):
         raise AutorecError("integer recurrences need a reduced matrix with rational entries")
-    base_rec = synthesize(a, root)
+    base_rec = _synthesize(a, root, False, lambda: prepared)
     field = root.field
     prod = CycloPoly(field, [1])
     for u in coset_reps(root.k, root.r0):

@@ -1,6 +1,5 @@
 """Shared fixtures and exact-arithmetic test helpers."""
 
-import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -8,9 +7,8 @@ from itertools import product as iproduct
 import pytest
 
 from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, sequence_term
-from autorec.numberfield import CycloField, _rref, cyclo_field, factorize
+from autorec.numberfield import CycloField, _rref, factorize
 from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix
-from autorec.recurrence import _at_root, _root_map, block_sums
 
 
 @pytest.fixture(scope="session")
@@ -59,7 +57,7 @@ def partial_sum_value(a, n: int, root):
     """A(n; w) = sum of a(m) w^m over m < n, by direct summation: the oracle.
 
     The running power of w is updated incrementally.  Fine for moderate
-    n; the verifier uses block sums instead so that huge n stay cheap.
+    n; blocksum_oracle.partial_sum_fast reaches huge n.
     """
     w = root.omega
     field = w.field
@@ -69,13 +67,6 @@ def partial_sum_value(a, n: int, root):
         acc = acc + sequence_term(a, m) * p
         p = p * w
     return acc
-
-
-def partial_sum_fast(a, n: int, root):
-    """A(n; w) through the verifier's block evaluator and root map; exact for huge n."""
-    m = a.output_field.conductor
-    vec = _at_root(block_sums(a, root.r0).bucket_vector(n), _root_map(m, root))
-    return cyclo_field(math.lcm(m, root.r0)).element(vec)
 
 
 def random_element(field: CycloField, rng: random.Random, height: int = 9):

@@ -48,6 +48,8 @@ def _commands() -> list[tuple]:
                 cmd, *rest = ROOT_COMMANDS[slot % len(ROOT_COMMANDS)]
                 slot += 1
                 out.append((cmd, "--dfao", dfao, "--r", str(r), "--e", str(e), *rest))
+    # an exhausted budget: the error path, byte for byte
+    out.append(("verify", "--dfao", "rudin_shapiro", "--r", "3", "--e", "1", "--n-max", "10000", "--budget", "500"))
     out.append(("tm-classify", "--r0", "63"))
     out.append(("tm-table", "--bound", "300"))
     return out
@@ -141,6 +143,7 @@ FROZEN = {
     "synth --dfao pat_3_12_2.dfao --r 7 --e 2 --minimal": "0f74a9d6f0840b5aa4b677498246b973bd411f371ad64c164fd83eb1e8966b7d",
     "synth --dfao pat_3_12_2.dfao --r 7 --e 2 --minimal --verify-n 30 --format text": "7565b3b7b4af87d0fb0ef299635bb4fd88daa2e6d631384fd3ab7318737ad67e",
     "verify --dfao pat_3_12_2.dfao --r 7 --e 2 --n-max 30": "63aa4783e7fef84184ad2e43f0686327b14d97666fbaf1dd01e76ec1a6c732b9",
+    "verify --dfao rudin_shapiro --r 3 --e 1 --n-max 10000 --budget 500": "cab68e6e08f082fc1864e9606c04f28d7ba6c5c72d4c8add953d7e7d1f6cb3cc",
     "tm-classify --r0 63": "882383907dc1a92bb89fd522105d65af9085af169c5b74feaaad190846b8235a",
     "tm-table --bound 300": "05ec50898c38cfb24175a01d7b0b36150ecac5ae34a920736fcc82c41d920b8b",
 }

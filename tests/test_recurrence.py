@@ -21,6 +21,7 @@ from autorec import recurrence
 from autorec.errors import AutorecError, BudgetError
 from autorec.numberfield import (
     CycloElement,
+    CycloField,
     GaloisMap,
     coset_reps,
     cyclo_field,
@@ -36,11 +37,9 @@ from autorec.polymatrix import (
     transition_matrix,
 )
 from autorec.recurrence import (
-    BlockSums,
     Recurrence,
     RootSpec,
     VerificationReport,
-    block_sums,
     char_poly,
     clear_caches,
     dim_experiment,
@@ -51,7 +50,9 @@ from autorec.recurrence import (
     synthesize,
     verify,
 )
-from conftest import partial_sum_fast, partial_sum_value, poly_divides, random_element, solve_exact
+import blocksum_oracle
+from blocksum_oracle import BlockSums, block_sums, partial_sum_fast
+from conftest import partial_sum_value, poly_divides, random_element, solve_exact
 
 
 # ----------------------------------------------------------------------
@@ -352,12 +353,6 @@ def test_block_sums_handle_huge_arguments(rs):
     assert partial_sum_fast(rs, 4**28 * 977, root) == a1
 
 
-def test_block_sums_cache_reuse(tm):
-    bs1 = block_sums(tm, 7)
-    bs2 = block_sums(tm, 7)
-    assert bs1 is bs2
-
-
 # reading a most-significant 0 moves the backward machine off state a's output
 _ZERO_SENSITIVE = [[1, 2], [2, 0], [1, 1]]
 # delta(q, 0) = q: the same machine shape, safe under zero padding
@@ -368,7 +363,7 @@ def _irrational_machines(backward_delta=_ZERO_FIXED):
     """Backward machines and Q(zeta_3) outputs, both reading directions.
 
     Synthesis rejects the api backward machine on _ZERO_SENSITIVE, which
-    block sums still read correctly.
+    verify and the block evaluator still read correctly.
     """
     f3 = cyclo_field(3)
     outs = [f3.one() + f3.omega(), f3.omega() / 2, 0]
@@ -428,7 +423,7 @@ def test_block_sums_full_blocks_cached_per_asked_length(shipped):
             for n, want in _direct_buckets(a, r0, small).items():
                 assert got[0][n] == want, (name, r0, n)
     # partial sums built from a cache filled in shuffled order
-    clear_caches()
+    blocksum_oracle._BLOCKS.clear()
     for name, a in machines:
         for rr, ee in ((9, 2), (15, 5), (7, 1)):
             root = RootSpec(2, rr, ee)
@@ -437,8 +432,8 @@ def test_block_sums_full_blocks_cached_per_asked_length(shipped):
 
 
 def test_backward_machine_that_reads_a_leading_zero_as_a_change_is_rejected():
-    # its block sums count padded words, on which a(n) reads differently, so a
-    # recurrence built from them fails verify at n = 1
+    # synthesis counts padded words, on which a(n) reads differently, so a
+    # recurrence built from them would fail verify at n = 1
     sensitive = _irrational_machines(_ZERO_SENSITIVE)[1][1]
     rational = Dfao(2, BACKWARD, "abc", [1, 2, 0], _ZERO_SENSITIVE)
     for rr, ee in ((3, 1), (5, 2), (7, 1), (9, 2), (9, 6), (15, 5), (1, 0)):
@@ -454,6 +449,19 @@ def test_backward_machine_that_reads_a_leading_zero_as_a_change_is_rejected():
     assert verify(synthesize(keeps, RootSpec(2, 5, 1)), keeps, 20).all_zero
 
 
+def test_machines_that_move_on_a_padding_zero_verify():
+    # forward with delta(q0, 0) != q0: padded words start elsewhere, also at r = 1;
+    # backward with a zero that changes the output: its forward reading synthesizes
+    f3 = cyclo_field(3)
+    for outs in ([1, 2, 0], [f3.one() + f3.omega(), f3.omega() / 2, 0]):
+        fwd = Dfao(2, FORWARD, "abc", outs, _ZERO_SENSITIVE)
+        bwd = Dfao(2, BACKWARD, "abc", outs, _ZERO_SENSITIVE)
+        for rr, ee in ((1, 0), (3, 1), (5, 2), (9, 6)):
+            root = RootSpec(2, rr, ee)
+            assert verify(synthesize(fwd, root), fwd, 30).all_zero, (outs, rr, ee)
+            assert verify(synthesize(reverse_dfao(bwd), root), bwd, 30).all_zero, (outs, rr, ee)
+
+
 def test_verify_rejects_a_negative_bound(tm):
     rec = synthesize(tm, RootSpec(2, 3, 1))
     with pytest.raises(AutorecError, match="nonnegative"):
@@ -461,35 +469,49 @@ def test_verify_rejects_a_negative_bound(tm):
     assert verify(rec, tm, 0).all_zero
 
 
-def test_block_sums_do_no_field_multiplication(monkeypatch):
-    # the verifier's residue sums stay in rationals: no CycloElement product
-    # may run inside BlockSums, however irrational the outputs are
-    a = reverse_dfao(pattern_dfao(PatternSpec(2, (0, 1, 0), 3)))
-    rec = synthesize(a, RootSpec(2, 5, 2))
-    clear_caches()
-    inside, calls, muls = [0], [0], [0]
+def test_verify_does_no_field_multiplication(monkeypatch):
+    # the word sums and the scan stay integer vectors mod x^L - 1, however
+    # irrational the outputs are
+    fwd = pattern_dfao(PatternSpec(2, (0, 1, 0), 3))
+    cases = [(synthesize(a, RootSpec(2, 5, 2)), a) for a in (fwd, reverse_dfao(fwd))]
+    muls = [0]
     mul = CycloElement.__mul__
 
     def counted_mul(self, other):
-        muls[0] += inside[0]
+        muls[0] += 1
         return mul(self, other)
-
-    bucket_vector = BlockSums.bucket_vector
-
-    def counted_bucket_vector(self, n):
-        inside[0] += 1
-        calls[0] += 1
-        try:
-            return bucket_vector(self, n)
-        finally:
-            inside[0] -= 1
 
     monkeypatch.setattr(CycloElement, "__mul__", counted_mul)
     monkeypatch.setattr(CycloElement, "__rmul__", counted_mul)
-    monkeypatch.setattr(BlockSums, "bucket_vector", counted_bucket_vector)
-    assert verify(rec, a, 30).all_zero
-    assert calls[0] > 0
+    for rec, a in cases:
+        assert verify(rec, a, 30).all_zero
     assert muls[0] == 0
+
+
+def test_verify_takes_as_many_normal_forms_for_any_bound(monkeypatch):
+    # normal forms per state and, backward, per distinct state tuple met, none
+    # per n: a backward rho may be nonzero yet orthogonal to every term, and
+    # then the scan meets more tuples up to the bound where they run out
+    count = [0]
+    normal = CycloField._normal
+
+    def counted_normal(self, v):
+        count[0] += 1
+        return normal(self, v)
+
+    def counted_verify(rec, a, n_max):
+        before = count[0]
+        report = verify(rec, a, n_max)
+        return count[0] - before, report.first_failure
+
+    monkeypatch.setattr(CycloField, "_normal", counted_normal)
+    for spec in (PatternSpec(2, (0, 1, 0), 3), PatternSpec(3, (1, 2), 3)):
+        for a in (pattern_dfao(spec), reverse_dfao(pattern_dfao(spec))):
+            rec = synthesize(a, RootSpec(spec.k, 7, 1))
+            small, large = (10, 10**5) if a.direction == FORWARD else (10**4, 10**8)
+            for cand in (rec, _perturbed(rec, 0)):
+                got = counted_verify(cand, a, small)
+                assert counted_verify(cand, a, large) == got, (spec, a.direction)
 
 
 # ----------------------------------------------------------------------
@@ -603,15 +625,6 @@ def test_caches_evict_the_least_recently_used_entry(tm, monkeypatch):
     assert calls["span_analysis"] == 3
     assert synthesize(tm, RootSpec(2, 5, 1)).to_json_dict() == first[5]
     assert calls["span_analysis"] == 4
-    # block sums follow the same policy
-    clear_caches()
-    b3, b5 = block_sums(tm, 3), block_sums(tm, 5)
-    want = b5.bucket_vector(4**9 + 5)
-    assert block_sums(tm, 3) is b3
-    block_sums(tm, 7)
-    assert len(recurrence._BLOCK_CACHE) == 2 and block_sums(tm, 3) is b3
-    again = block_sums(tm, 5)
-    assert again is not b5 and again.bucket_vector(4**9 + 5) == want
 
 
 def test_verify_budget_aborts(rs):
@@ -634,7 +647,7 @@ def _root_vector(vec, root, L):
 
 
 def verify_by_terms(rec, a, n_max, budget=None):
-    """The verifier as a root map and a field element per term: the oracle."""
+    """Per n, the residual from block sums and one field product per term: the oracle."""
     root = rec.root
     K = cyclo_field(math.lcm(a.output_field.conductor, root.r0))
     L = K.conductor
@@ -671,25 +684,67 @@ def _outcome(check, rec, a, n_max, budget):
         return str(exc)
 
 
-def test_verify_matches_per_term_oracle():
-    # gcd(3, r0) = 3 for zeta_9^2, zeta_9^6 = zeta_3^2 and zeta_15^5 = zeta_3,
+def _fitted(rec, a):
+    """rec with C_0 refit so that the residual vanishes at n = 1, by the block evaluator."""
+    root = rec.root
+    sums = [partial_sum_fast(a, root.k ** (root.s * j), root) for j in range(rec.order + 1)]
+    tail = sum((c * x for c, x in zip(rec.coefficients[1:], sums[1:])), sums[0].field.zero())
+    return Recurrence(rec.k, root, [-tail / sums[0]] + list(rec.coefficients[1:]), "fitted")
+
+
+def _oracle_machines():
+    """Machines the differential test reads, each with the one to synthesize from."""
+    f3 = cyclo_field(3)
+    out = []
+    for outs in ([1, 2, 0], [f3.one() + f3.omega(), f3.omega() / 2, 0]):
+        for direction in (FORWARD, BACKWARD):
+            a = Dfao(2, direction, "abc", outs, _ZERO_SENSITIVE)
+            # synthesis rejects the backward one: take the forward reading of its sequence
+            out.append((f"{direction} {outs}", a, a if direction == FORWARD else reverse_dfao(a)))
+    # the backward machine that keeps its output on a zero, synthesized directly
+    api_backward = _irrational_machines()[1][1]
+    out.append(("api backward", api_backward, api_backward))
+    for spec in (
+        PatternSpec(2, (0, 1, 0), 3),
+        PatternSpec(2, (1, 1), 3),
+        PatternSpec(3, (1, 2), 3),
+        PatternSpec(2, (0, 0), 3),
+    ):
+        for a in (pattern_dfao(spec), reverse_dfao(pattern_dfao(spec))):
+            out.append((f"{spec} {a.direction}", a, a))
+    return out
+
+
+def _assert_matches_oracle(name, a, rec, n_max, outcomes):
+    L = math.lcm(a.output_field.conductor, rec.root.r0)
+    cands = [rec, _perturbed(rec, 0), _perturbed(rec, rec.order)]
+    cands.append(_fitted(cands[-1], a))
+    for cand in cands:
+        # no budget, then one that runs out part of the way through
+        for budget in (None, 6 * (rec.order + 1) * L):
+            want = _outcome(verify_by_terms, cand, a, n_max, budget)
+            assert _outcome(verify, cand, a, n_max, budget) == want, (name, rec.root, cand.provenance)
+            outcomes.append(want)
+    assert verify(_perturbed(rec, 0), a, n_max).first_failure is not None, (name, rec.root)
+
+
+def test_verify_matches_per_term_oracle(shipped):
+    # gcd(3, r0) = 3 for zeta_3, zeta_9^2, zeta_9^6 = zeta_3^2 and zeta_15^5 = zeta_3,
     # where several slots fold onto one power; 1 for zeta_5^2 and zeta_7
-    roots = ((9, 2), (9, 6), (15, 5), (5, 2), (7, 1))
+    roots = {
+        2: ((1, 0), (3, 1), (5, 2), (7, 1), (9, 2), (9, 6), (15, 5)),
+        3: ((1, 0), (5, 1), (7, 3)),
+    }
     outcomes = []
-    for name, a in _irrational_machines():
-        for rr, ee in roots:
-            root = RootSpec(2, rr, ee)
-            rec = synthesize(a, root)
-            L = math.lcm(3, root.r0)
-            for cand in [rec] + [_perturbed(rec, i) for i in (0, rec.order)]:
-                # no budget, then one that runs out part of the way through
-                for budget in (None, 6 * (rec.order + 1) * L):
-                    want = _outcome(verify_by_terms, cand, a, 12, budget)
-                    assert _outcome(verify, cand, a, 12, budget) == want, (name, rr, ee)
-                    outcomes.append(want)
-            assert verify(_perturbed(rec, 0), a, 12).first_failure is not None
+    for name, a, source in _oracle_machines():
+        for rr, ee in roots[a.base]:
+            _assert_matches_oracle(name, a, synthesize(source, RootSpec(a.base, rr, ee)), 12, outcomes)
+    # a sample of the criterion 02 grid
+    grid = [(name, a, r, e) for name, a in shipped for r in range(1, 36, 2) for e in range(r)]
+    for name, a, r, e in random.Random(2).sample(grid, 12):
+        _assert_matches_oracle(name, a, synthesize(a, RootSpec(2, r, e)), 30, outcomes)
     assert any(isinstance(o, dict) and o["all_zero"] for o in outcomes)
-    assert any(isinstance(o, dict) and o["first_failure"] for o in outcomes)
+    assert any(isinstance(o, dict) and (o["first_failure"] or 0) > 1 for o in outcomes)
     assert any(isinstance(o, str) and "at n = 1 " not in o for o in outcomes)
 
 
@@ -716,6 +771,13 @@ def test_integer_recurrence_backward_machine(bs):
     rec = integer_recurrence(bs, RootSpec(2, 7, 1))
     assert rec.pretty() == "A(2^12 n) - A(2^9 n) + A(2^3 n) + A(n) = 0"
     assert verify(rec, bs, 60).all_zero
+
+
+def test_integer_recurrence_prepares_the_machine_once(rs, monkeypatch):
+    calls = _count_calls(monkeypatch, "_prepare")
+    clear_caches()
+    assert integer_recurrence(rs, RootSpec(2, 15, 1)).integer_coefficients() is not None
+    assert calls == {"_prepare": 1}
 
 
 def test_integer_recurrence_needs_rational_matrix():
