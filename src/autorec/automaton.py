@@ -408,11 +408,6 @@ def add_initial_state(a: Dfao) -> Dfao:
     )
 
 
-def _output_moving_zero(a: Dfao) -> Optional[int]:
-    """The first state whose 0-transition changes the output, or None."""
-    return next((q for q, row in enumerate(a.delta) if a.outputs[row[0]].vec != a.outputs[q].vec), None)
-
-
 def _pad_invariant(a: Dfao) -> Dfao:
     """A pruned machine a, or one for the same sequence that reads zero-padded words alike.
 
@@ -424,7 +419,7 @@ def _pad_invariant(a: Dfao) -> Dfao:
     """
     if a.direction == FORWARD:
         return a if a.delta[0][0] == 0 else prune_inaccessible(add_initial_state(a))
-    if _output_moving_zero(a) is None:
+    if all(a.outputs[row[0]].vec == a.outputs[q].vec for q, row in enumerate(a.delta)):
         return a
     # a pair (q, p) moves q, and p to the new q on a nonzero digit
     pairs, delta = closure(

@@ -28,8 +28,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import mpmath
-
 
 # ----------------------------------------------------------------------
 # small integer helpers
@@ -803,8 +801,10 @@ def rationality(a: CycloElement) -> Rationality:
 def complex_embed(a: CycloElement, digits: int = 15) -> mpmath.mpc:
     """Numeric value of a under w -> exp(2*pi*i/n), at the given precision.
 
-    For sanity checks and reports only.
+    For sanity checks and reports only; mpmath is imported on the first call.
     """
+    import mpmath
+
     with mpmath.workdps(digits):
         n = a.field.conductor
         w = mpmath.e ** (2j * mpmath.pi / n)

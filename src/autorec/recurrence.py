@@ -11,8 +11,7 @@ where s is a multiple of the multiplicative order of k modulo the
 conductor r0 of w.  Products over Galois cosets turn these into integer
 recurrences whenever the reduced matrix has rational entries.
 
-Verification is independent of the synthesis route.  On a forward
-machine that reads zero-padded words alike (automaton._pad_invariant),
+On a forward machine that reads zero-padded words alike (_pad_invariant),
 the word sums H_l(q) = sum over words y of l digits of out(delta(q, y)) w^[y]
 obey H_l(q) = sum over digits d of w^(d k^(l-1)) H_(l-1)(delta(q, d)),
 H_0 = out; as k^(js) = 1 (mod r0), A(k^(js) n; w) = sum over m < n of
@@ -22,11 +21,21 @@ m is rho(state(m)).  Backward machines push instead: G_l(p) sums w^[y]
 over the y of l digits with delta(q0, y read backwards) = p, G_0 = e_q0,
 rho = sum over j of C_j G_(js), and the term of m is the sum over p of
 rho(p) out(delta(p, m read least significant digit first)).
+
+Synthesis and verification share the padded-word machine that
+_pad_invariant makes of the pruned automaton and the level kernel
+_apply_levels, the s digit levels at x = w^(k^t) on one vector mod
+x^L - 1 per state; nothing else.  Synthesis applies the levels of the
+reduced matrix M-hat to unit vectors and takes a characteristic or
+minimal polynomial; verify applies those of the full machine and scans
+the word-sum residual.
+
 Everything is computed over Q; floating point never enters.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections import OrderedDict
@@ -36,10 +45,8 @@ from typing import Optional
 
 from .errors import AutorecError, BudgetError
 from .automaton import (
-    BACKWARD,
     FORWARD,
     Dfao,
-    _output_moving_zero,
     _pad_invariant,
     prune_inaccessible,
     reverse_dfao,
@@ -49,6 +56,7 @@ from .numberfield import (
     CycloField,
     GaloisMap,
     _integral,
+    _num,
     _rref,
     coset_reps,
     cyclo_field,
@@ -242,67 +250,80 @@ def minimal_poly(rows, field: CycloField) -> list[CycloElement]:
 
 
 # ----------------------------------------------------------------------
-# evaluating the ordered matrix product at a root of unity
+# the s digit levels at a root of unity
 #
-# With outputs in Q(zeta_m), w = zeta_r0^u and L = lcm(m, r0), the term
-# c zeta_m^i x^e (c rational) of M-hat(x^(k^t)) is c zeta_L^(i L/m + e k^t (L/r0) u)
-# at x = w.  So the whole product is accumulated over Q, modulo x^L - 1 in
-# powers of zeta_L, and each entry becomes one field element at the end.
+# With w = zeta_r0^u and L = lcm(m, r0) for outputs in Q(zeta_m), a term
+# c zeta_m^i x^e (c rational) of a level at x = w^(k^t) is
+# c zeta_L^(i L/m + e k^t (L/r0) u).  So the levels act over Q on one
+# vector mod x^L - 1 per state, and each vector becomes one field element
+# at the end.
 
 
-def _cyc_add_scaled(dst: list, src: list, shift: int, c) -> None:
-    """dst[(shift + j) % r] += c * src[j], in place."""
-    r = len(dst)
-    shift %= r
-    cut = r - shift
-    if c == 1:
-        dst[shift:] = [x + y for x, y in zip(dst[shift:], src[:cut])]
-        if shift:
-            dst[:shift] = [x + y for x, y in zip(dst[:shift], src[cut:])]
-    else:
-        dst[shift:] = [x + c * y for x, y in zip(dst[shift:], src[:cut])]
-        if shift:
-            dst[:shift] = [x + c * y for x, y in zip(dst[:shift], src[cut:])]
+def _pairs(c: CycloElement, lift: int) -> list:
+    """c as (power of zeta_L, rational) pairs, zeta_m = zeta_L^lift; one pair if c is rational."""
+    q = c.rational_value()
+    if q is not None:
+        return [(0, _num(q))] if q else []
+    return [(i * lift, x) for i, x in enumerate(c.vec) if x]
+
+
+def _shift_sum(terms, L: int) -> list:
+    """The sum of c x^p vec mod x^L - 1 over the (vec, p, c) terms, vec a list, as a new list."""
+    acc = None
+    for vec, p, c in terms:
+        cut = -p % L
+        rot = vec[cut:] + vec[:cut]
+        if c != 1:
+            rot = [c * x for x in rot]
+        acc = rot if acc is None else list(map(add, acc, rot))
+    return [0] * L if acc is None else acc
+
+
+def _term_table(cells, size: int, pull: bool) -> list:
+    """Per state, the (source, x-power, power of zeta_L, rational) terms it gathers.
+
+    A cell (row, col, e, pairs) is the terms c zeta_L^p x^e, (p, c) in pairs, of entry (row, col);
+    pulling (Left, forward), row gathers from col, and pushing (Right, backward), col from row.
+    """
+    table: list = [[] for _ in range(size)]
+    for row, col, e, pairs in cells:
+        dst, src = (row, col) if pull else (col, row)
+        table[dst] += [(src, e, p, c) for p, c in pairs]
+    return table
+
+
+def _apply_levels(vecs: list, table: list, root: RootSpec, L: int) -> list:
+    """Levels t = 0, ..., s - 1 of the term table, at x = w^(k^t), on one vector per state."""
+    step = L // root.r0 * root.primitive_exponent  # zeta_L^step = w^(k^t)
+    for _ in range(root.s):
+        live = [any(v) for v in vecs]
+        vecs = [
+            _shift_sum([(vecs[src], p + e * step, c) for src, e, p, c in terms if live[src]], L)
+            for terms in table
+        ]
+        step = step * root.k % L
+    return vecs
 
 
 def _product_at_root(mhat: PolyMatrix, root: RootSpec, side: str) -> list:
     """Ordered product of the s digit-substituted copies of mhat at x = w.
 
-    Entries come back as dense rational vectors on the powers of zeta_L.
+    Column j (Left) or row j (Right) is the levels applied to the unit
+    vector e_j.  Entries come back as dense rational vectors on the
+    powers of zeta_L.
     """
-    d, m, r0 = mhat.dim, mhat.field.conductor, root.r0
-    L = math.lcm(m, r0)
-    lift = L // m
-    # (power of zeta_L, power of x, rational coefficient) per term of each entry
-    terms = [
-        [
-            [(i * lift, e, c) for e, z in enumerate(p.coeffs) for i, c in enumerate(z.vec) if c]
-            for p in row
-        ]
-        for row in mhat.rows
+    d, m = mhat.dim, mhat.field.conductor
+    L = math.lcm(m, root.r0)
+    cells = [
+        (i, j, e, _pairs(z, L // m))
+        for i, row in enumerate(mhat.rows)
+        for j, p in enumerate(row)
+        for e, z in enumerate(p.coeffs)
     ]
-    xpow = (L // r0) * root.primitive_exponent  # the power of zeta_L at x^(k^t)
-    acc = None
-    for _ in range(root.s):
-        fac = [[[((i + e * xpow) % L, c) for i, e, c in cell] for cell in row] for row in terms]
-        xpow = xpow * root.k % L
-        new = [[[0] * L for _ in range(d)] for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                dst = new[i][j]
-                if acc is None:
-                    for e, c in fac[i][j]:
-                        dst[e] += c
-                    continue
-                for t in range(d):
-                    if side == LEFT:
-                        pairs, vec = fac[i][t], acc[t][j]
-                    else:
-                        pairs, vec = fac[t][j], acc[i][t]
-                    for e, c in pairs:
-                        _cyc_add_scaled(dst, vec, e, c)
-        acc = new
-    return acc
+    table = _term_table(cells, d, side == LEFT)
+    one, zero = [1] + [0] * (L - 1), [0] * L
+    got = [_apply_levels([one if i == j else zero for i in range(d)], table, root, L) for j in range(d)]
+    return [list(col) for col in zip(*got)] if side == LEFT else got
 
 
 def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
@@ -346,31 +367,11 @@ def _structure(a: Dfao) -> tuple:
 # synthesis
 
 
-def _check_leading_zeros(a: Dfao) -> None:
-    """Reject a backward machine that reads a most-significant zero as a change.
-
-    Synthesis counts words zero-padded at the most significant end, so a
-    state reached by an expansion (empty, or last digit read nonzero) must
-    keep its output along its 0-transitions.  Every state of the pruned a
-    is on such a 0-path, so each 0-transition must keep the output.
-    """
-    q = _output_moving_zero(a)
-    if q is not None:
-        raise AutorecError(
-            f"backward automaton: reading a most-significant zero in state "
-            f"{a.states[q]!r} changes the output, so padded words read a different a(n)"
-        )
-
-
 def _prepare(a: Dfao):
-    a = prune_inaccessible(a)
-    if a.direction == BACKWARD:
-        _check_leading_zeros(a)
-    ap = _pad_invariant(a)
-    span = span_analysis(ap)
-    mhat = reduced_matrix(transition_matrix(ap), span)
-    side = LEFT if ap.direction == FORWARD else RIGHT
-    return ap, span, mhat, side
+    """M-hat of the padded-word machine of a, and the side its product is read from."""
+    ap = _pad_invariant(prune_inaccessible(a))
+    mhat = reduced_matrix(transition_matrix(ap), span_analysis(ap))
+    return mhat, LEFT if ap.direction == FORWARD else RIGHT
 
 
 def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence:
@@ -405,7 +406,7 @@ def _synthesize(a: Dfao, root: RootSpec, use_minimal: bool, prepare) -> Recurren
     key = (_structure(a), root.s, r0, u % math.gcd(m, r0), use_minimal)
 
     def build():
-        _, _, mhat, side = prepare()
+        mhat, side = prepare()
         scal, field = reduced_product_at_root(mhat, root, side)
         return u, minimal_poly(scal, field) if use_minimal else char_poly(scal, field)
 
@@ -452,36 +453,29 @@ def _first_failure(start, step, base: int, nonzero, n_max: int) -> Optional[int]
     return None
 
 
+def _units(factors: list, L: int, n: int) -> int:
+    """The sum over n' = 1, ..., n and f in factors of L + (n' f).bit_length().
+
+    n' f keeps one bit length on a run of consecutive n'; each run is summed at once.
+    """
+    total = n * len(factors) * L
+    for f in factors:
+        lo, b = 1, f.bit_length()
+        while lo <= n:
+            hi = min(n, ((1 << b) - 1) // f)  # the last n' with (n' f).bit_length() == b
+            total += (hi - lo + 1) * b
+            lo, b = hi + 1, b + 1
+    return total
+
+
 def _overrun(rec: Recurrence, L: int, n_max: int, budget: Optional[int]) -> Optional[tuple]:
     """The first n <= n_max whose work units pass the budget, with the units spent."""
-    if budget is None:
-        return None
     factors = [rec.k ** (rec.root.s * j) for j in range(rec.order + 1)]
-    work = 0
-    for n in range(1, n_max + 1):
-        work += sum(L + (n * f).bit_length() for f in factors)
-        if work > budget:
-            return n, work
-    return None
-
-
-def _rotated_sum(terms: list, L: int) -> list:
-    """The sum of the (vec, cut) terms, each vec rotated to start at vec[cut], mod x^L - 1.
-
-    About twice as fast in verify as _cyc_add_scaled into a zero vector.
-    """
-    rotated = [vec[cut:] + vec[:cut] for vec, cut in terms] or [[0] * L]
-    acc = rotated[0]
-    for vec in rotated[1:]:
-        acc = list(map(add, acc, vec))
-    return acc
-
-
-def _rows_over_one_denominator(rows: list) -> list:
-    """Integer rows: the rational rows times their common denominator."""
-    flat, _ = _integral([x for row in rows for x in row])
-    width = len(rows[0])
-    return [flat[i : i + width] for i in range(0, len(flat), width)]
+    if budget is None or n_max < 1 or _units(factors, L, n_max) <= budget:
+        return None
+    # the units grow with n, so the first n past the budget is found by bisection
+    n = 1 + bisect.bisect_right(range(1, n_max + 1), budget, key=lambda m: _units(factors, L, m))
+    return n, _units(factors, L, n)
 
 
 def verify(
@@ -495,15 +489,15 @@ def verify(
     The first failure is 1 + the least m < n_max whose term (module
     docstring) is nonzero.  rho comes in Horner form, v <- B(v) + C_j x
     for j = l, ..., 0, over integer vectors mod x^L - 1, L = lcm(m, r0),
-    with the C_j over one denominator; B is the same s levels each time,
-    as k^s fixes w.  Forward machines pull with x = out, backward ones
-    push from x = e_q0.  Normal forms are taken of the |Q| entries of
-    rho and, once some is nonzero, of each distinct backward state tuple
-    met; none per n.  A call costs l s |Q| k rotations for any n_max, and
-    nothing in it depends on another call, so no cache is kept.  The
-    budget caps the work units, L + (n k^(js)).bit_length() per n and
-    term, with a BudgetError at the first n past it unless an earlier n
-    fails.
+    with the C_j over one denominator; B is _apply_levels on the machine,
+    the same s levels each time as k^s fixes w.  Forward machines pull
+    with x = out, backward ones push from x = e_q0.  Normal forms are
+    taken of the |Q| entries of rho and, once some is nonzero, of each
+    distinct backward state tuple met; none per n.  A call costs
+    l s |Q| k rotations for any n_max, and nothing in it depends on
+    another call, so no cache is kept.  The budget caps the work units,
+    L + (n k^(js)).bit_length() per n and term, summed in closed form,
+    with a BudgetError at the first n past it unless an earlier n fails.
     """
     if rec.k != a.base:
         raise AutorecError("recurrence and automaton disagree on the base k")
@@ -511,7 +505,8 @@ def verify(
         raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
     a = _pad_invariant(prune_inaccessible(a))
     K = cyclo_field(math.lcm(a.output_field.conductor, rec.root.r0))
-    cs = _rows_over_one_denominator([K.coerce(c).vec for c in rec.coefficients])
+    flat, _ = _integral([x for c in rec.coefficients for x in K.coerce(c).vec])
+    cs = [flat[i : i + K.conductor] for i in range(0, len(flat), K.conductor)]
     failure = _scan(cs, rec.root, a, K, n_max)
     # the units run out at n before the residual at n is read
     over = _overrun(rec, K.conductor, failure or n_max, budget)
@@ -524,31 +519,22 @@ def verify(
 
 def _scan(cs: list, root: RootSpec, a: Dfao, K: CycloField, n_max: int) -> Optional[int]:
     """The first n <= n_max with a nonzero residual, for a as _pad_invariant returns it."""
-    k, size = a.base, a.size
-    L = K.conductor
+    k, size, L = a.base, a.size, K.conductor
     fwd = a.direction == FORWARD
-    lift = L // a.output_field.conductor
-    # each output as (power of zeta_L, integer coefficient) pairs, all over one denominator
-    rows = _rows_over_one_denominator([v.vec for v in a.outputs])
-    outs = [[(i * lift, x) for i, x in enumerate(row) if x] for row in rows]
+    # each output as (power of zeta_L, integer) pairs, all over one denominator
+    pairs = [_pairs(v, L // a.output_field.conductor) for v in a.outputs]
+    den = math.lcm(*(x.denominator for row in pairs for _, x in row))
+    outs = [[(p, int(x * den)) for p, x in row] for row in pairs]
     # x of the Horner form per state as such pairs: out forward, e_q0 backward
     xs = outs if fwd else [[(0, 1)]] + [[]] * (size - 1)
-    # level i of B: digit d weighs w^(d k^i), a rotation by -cut; forward pulls
-    # from delta(q, d), backward pushes to it
-    unit = (L // root.r0) * root.primitive_exponent
-    levels = [[-dig * pow(k, i, root.r0) * unit % L for dig in range(k)] for i in range(root.s)]
-    sources: list = [[] for _ in range(size)]
-    for q, row in enumerate(a.delta):
-        for dig, p in enumerate(row):
-            sources[q if fwd else p].append((p if fwd else q, dig))
+    cells = [(q, p, dig, [(0, 1)]) for q, row in enumerate(a.delta) for dig, p in enumerate(row)]
+    table = _term_table(cells, size, fwd)
     v = [[0] * L for _ in range(size)]
     for j, c in enumerate(reversed(cs)):
-        for cuts in levels if j else ():
-            v = [_rotated_sum([(v[p], cuts[dig]) for p, dig in src], L) for src in sources]
-        for acc, pairs in zip(v, xs):
-            for shift, x in pairs:
-                _cyc_add_scaled(acc, c, shift, x)
-    rho = [K._normal(x) for x in v]
+        if j:
+            v = _apply_levels(v, table, root, L)
+        v = [_shift_sum([(u, 0, 1)] + [(c, p, y) for p, y in x], L) for u, x in zip(v, xs)]
+    rho = [list(K._normal(x)) for x in v]
     if not any(map(any, rho)):
         return None  # every term is zero: the recurrence holds for all n
     if fwd:
@@ -556,11 +542,8 @@ def _scan(cs: list, root: RootSpec, a: Dfao, K: CycloField, n_max: int) -> Optio
 
     def nonzero(tau: tuple) -> bool:
         """Whether the sum over p of rho(p) out(tau(p)) is nonzero."""
-        acc = [0] * L
-        for r, q in zip(rho, tau):
-            for shift, x in outs[q]:
-                _cyc_add_scaled(acc, r, shift, x)
-        return any(K._normal(acc))
+        terms = [(r, p, x) for r, q in zip(rho, tau) for p, x in outs[q]]
+        return any(K._normal(_shift_sum(terms, L)))
 
     # the state tuple of m maps p to delta(p, m read least significant digit first)
     return _first_failure(
@@ -581,7 +564,7 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     denominator, integral.
     """
     prepared = _prepare(a)
-    if any(c.rational_value() is None for row in prepared[2].rows for p in row for c in p.coeffs):
+    if any(c.rational_value() is None for row in prepared[0].rows for p in row for c in p.coeffs):
         raise AutorecError("integer recurrences need a reduced matrix with rational entries")
     base_rec = _synthesize(a, root, False, lambda: prepared)
     field = root.field

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -490,6 +489,8 @@ def tm_table(
         raise AutorecError(f"unknown method {method!r}")
     targets = [r0 for r0 in range(15, bound + 1, 2) if is_prime_power(r0) is None]
     if jobs is not None and jobs > 1 and len(targets) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(targets) // (8 * jobs))
             results = _collect(pool.map(_scan_exact, targets, chunksize=chunk), len(targets), progress)

@@ -1,16 +1,22 @@
 """The block evaluator: exact residue-class partial sums for arbitrarily large n.
 
 It groups the words below n into blocks of equal length and sums residue
-classes, a route to A(n; w) that shares only the vector rotation with the
-word-sum recursion of autorec.recurrence.verify.  The tests compare the
-two, and the evaluator against literal summation.
+classes, a route to A(n; w) that shares no code with the word-sum
+recursion of autorec.recurrence.verify, not even the vector rotation.
+The tests compare the two, and the evaluator against literal summation.
 """
 
 import math
 
 from autorec.automaton import FORWARD, Dfao, expansion
 from autorec.numberfield import cyclo_field
-from autorec.recurrence import RootSpec, _cyc_add_scaled, _structure
+from autorec.recurrence import RootSpec, _structure
+
+
+def _add_shifted(dst: list, src: list, shift: int) -> None:
+    """dst[(shift + j) % len(dst)] += src[j] for every j, in place."""
+    for j, x in enumerate(src):
+        dst[(shift + j) % len(dst)] += x
 
 
 class BlockSums:
@@ -80,7 +86,7 @@ class BlockSums:
             for q, row in enumerate(a.delta):
                 for dig, p in enumerate(row):
                     dst, src = (cur[q], prev[p]) if fwd else (cur[p], prev[q])
-                    _cyc_add_scaled(dst, src, dig * unit, 1)
+                    _add_shifted(dst, src, dig * unit)
             tabs.append(cur)
 
     def _copy(self, acc) -> list:
@@ -100,14 +106,14 @@ class BlockSums:
         if self._fwd:
             unit *= self.m
             for dig in digs:
-                _cyc_add_scaled(acc, tab[a.delta[at][dig]], (val * k + dig) * unit, 1)
+                _add_shifted(acc, tab[a.delta[at][dig]], (val * k + dig) * unit)
             return
         value_of = self._value_of
         for dig in digs:
             shift = (val * k + dig) * unit
             for q, src in enumerate(tab):
                 if any(src):
-                    _cyc_add_scaled(acc[value_of[at[a.delta[q][dig]]]], src, shift, 1)
+                    _add_shifted(acc[value_of[at[a.delta[q][dig]]]], src, shift)
 
     def _shorter(self, t: int) -> list:
         """The sums over all words shorter than t digits, t >= 1 (shared; do not mutate)."""

@@ -137,6 +137,24 @@ def test_budget_error_exits_one(capsys):
     assert err.startswith("error[budget]")
 
 
+def test_backward_machine_that_moves_its_output_on_a_leading_zero_holds(capsys, tmp_path):
+    # reading a most-significant 0 in state a leads to b, whose output differs
+    path = tmp_path / "zero_sensitive.dfao"
+    path.write_text(
+        "base: 2\ndirection: backward\nstates: a b c\n"
+        "output: a = 1\noutput: b = 2\noutput: c = 0\n"
+        "delta: a 0 -> b\ndelta: a 1 -> c\ndelta: b 0 -> c\ndelta: b 1 -> a\n"
+        "delta: c 0 -> b\ndelta: c 1 -> b\n"
+    )
+    root = ("--dfao", str(path), "--r", "5", "--e", "2")
+    code, out, _ = run_cli(capsys, "synth", *root, "--verify-n", "40")
+    assert code == 0
+    assert json.loads(out)["verification"]["all_zero"]
+    code, out, _ = run_cli(capsys, "verify", *root, "--n-max", "40", "--format", "text")
+    assert code == 0
+    assert out.strip().endswith("holds for all n <= 40")
+
+
 # ----------------------------------------------------------------------
 # parse round-trip
 
@@ -268,3 +286,11 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 -1 -1 1"
+
+
+def test_importing_the_cli_loads_neither_mpmath_nor_a_process_pool():
+    # complex_embed and tm_table(jobs > 1) import them on first use
+    probe = "import sys, autorec.cli; print(sorted({'mpmath', 'concurrent.futures.process'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -237,7 +237,7 @@ def test_char_and_minimal_poly_match_oracles_on_reduced_products(r, e):
     root = RootSpec(2, r, e)
     for spec in (PatternSpec(2, (0, 1, 0), 3), PatternSpec(2, (1, 1), 3), PatternSpec(2, (0, 1), 6)):
         for a in (pattern_dfao(spec), reverse_dfao(pattern_dfao(spec))):
-            _, _, mhat, side = recurrence._prepare(a)
+            mhat, side = recurrence._prepare(a)
             rows, f = reduced_product_at_root(mhat, root, side)
             _assert_matches_oracles(rows, f)
 
@@ -362,8 +362,8 @@ _ZERO_FIXED = [[0, 2], [1, 0], [2, 1]]
 def _irrational_machines(backward_delta=_ZERO_FIXED):
     """Backward machines and Q(zeta_3) outputs, both reading directions.
 
-    Synthesis rejects the api backward machine on _ZERO_SENSITIVE, which
-    verify and the block evaluator still read correctly.
+    On _ZERO_SENSITIVE the api backward machine changes its output on a
+    most-significant zero, so synthesis and verify read it through pairs.
     """
     f3 = cyclo_field(3)
     outs = [f3.one() + f3.omega(), f3.omega() / 2, 0]
@@ -431,19 +431,47 @@ def test_block_sums_full_blocks_cached_per_asked_length(shipped):
                 assert partial_sum_fast(a, n, root) == partial_sum_value(a, n, root), (name, rr, n)
 
 
-def test_backward_machine_that_reads_a_leading_zero_as_a_change_is_rejected():
-    # synthesis counts padded words, on which a(n) reads differently, so a
-    # recurrence built from them would fail verify at n = 1
+def _literal_residuals(rec, a, n_max):
+    """The residuals at n = 1, ..., n_max, with A(k^(js) n; w) summed term by term.
+
+    The running sum keeps the a(m) of each class m mod r0 apart, as w^m
+    depends on that class only.
+    """
+    root = rec.root
+    args = {n * root.k ** (root.s * j) for n in range(1, n_max + 1) for j in range(rec.order + 1)}
+    powers = [root.omega**j for j in range(root.r0)]
+    classes = [a.output_field.zero()] * root.r0
+    sums = {}
+    for m in range(max(args) + 1):
+        if m in args:
+            sums[m] = sum((c * x for c, x in zip(classes, powers)), root.field.zero())
+        classes[m % root.r0] += sequence_term(a, m)
+    return [
+        sum((c * sums[n * root.k ** (root.s * j)] for j, c in enumerate(rec.coefficients)), root.field.zero())
+        for n in range(1, n_max + 1)
+    ]
+
+
+def test_backward_machine_that_reads_a_leading_zero_as_a_change_synthesizes():
+    # synthesis counts zero-padded words; like verify, it reads such a machine
+    # through the pairs (current state, state at the last nonzero digit)
     sensitive = _irrational_machines(_ZERO_SENSITIVE)[1][1]
     rational = Dfao(2, BACKWARD, "abc", [1, 2, 0], _ZERO_SENSITIVE)
     for rr, ee in ((3, 1), (5, 2), (7, 1), (9, 2), (9, 6), (15, 5), (1, 0)):
         root = RootSpec(2, rr, ee)
-        with pytest.raises(AutorecError, match="most-significant zero"):
-            synthesize(sensitive, root)
-        with pytest.raises(AutorecError, match="most-significant zero"):
-            integer_recurrence(rational, root)
-        fixed = _irrational_machines()[1][1]
-        assert verify(synthesize(fixed, root), fixed, 20).all_zero, (rr, ee)
+        cases = [
+            (sensitive, synthesize(sensitive, root)),
+            (sensitive, synthesize(sensitive, root, use_minimal=True)),
+            (rational, integer_recurrence(rational, root)),
+        ]
+        for a, rec in cases:
+            # the block evaluator, which test_block_sums_with_irrational_outputs_*
+            # ties to literal summation on this machine, checks every n <= 60;
+            # literal running sums wherever the arguments k^(js) n stay small
+            assert verify_by_terms(rec, a, 60).all_zero, (rr, ee, rec.provenance)
+            if rec.order * root.s <= 8:
+                assert not any(_literal_residuals(rec, a, 60)), (rr, ee, rec.provenance)
+            assert verify(rec, a, 60).all_zero, (rr, ee, rec.provenance)
     # a 0-transition may move the machine, as long as the output stays
     keeps = Dfao(2, BACKWARD, "abc", [1, 1, 2], [[1, 2], [0, 2], [2, 2]])
     assert verify(synthesize(keeps, RootSpec(2, 5, 1)), keeps, 20).all_zero
@@ -633,6 +661,32 @@ def test_verify_budget_aborts(rs):
         verify(rec, rs, 10_000, budget=50)
 
 
+def test_verify_budget_matches_per_term_oracle_over_a_sweep(rs):
+    # verify sums the units per run of n with one bit length; the per-n oracle
+    # must agree on the n and the text of every BudgetError
+    passing = synthesize(rs, RootSpec(2, 3, 1, s=2))
+    failing = _fitted(_perturbed(synthesize(rs, RootSpec(2, 5, 1)), 2), rs)
+    n_max = 40
+    for rec in (passing, failing):
+        L = math.lcm(rs.output_field.conductor, rec.root.r0)
+        factors = [rec.k ** (rec.root.s * j) for j in range(rec.order + 1)]
+        spent = [0]  # the units of n' = 1, ..., n, one n at a time
+        for n in range(1, n_max + 1):
+            spent.append(spent[-1] + sum(L + (n * f).bit_length() for f in factors))
+        edges = {w + d for w in spent for d in (-1, 0, 1)}
+        for budget in sorted(edges | set(range(0, spent[-1] + 3 * L, 7))):
+            want = _outcome(verify_by_terms, rec, rs, n_max, budget)
+            assert _outcome(verify, rec, rs, n_max, budget) == want, (rec.provenance, budget)
+    assert verify(failing, rs, n_max).first_failure > 1
+
+
+def test_verify_budget_costs_nothing_per_n(tm):
+    rec = synthesize(tm, RootSpec(2, 3, 1))
+    assert verify(rec, tm, 10**12, budget=10**40).all_zero
+    with pytest.raises(BudgetError, match=r"at n = \d{9,} "):
+        verify(rec, tm, 10**12, budget=10**12)
+
+
 def _root_vector(vec, root, L):
     """sum of vec[j*m + i] zeta_m^i w^j as a vector mod x^L - 1, one slot at a time."""
     m = len(vec) // root.r0
@@ -699,7 +753,7 @@ def _oracle_machines():
     for outs in ([1, 2, 0], [f3.one() + f3.omega(), f3.omega() / 2, 0]):
         for direction in (FORWARD, BACKWARD):
             a = Dfao(2, direction, "abc", outs, _ZERO_SENSITIVE)
-            # synthesis rejects the backward one: take the forward reading of its sequence
+            # the backward one is synthesized from the forward reading of its sequence
             out.append((f"{direction} {outs}", a, a if direction == FORWARD else reverse_dfao(a)))
     # the backward machine that keeps its output on a zero, synthesized directly
     api_backward = _irrational_machines()[1][1]
