@@ -8,8 +8,9 @@ cyclotomic numbers).  Normalizing costs O(n * number of primes of n)
 and keeps integer vectors integral.  Equality and rationality are
 vector comparisons, lifts and Galois maps are index maps followed by a
 normalization, and a product is one big-integer multiply folded mod
-x^n - 1.  Power-basis coordinates on 1, w, ..., w^(phi(n)-1), by long
-division modulo Phi_n, are computed only for pretty, coords and inverse.
+x^n - 1, or, when one factor is rational, a scaling of the other vector.
+Power-basis coordinates on 1, w, ..., w^(phi(n)-1), by long division
+modulo Phi_n, are computed only for pretty, coords and inverse.
 Floating point enters only through complex_embed, which exists for
 sanity checks and reports, never for decisions.
 
@@ -410,13 +411,11 @@ def _slots(v: list[int], width: int, offset: int) -> int:
 def _kronecker(a: list[int], b: list[int]) -> list[int]:
     """a * b mod x^n - 1 for integer vectors of length n, by Kronecker substitution.
 
-    Slots of a power-of-two number of bytes hold every product coefficient.
+    A slot is the fewest whole bytes that hold every entry, a sign bit and a spare bit.
     """
     n = len(a)
     ma, mb = max(map(abs, a)), max(map(abs, b))
-    width = 1
-    while 8 * width < max(ma, mb, n * ma * mb).bit_length() + 2:
-        width *= 2
+    width = (max(ma, mb, n * ma * mb).bit_length() + 9) // 8
     offset = 1 << (8 * width - 1)  # slots are stored shifted to be nonnegative
     bias = int.from_bytes(offset.to_bytes(width, "little") * n, "little")
     prod = (_slots(a, width, offset) - bias) * (_slots(b, width, offset) - bias)
@@ -461,9 +460,9 @@ class CycloField:
         self._relations = _relations(conductor)
         one = [0] * conductor
         one[0] = 1
-        # the normal form of 1: (+-1) on a fixed support, 0 elsewhere
+        # the normal form of 1, a product of its prime-power parts: one sign on a fixed support
         self._one = self._normal(one)
-        self._one_at = next(j for j, x in enumerate(self._one) if x)
+        self._one_support = [j for j, x in enumerate(self._one) if x]
 
     @functools.cached_property
     def modulus_int(self) -> tuple[int, ...]:
@@ -518,10 +517,15 @@ class CycloField:
 
     def from_rational(self, q) -> "CycloElement":
         q = _num(Fraction(q))
-        return CycloElement(self, self._scaled_one(q))
+        return CycloElement(self, tuple([q * x if x else 0 for x in self._one]))
 
-    def _scaled_one(self, q) -> tuple:
-        return tuple([q * x if x else 0 for x in self._one])
+    def _rational(self, vec: tuple):
+        """q when vec is q times the normal form of 1, else None; the test builds no Fraction."""
+        support = self._one_support
+        x = vec[support[0]]
+        if vec.count(0) != self.conductor - (len(support) if x else 0):
+            return None
+        return x * self._one[support[0]] if all(vec[j] == x for j in support) else None
 
     def omega(self) -> "CycloElement":
         return self.omega_power(1)
@@ -551,6 +555,8 @@ def common_field(f1: CycloField, f2: CycloField) -> CycloField:
 
 
 def _scaled(vec: tuple, q) -> tuple:
+    if type(q) is int and _all_int(vec):
+        return tuple([x * q for x in vec])
     return tuple([_num(x * q) for x in vec])
 
 
@@ -607,8 +613,13 @@ class CycloElement:
         return (-self) + other
 
     def __mul__(self, other):
+        """One cyclic product and a normalization, or, by a rational q, a scaling by q."""
         if isinstance(other, CycloElement):
             a, b = self._pair(other)
+            for x, y in ((a, b), (b, a)):
+                q = a.field._rational(y.vec)
+                if q is not None:
+                    return x if q == 1 else CycloElement(a.field, _scaled(x.vec, q))
             return CycloElement(a.field, a.field._normal(cyclic_product(a.vec, b.vec)))
         if isinstance(other, (int, Fraction)):
             return CycloElement(self.field, _scaled(self.vec, other))
@@ -634,6 +645,8 @@ class CycloElement:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
+            if type(other) is int and _all_int(self.vec) and not any(x % other for x in self.vec):
+                return CycloElement(self.field, tuple([x // other for x in self.vec]))
             return CycloElement(self.field, _scaled(self.vec, Fraction(1, 1) / other))
         pair = self._pair(other)
         if pair is None:
@@ -699,9 +712,8 @@ class CycloElement:
         return any(self.vec)
 
     def rational_value(self) -> Optional[Fraction]:
-        fld = self.field
-        q = self.vec[fld._one_at] * fld._one[fld._one_at]
-        return Fraction(q) if self.vec == fld._scaled_one(q) else None
+        q = self.field._rational(self.vec)
+        return None if q is None else Fraction(q)
 
     def conjugate(self) -> "CycloElement":
         """Complex conjugation, i.e. the Galois map w -> w^(-1)."""
@@ -846,11 +858,12 @@ def _rref(a: list[list], ncols: int) -> list[int]:
         a[row], a[sel] = a[sel], a[row]
         piv = a[row][col]
         inv = piv.inverse() if isinstance(piv, CycloElement) else 1 / Fraction(piv)
-        a[row] = [c * inv for c in a[row]]
+        # the rows from `row` on are zero left of col, so only columns col.. change
+        a[row][col:] = prow = [c * inv for c in a[row][col:]]
         for i in range(m):
             if i != row and a[i][col] != 0:
                 f = a[i][col]
-                a[i] = [c - f * d for c, d in zip(a[i], a[row])]
+                a[i][col:] = [c - f * d if d else c for c, d in zip(a[i][col:], prow)]
         pivots.append(col)
         row += 1
         if row == m:

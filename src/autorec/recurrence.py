@@ -218,18 +218,35 @@ def char_poly(rows, field: CycloField) -> list[CycloElement]:
     term first and c_d = 1.  The coefficients come from the power sums
     p_j = tr(M^j) by Newton's identities,
     j c_(d-j) = -(p_j + sum over 0 < i < j of c_(d-i) p_(j-i)),
-    so the only divisions are by the integers 2, ..., d.
+    so the only divisions are by the integers 2, ..., d.  Only M, ..., M^h,
+    h = ceil(d/2), are formed: for j > h, p_j is the sum over i, t of
+    (M^h)_it (M^(j-h))_ti, d^2 products in place of a matrix product's d^3.
     """
-    powers = _powers(rows, field)
-    d = len(powers) - 1
-    p = [sum((m[i][i] for i in range(d)), field.zero()) for m in powers]
+    d = len(rows)
+    m = [[field.coerce(v) for v in row] for row in rows]
+    if any(len(row) != d for row in m):
+        raise AutorecError("matrix must be square")
+    zero = field.zero()
+    powers = [m]  # M, ..., M^h
+    while 2 * len(powers) < d:
+        powers.append(_mat_mul(powers[-1], m, zero))
+    p = [zero] + [sum((x[i][i] for i in range(d)), zero) for x in powers]
+    p += [_trace_of_product(powers[-1], x, zero) for x in powers[: d - len(powers)]]
     top = [field.one()]  # top[i] = c_(d-i)
     for j in range(1, d + 1):
-        acc = p[j]
-        for i in range(1, j):
-            acc = acc + top[i] * p[j - i]
+        acc = sum((top[i] * p[j - i] for i in range(1, j)), p[j])
         top.append(-acc / j if j > 1 else -acc)  # a division by 1 still costs a pass
     return top[::-1]
+
+
+def _trace_of_product(a, b, zero):
+    """tr(a b) = sum over i, t of a_it b_ti; when b is a, each pair i != t is formed once."""
+    d, same = len(a), a is b
+    cells = [(i, t) for i in range(d) for t in range(i + 1 if same else 0, d)]
+    acc = sum((a[i][t] * b[t][i] for i, t in cells if a[i][t] and b[t][i]), zero)
+    if same:
+        acc = sum((a[i][i] * a[i][i] for i in range(d) if a[i][i]), acc + acc)
+    return acc
 
 
 def minimal_poly(rows, field: CycloField) -> list[CycloElement]:

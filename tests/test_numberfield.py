@@ -8,6 +8,8 @@ import mpmath
 import pytest
 
 from autorec.numberfield import (
+    CycloElement,
+    CycloField,
     GaloisMap,
     RatPoly,
     complex_embed,
@@ -406,6 +408,16 @@ def test_rat_poly_pretty():
     assert RatPoly([]).pretty() == "0"
 
 
+def _schoolbook(a, b):
+    n = len(a)
+    want = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                want[(i + j) % n] += x * y
+    return want
+
+
 def test_cyclic_product_matches_schoolbook_product():
     # vectors whose sizes need slots of 1 to 16 bytes
     rng = random.Random(5)
@@ -415,12 +427,81 @@ def test_cyclic_product_matches_schoolbook_product():
             a[0] = Fraction(7, a_den)
             for exp in (0, 3, 12, 40, 0, 40):
                 b = [Fraction(rng.randint(-9, 9) * 10**exp, rng.choice((1, 1, 4))) for _ in range(n)]
-                want = [0] * n
-                for i, x in enumerate(a):
-                    for j, y in enumerate(b):
-                        want[(i + j) % n] += x * y
-                assert cyclic_product(a, b) == want, (n, a_den, exp)
+                assert cyclic_product(a, b) == _schoolbook(a, b), (n, a_den, exp)
             assert cyclic_product(a, [0] * n) == [0] * n
+    # a slot of w bytes holds n * max|a| * max|b| up to 2^(8w-2) - 1; constant
+    # vectors reach that bound in every coefficient, just below and just above
+    for n in (1, 2, 3, 15, 97):
+        for w in range(1, 18):
+            top = 1 << (8 * w - 2)
+            ma = max(1, math.isqrt(top // n))
+            mb = (top - 1) // (n * ma)
+            for bound in (mb, mb + 1):
+                if bound == 0:
+                    continue
+                for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+                    a, b = [sa * ma] * n, [sb * bound] * n
+                    assert cyclic_product(a, b) == [sa * sb * n * ma * bound] * n, (n, w, bound)
+                a = [rng.choice((-1, 1)) * ma for _ in range(n)]
+                b = [rng.choice((-1, 1)) * rng.randint(0, bound) for _ in range(n)]
+                b[-1] = -bound
+                assert cyclic_product(a, b) == _schoolbook(a, b), (n, w, bound)
+            # an all-zero operand: the slots still hold the other one's entries
+            for big in (top - 1, top, 2 * top - 1):
+                assert cyclic_product([0] * n, [-big] * n) == [0] * n
+                assert cyclic_product([big] + [0] * (n - 1), [0] * n) == [0] * n
+
+
+def _values(f, rng):
+    """0, 1, -1, 7, 3/4, an integral element, a fractional one, and a multiple of 6."""
+    gen = f.element([rng.randint(-9, 9) for _ in range(f.phi)])
+    return [f.from_rational(q) for q in (0, 1, -1, 7, Fraction(3, 4))] + [
+        gen,
+        random_element(f, rng, 5),
+        gen * 6,
+    ]
+
+
+def _by_cyclic_product(f, a, b):
+    return CycloElement(f, f._normal(cyclic_product(a.vec, b.vec)))
+
+
+def _assert_same(got, want):
+    assert got.field == want.field
+    assert got.vec == want.vec
+    assert hash(got) == hash(want)
+    if all(x.denominator == 1 for x in got.vec if isinstance(x, Fraction)):
+        assert all(type(x) is int for x in got.vec)
+
+
+def test_normal_form_of_one_has_one_sign():
+    # the rationality test compares the support of 1 with one of its entries
+    for n in range(1, 400):
+        assert len({x for x in CycloField(n)._one if x}) == 1, n
+
+
+@pytest.mark.parametrize("conductor", (1, 3, 4, 9, 15, 273))
+def test_product_with_a_rational_operand_matches_the_cyclic_product(conductor):
+    f = cyclo_field(conductor)
+    vals = _values(f, random.Random(conductor))
+    for a in vals:
+        for b in vals:
+            _assert_same(a * b, _by_cyclic_product(f, a, b))
+    # a rational operand from a subfield is lifted first
+    small = cyclo_field(1).from_rational(Fraction(-5, 3))
+    for a in vals:
+        _assert_same(a * small, _by_cyclic_product(f, a, f.coerce(small)))
+        _assert_same(small * a, _by_cyclic_product(f, a, f.coerce(small)))
+
+
+@pytest.mark.parametrize("conductor", (1, 3, 4, 9, 15, 273))
+def test_division_by_a_rational_matches_the_cyclic_product(conductor):
+    f = cyclo_field(conductor)
+    for a in _values(f, random.Random(conductor)):
+        for q in (1, 2, 3, -2, 6, -6, 7, Fraction(3, 4), Fraction(-2, 1), Fraction(6)):
+            _assert_same(a / q, _by_cyclic_product(f, a, f.from_rational(1 / Fraction(q))))
+    with pytest.raises(ZeroDivisionError):
+        f.one() / 0
 
 
 # ----------------------------------------------------------------------

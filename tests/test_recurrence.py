@@ -17,7 +17,7 @@ from autorec.automaton import (
     reverse_dfao,
     sequence_term,
 )
-from autorec import recurrence
+from autorec import numberfield, recurrence
 from autorec.errors import AutorecError, BudgetError
 from autorec.numberfield import (
     CycloElement,
@@ -195,15 +195,24 @@ def _assert_matches_oracles(rows, f):
 def _random_matrices(conductor, rng):
     f = cyclo_field(conductor)
     return f, [
-        [[random_element(f, rng, 4) for _ in range(d)] for _ in range(d)] for d in (1, 2, 3, 4, 5)
+        [[random_element(f, rng, 4) for _ in range(d)] for _ in range(d)]
+        for d in (1, 2, 3, 4, 5, 6, 7, 8)
     ]
 
 
 @pytest.mark.parametrize("conductor", (1, 3, 5, 12))
 def test_char_and_minimal_poly_match_oracles_on_random_matrices(conductor):
+    # d = 6, 7, 8 take traces of M^h M^(j-h) with j = 2h - 1 and j = 2h
     f, mats = _random_matrices(conductor, random.Random(90 + conductor))
     for rows in mats:
         _assert_matches_oracles(rows, f)
+
+
+def test_char_poly_of_a_2x2_matrix_over_a_large_field():
+    f = cyclo_field(1155)
+    rng = random.Random(1155)
+    (a, b), (c, d) = rows = [[random_element(f, rng, 3) for _ in range(2)] for _ in range(2)]
+    assert char_poly(rows, f) == [a * d - b * c, -(a + d), f.one()]
 
 
 def _shorter_minimal_cases(f, rng):
@@ -514,6 +523,23 @@ def test_verify_does_no_field_multiplication(monkeypatch):
     for rec, a in cases:
         assert verify(rec, a, 30).all_zero
     assert muls[0] == 0
+
+
+@pytest.mark.parametrize("build, r, most", ((synthesize, 105, 10), (integer_recurrence, 273, 200)))
+def test_large_conductor_synthesis_makes_few_field_products(rs, monkeypatch, build, r, most):
+    # a rational operand is a scaling, and char_poly forms M^j only up to
+    # half the size; the products left are the irrational ones
+    calls = [0]
+    kronecker = numberfield._kronecker
+
+    def counted(a, b):
+        calls[0] += 1
+        return kronecker(a, b)
+
+    monkeypatch.setattr(numberfield, "_kronecker", counted)
+    clear_caches()
+    build(rs, RootSpec(2, r, 1))
+    assert calls[0] <= most
 
 
 def test_verify_takes_as_many_normal_forms_for_any_bound(monkeypatch):
