@@ -18,8 +18,9 @@ Elements of different conductors may be mixed freely; they are lifted to
 the compositum Q(zeta_lcm) on demand.
 
 Dense polynomials have one implementation, _Poly, which RatPoly (over Q)
-and polymatrix.CycloPoly specialize; RatPoly's long division is the one
-behind cyclotomic_int, CycloField.reduce and rat_poly_xgcd.
+and polymatrix.CycloPoly specialize; RatPoly's long division is behind
+cyclotomic_int and rat_poly_xgcd; CycloField.reduce divides in place by
+the monic Phi_n.
 """
 
 from __future__ import annotations
@@ -403,30 +404,36 @@ def _relations(n: int) -> tuple:
     return tuple(out)
 
 
-def _slots(v: list[int], width: int, offset: int) -> int:
-    """The nonnegative integer with v[j] + offset in the j-th slot of width bytes."""
-    return int.from_bytes(b"".join([(x + offset).to_bytes(width, "little") for x in v]), "little")
+def _width(bound: int) -> int:
+    """The fewest bytes of a signed slot that holds every integer of size at most bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _pack(v: list[int], width: int) -> int:
+    """sum v[j] 2^(8 width j) for |v[j]| < 2^(8 width - 1): mod 2^(8 width n) - 1, v mod x^n - 1."""
+    offset = 1 << (8 * width - 1)  # slots are stored shifted to be nonnegative
+    raw = b"".join([(x + offset).to_bytes(width, "little") for x in v])
+    return int.from_bytes(raw, "little") - int.from_bytes(offset.to_bytes(width, "little") * len(v), "little")
+
+
+def _unpack(r: int, width: int, n: int) -> list[int]:
+    """The v of _pack(v, width) = r mod N = 2^(8 width n) - 1, 0 <= r < N: the packed sum is r or r - N."""
+    full, offset = (1 << 8 * width * n) - 1, 1 << (8 * width - 1)
+    r += int.from_bytes(offset.to_bytes(width, "little") * n, "little") - (full if r > full >> 1 else 0)
+    raw = r.to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - offset for i in range(0, width * n, width)]
 
 
 def _kronecker(a: list[int], b: list[int]) -> list[int]:
     """a * b mod x^n - 1 for integer vectors of length n, by Kronecker substitution.
 
-    A slot is the fewest whole bytes that hold every entry, a sign bit and a spare bit.
+    A slot holds every entry and every cyclic coefficient, at most n max|a| max|b| in size.
     """
     n = len(a)
     ma, mb = max(map(abs, a)), max(map(abs, b))
-    width = (max(ma, mb, n * ma * mb).bit_length() + 9) // 8
-    offset = 1 << (8 * width - 1)  # slots are stored shifted to be nonnegative
-    bias = int.from_bytes(offset.to_bytes(width, "little") * n, "little")
-    prod = (_slots(a, width, offset) - bias) * (_slots(b, width, offset) - bias)
-    bits = 8 * width * n
-    low = prod & ((1 << bits) - 1)
-    if low >> (bits - 1):  # the signed slots below x^n add up to a negative number
-        low -= 1 << bits
-    raw = (low + ((prod - low) >> bits) + bias).to_bytes(width * n, "little")
-    return [
-        int.from_bytes(raw[i : i + width], "little") - offset for i in range(0, width * n, width)
-    ]
+    width = _width(max(ma, mb, n * ma * mb))
+    full, prod = (1 << 8 * width * n) - 1, _pack(a, width) * _pack(b, width)
+    return _unpack(((prod & full) + (prod >> 8 * width * n)) % full, width, n)
 
 
 def _all_int(vec) -> bool:
@@ -491,9 +498,18 @@ class CycloField:
         return tuple(v)
 
     def reduce(self, coeffs: Iterable) -> tuple:
-        """Power-basis coordinates of sum c_j w^j, by long division mod Phi_n."""
-        rem = (RatPoly(coeffs) % RatPoly(self.modulus_int)).coeffs
-        return rem + (0,) * (self.phi - len(rem))
+        """Power-basis coordinates of sum c_j w^j: one long division by the monic Phi_n, in place."""
+        phi = self.phi
+        low = [(j, c) for j, c in enumerate(self.modulus_int[:phi]) if c]  # Phi_n - x^phi, sparse
+        rem, den = _integral(list(coeffs))
+        rem += [0] * (phi - len(rem))
+        for i in range(len(rem) - 1, phi - 1, -1):
+            x = rem[i]
+            if x:
+                lo = i - phi
+                for j, c in low:
+                    rem[lo + j] -= c * x
+        return tuple(rem[:phi]) if den == 1 else tuple([_num(Fraction(x, den)) for x in rem[:phi]])
 
     # -- constructors
 

@@ -25,10 +25,10 @@ rho(p) out(delta(p, m read least significant digit first)).
 Synthesis and verification share the padded-word machine that
 _pad_invariant makes of the pruned automaton and the level kernel
 _apply_levels, the s digit levels at x = w^(k^t) on one vector mod
-x^L - 1 per state; nothing else.  Synthesis applies the levels of the
-reduced matrix M-hat to unit vectors and takes a characteristic or
-minimal polynomial; verify applies those of the full machine and scans
-the word-sum residual.
+x^L - 1 per state, packed as one residue mod 2^(8 width L) - 1; nothing
+else.  Synthesis applies the levels of the reduced matrix M-hat to unit
+vectors and takes a characteristic or minimal polynomial; verify applies
+those of the full machine and scans the word-sum residual.
 
 Everything is computed over Q; floating point never enters.
 """
@@ -40,7 +40,6 @@ import functools
 import math
 from collections import OrderedDict
 from fractions import Fraction
-from operator import add
 from typing import Optional
 
 from .errors import AutorecError, BudgetError
@@ -57,7 +56,10 @@ from .numberfield import (
     GaloisMap,
     _integral,
     _num,
+    _pack,
     _rref,
+    _unpack,
+    _width,
     coset_reps,
     cyclo_field,
     multiplicative_order,
@@ -271,9 +273,11 @@ def minimal_poly(rows, field: CycloField) -> list[CycloElement]:
 #
 # With w = zeta_r0^u and L = lcm(m, r0) for outputs in Q(zeta_m), a term
 # c zeta_m^i x^e (c rational) of a level at x = w^(k^t) is
-# c zeta_L^(i L/m + e k^t (L/r0) u).  So the levels act over Q on one
-# vector mod x^L - 1 per state, and each vector becomes one field element
-# at the end.
+# c zeta_L^(i L/m + e k^t (L/r0) u).  So the levels act over Z, after one
+# common denominator, on one vector mod x^L - 1 per state, packed as a
+# residue (numberfield._pack), and each becomes one field element at the
+# end.  Every step is a ring operation, so only the final slots must fit:
+# s levels whose states gather at most gain in sum |c| keep them <= gain^s.
 
 
 def _pairs(c: CycloElement, lift: int) -> list:
@@ -282,18 +286,6 @@ def _pairs(c: CycloElement, lift: int) -> list:
     if q is not None:
         return [(0, _num(q))] if q else []
     return [(i * lift, x) for i, x in enumerate(c.vec) if x]
-
-
-def _shift_sum(terms, L: int) -> list:
-    """The sum of c x^p vec mod x^L - 1 over the (vec, p, c) terms, vec a list, as a new list."""
-    acc = None
-    for vec, p, c in terms:
-        cut = -p % L
-        rot = vec[cut:] + vec[:cut]
-        if c != 1:
-            rot = [c * x for x in rot]
-        acc = rot if acc is None else list(map(add, acc, rot))
-    return [0] * L if acc is None else acc
 
 
 def _term_table(cells, size: int, pull: bool) -> list:
@@ -309,44 +301,59 @@ def _term_table(cells, size: int, pull: bool) -> list:
     return table
 
 
-def _apply_levels(vecs: list, table: list, root: RootSpec, L: int) -> list:
-    """Levels t = 0, ..., s - 1 of the term table, at x = w^(k^t), on one vector per state."""
+def _combine(terms, width: int, L: int) -> int:
+    """The sum of c x^p v over the (v, p, c) terms, v residues, 0 <= p < L."""
+    bits, full = 8 * width, (1 << 8 * width * L) - 1
+    acc = sum(c * (v << p * bits) for v, p, c in terms)
+    return ((acc & full) + (acc >> bits * L)) % full  # 2^(bits L) = 1 folds the top half down
+
+
+def _apply_levels(vecs: list, table: list, root: RootSpec, L: int, width: int) -> list:
+    """Levels t = 0, ..., s - 1 of an integer term table, at x = w^(k^t), on one residue per state."""
+    bits, top, full = 8 * width, 8 * width * L, (1 << 8 * width * L) - 1
     step = L // root.r0 * root.primitive_exponent  # zeta_L^step = w^(k^t)
     for _ in range(root.s):
-        live = [any(v) for v in vecs]
-        vecs = [
-            _shift_sum([(vecs[src], p + e * step, c) for src, e, p, c in terms if live[src]], L)
-            for terms in table
-        ]
+        nxt = []
+        for terms in table:
+            acc = 0
+            for src, e, p, c in terms:
+                v = vecs[src]
+                if v:  # zero is exact mod full: a zero vector adds nothing to the final slots
+                    v <<= (p + e * step) % L * bits
+                    acc += v if c == 1 else c * v
+            nxt.append(((acc & full) + (acc >> top)) % full)  # _combine's fold, inline in the hot loop
+        vecs = nxt
         step = step * root.k % L
     return vecs
 
 
-def _product_at_root(mhat: PolyMatrix, root: RootSpec, side: str) -> list:
-    """Ordered product of the s digit-substituted copies of mhat at x = w.
+def _unit_levels(table: list, root: RootSpec, L: int) -> list:
+    """Per j, the levels of a rational term table applied to the unit vector e_j, as vectors mod x^L - 1."""
+    den = math.lcm(*(t[-1].denominator for terms in table for t in terms))
+    table = [[(src, e, p, int(c * den)) for src, e, p, c in terms] for terms in table]
+    width = _width(max(sum(abs(t[-1]) for t in terms) for terms in table) ** root.s)
+    units = [[int(i == j) for i in range(len(table))] for j in range(len(table))]
+    got = [[_unpack(v, width, L) for v in _apply_levels(u, table, root, L, width)] for u in units]
+    return got if den == 1 else [[[Fraction(x, den**root.s) for x in v] for v in col] for col in got]
 
-    Column j (Left) or row j (Right) is the levels applied to the unit
-    vector e_j.  Entries come back as dense rational vectors on the
-    powers of zeta_L.
+
+def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
+    """M-hat(k^s; w) (Left) or its Right mirror, as a scalar matrix.
+
+    The ordered product of the s digit-substituted copies of mhat at x = w:
+    column j (Left) or row j (Right) is the levels applied to e_j.
     """
-    d, m = mhat.dim, mhat.field.conductor
-    L = math.lcm(m, root.r0)
+    m = mhat.field.conductor
+    K = cyclo_field(math.lcm(m, root.r0))
     cells = [
-        (i, j, e, _pairs(z, L // m))
+        (i, j, e, _pairs(z, K.conductor // m))
         for i, row in enumerate(mhat.rows)
         for j, p in enumerate(row)
         for e, z in enumerate(p.coeffs)
     ]
-    table = _term_table(cells, d, side == LEFT)
-    one, zero = [1] + [0] * (L - 1), [0] * L
-    got = [_apply_levels([one if i == j else zero for i in range(d)], table, root, L) for j in range(d)]
-    return [list(col) for col in zip(*got)] if side == LEFT else got
-
-
-def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
-    """M-hat(k^s; w) (Left) or its Right mirror, as a scalar matrix."""
-    K = cyclo_field(math.lcm(mhat.field.conductor, root.r0))
-    return [[K.element(vec) for vec in row] for row in _product_at_root(mhat, root, side)], K
+    got = _unit_levels(_term_table(cells, mhat.dim, side == LEFT), root, K.conductor)
+    got = [[K.element(v) for v in col] for col in got]
+    return [list(col) for col in zip(*got)] if side == LEFT else got, K
 
 
 # ----------------------------------------------------------------------
@@ -506,13 +513,13 @@ def verify(
     The first failure is 1 + the least m < n_max whose term (module
     docstring) is nonzero.  rho comes in Horner form, v <- B(v) + C_j x
     for j = l, ..., 0, over integer vectors mod x^L - 1, L = lcm(m, r0),
-    with the C_j over one denominator; B is _apply_levels on the machine,
-    the same s levels each time as k^s fixes w.  Forward machines pull
-    with x = out, backward ones push from x = e_q0.  Normal forms are
-    taken of the |Q| entries of rho and, once some is nonzero, of each
-    distinct backward state tuple met; none per n.  A call costs
-    l s |Q| k rotations for any n_max, and nothing in it depends on
-    another call, so no cache is kept.  The budget caps the work units,
+    packed as residues, with the C_j over one denominator; B is
+    _apply_levels on the machine, the same s levels each time as k^s fixes
+    w.  Forward machines pull with x = out, backward ones push from
+    x = e_q0.  Normal forms are taken of the |Q| entries of rho and, once
+    some is nonzero, of each distinct backward state tuple met; none per
+    n.  A call costs l s |Q| k shifts for any n_max, and nothing in it
+    depends on another call, so no cache is kept.  The budget caps the work units,
     L + (n k^(js)).bit_length() per n and term, summed in closed form,
     with a BudgetError at the first n past it unless an earlier n fails.
     """
@@ -546,21 +553,27 @@ def _scan(cs: list, root: RootSpec, a: Dfao, K: CycloField, n_max: int) -> Optio
     xs = outs if fwd else [[(0, 1)]] + [[]] * (size - 1)
     cells = [(q, p, dig, [(0, 1)]) for q, row in enumerate(a.delta) for dig, p in enumerate(row)]
     table = _term_table(cells, size, fwd)
-    v = [[0] * L for _ in range(size)]
+    # rho is the sum of B^j(C_j x), and B makes the slots at most gain^s times larger
+    gain, reach = max(map(len, table)) ** root.s, max(sum(abs(y) for _, y in x) for x in xs)
+    width = _width(reach * sum(max(map(abs, c)) * gain**j for j, c in enumerate(cs)))
+    v = [0] * size
     for j, c in enumerate(reversed(cs)):
         if j:
-            v = _apply_levels(v, table, root, L)
-        v = [_shift_sum([(u, 0, 1)] + [(c, p, y) for p, y in x], L) for u, x in zip(v, xs)]
-    rho = [list(K._normal(x)) for x in v]
+            v = _apply_levels(v, table, root, L, width)
+        c = _pack(c, width)
+        v = [_combine([(u, 0, 1)] + [(c, p, y) for p, y in x], width, L) for u, x in zip(v, xs)]
+    rho = [list(K._normal(_unpack(x, width, L))) for x in v]
     if not any(map(any, rho)):
         return None  # every term is zero: the recurrence holds for all n
     if fwd:
         return _first_failure(0, lambda q, dig: a.delta[q][dig], k, lambda q: any(rho[q]), n_max)
+    width = _width(max(abs(x) for r in rho for x in r) * size * max(sum(abs(y) for _, y in x) for x in outs))
+    packed = [_pack(r, width) for r in rho]
 
     def nonzero(tau: tuple) -> bool:
         """Whether the sum over p of rho(p) out(tau(p)) is nonzero."""
-        terms = [(r, p, x) for r, q in zip(rho, tau) for p, x in outs[q]]
-        return any(K._normal(_shift_sum(terms, L)))
+        terms = [(r, p, x) for r, q in zip(packed, tau) for p, x in outs[q]]
+        return any(K._normal(_unpack(_combine(terms, width, L), width, L)))
 
     # the state tuple of m maps p to delta(p, m read least significant digit first)
     return _first_failure(

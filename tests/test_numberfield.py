@@ -12,6 +12,7 @@ from autorec.numberfield import (
     CycloField,
     GaloisMap,
     RatPoly,
+    _num,
     complex_embed,
     coset_reps,
     cyclic_product,
@@ -124,6 +125,24 @@ def test_cyclotomic_poly_monic_of_degree_phi():
         p = cyclotomic_poly(n)
         assert p.degree == euler_phi(n)
         assert p.coefficient(p.degree) == 1
+
+
+@pytest.mark.parametrize("block", [range(1, 200), range(200, 400), (3003,)])
+def test_reduce_matches_the_rat_poly_remainder(block):
+    # reduce divides in place; RatPoly's long division is the reference, and
+    # as the remainder is linear, that of v / den is the one of v over den
+    rng = random.Random(block[0])
+    for n in block:
+        f = CycloField(n)
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        rem = (RatPoly(v) % cyclotomic_poly(n)).coeffs
+        rem += (0,) * (f.phi - len(rem))
+        den = rng.randint(2, 6)
+        for got, want in (
+            (f.reduce(v), rem),
+            (f.reduce([Fraction(x, den) for x in v]), tuple(_num(Fraction(x, den)) for x in rem)),
+        ):
+            assert got == want and list(map(type, got)) == list(map(type, want)), n
 
 
 def test_field_cache_is_bounded():
@@ -429,11 +448,11 @@ def test_cyclic_product_matches_schoolbook_product():
                 b = [Fraction(rng.randint(-9, 9) * 10**exp, rng.choice((1, 1, 4))) for _ in range(n)]
                 assert cyclic_product(a, b) == _schoolbook(a, b), (n, a_den, exp)
             assert cyclic_product(a, [0] * n) == [0] * n
-    # a slot of w bytes holds n * max|a| * max|b| up to 2^(8w-2) - 1; constant
-    # vectors reach that bound in every coefficient, just below and just above
+    # a signed slot of w bytes holds n * max|a| * max|b| up to 2^(8w-1) - 1;
+    # constant vectors reach that bound in every coefficient, just below it and at or above it
     for n in (1, 2, 3, 15, 97):
         for w in range(1, 18):
-            top = 1 << (8 * w - 2)
+            top = 1 << (8 * w - 1)
             ma = max(1, math.isqrt(top // n))
             mb = (top - 1) // (n * ma)
             for bound in (mb, mb + 1):

@@ -12,6 +12,7 @@ from autorec.automaton import (
     Dfao,
     PatternSpec,
     expansion,
+    parse_dfao,
     pattern_dfao,
     prune_inaccessible,
     reverse_dfao,
@@ -52,6 +53,7 @@ from autorec.recurrence import (
 )
 import blocksum_oracle
 from blocksum_oracle import BlockSums, block_sums, partial_sum_fast
+import level_oracle
 from conftest import partial_sum_value, poly_divides, random_element, solve_exact
 
 
@@ -876,31 +878,97 @@ def test_integer_recurrence_coefficients_are_integral(shipped):
 
 
 # ----------------------------------------------------------------------
+# the packed level kernel, against the list kernel
+
+
+# per L, roots w = zeta_r^e with r0 | L as (k, r, e), and steps s up to 60
+_LEVEL_ROOTS = {
+    1: [((2, 1, 0), (1, 7, 60))],
+    2: [((3, 2, 1), (1, 2, 60))],
+    3: [((2, 3, 1), (2, 6, 60))],
+    15: [((2, 15, 1), (4, 60)), ((2, 5, 3), (4, 8)), ((2, 3, 2), (2,))],
+    105: [((2, 105, 1), (12, 60)), ((2, 35, 4), (12,)), ((2, 7, 1), (3, 30))],
+    3003: [((2, 3003, 1), (60,)), ((2, 7, 2), (3, 9))],
+}
+
+
+def _level_table(rng, d: int, L: int, coeff) -> list:
+    """Per state, up to four (source, x-power, power of zeta_L, coefficient) terms."""
+    return [
+        [(rng.randrange(d), rng.randrange(3), rng.randrange(L), coeff()) for _ in range(rng.randint(0, 4))]
+        for _ in range(d)
+    ]
+
+
+@pytest.mark.parametrize("L", sorted(_LEVEL_ROOTS))
+def test_packed_levels_match_list_levels(L):
+    rng = random.Random(L)
+    coeffs = {
+        "int": lambda: rng.randint(-3, 3),
+        "fraction": lambda: Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
+    }
+    for (k, r, e), steps in _LEVEL_ROOTS[L]:
+        for s in steps:
+            root = RootSpec(k, r, e, s)
+            for kind, coeff in coeffs.items():
+                for d in (1, 2, 3):
+                    table = _level_table(rng, d, L, coeff)
+                    want = level_oracle.unit_levels(table, root, L)
+                    assert recurrence._unit_levels(table, root, L) == want, (L, root, kind, d)
+            # every term at p = 0 and x^0: the final slot is (+-3)^s, the a-priori bound itself
+            for c in (1, -1):
+                table = [[(0, 0, 0, c)] * 3]
+                assert recurrence._unit_levels(table, root, L) == [[[(3 * c) ** s] + [0] * (L - 1)]]
+
+
+# ----------------------------------------------------------------------
 # the reduced product at a root, against the polynomial product
+
+
+# a forward machine whose M-hat has the entry 1/2: its product is taken over
+# the denominator 2 and divided by 2^s
+_HALF_ENTRY_DFAO = """base: 2
+direction: forward
+states: q0 q1 q2
+output: q0 = 3
+output: q1 = 1
+output: q2 = 2
+delta: q0 0 -> q1
+delta: q0 1 -> q2
+delta: q1 0 -> q1
+delta: q1 1 -> q2
+delta: q2 0 -> q1
+delta: q2 1 -> q2
+"""
 
 
 def test_reduced_product_at_root_matches_power_product():
     """Entries of M-hat(k^s; x) evaluated at x = w, both sides, several u per conductor."""
-    specs = (PatternSpec(2, (1, 1), 3), PatternSpec(3, (0, 0, 0), 3), PatternSpec(2, (0, 1, 0), 3))
-    for spec in specs:
-        fwd = pattern_dfao(spec)
+    # (2, 00, 3) has Fraction-typed entries in M-hat, and _HALF_ENTRY_DFAO a non-integral one
+    specs = (
+        PatternSpec(2, (1, 1), 3),
+        PatternSpec(3, (0, 0, 0), 3),
+        PatternSpec(2, (0, 1, 0), 3),
+        PatternSpec(2, (0, 0), 3),
+    )
+    for fwd in [pattern_dfao(spec) for spec in specs] + [parse_dfao(_HALF_ENTRY_DFAO)]:
         for a in (fwd, reverse_dfao(fwd)):
             a = prune_inaccessible(a)
             mhat = reduced_matrix(transition_matrix(a), span_analysis(a))
             for side in (LEFT, RIGHT):
                 products = {}  # per step s
-                for r0 in (5, 9, 15) if spec.k == 2 else (5, 10):
+                for r0 in (5, 9, 15) if a.base == 2 else (5, 10):
                     for u in sorted({1, 2, r0 - 1}):
                         if math.gcd(u, r0) != 1:
                             continue
-                        root = RootSpec(spec.k, r0, u)
+                        root = RootSpec(a.base, r0, u)
                         if root.s not in products:
-                            products[root.s] = power_product(mhat, spec.k, root.s, side)
+                            products[root.s] = power_product(mhat, a.base, root.s, side)
                         got, K = reduced_product_at_root(mhat, root, side)
                         w = root.omega
                         want = [[p(w) for p in row] for row in products[root.s].rows]
-                        assert K.conductor == math.lcm(3, r0)
-                        assert got == want, (spec, a.direction, side, r0, u)
+                        assert K.conductor == math.lcm(a.output_field.conductor, r0)
+                        assert got == want, (fwd.to_text(), a.direction, side, r0, u)
 
 
 # ----------------------------------------------------------------------
