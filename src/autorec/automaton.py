@@ -419,7 +419,7 @@ def _pad_invariant(a: Dfao) -> Dfao:
     """
     if a.direction == FORWARD:
         return a if a.delta[0][0] == 0 else prune_inaccessible(add_initial_state(a))
-    if all(a.outputs[row[0]].vec == a.outputs[q].vec for q, row in enumerate(a.delta)):
+    if all(a.outputs[row[0]] == a.outputs[q] for q, row in enumerate(a.delta)):
         return a
     # a pair (q, p) moves q, and p to the new q on a nonzero digit
     pairs, delta = closure(

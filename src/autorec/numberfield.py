@@ -1,26 +1,27 @@
 """Exact arithmetic in cyclotomic fields.
 
-An element of Q(w), w = exp(2*pi*i/n), is one vector of n rational
-coefficients on w^0, ..., w^(n-1) in a canonical normal form: its
-coordinates on the integral basis of Zumbroich (W. Bosma, "Canonical
-bases for cyclotomic fields", AAECC 1, 1990; GAP's basis for its
-cyclotomic numbers).  Normalizing costs O(n * number of primes of n)
-and keeps integer vectors integral.  Equality and rationality are
-vector comparisons, lifts and Galois maps are index maps followed by a
-normalization, and a product is one big-integer multiply folded mod
-x^n - 1, or, when one factor is rational, a scaling of the other vector.
-Power-basis coordinates on 1, w, ..., w^(phi(n)-1), by long division
-modulo Phi_n, are computed only for pretty, coords and inverse.
-Floating point enters only through complex_embed, which exists for
-sanity checks and reports, never for decisions.
+An element of Q(w), w = exp(2*pi*i/n), is one vector of n integers on
+w^0, ..., w^(n-1) over one positive denominator, in lowest terms and in
+a canonical normal form: its coordinates on the integral basis of
+Zumbroich (W. Bosma, "Canonical bases for cyclotomic fields", AAECC 1,
+1990; GAP's basis for its cyclotomic numbers).  Normalizing costs
+O(n * number of primes of n) and keeps integer vectors integral.
+Equality and rationality are comparisons of ints, lifts and Galois maps
+are index maps followed by a normalization, and a product is one
+big-integer multiply folded mod x^n - 1, or, when one factor is
+rational, a scaling of the other vector.  The inverse is the product of
+the other Galois conjugates over the norm, built along a chain of
+subgroups (CycloElement.inverse).  Power-basis coordinates on 1, w,
+..., w^(phi(n)-1), by long division modulo Phi_n, are computed only for
+pretty and coords.  Floating point enters only through complex_embed,
+which exists for sanity checks and reports, never for decisions.
 
 Elements of different conductors may be mixed freely; they are lifted to
 the compositum Q(zeta_lcm) on demand.
 
 Dense polynomials have one implementation, _Poly, which RatPoly (over Q)
 and polymatrix.CycloPoly specialize; RatPoly's long division is behind
-cyclotomic_int and rat_poly_xgcd; CycloField.reduce divides in place by
-the monic Phi_n.
+cyclotomic_int; CycloField.reduce divides in place by the monic Phi_n.
 """
 
 from __future__ import annotations
@@ -334,19 +335,6 @@ def pretty_sum(terms: Iterable) -> str:
     return " ".join(parts) or "0"
 
 
-def rat_poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """Extended gcd over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = RatPoly([1]), RatPoly()
-    t0, t1 = RatPoly(), RatPoly([1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
 # ----------------------------------------------------------------------
 # cyclotomic polynomials
 
@@ -436,28 +424,28 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
     return _unpack(((prod & full) + (prod >> 8 * width * n)) % full, width, n)
 
 
-def _all_int(vec) -> bool:
-    return set(map(type, vec)) == {int}
-
-
 def _integral(vec) -> tuple[list[int], int]:
-    """Integer numerators of a rational vector over their common denominator."""
-    if _all_int(vec):
-        return vec, 1
+    """Integer numerators of a rational vector over their least common denominator."""
     den = math.lcm(*[x.denominator for x in vec])
     return [x.numerator * (den // x.denominator) for x in vec], den
 
 
-def cyclic_product(a, b) -> list:
-    """a * b mod x^n - 1 for rational vectors of one length n, over a common denominator."""
-    x, dx = _integral(a)
-    y, dy = _integral(b)
-    prod = _kronecker(x, y)
-    return prod if dx * dy == 1 else [_num(Fraction(c, dx * dy)) for c in prod]
+def _over(vec, den: int) -> tuple:
+    """The rational vector of integers vec over den."""
+    return tuple(vec) if den == 1 else tuple([_num(Fraction(x, den)) for x in vec])
+
+
+def _lowest(field: "CycloField", vec, den: int) -> "CycloElement":
+    """The element vec / den of field, for an integer normal form vec, in lowest terms with den > 0."""
+    if den != 1:
+        g = math.gcd(den, *vec) if den > 0 else -math.gcd(den, *vec)
+        if g != 1:
+            vec, den = [x // g for x in vec], den // g
+    return CycloElement(field, tuple(vec), den)
 
 
 class CycloField:
-    """Q(zeta_n); elements are normal-form vectors on w^0, ..., w^(n-1)."""
+    """Q(zeta_n); elements are integer normal-form vectors on w^0, ..., w^(n-1) over a denominator."""
 
     def __init__(self, conductor: int):
         if conductor < 1:
@@ -474,6 +462,17 @@ class CycloField:
     @functools.cached_property
     def modulus_int(self) -> tuple[int, ...]:
         return cyclotomic_int(self.conductor)
+
+    @functools.cached_property
+    def _chain(self) -> list[tuple[GaloisMap, int]]:
+        """Steps (sigma_g, o): g the least unit outside H, the group of the steps before, o = [<H, g> : H]."""
+        n, group, chain = self.conductor, {1}, []
+        for g in range(2, n):
+            if math.gcd(g, n) == 1 and g not in group:
+                o = next(i for i in range(2, n) if pow(g, i, n) in group)
+                group = {h * pow(g, i, n) % n for h in group for i in range(o)}
+                chain.append((GaloisMap(self, g), o))
+        return chain
 
     def __repr__(self):
         return f"CycloField({self.conductor})"
@@ -509,7 +508,7 @@ class CycloField:
                 lo = i - phi
                 for j, c in low:
                     rem[lo + j] -= c * x
-        return tuple(rem[:phi]) if den == 1 else tuple([_num(Fraction(x, den)) for x in rem[:phi]])
+        return _over(rem[:phi], den)
 
     # -- constructors
 
@@ -517,13 +516,11 @@ class CycloField:
         """Element with the given coefficients over powers of w (any length)."""
         n = self.conductor
         v = [0] * n
+        coeffs, den = _integral(list(coeffs))
         for i, c in enumerate(coeffs):
             if c:
                 v[i % n] += c
-        vec = self._normal(v)
-        if not _all_int(vec):
-            vec = tuple(map(_num, vec))
-        return CycloElement(self, vec)
+        return _lowest(self, self._normal(v), den)
 
     def zero(self) -> "CycloElement":
         return CycloElement(self, (0,) * self.conductor)
@@ -532,11 +529,11 @@ class CycloField:
         return CycloElement(self, self._one)
 
     def from_rational(self, q) -> "CycloElement":
-        q = _num(Fraction(q))
-        return CycloElement(self, tuple([q * x if x else 0 for x in self._one]))
+        q = Fraction(q)
+        return self.one()._scale(q.numerator, q.denominator)
 
-    def _rational(self, vec: tuple):
-        """q when vec is q times the normal form of 1, else None; the test builds no Fraction."""
+    def _rational(self, vec: tuple) -> Optional[int]:
+        """q when vec is q times the normal form of 1, else None; the test compares ints only."""
         support = self._one_support
         x = vec[support[0]]
         if vec.count(0) != self.conductor - (len(support) if x else 0):
@@ -558,7 +555,7 @@ class CycloField:
                 # zeta_small = w^(n/small): the vector spreads onto every (n/small)-th place
                 out = [0] * self.conductor
                 out[:: self.conductor // small] = v.vec
-                return CycloElement(self, self._normal(out))
+                return CycloElement(self, self._normal(out), v.den)
             raise ValueError(f"cannot coerce conductor {small} into {self.conductor}")
         if isinstance(v, (int, Fraction)):
             return self.from_rational(v)
@@ -570,27 +567,26 @@ def common_field(f1: CycloField, f2: CycloField) -> CycloField:
     return cyclo_field(math.lcm(f1.conductor, f2.conductor))
 
 
-def _scaled(vec: tuple, q) -> tuple:
-    if type(q) is int and _all_int(vec):
-        return tuple([x * q for x in vec])
-    return tuple([_num(x * q) for x in vec])
-
-
 class CycloElement:
-    """An element of Q(zeta_n) as its normal-form vector on w^0, ..., w^(n-1)."""
+    """An element of Q(zeta_n): its integer normal-form vector on w^0, ..., w^(n-1) over den.
 
-    __slots__ = ("field", "vec")
+    den > 0 and gcd(den, *vec) = 1, so the pair is canonical and equality
+    compares (vec, den).
+    """
 
-    def __init__(self, field: CycloField, vec: tuple):
+    __slots__ = ("field", "vec", "den")
+
+    def __init__(self, field: CycloField, vec: tuple, den: int = 1):
         if len(vec) != field.conductor:
             raise ValueError("vector length does not match the conductor")
         self.field = field
         self.vec = vec
+        self.den = den
 
     @property
     def coords(self) -> tuple:
         """Power-basis coordinates on 1, w, ..., w^(phi-1)."""
-        return self.field.reduce(self.vec)
+        return _over(self.field.reduce(self.vec), self.den)
 
     # -- coercion
 
@@ -606,64 +602,80 @@ class CycloElement:
 
     # -- ring operations
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign * other over the common denominator."""
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloElement(a.field, tuple([x + y for x, y in zip(a.vec, b.vec)]))
+        den = math.lcm(a.den, b.den)
+        s, t = den // a.den, sign * den // b.den
+        return _lowest(a.field, [s * x + t * y for x, y in zip(a.vec, b.vec)], den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.field, tuple([-x for x in self.vec]))
+        return CycloElement(self.field, tuple([-x for x in self.vec]), self.den)
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return CycloElement(a.field, tuple([x - y for x, y in zip(a.vec, b.vec)]))
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, num: int, den: int) -> "CycloElement":
+        """self * num / den for ints num and den != 0."""
+        if num == den:
+            return self
+        return _lowest(self.field, [x * num for x in self.vec], self.den * den)
+
     def __mul__(self, other):
-        """One cyclic product and a normalization, or, by a rational q, a scaling by q."""
+        """One cyclic product over the product of the denominators, or, by a rational, a scaling."""
         if isinstance(other, CycloElement):
             a, b = self._pair(other)
             for x, y in ((a, b), (b, a)):
                 q = a.field._rational(y.vec)
                 if q is not None:
-                    return x if q == 1 else CycloElement(a.field, _scaled(x.vec, q))
-            return CycloElement(a.field, a.field._normal(cyclic_product(a.vec, b.vec)))
+                    return x._scale(q, y.den)
+            return _lowest(a.field, a.field._normal(_kronecker(a.vec, b.vec)), a.den * b.den)
         if isinstance(other, (int, Fraction)):
-            return CycloElement(self.field, _scaled(self.vec, other))
+            return self._scale(other.numerator, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """The product of the other Galois conjugates of self over its norm.
+
+        Along the field's chain of steps (sigma_g, o), b = N_H(self) and
+        conj = b / self are kept for the group H of the steps so far; both
+        are multiplied by sigma_g(b) sigma_g^2(b) ... sigma_g^(o-1)(b),
+        which makes b the norm to the fixed field of <H, g>.  After the
+        last step H is the whole Galois group and b is rational.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        fld = self.field
         q = self.rational_value()
         if q is not None:
-            return fld.from_rational(1 / q)
-        g, s, _ = rat_poly_xgcd(RatPoly(self.coords), RatPoly(fld.modulus_int))
-        if g.degree != 0:
-            raise ArithmeticError("cyclotomic modulus is not irreducible?")
-        inv = s * (Fraction(1) / Fraction(g.coeffs[0]))
-        return fld.element(inv.coeffs)
+            return self.field.from_rational(1 / q)
+        b, conj = self, self.field.one()
+        for sigma, o in self.field._chain:
+            ps = [sigma(b)]
+            for _ in range(o - 2):
+                ps.append(sigma(ps[-1]))
+            while len(ps) > 1:  # in pairs, so that factors of one size meet
+                ps = [x * y for x, y in zip(ps[::2], ps[1::2])] + ps[len(ps) & ~1 :]
+            b, conj = b * ps[0], conj * ps[0]
+        return conj / b.rational_value()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            if type(other) is int and _all_int(self.vec) and not any(x % other for x in self.vec):
-                return CycloElement(self.field, tuple([x // other for x in self.vec]))
-            return CycloElement(self.field, _scaled(self.vec, Fraction(1, 1) / other))
+            return self._scale(other.denominator, other.numerator)
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
@@ -691,14 +703,14 @@ class CycloElement:
     def __eq__(self, other):
         if isinstance(other, CycloElement):
             a, b = self._pair(other)
-            return a.vec == b.vec
+            return a.vec == b.vec and a.den == b.den
         if isinstance(other, (int, Fraction)):
             return self.is_zero() if other == 0 else self.rational_value() == other
         return NotImplemented
 
     def __hash__(self):
         n, vec = self._minimal()
-        return hash(vec[0]) if n == 1 else hash((n, vec))
+        return hash(Fraction(vec[0], self.den)) if n == 1 else hash((n, vec, self.den))
 
     def _minimal(self) -> tuple[int, tuple]:
         """(d, v): the least d with self in Q(zeta_d), and the normal form v there.
@@ -729,7 +741,7 @@ class CycloElement:
 
     def rational_value(self) -> Optional[Fraction]:
         q = self.field._rational(self.vec)
-        return None if q is None else Fraction(q)
+        return None if q is None else Fraction(q, self.den)
 
     def conjugate(self) -> "CycloElement":
         """Complex conjugation, i.e. the Galois map w -> w^(-1)."""
@@ -758,7 +770,7 @@ class GaloisMap:
         out = [0] * n
         for j, c in enumerate(a.vec):
             out[j * self.m % n] = c
-        return CycloElement(fld, fld._normal(out))
+        return CycloElement(fld, fld._normal(out), a.den)
 
     def __repr__(self):
         return f"GaloisMap(w -> w^{self.m} on Q(zeta_{self.field.conductor}))"
@@ -838,8 +850,8 @@ def complex_embed(a: CycloElement, digits: int = 15) -> mpmath.mpc:
         w = mpmath.e ** (2j * mpmath.pi / n)
         acc = mpmath.mpc(0)
         for c in reversed(a.vec):
-            acc = acc * w + mpmath.mpf(c.numerator) / c.denominator
-        return acc
+            acc = acc * w + c
+        return acc / a.den
 
 
 # ----------------------------------------------------------------------

@@ -284,8 +284,8 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
 
     field = a.output_field
     table = [[a.outputs[q] for q in tp] for tp in tuples]
-    # equal rows add nothing to the elimination; keyed by vectors, which are cheap to hash
-    rows = list({tuple(v.vec for v in row): list(row) for row in table}.values())
+    # equal rows add nothing to the elimination; keyed by (vector, denominator), which is cheap to hash
+    rows = list({tuple((v.vec, v.den) for v in row): list(row) for row in table}.values())
     pivots = _rref(rows, d)
 
     generators = pivots if 0 in pivots else [0] + pivots

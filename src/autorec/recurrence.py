@@ -54,8 +54,7 @@ from .numberfield import (
     CycloElement,
     CycloField,
     GaloisMap,
-    _integral,
-    _num,
+    _lowest,
     _pack,
     _rref,
     _unpack,
@@ -274,18 +273,19 @@ def minimal_poly(rows, field: CycloField) -> list[CycloElement]:
 # With w = zeta_r0^u and L = lcm(m, r0) for outputs in Q(zeta_m), a term
 # c zeta_m^i x^e (c rational) of a level at x = w^(k^t) is
 # c zeta_L^(i L/m + e k^t (L/r0) u).  So the levels act over Z, after one
-# common denominator, on one vector mod x^L - 1 per state, packed as a
+# common denominator D, on one vector mod x^L - 1 per state, packed as a
 # residue (numberfield._pack), and each becomes one field element at the
 # end.  Every step is a ring operation, so only the final slots must fit:
 # s levels whose states gather at most gain in sum |c| keep them <= gain^s.
 
 
-def _pairs(c: CycloElement, lift: int) -> list:
-    """c as (power of zeta_L, rational) pairs, zeta_m = zeta_L^lift; one pair if c is rational."""
-    q = c.rational_value()
+def _pairs(c: CycloElement, lift: int, den: int) -> list:
+    """den c, c.den | den, as (power of zeta_L, integer) pairs, zeta_m = zeta_L^lift; one if c is rational."""
+    f = den // c.den
+    q = c.field._rational(c.vec)
     if q is not None:
-        return [(0, _num(q))] if q else []
-    return [(i * lift, x) for i, x in enumerate(c.vec) if x]
+        return [(0, q * f)] if q else []
+    return [(i * lift, x * f) for i, x in enumerate(c.vec) if x]
 
 
 def _term_table(cells, size: int, pull: bool) -> list:
@@ -328,31 +328,29 @@ def _apply_levels(vecs: list, table: list, root: RootSpec, L: int, width: int) -
 
 
 def _unit_levels(table: list, root: RootSpec, L: int) -> list:
-    """Per j, the levels of a rational term table applied to the unit vector e_j, as vectors mod x^L - 1."""
-    den = math.lcm(*(t[-1].denominator for terms in table for t in terms))
-    table = [[(src, e, p, int(c * den)) for src, e, p, c in terms] for terms in table]
+    """Per j, the levels of an integer term table applied to the unit vector e_j, as vectors mod x^L - 1."""
     width = _width(max(sum(abs(t[-1]) for t in terms) for terms in table) ** root.s)
     units = [[int(i == j) for i in range(len(table))] for j in range(len(table))]
-    got = [[_unpack(v, width, L) for v in _apply_levels(u, table, root, L, width)] for u in units]
-    return got if den == 1 else [[[Fraction(x, den**root.s) for x in v] for v in col] for col in got]
+    return [[_unpack(v, width, L) for v in _apply_levels(u, table, root, L, width)] for u in units]
 
 
 def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
     """M-hat(k^s; w) (Left) or its Right mirror, as a scalar matrix.
 
     The ordered product of the s digit-substituted copies of mhat at x = w:
-    column j (Left) or row j (Right) is the levels applied to e_j.
+    column j (Left) or row j (Right) is the levels applied to e_j, over D^s.
     """
     m = mhat.field.conductor
     K = cyclo_field(math.lcm(m, root.r0))
+    den = math.lcm(*(z.den for row in mhat.rows for p in row for z in p.coeffs))
     cells = [
-        (i, j, e, _pairs(z, K.conductor // m))
+        (i, j, e, _pairs(z, K.conductor // m, den))
         for i, row in enumerate(mhat.rows)
         for j, p in enumerate(row)
         for e, z in enumerate(p.coeffs)
     ]
     got = _unit_levels(_term_table(cells, mhat.dim, side == LEFT), root, K.conductor)
-    got = [[K.element(v) for v in col] for col in got]
+    got = [[_lowest(K, K._normal(v), den**root.s) for v in col] for col in got]
     return [list(col) for col in zip(*got)] if side == LEFT else got, K
 
 
@@ -384,7 +382,7 @@ def clear_caches() -> None:
 
 def _structure(a: Dfao) -> tuple:
     """What synthesis reads of an automaton: equal keys, equal results."""
-    return (a.base, a.direction, a.delta, a.output_field.conductor, tuple(v.vec for v in a.outputs))
+    return (a.base, a.direction, a.delta, a.output_field.conductor, tuple((v.vec, v.den) for v in a.outputs))
 
 
 # ----------------------------------------------------------------------
@@ -529,9 +527,9 @@ def verify(
         raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
     a = _pad_invariant(prune_inaccessible(a))
     K = cyclo_field(math.lcm(a.output_field.conductor, rec.root.r0))
-    flat, _ = _integral([x for c in rec.coefficients for x in K.coerce(c).vec])
-    cs = [flat[i : i + K.conductor] for i in range(0, len(flat), K.conductor)]
-    failure = _scan(cs, rec.root, a, K, n_max)
+    cs = [K.coerce(c) for c in rec.coefficients]
+    den = math.lcm(*(c.den for c in cs))
+    failure = _scan([[x * (den // c.den) for x in c.vec] for c in cs], rec.root, a, K, n_max)
     # the units run out at n before the residual at n is read
     over = _overrun(rec, K.conductor, failure or n_max, budget)
     if over is not None:
@@ -546,9 +544,8 @@ def _scan(cs: list, root: RootSpec, a: Dfao, K: CycloField, n_max: int) -> Optio
     k, size, L = a.base, a.size, K.conductor
     fwd = a.direction == FORWARD
     # each output as (power of zeta_L, integer) pairs, all over one denominator
-    pairs = [_pairs(v, L // a.output_field.conductor) for v in a.outputs]
-    den = math.lcm(*(x.denominator for row in pairs for _, x in row))
-    outs = [[(p, int(x * den)) for p, x in row] for row in pairs]
+    den = math.lcm(*(v.den for v in a.outputs))
+    outs = [_pairs(v, L // a.output_field.conductor, den) for v in a.outputs]
     # x of the Horner form per state as such pairs: out forward, e_q0 backward
     xs = outs if fwd else [[(0, 1)]] + [[]] * (size - 1)
     cells = [(q, p, dig, [(0, 1)]) for q, row in enumerate(a.delta) for dig, p in enumerate(row)]

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .errors import AutorecError
 from .numberfield import (
     CycloElement,
-    GaloisMap,
     RatPoly,
     coset_reps,
     cyclo_field,
@@ -44,7 +42,8 @@ from .numberfield import (
     multiplicative_order,
     rationality,
 )
-from .recurrence import RootSpec
+from .automaton import load_builtin
+from .recurrence import Recurrence, RootSpec, verify
 
 CASE_PRIME_POWER_PRIMITIVE = "PrimePowerPrimitiveRoot"
 CASE_PRIME_POWER_HALF_ODD = "PrimePowerHalfOdd"
@@ -557,7 +556,10 @@ def tilde_demo(root: RootSpec, n_max: int) -> TildeReport:
         U(2^s n; w) = C U(n; w) + (1 - C)(w^n - 1) / (2 (w - 1))
 
     where C = T(2^s; w).  When C = 1 the second relation collapses to a
-    genuine two-term recurrence U(2^s n; w) = U(n; w).
+    genuine two-term recurrence U(2^s n; w) = U(n; w).  As w^(2^s) = w,
+    S(2^s n; w) = S(n; w), so by the first identity the second holds at n
+    exactly when T(2^s n; w) = C T(n; w); that recurrence is verified on
+    the Thue-Morse machine for n <= n_max.
     """
     if root.r0 == 1:
         raise AutorecError("the affine identity needs a nontrivial root of unity")
@@ -576,29 +578,10 @@ def tilde_demo(root: RootSpec, n_max: int) -> TildeReport:
             return report
     report.polynomial_identity_ok = True
 
-    # running residue-class sums give U(m; w) for every needed argument
-    step = 2 ** s
-    top = step * n_max
-    need = set(range(1, n_max + 1)) | {step * n for n in range(1, n_max + 1)}
-    values = {}
-    vec = [0] * r0
-    for m in range(top):
-        if tm_term(m) < 0:
-            vec[m % r0] += 1
-        if (m + 1) in need:
-            values[m + 1] = vec[:]
-    psi = GaloisMap(field, root.primitive_exponent)  # zeta_r0 -> w
-    uvals = {n: psi(field.element(v)) for n, v in values.items()}
-    w = root.omega
-    half = Fraction(1, 2)
-    inv = (w - field.one()).inverse()
-    wn = field.one()
-    for n in range(1, n_max + 1):
-        wn = wn * w
-        lhs = uvals[step * n]
-        rhs = c_value * uvals[n] + (field.one() - c_value) * (wn - field.one()) * inv * half
-        if lhs != rhs:
-            report.first_failure = ("root", n)
-            return report
+    rec = Recurrence(2, root, [-c_value, field.one()], "tilde")
+    failure = verify(rec, load_builtin("thue_morse"), n_max).first_failure
+    if failure is not None:
+        report.first_failure = ("root", failure)
+        return report
     report.root_identity_ok = True
     return report

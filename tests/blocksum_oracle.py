@@ -7,10 +7,16 @@ The tests compare the two, and the evaluator against literal summation.
 """
 
 import math
+from fractions import Fraction
 
 from autorec.automaton import FORWARD, Dfao, expansion
 from autorec.numberfield import cyclo_field
 from autorec.recurrence import RootSpec, _structure
+
+
+def _value(v) -> tuple:
+    """An output as its rational vector on the powers of zeta_m: vec over den."""
+    return tuple(x if v.den == 1 else Fraction(x, v.den) for x in v.vec)
 
 
 def _add_shifted(dst: list, src: list, shift: int) -> None:
@@ -46,13 +52,13 @@ class BlockSums:
         self.r0 = r0
         self.m = a.output_field.conductor
         self._fwd = a.direction == FORWARD
-        self._values = list(dict.fromkeys(v.vec for v in a.outputs))
-        self._value_of = [self._values.index(v.vec) for v in a.outputs]
+        self._values = list(dict.fromkeys(map(_value, a.outputs)))
+        self._value_of = [self._values.index(_value(v)) for v in a.outputs]
         # per word length t: the sums over all words shorter than t; t = 1
         # holds the empty word alone, which reads the output of state 0
         if self._fwd:
             base = [0] * (r0 * self.m)
-            base[: self.m] = a.outputs[0].vec
+            base[: self.m] = _value(a.outputs[0])
         else:
             base = [[0] * r0 for _ in self._values]
             base[self._value_of[0]][0] = 1
@@ -73,7 +79,7 @@ class BlockSums:
         tabs = self._tables
         if not tabs:
             if fwd:
-                base = [list(v.vec) + [0] * ((r0 - 1) * m) for v in a.outputs]
+                base = [list(_value(v)) + [0] * ((r0 - 1) * m) for v in a.outputs]
             else:
                 base = [[0] * r0 for _ in range(a.size)]
                 base[0][0] = 1

@@ -19,6 +19,8 @@ from autorec.cli import main
 SHIPPED = ("thue_morse", "rudin_shapiro", "baum_sweet")
 # (file name, k, pattern, modulus)
 PATTERNS = (("pat_2_010_3.dfao", 2, (0, 1, 0), 3), ("pat_3_12_2.dfao", 3, (1, 2), 2))
+# outputs in Q(zeta_3) at r = 105: the minimal polynomial eliminates over Q(zeta_105)
+LARGE = ("pat_2_01_3.dfao", 2, (0, 1), 3)
 ROOTS = {2: ((3, 1), (5, 2), (9, 3), (15, 7)), 3: ((5, 1), (7, 2))}
 
 # per (machine, root): three consecutive entries, cycling through the list
@@ -52,6 +54,7 @@ def _commands() -> list[tuple]:
     out.append(("verify", "--dfao", "rudin_shapiro", "--r", "3", "--e", "1", "--n-max", "10000", "--budget", "500"))
     out.append(("tm-classify", "--r0", "63"))
     out.append(("tm-table", "--bound", "300"))
+    out.append(("synth", "--dfao", LARGE[0], "--r", "105", "--minimal", "--verify-n", "20"))
     return out
 
 
@@ -61,7 +64,7 @@ COMMANDS = _commands()
 @pytest.fixture(scope="module")
 def pattern_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("frozen")
-    for name, k, v, m in PATTERNS:
+    for name, k, v, m in PATTERNS + (LARGE,):
         (d / name).write_text(pattern_dfao(PatternSpec(k, v, m)).to_text(), encoding="utf-8")
     return d
 
@@ -146,6 +149,7 @@ FROZEN = {
     "verify --dfao rudin_shapiro --r 3 --e 1 --n-max 10000 --budget 500": "cab68e6e08f082fc1864e9606c04f28d7ba6c5c72d4c8add953d7e7d1f6cb3cc",
     "tm-classify --r0 63": "882383907dc1a92bb89fd522105d65af9085af169c5b74feaaad190846b8235a",
     "tm-table --bound 300": "05ec50898c38cfb24175a01d7b0b36150ecac5ae34a920736fcc82c41d920b8b",
+    "synth --dfao pat_2_01_3.dfao --r 105 --minimal --verify-n 20": "db238d3f208e77ad3cb8e6ebfc4f35b7fedec25388344d45b0ed951c3c62e805",
 }
 
 

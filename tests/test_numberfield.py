@@ -8,14 +8,13 @@ import mpmath
 import pytest
 
 from autorec.numberfield import (
-    CycloElement,
     CycloField,
     GaloisMap,
     RatPoly,
+    _kronecker,
     _num,
     complex_embed,
     coset_reps,
-    cyclic_product,
     cyclo_field,
     cyclotomic_int,
     cyclotomic_poly,
@@ -174,12 +173,12 @@ def test_field_axioms_randomized(conductor):
         assert (a - a).is_zero()
 
 
-@pytest.mark.parametrize("conductor", CONDUCTORS)
+@pytest.mark.parametrize("conductor", CONDUCTORS + (105, 273))
 def test_inverse_randomized(conductor):
     field = cyclo_field(conductor)
     rng = random.Random(2000 + conductor)
     done = 0
-    while done < 100:
+    while done < (100 if conductor < 100 else 3):
         a = random_element(field, rng)
         if a.is_zero():
             continue
@@ -437,6 +436,13 @@ def _schoolbook(a, b):
     return want
 
 
+def cyclic_product(a, b) -> list:
+    """a * b mod x^n - 1 for rational vectors of one length n: _kronecker over a common denominator."""
+    da, db = (math.lcm(*[Fraction(x).denominator for x in v]) for v in (a, b))
+    prod = _kronecker([int(x * da) for x in a], [int(x * db) for x in b])
+    return [_num(Fraction(c, da * db)) for c in prod]
+
+
 def test_cyclic_product_matches_schoolbook_product():
     # vectors whose sizes need slots of 1 to 16 bytes
     rng = random.Random(5)
@@ -481,16 +487,26 @@ def _values(f, rng):
     ]
 
 
+def _rational_vec(a):
+    return [Fraction(x, a.den) for x in a.vec]
+
+
 def _by_cyclic_product(f, a, b):
-    return CycloElement(f, f._normal(cyclic_product(a.vec, b.vec)))
+    return f.element(cyclic_product(_rational_vec(a), _rational_vec(b)))
+
+
+def _assert_format(x):
+    """Int slots over a positive denominator, in lowest terms."""
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(c) is int for c in x.vec)
+    assert math.gcd(x.den, *x.vec) == 1
 
 
 def _assert_same(got, want):
     assert got.field == want.field
-    assert got.vec == want.vec
+    assert (got.vec, got.den) == (want.vec, want.den)
     assert hash(got) == hash(want)
-    if all(x.denominator == 1 for x in got.vec if isinstance(x, Fraction)):
-        assert all(type(x) is int for x in got.vec)
+    _assert_format(got)
 
 
 def test_normal_form_of_one_has_one_sign():
@@ -521,6 +537,73 @@ def test_division_by_a_rational_matches_the_cyclic_product(conductor):
             _assert_same(a / q, _by_cyclic_product(f, a, f.from_rational(1 / Fraction(q))))
     with pytest.raises(ZeroDivisionError):
         f.one() / 0
+
+
+# ----------------------------------------------------------------------
+# the element format against a Fraction-vector oracle
+#
+# An element is drawn as a rational vector v of length n, its value the sum
+# of v[j] w^j.  The oracle does each operation on such vectors mod x^n - 1
+# in Fractions and compares values by their remainders modulo Phi_n, never
+# through the normal form.
+
+
+def _fraction_value(v, n):
+    return (RatPoly(v) % cyclotomic_poly(n)).coeffs
+
+
+def _check(x, v, n):
+    """x has the format and the value of the Fraction vector v in Q(zeta_n)."""
+    _assert_format(x)
+    assert x.field.conductor == n
+    assert _fraction_value(_rational_vec(x), n) == _fraction_value(v, n)
+
+
+def _draw(rng, n):
+    """A Fraction vector of length n: dense, integral, rational or over one denominator."""
+    kind = rng.randrange(4)
+    if kind == 2:
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 6))] + [0] * (n - 1)
+    den = rng.choice((2, 6)) if kind == 3 else 1
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 6) if kind == 0 else den) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", (1, 3, 4, 9, 12, 15, 105))
+def test_every_operation_returns_the_format(n):
+    f = cyclo_field(n)
+    rng = random.Random(6000 + n)
+    units = [m for m in range(1, n + 1) if math.gcd(m, n) == 1]
+    for _ in range(40 if n < 100 else 4):
+        va, vb = _draw(rng, n), _draw(rng, n)
+        a, b = f.element(va), f.element(vb)
+        _check(a, va, n)
+        _check(a + b, [x + y for x, y in zip(va, vb)], n)
+        _check(a - b, [x - y for x, y in zip(va, vb)], n)
+        _check(a + (b - a), vb, n)
+        _check(a * b, _schoolbook(va, vb), n)
+        for q in (2, -3, 6, Fraction(-4, 3), Fraction(5, 6)):
+            _check(a / q, [x / q for x in va], n)
+            _check(a * q, [x * q for x in va], n)
+            # a rational element operand, on either side
+            _check(a * f.from_rational(q), [x * q for x in va], n)
+            _check(f.from_rational(q) * a, [x * q for x in va], n)
+            _check(f.from_rational(q), [Fraction(q)] + [0] * (n - 1), n)
+        if not b.is_zero():
+            inv = b.inverse()
+            _check(inv, _rational_vec(inv), n)
+            assert _fraction_value(_schoolbook(_rational_vec(inv), vb), n) == (1,)
+            quo = a / b
+            _check(quo, _rational_vec(quo), n)
+            assert _fraction_value(_schoolbook(_rational_vec(quo), vb), n) == _fraction_value(va, n)
+        m = rng.choice(units)
+        image = [0] * n
+        for j, x in enumerate(va):
+            image[j * m % n] += x
+        _check(GaloisMap(f, m)(a), image, n)
+        t = rng.choice((2, 3))
+        spread = [0] * (n * t)
+        spread[::t] = va
+        _check(cyclo_field(n * t).coerce(a), spread, n * t)
 
 
 # ----------------------------------------------------------------------
@@ -572,7 +655,6 @@ def _check_against_oracle(n, rng, lifts):
         assert lifted == cyclo_field(d).element(small), (n, d)
         assert hash(lifted) == hash(cyclo_field(d).element(small)), (n, d)
 
-    # low degree keeps the extended Euclidean algorithm of inverse() cheap
     p3 = [rng.randint(-3, 3) for _ in range(4)]
     z = field.element(p3)
     if not z.is_zero():

@@ -184,6 +184,13 @@ def test_span_ranks_of_shipped_machines(tm, rs, bs, pat11):
     assert span_analysis(pat11).rank == 2
 
 
+def test_span_keeps_rows_that_differ_in_denominators_only():
+    # the Thue-Morse transitions with outputs 1/2 and 1/3 give the rows
+    # (1/2, 1/3) and (1/3, 1/2): one numerator vector (1,) per entry
+    a = Dfao(2, FORWARD, "ab", [Fraction(1, 2), Fraction(1, 3)], [[0, 1], [1, 0]])
+    assert span_analysis(a).rank == 2
+
+
 def test_span_generators_start_at_zero(shipped):
     for name, a in shipped:
         sp = span_analysis(a)

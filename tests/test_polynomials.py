@@ -1,6 +1,6 @@
 """Differential tests of the polynomial layer against sympy, on hypothesis inputs.
 
-RatPoly arithmetic, division and rat_poly_xgcd are compared with sympy's
+RatPoly arithmetic and division are compared with sympy's
 Poly over QQ; cyclotomic_int and CycloField.reduce with sympy's
 cyclotomic polynomials and remainders; CycloPoly's ring operations with
 evaluation at field elements.  Every test draws its examples from a
@@ -21,7 +21,6 @@ from autorec.numberfield import (  # noqa: E402
     cyclo_field,
     cyclotomic_int,
     euler_phi,
-    rat_poly_xgcd,
 )
 from autorec.polymatrix import CycloPoly  # noqa: E402
 
@@ -86,21 +85,6 @@ def test_rat_poly_substitute_truncate_and_evaluate_match_sympy(a, e, n, x):
     want = sp.eval(sympy.Rational(x.numerator, x.denominator))
     assert p(x) == Fraction(int(want.p), int(want.q))
     assert all(p.coefficient(i) == (a[i] if 0 <= i < len(a) else 0) for i in range(-1, len(a) + 2))
-
-
-@FIXED
-@given(rat_coeffs, rat_coeffs)
-def test_rat_poly_xgcd_bezout_identity(a, b):
-    p, q = RatPoly(a), RatPoly(b)
-    g, s, t = rat_poly_xgcd(p, q)
-    assert s * p + t * q == g
-    if g.coeffs:
-        assert not (p % g).coeffs and not (q % g).coeffs
-        # sympy's gcd is monic; ours agrees up to its leading coefficient
-        monic = g * (Fraction(1) / g.coeffs[-1])
-        assert monic == _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b)))
-    else:
-        assert not p.coeffs and not q.coeffs
 
 
 @pytest.mark.parametrize("block", [range(1, 201), range(201, 401), (1155, 3003, 4095)])

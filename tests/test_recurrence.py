@@ -409,8 +409,9 @@ def _direct_buckets(a, r0, ns):
         if t in ns:
             out[t] = list(vec)
         j = t % r0
-        for i, x in enumerate(sequence_term(a, t).vec):
-            vec[j * m + i] += x
+        v = sequence_term(a, t)
+        for i, x in enumerate(v.vec):
+            vec[j * m + i] += Fraction(x, v.den)
     return out
 
 
@@ -617,6 +618,18 @@ def test_caches_keep_equal_machines_over_different_fields_apart(tm):
     rec = synthesize(tm, root)
     assert rec.coefficients == cold
     assert verify(rec, tm, 30).all_zero
+
+
+def test_cache_key_tells_outputs_apart_by_denominator():
+    # 1/2 and 1/3 share the numerator vector (1,): a key on numerators alone
+    # would hand the second machine the first one's recurrence
+    half_third = Dfao(2, FORWARD, "ab", [Fraction(1, 2), Fraction(1, 3)], [[0, 1], [1, 0]])
+    third_half = Dfao(2, FORWARD, "ab", [Fraction(1, 3), Fraction(1, 2)], [[0, 1], [1, 0]])
+    assert recurrence._structure(half_third) != recurrence._structure(third_half)
+    root = RootSpec(2, 3, 1)
+    clear_caches()
+    for a in (half_third, third_half):
+        assert verify(synthesize(a, root), a, 30).all_zero
 
 
 def _count_calls(monkeypatch, *names):
@@ -914,7 +927,12 @@ def test_packed_levels_match_list_levels(L):
                 for d in (1, 2, 3):
                     table = _level_table(rng, d, L, coeff)
                     want = level_oracle.unit_levels(table, root, L)
-                    assert recurrence._unit_levels(table, root, L) == want, (L, root, kind, d)
+                    # the kernel takes integers: the table over its common denominator D, the levels over D^s
+                    den = math.lcm(*(t[-1].denominator for terms in table for t in terms))
+                    ints = [[(src, e, p, int(c * den)) for src, e, p, c in terms] for terms in table]
+                    got = recurrence._unit_levels(ints, root, L)
+                    got = [[[Fraction(x, den**s) for x in v] for v in col] for col in got]
+                    assert got == want, (L, root, kind, d)
             # every term at p = 0 and x^0: the final slot is (+-3)^s, the a-priori bound itself
             for c in (1, -1):
                 table = [[(0, 0, 0, c)] * 3]
@@ -1011,8 +1029,8 @@ def galois_invariance_report(rec: Recurrence) -> GaloisReport:
             "rational": str(c.rational_value()) if c.rational_value() is not None else None,
         }
         if periods is not None and inv:
-            rows = [[Fraction(p.vec[i]) for p in periods] for i in range(r0)]
-            sol = solve_exact(rows, [Fraction(x) for x in c.vec])
+            rows = [[Fraction(p.vec[i], p.den) for p in periods] for i in range(r0)]
+            sol = solve_exact(rows, [Fraction(x, c.den) for x in c.vec])
             entry["period_coords"] = None if sol is None else [str(Fraction(v)) for v in sol]
         entries.append(entry)
     return GaloisReport(all_inv, len(reps) == 1, entries)

@@ -484,6 +484,22 @@ def test_tilde_two_term_recurrence_at_unit_witness():
     assert rep.to_json_dict()["two_term"] is True
 
 
+def test_tilde_root_identity_at_a_large_conductor():
+    # s = 60: the identity is verified through the recurrence, not by sums up to 2^s n_max
+    rep = tilde_demo(RootSpec(2, 3003, 1), 20)
+    assert rep.polynomial_identity_ok and rep.root_identity_ok
+    assert rep.first_failure is None
+
+
+def test_tilde_reports_a_wrong_coefficient_at_n_one(monkeypatch):
+    exact = thuemorse.tm_coefficient
+    monkeypatch.setattr(thuemorse, "tm_coefficient", lambda r0, e=1: exact(r0, e) + 1)
+    for root in (RootSpec(2, 9, 1), RootSpec(2, 39, 1)):
+        rep = tilde_demo(root, 20)
+        assert rep.polynomial_identity_ok and not rep.root_identity_ok
+        assert rep.first_failure == ("root", 1)
+
+
 def test_tilde_rejects_root_one():
     with pytest.raises(AutorecError):
         tilde_demo(RootSpec(2, 5, 0), 10)
