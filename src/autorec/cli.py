@@ -33,7 +33,6 @@ from .polymatrix import (
     LEFT,
     RIGHT,
     power_product,
-    reduced_matrix,
     span_analysis,
     transition_matrix,
     truncate,
@@ -100,8 +99,7 @@ def _cmd_seq(args) -> int:
 def _cmd_matrix(args) -> int:
     a = _load_dfao(args.dfao)
     m = transition_matrix(a)
-    span = span_analysis(a)
-    mhat = reduced_matrix(m, span)
+    mhat = transition_matrix(a, span_analysis(a))
     side = LEFT if a.direction == "forward" else RIGHT
     payload = {"m": m.to_json_dict(), "m_hat": mhat.to_json_dict()}
     blocks = ["M(x):", m.pretty(), "", "reduced M(x):", mhat.pretty()]

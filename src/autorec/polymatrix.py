@@ -1,23 +1,25 @@
-"""Polynomial transition matrices and the span analysis of state functions.
-
-Entries are CycloPolys, numberfield's dense polynomials over the outputs.
+"""Digit cells, polynomial transition matrices and the span analysis of state functions.
 
 For an automaton with states q_0, ..., q_(d-1) the transition matrix is
 
     m_ij(x) = sum of x^a over the digits a with delta(q_i, a) = q_j.
 
-Ordered products of digit-substituted copies encode reading words most
-significant digit first (Left) or least significant digit first (Right).
 The span analysis finds, by exact linear algebra over the output field,
 which state functions f_i(w) = output(delta(q_i, w)) are redundant; the
-resulting relations compress the matrix to the reduced system that the
-recurrence synthesis works on.
+resulting relations compress M(x) to M-hat(x) over the generator states.
+digit_cells gives the nonzero digit coefficients of either matrix as
+(row, col, digit, c) cells, and recurrence synthesis reads those cells.
+PolyMatrix, a matrix of CycloPolys (numberfield's dense polynomials over
+the outputs), is filled from the same cells; its ordered products of
+digit-substituted copies, reading words most significant digit first
+(Left) or least significant digit first (Right), serve the matrix
+command and the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import AutorecError
 from .automaton import Dfao, closure
@@ -146,9 +148,6 @@ class PolyMatrix:
             self.field, [[p.substitute_power(e) for p in row] for row in self.rows]
         )
 
-    def truncate_entries(self, n: int) -> "PolyMatrix":
-        return PolyMatrix(self.field, [[p.truncate(n) for p in row] for row in self.rows])
-
     def pretty(self, var: str = "x") -> str:
         cells = [[p.pretty(var) for p in row] for row in self.rows]
         width = max((len(c) for row in cells for c in row), default=0)
@@ -165,23 +164,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix(dim={self.dim})\n{self.pretty()}"
-
-
-# ----------------------------------------------------------------------
-# transition matrices
-
-
-def transition_matrix(a: Dfao) -> PolyMatrix:
-    """M(x) with m_ij(x) = sum of x^digit over transitions q_i -> q_j."""
-    field = a.output_field
-    zero, one = field.zero(), field.one()
-    rows = []
-    for targets in a.delta:
-        row = [CycloPoly(field)] * a.size  # most pairs of states share no digit
-        for j in set(targets):
-            row[j] = CycloPoly(field, [one if t == j else zero for t in targets])
-        rows.append(row)
-    return PolyMatrix(field, rows)
 
 
 def power_product(m: PolyMatrix, k: int, t: int, side: str) -> PolyMatrix:
@@ -210,7 +192,7 @@ def truncate(m: PolyMatrix, n: int) -> PolyMatrix:
     """
     if n < 1:
         raise AutorecError("truncation length must be positive")
-    return m.truncate_entries(n)
+    return PolyMatrix(m.field, [[p.truncate(n) for p in row] for row in m.rows])
 
 
 # ----------------------------------------------------------------------
@@ -302,22 +284,37 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
     return SpanAnalysis(field, tuple(words), tuple(tuples), table, len(pivots), generators, alphas)
 
 
-def reduced_matrix(m: PolyMatrix, span: SpanAnalysis) -> PolyMatrix:
-    """Compress M(x) onto the generator states.
+# ----------------------------------------------------------------------
+# digit cells: M(x) and M-hat(x) coefficient by coefficient
 
-    Row i, column j of the result is m_ij + sum over dependent states p
-    of alpha_pj m_ip, with i, j running over the generators.
+
+def digit_cells(a: Dfao, span: Optional[SpanAnalysis] = None) -> list[tuple]:
+    """The nonzero digit coefficients of M(x), or of M-hat(x) given span, as (row, col, digit, c) cells.
+
+    Row i reads generator g_i (every state when no span is given) and
+    digit d reaches t = delta(g_i, d).  A kept t gives the cell
+    (i, pos[t], d, 1); a dependent t gives (i, b, d, alpha_(t,b)) for each
+    nonzero alpha_(t,b), as f_t = sum over b of alpha_(t,b) f_(g_b).
+    One (i, d) has one target, so no two cells share a (row, col, digit).
     """
-    gens = span.generators
-    rows = []
-    for gi in gens:
-        row = []
-        for b, gj in enumerate(gens):
-            acc = m.entry(gi, gj)
-            for p, coeffs in span.alphas.items():
-                c = coeffs[b]
-                if c and m.entry(gi, p):
-                    acc = acc + m.entry(gi, p) * c
-            row.append(acc)
-        rows.append(row)
-    return PolyMatrix(m.field, rows)
+    one = a.output_field.one()
+    gens, alphas = (range(a.size), {}) if span is None else (span.generators, span.alphas)
+    pos = {g: b for b, g in enumerate(gens)}
+    cells = []
+    for i, g in enumerate(gens):
+        for d, t in enumerate(a.delta[g]):
+            if t in pos:
+                cells.append((i, pos[t], d, one))
+            else:
+                cells += [(i, b, d, c) for b, c in enumerate(alphas[t]) if c]
+    return cells
+
+
+def transition_matrix(a: Dfao, span: Optional[SpanAnalysis] = None) -> PolyMatrix:
+    """M(x), or M-hat(x) over the generators of span, filled from digit_cells."""
+    field = a.output_field
+    dim = a.size if span is None else len(span.generators)
+    coeffs = [[[0] * a.base for _ in range(dim)] for _ in range(dim)]
+    for i, j, d, c in digit_cells(a, span):
+        coeffs[i][j][d] = c
+    return PolyMatrix(field, [[CycloPoly(field, p) for p in row] for row in coeffs])

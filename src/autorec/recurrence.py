@@ -26,9 +26,11 @@ Synthesis and verification share the padded-word machine that
 _pad_invariant makes of the pruned automaton and the level kernel
 _apply_levels, the s digit levels at x = w^(k^t) on one vector mod
 x^L - 1 per state, packed as one residue mod 2^(8 width L) - 1; nothing
-else.  Synthesis applies the levels of the reduced matrix M-hat to unit
-vectors and takes a characteristic or minimal polynomial; verify applies
-those of the full machine and scans the word-sum residual.
+else.  Synthesis reads the reduced matrix M-hat as polymatrix.digit_cells,
+builds no polynomial, applies its levels to unit vectors and takes a
+characteristic or minimal polynomial; verify applies those of the full
+machine, whose cells are all 1, and scans the word-sum residual.
+PolyMatrix serves the matrix command and the tests only.
 
 Everything is computed over Q; floating point never enters.
 """
@@ -68,11 +70,10 @@ from .polymatrix import (
     LEFT,
     RIGHT,
     CycloPoly,
-    PolyMatrix,
+    SpanAnalysis,
     _mat_mul,
-    reduced_matrix,
+    digit_cells,
     span_analysis,
-    transition_matrix,
 )
 
 
@@ -334,22 +335,19 @@ def _unit_levels(table: list, root: RootSpec, L: int) -> list:
     return [[_unpack(v, width, L) for v in _apply_levels(u, table, root, L, width)] for u in units]
 
 
-def reduced_product_at_root(mhat: PolyMatrix, root: RootSpec, side: str):
+def reduced_product_at_root(a: Dfao, span: SpanAnalysis, root: RootSpec, side: str):
     """M-hat(k^s; w) (Left) or its Right mirror, as a scalar matrix.
 
-    The ordered product of the s digit-substituted copies of mhat at x = w:
-    column j (Left) or row j (Right) is the levels applied to e_j, over D^s.
+    The ordered product of the s digit-substituted copies of M-hat(x), read
+    as digit_cells(a, span), at x = w: column j (Left) or row j (Right) is
+    the levels applied to e_j, over D^s.
     """
-    m = mhat.field.conductor
+    m = a.output_field.conductor
     K = cyclo_field(math.lcm(m, root.r0))
-    den = math.lcm(*(z.den for row in mhat.rows for p in row for z in p.coeffs))
-    cells = [
-        (i, j, e, _pairs(z, K.conductor // m, den))
-        for i, row in enumerate(mhat.rows)
-        for j, p in enumerate(row)
-        for e, z in enumerate(p.coeffs)
-    ]
-    got = _unit_levels(_term_table(cells, mhat.dim, side == LEFT), root, K.conductor)
+    cells = digit_cells(a, span)
+    den = math.lcm(*(c.den for *_, c in cells))
+    cells = [(i, j, e, _pairs(c, K.conductor // m, den)) for i, j, e, c in cells]
+    got = _unit_levels(_term_table(cells, len(span.generators), side == LEFT), root, K.conductor)
     got = [[_lowest(K, K._normal(v), den**root.s) for v in col] for col in got]
     return [list(col) for col in zip(*got)] if side == LEFT else got, K
 
@@ -390,10 +388,9 @@ def _structure(a: Dfao) -> tuple:
 
 
 def _prepare(a: Dfao):
-    """M-hat of the padded-word machine of a, and the side its product is read from."""
+    """The padded-word machine of a, its span analysis, and the side its product is read from."""
     ap = _pad_invariant(prune_inaccessible(a))
-    mhat = reduced_matrix(transition_matrix(ap), span_analysis(ap))
-    return mhat, LEFT if ap.direction == FORWARD else RIGHT
+    return ap, span_analysis(ap), LEFT if ap.direction == FORWARD else RIGHT
 
 
 def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence:
@@ -428,8 +425,8 @@ def _synthesize(a: Dfao, root: RootSpec, use_minimal: bool, prepare) -> Recurren
     key = (_structure(a), root.s, r0, u % math.gcd(m, r0), use_minimal)
 
     def build():
-        mhat, side = prepare()
-        scal, field = reduced_product_at_root(mhat, root, side)
+        ap, span, side = prepare()
+        scal, field = reduced_product_at_root(ap, span, root, side)
         return u, minimal_poly(scal, field) if use_minimal else char_poly(scal, field)
 
     u1, coeffs = _cached(_SYNTH_CACHE, key, build)
@@ -591,7 +588,7 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     denominator, integral.
     """
     prepared = _prepare(a)
-    if any(c.rational_value() is None for row in prepared[0].rows for p in row for c in p.coeffs):
+    if any(c.rational_value() is None for *_, c in digit_cells(*prepared[:2])):
         raise AutorecError("integer recurrences need a reduced matrix with rational entries")
     base_rec = _synthesize(a, root, False, lambda: prepared)
     field = root.field

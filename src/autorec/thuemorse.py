@@ -571,10 +571,12 @@ def tilde_demo(root: RootSpec, n_max: int) -> TildeReport:
     c_value = base ** (s // root.s0)
     report = TildeReport(r0, root.primitive_exponent, s, c_value, n_max)
 
-    for n in range(1, n_max + 1):
-        u = RatPoly([1 if tm_term(m) < 0 else 0 for m in range(n)])
-        if u + u != RatPoly([1] * n) - tm_poly(n):
-            report.first_failure = ("polynomial", n)
+    # the identity at n adds to the one at n - 1 only its x^(n-1) coefficient,
+    # 2 [t(n-1) = -1] = 1 - t(n-1), so each m < n_max is checked once
+    t = tm_poly(n_max)
+    for m in range(n_max):
+        if 2 * (tm_term(m) < 0) != 1 - t.coefficient(m):
+            report.first_failure = ("polynomial", m + 1)
             return report
     report.polynomial_identity_ok = True
 

@@ -138,6 +138,27 @@ def partial_sum_poly(a, span, n: int, t: int, side: str) -> list:
     return out
 
 
+def reduced_matrix_oracle(m: PolyMatrix, span) -> PolyMatrix:
+    """M-hat(x) from the full M(x) by the reduction formula.
+
+    Row i, column j of the result is m_ij + sum over dependent states p
+    of alpha_pj m_ip, with i, j running over the generators.
+    """
+    gens = span.generators
+    rows = []
+    for gi in gens:
+        row = []
+        for b, gj in enumerate(gens):
+            acc = m.entry(gi, gj)
+            for p, coeffs in span.alphas.items():
+                c = coeffs[b]
+                if c and m.entry(gi, p):
+                    acc = acc + m.entry(gi, p) * c
+            row.append(acc)
+        rows.append(row)
+    return PolyMatrix(m.field, rows)
+
+
 def det_cofactor(m: PolyMatrix) -> CycloPoly:
     """Determinant by cofactor expansion; an independent small-d route."""
     return _det_cofactor(m.rows, m.field)

@@ -34,7 +34,6 @@ from autorec.polymatrix import (
     RIGHT,
     CycloPoly,
     power_product,
-    reduced_matrix,
     span_analysis,
     transition_matrix,
     truncate,
@@ -93,7 +92,7 @@ def test_criterion_02_exhaustive_desk_scale_verification(shipped, announce):
 
 
 def test_criterion_03_determinant_law(rs, announce):
-    m = reduced_matrix(transition_matrix(rs), span_analysis(rs))
+    m = transition_matrix(rs, span_analysis(rs))
     f = rs.output_field
     for s in (1, 2, 3):
         det = det_cofactor(power_product(m, 2, s, RIGHT))
@@ -104,14 +103,13 @@ def test_criterion_03_determinant_law(rs, announce):
 
 def test_criterion_04_block_counting_coefficient_forms(bs, announce):
     span = span_analysis(bs)
-    mhat = reduced_matrix(transition_matrix(bs), span)
     cases = 0
     for r in range(1, 22, 2):
         for e in range(r):
             root = RootSpec(2, r, e)
             rec = synthesize(bs, root)
             assert rec.order == 2
-            mat, K = reduced_product_at_root(mhat, root, RIGHT)
+            mat, K = reduced_product_at_root(bs, span, root, RIGHT)
             trace = mat[0][0] + mat[1][1]
             const = rec.coefficients[0].rational_value()
             assert const == (-1) ** root.s, (r, e)
@@ -209,7 +207,7 @@ def test_criterion_10_polynomial_recurrence_oracle(shipped, announce):
     checked = 0
     for name, a in shipped:
         span = span_analysis(a)
-        mhat = reduced_matrix(transition_matrix(a), span)
+        mhat = transition_matrix(a, span)
         side = RIGHT if a.direction == BACKWARD else LEFT
         k = a.base
         for u in (1, 2, 3):

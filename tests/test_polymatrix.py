@@ -16,7 +16,6 @@ from autorec.polymatrix import (
     PolyMatrix,
     SpanAnalysis,
     power_product,
-    reduced_matrix,
     span_analysis,
     transition_matrix,
     truncate,
@@ -344,15 +343,15 @@ def test_span_matches_column_by_column_solves(shipped):
 
 
 def test_reduced_matrices_frozen_forms(tm, rs, bs):
-    mt = reduced_matrix(transition_matrix(tm), span_analysis(tm))
+    mt = transition_matrix(tm, span_analysis(tm))
     assert mt.dim == 1
     assert mt.entry(0, 0).pretty() == "1 - x"
-    mr = reduced_matrix(transition_matrix(rs), span_analysis(rs))
+    mr = transition_matrix(rs, span_analysis(rs))
     assert [[mr.entry(i, j).pretty() for j in range(2)] for i in range(2)] == [
         ["1", "x"],
         ["1", "-x"],
     ]
-    mb = reduced_matrix(transition_matrix(bs), span_analysis(bs))
+    mb = transition_matrix(bs, span_analysis(bs))
     assert [[mb.entry(i, j).pretty() for j in range(2)] for i in range(2)] == [
         ["x", "1"],
         ["1", "0"],
@@ -411,7 +410,7 @@ def test_char_poly_constant_term_is_signed_det(shipped):
 
 
 def test_det_multiplies_under_substitution_products(rs):
-    m = reduced_matrix(transition_matrix(rs), span_analysis(rs))
+    m = transition_matrix(rs, span_analysis(rs))
     for s in (1, 2, 3):
         prod = power_product(m, 2, s, RIGHT)
         det = det_cofactor(prod)
@@ -423,7 +422,7 @@ def test_det_multiplies_under_substitution_products(rs):
 
 def test_determinant_law_for_reduced_products(rs):
     # det of the s-fold right product is (-2)^s x^(2^s - 1)
-    m = reduced_matrix(transition_matrix(rs), span_analysis(rs))
+    m = transition_matrix(rs, span_analysis(rs))
     f = rs.output_field
     for s in (1, 2, 3):
         det = det_cofactor(power_product(m, 2, s, RIGHT))
@@ -438,7 +437,7 @@ def test_determinant_law_for_reduced_products(rs):
 def test_left_identity_small_range(tm, rs, pat11):
     for a in (tm, rs, pat11):
         sp = span_analysis(a)
-        mhat = reduced_matrix(transition_matrix(a), sp)
+        mhat = transition_matrix(a, sp)
         k = a.base
         for u in (1, 2):
             base_vec = partial_sum_poly(a, sp, k**u, u, LEFT)
@@ -455,7 +454,7 @@ def test_left_identity_small_range(tm, rs, pat11):
 
 def test_right_identity_small_range(bs):
     sp = span_analysis(bs)
-    mhat = reduced_matrix(transition_matrix(bs), sp)
+    mhat = transition_matrix(bs, sp)
     k = bs.base
     for u in (1, 2):
         m = power_product(mhat, k, u, RIGHT)

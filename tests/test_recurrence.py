@@ -32,8 +32,9 @@ from autorec.numberfield import (
 from autorec.polymatrix import (
     LEFT,
     RIGHT,
+    CycloPoly,
+    digit_cells,
     power_product,
-    reduced_matrix,
     span_analysis,
     transition_matrix,
 )
@@ -54,7 +55,7 @@ from autorec.recurrence import (
 import blocksum_oracle
 from blocksum_oracle import BlockSums, block_sums, partial_sum_fast
 import level_oracle
-from conftest import partial_sum_value, poly_divides, random_element, solve_exact
+from conftest import partial_sum_value, poly_divides, random_element, reduced_matrix_oracle, solve_exact
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +249,8 @@ def test_char_and_minimal_poly_match_oracles_on_reduced_products(r, e):
     root = RootSpec(2, r, e)
     for spec in (PatternSpec(2, (0, 1, 0), 3), PatternSpec(2, (1, 1), 3), PatternSpec(2, (0, 1), 6)):
         for a in (pattern_dfao(spec), reverse_dfao(pattern_dfao(spec))):
-            mhat, side = recurrence._prepare(a)
-            rows, f = reduced_product_at_root(mhat, root, side)
+            ap, span, side = recurrence._prepare(a)
+            rows, f = reduced_product_at_root(ap, span, root, side)
             _assert_matches_oracles(rows, f)
 
 
@@ -526,6 +527,25 @@ def test_verify_does_no_field_multiplication(monkeypatch):
     for rec, a in cases:
         assert verify(rec, a, 30).all_zero
     assert muls[0] == 0
+
+
+def test_synthesis_and_verify_build_no_polynomial(rs, monkeypatch):
+    # synthesis reads M-hat as digit cells; CycloPoly and PolyMatrix serve
+    # the matrix command and the tests only
+    built = [0]
+    init = CycloPoly.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CycloPoly, "__init__", counted_init)
+    clear_caches()
+    root = RootSpec(2, 5, 2)
+    for a in (rs, reverse_dfao(pattern_dfao(PatternSpec(2, (0, 1, 0), 3)))):
+        for use_minimal in (False, True):
+            assert verify(synthesize(a, root, use_minimal), a, 30).all_zero
+    assert built[0] == 0
 
 
 @pytest.mark.parametrize("build, r, most", ((synthesize, 105, 10), (integer_recurrence, 273, 200)))
@@ -960,8 +980,8 @@ delta: q2 1 -> q2
 """
 
 
-def test_reduced_product_at_root_matches_power_product():
-    """Entries of M-hat(k^s; x) evaluated at x = w, both sides, several u per conductor."""
+def _product_machines() -> list:
+    """Pattern machines and _HALF_ENTRY_DFAO, each forward and reversed, pruned."""
     # (2, 00, 3) has Fraction-typed entries in M-hat, and _HALF_ENTRY_DFAO a non-integral one
     specs = (
         PatternSpec(2, (1, 1), 3),
@@ -969,24 +989,42 @@ def test_reduced_product_at_root_matches_power_product():
         PatternSpec(2, (0, 1, 0), 3),
         PatternSpec(2, (0, 0), 3),
     )
+    machines = []
     for fwd in [pattern_dfao(spec) for spec in specs] + [parse_dfao(_HALF_ENTRY_DFAO)]:
-        for a in (fwd, reverse_dfao(fwd)):
-            a = prune_inaccessible(a)
-            mhat = reduced_matrix(transition_matrix(a), span_analysis(a))
-            for side in (LEFT, RIGHT):
-                products = {}  # per step s
-                for r0 in (5, 9, 15) if a.base == 2 else (5, 10):
-                    for u in sorted({1, 2, r0 - 1}):
-                        if math.gcd(u, r0) != 1:
-                            continue
-                        root = RootSpec(a.base, r0, u)
-                        if root.s not in products:
-                            products[root.s] = power_product(mhat, a.base, root.s, side)
-                        got, K = reduced_product_at_root(mhat, root, side)
-                        w = root.omega
-                        want = [[p(w) for p in row] for row in products[root.s].rows]
-                        assert K.conductor == math.lcm(a.output_field.conductor, r0)
-                        assert got == want, (fwd.to_text(), a.direction, side, r0, u)
+        machines += [prune_inaccessible(fwd), prune_inaccessible(reverse_dfao(fwd))]
+    return machines
+
+
+def test_reduced_transition_matrix_matches_reduction_oracle(shipped):
+    """transition_matrix(a, span) against m_ij + sum of alpha_pj m_ip over the full M(x)."""
+    machines = [a for _, a in shipped] + _product_machines()
+    for a in machines:
+        span = span_analysis(a)
+        want = reduced_matrix_oracle(transition_matrix(a), span)
+        assert transition_matrix(a, span) == want, a.to_text()
+        cells = digit_cells(a, span)
+        assert len({cell[:3] for cell in cells}) == len(cells)  # one cell per (row, col, digit)
+
+
+def test_reduced_product_at_root_matches_power_product():
+    """Entries of M-hat(k^s; x) evaluated at x = w, both sides, several u per conductor."""
+    for a in _product_machines():
+        span = span_analysis(a)
+        mhat = reduced_matrix_oracle(transition_matrix(a), span)
+        for side in (LEFT, RIGHT):
+            products = {}  # per step s
+            for r0 in (5, 9, 15) if a.base == 2 else (5, 10):
+                for u in sorted({1, 2, r0 - 1}):
+                    if math.gcd(u, r0) != 1:
+                        continue
+                    root = RootSpec(a.base, r0, u)
+                    if root.s not in products:
+                        products[root.s] = power_product(mhat, a.base, root.s, side)
+                    got, K = reduced_product_at_root(a, span, root, side)
+                    w = root.omega
+                    want = [[p(w) for p in row] for row in products[root.s].rows]
+                    assert K.conductor == math.lcm(a.output_field.conductor, r0)
+                    assert got == want, (a.to_text(), side, r0, u)
 
 
 # ----------------------------------------------------------------------

@@ -476,6 +476,24 @@ def test_tilde_identity_at_conductor_three():
     assert d["c"] == "3" and d["two_term"] is False
 
 
+def test_tilde_polynomial_identity_is_one_pass(monkeypatch):
+    # each coefficient of x^m is checked once, not once per n > m
+    calls = [0]
+    exact = thuemorse.tm_poly
+
+    def counted(n):
+        calls[0] += 1
+        return exact(n)
+
+    monkeypatch.setattr(thuemorse, "tm_poly", counted)
+    rep = tilde_demo(RootSpec(2, 3, 1), 2000)
+    assert calls[0] <= 1
+    assert rep.to_json_dict() == {
+        "r0": 3, "e": 1, "s": 2, "c": "3", "c_is_one": False, "two_term": False,
+        "polynomial_identity_ok": True, "root_identity_ok": True, "n_max": 2000, "first_failure": None,
+    }
+
+
 def test_tilde_two_term_recurrence_at_unit_witness():
     root = RootSpec(2, 39, 1)
     rep = tilde_demo(root, 100)
