@@ -15,7 +15,6 @@ from .numberfield import (
     cyclo_field,
     cyclotomic_poly,
     complex_embed,
-    gaussian_period,
     multiplicative_order,
     rationality,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "cyclo_field",
     "cyclotomic_poly",
     "complex_embed",
-    "gaussian_period",
     "multiplicative_order",
     "rationality",
 ]

@@ -28,8 +28,11 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from fractions import Fraction
 from typing import Iterable, Optional
+
+from .errors import AutorecError
 
 
 # ----------------------------------------------------------------------
@@ -122,6 +125,48 @@ def coset_reps(k, n: int) -> list[int]:
                     w = w * g % n
         u = seen.find(0, u)
     return reps
+
+
+# Miller-Rabin with the first 12 primes as bases is deterministic below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality test for 2 <= n < _MR_BOUND."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split_primes(r0: int, start: int = 0):
+    """Yield (p, g): the primes p = 1 mod 2 r0 above start in increasing order, each
+    with the least g = h^((p-1)/r0), h = 2, 3, ..., of exact order r0 mod p."""
+    qs = [q for q, _ in factorize(r0)]
+    for p in range((start // (2 * r0) + 1) * 2 * r0 + 1, _MR_BOUND, 2 * r0):
+        if _is_prime(p):
+            for h in range(2, p):
+                g = pow(h, (p - 1) // r0, p)
+                if all(pow(g, r0 // q, p) != 1 for q in qs):
+                    yield p, g
+                    break
+    raise AutorecError(f"no prime certificate below {_MR_BOUND} at r0 = {r0}")
 
 
 def _num(c):
@@ -397,19 +442,64 @@ def _width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
+# the fixed-size struct formats of signed slots of 1, 2, 4 and 8 bytes
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+# byte -> 0xff where its top bit is set, else 0: a slot's sign extended to a whole byte
+_SIGN = bytes(255 if b & 128 else 0 for b in range(256))
+
+
+def _top(width: int, n: int) -> int:
+    """sum 2^(8 width j + 8 width - 1) over j < n: the sign bit of every slot."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
+
+
 def _pack(v: list[int], width: int) -> int:
-    """sum v[j] 2^(8 width j) for |v[j]| < 2^(8 width - 1): mod 2^(8 width n) - 1, v mod x^n - 1."""
-    offset = 1 << (8 * width - 1)  # slots are stored shifted to be nonnegative
-    raw = b"".join([(x + offset).to_bytes(width, "little") for x in v])
-    return int.from_bytes(raw, "little") - int.from_bytes(offset.to_bytes(width, "little") * len(v), "little")
+    """sum v[j] 2^(8 width j) for |v[j]| < 2^(8 width - 1): mod 2^(8 width n) - 1, v mod x^n - 1.
+
+    Slots of up to 8 bytes are written as machine words by one
+    struct.pack, in two's complement; for widths 3, 5, 6 and 7 the words
+    are cut to their low width bytes, one byte plane at a time.  Wider
+    slots are written one to_bytes call each.  With top the sign bit of
+    every slot, (bytes ^ top) - top is the signed sum: the xor turns each
+    two's complement slot x into x + 2^(8 width - 1), and no slot carries.
+    """
+    n = len(v)
+    if width > 8:
+        raw = b"".join([x.to_bytes(width, "little", signed=True) for x in v])
+    else:
+        raw = struct.pack(f"<{n}{_FORMATS.get(width, 'q')}", *v)
+        if width not in _FORMATS:
+            raw, words = bytearray(width * n), raw
+            for k in range(width):
+                raw[k::width] = words[k::8]
+    top = _top(width, n)
+    return (int.from_bytes(raw, "little") ^ top) - top
 
 
 def _unpack(r: int, width: int, n: int) -> list[int]:
-    """The v of _pack(v, width) = r mod N = 2^(8 width n) - 1, 0 <= r < N: the packed sum is r or r - N."""
-    full, offset = (1 << 8 * width * n) - 1, 1 << (8 * width - 1)
-    r += int.from_bytes(offset.to_bytes(width, "little") * n, "little") - (full if r > full >> 1 else 0)
-    raw = r.to_bytes(width * n, "little")
-    return [int.from_bytes(raw[i : i + width], "little") - offset for i in range(0, width * n, width)]
+    """The v of _pack(v, width) = r mod N = 2^(8 width n) - 1, 0 <= r < N: the packed sum is r or r - N.
+
+    Adding top (the sign bit of every slot) to the packed sum makes each
+    slot x into x + 2^(8 width - 1) without a carry, and the xor with top
+    then leaves x in two's complement.  Slots of up to 8 bytes are read
+    as machine words by one struct.unpack; for widths 3, 5, 6 and 7 they
+    are first widened to 8 bytes, the top byte planes filled from the
+    sign of each slot's last byte.  Wider slots are read one from_bytes
+    call each.
+    """
+    full, top = (1 << 8 * width * n) - 1, _top(width, n)
+    raw = ((r + top - (full if r > full >> 1 else 0)) ^ top).to_bytes(width * n, "little")
+    if width > 8:
+        return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, width * n, width)]
+    if width not in _FORMATS:
+        words = bytearray(8 * n)
+        for k in range(width):
+            words[k::8] = raw[k::width]
+        sign = raw[width - 1 :: width].translate(_SIGN)
+        for k in range(width, 8):
+            words[k::8] = sign
+        raw = words
+    return list(struct.unpack(f"<{n}{_FORMATS.get(width, 'q')}", raw))
 
 
 def _kronecker(a: list[int], b: list[int]) -> list[int]:
@@ -776,28 +866,12 @@ class GaloisMap:
         return f"GaloisMap(w -> w^{self.m} on Q(zeta_{self.field.conductor}))"
 
 
-def galois_apply(a: CycloElement, m: int) -> CycloElement:
-    """psi_m(a): the Galois automorphism w -> w^m applied to a."""
-    return GaloisMap(a.field, m)(a)
-
-
 def root_of_unity(order: int, e: int) -> CycloElement:
     """zeta_order^e in the smallest field that holds it; +-1 are rational."""
     red = order // math.gcd(order, e)
     if red <= 2:
         return cyclo_field(1).from_rational(-1 if red == 2 else 1)
     return cyclo_field(red).omega_power(e // (order // red))
-
-
-def gaussian_period(field: CycloField, k: int, j: int) -> CycloElement:
-    """The Gaussian period eta_j = sum of w^(j * k^i) over i < ord_k."""
-    n = field.conductor
-    out = [0] * n
-    e = j % n
-    for _ in range(multiplicative_order(k, n)):
-        out[e] += 1
-        e = (e * k) % n
-    return CycloElement(field, field._normal(out))
 
 
 # ----------------------------------------------------------------------

@@ -244,14 +244,18 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
     applied coordinatewise until no new tuple appears.  Evaluating the
     outputs along the witness word of each tuple gives a table whose
     column space is in exact bijection with span{f_i}.  One Gauss-Jordan
-    elimination over the distinct rows of that table (the columns are the
-    states) yields everything: its pivot columns are the greedy leftmost
-    spanning set, and in each other column p the entries in the rows of
-    the pivots left of p are the unique coefficients of f_p over them.
-    The cost is O(rank * rows * d) field operations with rows counting
-    distinct rows only: a reversed pattern machine with 50 states and 50
-    tuples has 10 of them.  The generators always keep state 0 so the
-    partial sums of the induced sequence stay expressible.
+    elimination over the distinct rows and the distinct columns of that
+    table (a column is a state; each is taken at its first occurrence)
+    yields everything: its pivot columns are the greedy leftmost spanning
+    set, since a repeated column is never a pivot, and in each other
+    column the entries in the rows of the pivots left of it are the unique
+    coefficients over them.  A state reads the column it repeats, so a
+    repeat of a pivot reads that pivot's unit column.  The cost is
+    O(rank * rows * cols) field operations with rows and cols counting
+    distinct ones only: a reversed pattern machine with 50 states and 50
+    tuples has 10 distinct rows and 15 distinct columns.  The generators
+    always keep state 0 so the partial sums of the induced sequence stay
+    expressible.
     """
     d = a.size
     tuples, found = closure(
@@ -266,9 +270,14 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
 
     field = a.output_field
     table = [[a.outputs[q] for q in tp] for tp in tuples]
-    # equal rows add nothing to the elimination; keyed by (vector, denominator), which is cheap to hash
-    rows = list({tuple((v.vec, v.den) for v in row): list(row) for row in table}.values())
-    pivots = _rref(rows, d)
+    # equal rows add nothing to the elimination, and a repeated column is never a pivot;
+    # entries are keyed by (vector, denominator), which is cheap to hash
+    keys = {tuple((v.vec, v.den) for v in row): row for row in table}
+    cols: dict = {}  # column key -> its index among the first occurrences
+    reps = [cols.setdefault(col, len(cols)) for col in zip(*keys)]
+    firsts = [reps.index(c) for c in range(len(cols))]
+    rows = [[row[q] for q in firsts] for row in keys.values()]
+    pivots = [firsts[c] for c in _rref(rows, len(firsts))]
 
     generators = pivots if 0 in pivots else [0] + pivots
     gpos = {g: t for t, g in enumerate(generators)}
@@ -277,9 +286,9 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
         if p in gpos:
             continue
         coeffs = [field.zero()] * len(generators)
-        # the row of a pivot right of p holds zero in column p
+        # the row of a pivot right of p's column holds zero in it, and a pivot's column is a unit vector
         for t, g in enumerate(pivots):
-            coeffs[gpos[g]] = field.coerce(rows[t][p])
+            coeffs[gpos[g]] = field.coerce(rows[t][reps[p]])
         alphas[p] = tuple(coeffs)
     return SpanAnalysis(field, tuple(words), tuple(tuples), table, len(pivots), generators, alphas)
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from collections import OrderedDict
 from fractions import Fraction
 from typing import Optional
@@ -59,6 +60,7 @@ from .numberfield import (
     _lowest,
     _pack,
     _rref,
+    _split_primes,
     _unpack,
     _width,
     coset_reps,
@@ -200,12 +202,18 @@ class VerificationReport:
 # scalar matrices over a cyclotomic field
 
 
+def _square(rows, field: CycloField) -> list:
+    """The rows as elements of field; raises unless they form a square matrix."""
+    m = [[field.coerce(v) for v in row] for row in rows]
+    if any(len(row) != len(m) for row in m):
+        raise AutorecError("matrix must be square")
+    return m
+
+
 def _powers(rows, field: CycloField) -> list:
     """I, M, M^2, ..., M^d for the d x d matrix M, from d - 1 products."""
-    d = len(rows)
-    m = [[field.coerce(v) for v in row] for row in rows]
-    if any(len(row) != d for row in m):
-        raise AutorecError("matrix must be square")
+    m = _square(rows, field)
+    d = len(m)
     zero, one = field.zero(), field.one()
     powers = [[[one if i == j else zero for j in range(d)] for i in range(d)], m][: d + 1]
     while len(powers) <= d:
@@ -224,10 +232,8 @@ def char_poly(rows, field: CycloField) -> list[CycloElement]:
     h = ceil(d/2), are formed: for j > h, p_j is the sum over i, t of
     (M^h)_it (M^(j-h))_ti, d^2 products in place of a matrix product's d^3.
     """
-    d = len(rows)
-    m = [[field.coerce(v) for v in row] for row in rows]
-    if any(len(row) != d for row in m):
-        raise AutorecError("matrix must be square")
+    m = _square(rows, field)
+    d = len(m)
     zero = field.zero()
     powers = [m]  # M, ..., M^h
     while 2 * len(powers) < d:
@@ -251,18 +257,59 @@ def _trace_of_product(a, b, zero):
     return acc
 
 
+def _nonderogatory_mod_p(m: list, field: CycloField) -> bool:
+    """Whether one split prime shows that the minimal polynomial of the d x d matrix m has degree d.
+
+    With p = 1 mod L, L the conductor, above 2^61 and dividing no
+    denominator of m, and g of order L mod p, zeta_L -> g maps the entries
+    into F_p.  The minimal polynomial mu of m divides the characteristic
+    one, so its coefficients are integral at the prime above p that this
+    map reads, and mu(m) = 0 maps to mu-bar(m-bar) = 0.  So deg mu = d
+    when I, m-bar, ..., m-bar^(d-1) are independent mod p.
+    """
+    L, d = field.conductor, len(m)
+    dens = {x.den for row in m for x in row}
+    p, g = next(((p, g) for p, g in _split_primes(L, 1 << 61) if all(den % p for den in dens)), (0, 0))
+    if not p:
+        return False
+    gs = [1] * L  # g^j mod p
+    for j in range(1, L):
+        gs[j] = gs[j - 1] * g % p
+    cols = list(zip(*[[sum(map(operator.mul, x.vec, gs)) * pow(x.den, -1, p) % p for x in row] for row in m]))
+    power, basis = [[int(i == j) for j in range(d)] for i in range(d)], []
+    for _ in range(d):
+        # reduce the next power against the earlier ones, each 1 at its pivot and 0 at the pivots before
+        v = [x for row in power for x in row]
+        for c, b in basis:
+            if v[c]:
+                f = v[c]
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        inv = pow(v[c], -1, p)
+        basis.append((c, [x * inv % p for x in v]))
+        power = [[sum(map(operator.mul, row, col)) % p for col in cols] for row in power]
+    return True
+
+
 def minimal_poly(rows, field: CycloField) -> list[CycloElement]:
     """Monic minimal polynomial of a scalar matrix, constant term first.
 
-    One elimination over the table whose column t is M^t flattened,
-    t = 0, ..., d: the first non-pivot column t is the first power that
-    depends on the lower ones, and the pivot rows hold its coefficients,
-    M^t = sum over i < t of table[i][t] M^i.  By Cayley-Hamilton some
-    t <= d is dependent.
+    When one split prime shows I, M, ..., M^(d-1) independent
+    (_nonderogatory_mod_p), the minimal polynomial has degree d and is
+    the characteristic one.  Otherwise one elimination over the table whose
+    column t is M^t flattened, t = 0, ..., d: the first non-pivot column t
+    is the first power that depends on the lower ones, and the pivot rows
+    hold its coefficients, M^t = sum over i < t of table[i][t] M^i.  By
+    Cayley-Hamilton some t <= d is dependent.
     """
-    powers = _powers(rows, field)
+    m = _square(rows, field)
+    if _nonderogatory_mod_p(m, field):
+        return char_poly(m, field)
+    powers = _powers(m, field)
     d = len(powers) - 1
-    table = [[m[i][j] for m in powers] for i in range(d) for j in range(d)]
+    table = [[x[i][j] for x in powers] for i in range(d) for j in range(d)]
     pivots = _rref(table, d + 1)
     t = next(c for c in range(d + 1) if c not in pivots)
     return [-table[i][t] for i in range(t)] + [field.one()]

@@ -32,12 +32,12 @@ from typing import Optional
 from .errors import AutorecError
 from .numberfield import (
     CycloElement,
+    GaloisMap,
     RatPoly,
+    _split_primes,
     coset_reps,
     cyclo_field,
     euler_phi,
-    factorize,
-    galois_apply,
     is_prime_power,
     multiplicative_order,
     rationality,
@@ -178,7 +178,7 @@ def tm_classify(r0: int) -> TmClassification:
     phi = euler_phi(r0)
     value = cyclo_field(r0).element(_tm_cyclic(r0))
     conj = value.conjugate()
-    if galois_apply(value, 2) != value:
+    if GaloisMap(value.field, 2)(value) != value:
         raise AutorecError(f"value not invariant under psi_2 at r0 = {r0}")
 
     is_real = value == conj
@@ -297,48 +297,6 @@ class TmTable:
             f" and {self.excluded_forced_real} forced real non-integers"
         )
         return "\n".join(lines)
-
-
-# Miller-Rabin with the first 12 primes as bases is deterministic below
-# this bound (Sorenson and Webster, Math. Comp. 86, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BOUND = 318665857834031151167461
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic primality test for 2 <= n < _MR_BOUND."""
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _split_primes(r0: int):
-    """Yield (p, g): the primes p = 1 mod r0 in increasing order, each with
-    the least g = h^((p-1)/r0), h = 2, 3, ..., of exact order r0 mod p."""
-    qs = [q for q, _ in factorize(r0)]
-    for p in range(2 * r0 + 1, _MR_BOUND, 2 * r0):
-        if _is_prime(p):
-            for h in range(2, p):
-                g = pow(h, (p - 1) // r0, p)
-                if all(pow(g, r0 // q, p) != 1 for q in qs):
-                    yield p, g
-                    break
-    raise AutorecError(f"no prime certificate below {_MR_BOUND} at r0 = {r0}")
 
 
 def _tm_residue(p: int, x: int, s0: int) -> int:

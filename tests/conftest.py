@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, sequence_term
-from autorec.numberfield import CycloField, _rref, factorize
+from autorec.numberfield import CycloField, GaloisMap, _rref, factorize, multiplicative_order
 from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix
 
 
@@ -67,6 +67,22 @@ def partial_sum_value(a, n: int, root):
         acc = acc + sequence_term(a, m) * p
         p = p * w
     return acc
+
+
+def galois_apply(a, m: int):
+    """psi_m(a): the Galois automorphism w -> w^m applied to a."""
+    return GaloisMap(a.field, m)(a)
+
+
+def gaussian_period(field: CycloField, k: int, j: int):
+    """The Gaussian period eta_j = sum of w^(j * k^i) over i < ord_k."""
+    n = field.conductor
+    out = [0] * n
+    e = j % n
+    for _ in range(multiplicative_order(k, n)):
+        out[e] += 1
+        e = e * k % n
+    return field.element(out)
 
 
 def random_element(field: CycloField, rng: random.Random, height: int = 9):
@@ -178,6 +194,28 @@ def _det_cofactor(rows, field) -> CycloPoly:
         term = rows[0][j] * _det_cofactor(minor, field)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def span_by_full_table(span) -> tuple:
+    """(rank, generators, alphas) of span's tuple table by one elimination over every state column.
+
+    The elimination that span_analysis ran before it took each distinct
+    column once: the rows are the distinct rows of the table, and column p
+    holds the coefficients of f_p over the pivots left of it.
+    """
+    d = len(span.tuple_table[0])
+    rows = list({tuple((v.vec, v.den) for v in row): list(row) for row in span.tuple_table}.values())
+    pivots = _rref(rows, d)
+    generators = pivots if 0 in pivots else [0] + pivots
+    gpos = {g: t for t, g in enumerate(generators)}
+    alphas = {}
+    for p in range(d):
+        if p not in gpos:
+            coeffs = [span.field.zero()] * len(generators)
+            for t, g in enumerate(pivots):
+                coeffs[gpos[g]] = rows[t][p]
+            alphas[p] = tuple(coeffs)
+    return len(pivots), generators, alphas
 
 
 def solve_exact(rows: list[list], rhs: list):

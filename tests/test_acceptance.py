@@ -25,7 +25,6 @@ from autorec.numberfield import (
     cyclo_field,
     cyclotomic_poly,
     euler_phi,
-    galois_apply,
     is_prime_power,
     multiplicative_order,
 )
@@ -47,7 +46,7 @@ from autorec.recurrence import (
     verify,
 )
 from autorec.thuemorse import tm_identities_check, tm_classify, tm_coefficient, tm_table
-from conftest import det_cofactor, occurrences, partial_sum_poly, t_for
+from conftest import det_cofactor, galois_apply, occurrences, partial_sum_poly, t_for
 
 
 @pytest.fixture

@@ -13,6 +13,9 @@ from autorec.numberfield import (
     RatPoly,
     _kronecker,
     _num,
+    _pack,
+    _unpack,
+    _width,
     complex_embed,
     coset_reps,
     cyclo_field,
@@ -20,13 +23,11 @@ from autorec.numberfield import (
     cyclotomic_poly,
     euler_phi,
     factorize,
-    galois_apply,
-    gaussian_period,
     is_prime_power,
     multiplicative_order,
     rationality,
 )
-from conftest import divisors, nullspace, random_element, solve_exact
+from conftest import divisors, galois_apply, gaussian_period, nullspace, random_element, solve_exact
 
 CONDUCTORS = (3, 5, 7, 9, 15, 21, 33)
 EMBED_TOL = mpmath.mpf("1e-9")
@@ -475,6 +476,36 @@ def test_cyclic_product_matches_schoolbook_product():
             for big in (top - 1, top, 2 * top - 1):
                 assert cyclic_product([0] * n, [-big] * n) == [0] * n
                 assert cyclic_product([big] + [0] * (n - 1), [0] * n) == [0] * n
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_slot_codec_round_trips(width):
+    # widths 1-8 move as machine words (3, 5, 6, 7 cut from 8-byte words), 9 and 10 slot by slot
+    rng = random.Random(width)
+    top = (1 << (8 * width - 1)) - 1
+    for n in (1, 2, 3, 15, 1155):
+        full = (1 << 8 * width * n) - 1
+        vecs = [[0] * n, [top] * n, [-top] * n]
+        for last in (top, -top, 1, -1):  # the packed sum is positive, then negative: r and r - N
+            v = [rng.choice((0, top, -top, rng.randint(-top, top))) for _ in range(n)]
+            vecs.append(v[:-1] + [last])
+        for v in vecs:
+            packed = _pack(v, width)
+            assert packed == sum(x << 8 * width * j for j, x in enumerate(v)), (width, n)
+            assert (packed < 0) == (v[-1] < 0) or not any(v)
+            assert _unpack(packed % full, width, n) == v, (width, n)
+
+
+@pytest.mark.parametrize("width", (3, 5, 7, 9))
+def test_kronecker_at_odd_slot_widths_matches_schoolbook_product(width):
+    rng = random.Random(width)
+    for n in (1, 3, 15, 35):
+        # n * ma * mb has 8 width - 2 bits, so the slots take exactly width bytes
+        ma = math.isqrt((1 << (8 * width - 2)) // n)
+        a = [rng.randint(-ma, ma) for _ in range(n - 1)] + [-ma]
+        b = [rng.randint(-ma, ma) for _ in range(n - 1)] + [ma]
+        assert _width(n * ma * ma) == width
+        assert _kronecker(a, b) == _schoolbook(a, b), (width, n)
 
 
 def _values(f, rng):

@@ -1,5 +1,6 @@
 """Polynomial transition matrices, ordered products, span reduction."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from itertools import product as iproduct
 import pytest
 
 from autorec.automaton import FORWARD, Dfao, PatternSpec, load_builtin, pattern_dfao, reverse_dfao
+from autorec import polymatrix
 from autorec.numberfield import cyclo_field
 from autorec.polymatrix import (
     LEFT,
@@ -20,7 +22,15 @@ from autorec.polymatrix import (
     transition_matrix,
     truncate,
 )
-from conftest import det_cofactor, partial_sum_poly, random_word, solve_exact, t_for, word_value
+from conftest import (
+    det_cofactor,
+    partial_sum_poly,
+    random_word,
+    solve_exact,
+    span_by_full_table,
+    t_for,
+    word_value,
+)
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +350,60 @@ def test_span_matches_column_by_column_solves(shipped):
         assert sp.generators == want.generators, name
         assert sp.alphas == want.alphas, name
         assert sp.to_json_dict() == want.to_json_dict(), name
+
+
+def _stratum_patterns(seed: int) -> list:
+    """Three pattern specs per stratum (base, length, modulus, leading zero), drawn from seed.
+
+    The strata and the draws of the benchmark's machines workload: a
+    leading-zero stratum always holds the all-zero pattern.
+    """
+    rng = random.Random(seed)
+    specs = []
+    for k, length, m, lead_zero in itertools.product((2, 3), (2, 3), (2, 3), (True, False)):
+        patterns = [v for v in itertools.product(range(k), repeat=length) if (v[0] == 0) == lead_zero]
+        chosen = [patterns.pop(0)] if lead_zero else []
+        chosen += rng.sample(patterns, min(3 - len(chosen), len(patterns)))
+        for v in chosen:
+            specs.append(PatternSpec(k, v, m))
+            rng.randrange(1, 5)  # the root exponent the workload draws next
+    return specs
+
+
+def _dedupe_machines() -> list:
+    """The shipped machines and the pattern machines of seeds 1-3, each forward and reversed."""
+    machines = [(name, load_builtin(name)) for name in ("thue_morse", "rudin_shapiro", "baum_sweet")]
+    for seed in (1, 2, 3):
+        machines += [(f"{seed}: {spec!r}", pattern_dfao(spec)) for spec in _stratum_patterns(seed)]
+    # state 0 and state 2 read zero everywhere, states 1 and 3 one: repeats of a zero column and of a pivot
+    machines.append(("zero columns", Dfao(2, FORWARD, "abcd", [0, 1, 0, 1], [[2, 2], [3, 1], [0, 0], [1, 3]])))
+    return machines + [(name + " reversed", reverse_dfao(a)) for name, a in machines]
+
+
+def test_span_matches_full_table_elimination():
+    machines = _dedupe_machines()
+    assert len(machines) == 272
+    for name, a in machines:
+        sp = span_analysis(a)
+        assert (sp.rank, sp.generators, sp.alphas) == span_by_full_table(sp), name
+
+
+def test_span_eliminates_each_distinct_column_once(monkeypatch):
+    widths = []
+    rref = polymatrix._rref
+
+    def counted(rows, ncols):
+        widths.append(ncols)
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(polymatrix, "_rref", counted)
+    repeated = 0
+    for name, a in _dedupe_machines():
+        sp = span_analysis(a)
+        distinct = len(set(zip(*[[(v.vec, v.den) for v in row] for row in sp.tuple_table])))
+        assert widths.pop() == distinct, name
+        repeated += distinct < a.size
+    assert repeated > 100
 
 
 def test_reduced_matrices_frozen_forms(tm, rs, bs):

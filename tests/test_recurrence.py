@@ -27,7 +27,6 @@ from autorec.numberfield import (
     coset_reps,
     cyclo_field,
     factorize,
-    gaussian_period,
 )
 from autorec.polymatrix import (
     LEFT,
@@ -55,7 +54,7 @@ from autorec.recurrence import (
 import blocksum_oracle
 from blocksum_oracle import BlockSums, block_sums, partial_sum_fast
 import level_oracle
-from conftest import partial_sum_value, poly_divides, random_element, reduced_matrix_oracle, solve_exact
+from conftest import gaussian_period, partial_sum_value, poly_divides, random_element, reduced_matrix_oracle, solve_exact
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +262,104 @@ def test_char_poly_matches_sympy_on_rational_matrices():
         want = sympy.Matrix([[c.rational_value() for c in row] for row in rows]).charpoly()
         got = [c.rational_value() for c in char_poly(rows, f)]
         assert got[::-1] == [Fraction(int(c.p), int(c.q)) for c in want.all_coeffs()]
+
+
+def _sympy_minimal_poly(sympy, m) -> list:
+    """Append powers of m until sympy solves the next one over the earlier ones."""
+    d = m.rows
+    powers = [sympy.eye(d)]
+    while True:
+        nxt = powers[-1] * m
+        table = sympy.Matrix.hstack(*[x.reshape(d * d, 1) for x in powers])
+        try:
+            sol, _ = table.gauss_jordan_solve(nxt.reshape(d * d, 1))
+        except ValueError:  # inconsistent: nxt is independent of the earlier powers
+            powers.append(nxt)
+            continue
+        return [-Fraction(int(c.p), int(c.q)) for c in sol] + [1]
+
+
+def _derogatory_rational_matrices(sympy, rng) -> list:
+    """Random conjugates P D P^-1 of matrices D whose minimal polynomial is shorter than d."""
+    def rand(d):
+        return sympy.Matrix(d, d, lambda i, j: sympy.Rational(rng.randint(-4, 4), rng.randint(1, 3)))
+
+    b = rand(2)
+    cores = [
+        sympy.eye(3) * sympy.Rational(-7, 2),  # scalar
+        sympy.diag(2, 2, 5),
+        sympy.diag(b, b),  # a repeated block
+        sympy.diag(b, b, 1),
+        sympy.Matrix([[3, 1, 0], [0, 3, 0], [0, 0, 3]]),  # J_2(3) + 3: minimal (y - 3)^2
+        sympy.zeros(3, 3),
+    ]
+    out = []
+    for core in cores:
+        p = rand(core.rows)
+        while p.det() == 0:
+            p = rand(core.rows)
+        out += [core, p * core * p.inv()]
+    return out
+
+
+def test_minimal_poly_matches_sympy_on_rational_matrices():
+    sympy = pytest.importorskip("sympy")
+    f = cyclo_field(1)
+    rng = random.Random(92)
+    mats = [
+        sympy.Matrix(d, d, lambda i, j: sympy.Rational(rng.randint(-5, 5), rng.randint(1, 3)))
+        for d in (1, 2, 3, 4, 5, 6)
+    ] + _derogatory_rational_matrices(sympy, rng)
+    shorter = 0
+    for m in mats:
+        rows = [[Fraction(int(m[i, j].p), int(m[i, j].q)) for j in range(m.cols)] for i in range(m.rows)]
+        got = [c.rational_value() for c in minimal_poly(rows, f)]
+        assert got == _sympy_minimal_poly(sympy, m), rows
+        shorter += len(got) <= m.rows
+    assert shorter == 12
+
+
+def test_minimal_poly_falls_back_when_the_split_prime_is_unlucky(monkeypatch):
+    f = cyclo_field(1)
+    p, g = next(numberfield._split_primes(1, 1 << 61))
+    calls = []
+    rref = recurrence._rref
+    monkeypatch.setattr(recurrence, "_rref", lambda rows, n: calls.append(n) or rref(rows, n))
+    # the identity mod p, though not scalar: the powers mod p are dependent
+    rows = [[1, 0], [0, 1 + p]]
+    assert minimal_poly(rows, f) == char_poly(rows, f)
+    assert calls == [3]
+    # an entry 1/p has no image mod p: the next split prime certifies
+    rows = [[Fraction(1, p), 0], [0, 1]]
+    assert minimal_poly(rows, f) == char_poly(rows, f)
+    assert calls == [3]
+    # and with no other prime offered, the elimination decides
+    monkeypatch.setattr(recurrence, "_split_primes", lambda L, start: iter([(p, g)]))
+    assert minimal_poly(rows, f) == char_poly(rows, f)
+    assert calls == [3, 3]
+
+
+@pytest.mark.parametrize("conductor", (3, 15))
+def test_minimal_poly_of_a_derogatory_matrix_with_irrational_entries(conductor):
+    # M^2 = I as w w^-1 = 1, so the minimal polynomial is y^2 - 1 and the characteristic
+    # one (y^2 - 1)(y - 1); a map w -> g with g of the wrong order breaks w w^-1 = 1
+    f = cyclo_field(conductor)
+    w, z = f.omega(), f.zero()
+    rows = [[z, w, z], [w ** (conductor - 1), z, z], [z, z, f.one()]]
+    assert [c.rational_value() for c in minimal_poly(rows, f)] == [-1, 0, 1]
+    assert [c.rational_value() for c in char_poly(rows, f)] == [1, -1, -1, 1]
+
+
+def test_minimal_poly_at_a_large_conductor_needs_no_elimination(rs, monkeypatch):
+    def refuse(rows, ncols):
+        raise AssertionError("minimal_poly eliminated")
+
+    clear_caches()
+    monkeypatch.setattr(recurrence, "_rref", refuse)
+    root = RootSpec(2, 1155, 1)
+    rec = synthesize(rs, root, use_minimal=True)
+    assert rec.provenance == "min_poly"
+    assert rec.coefficients == synthesize(rs, root).coefficients
 
 
 # ----------------------------------------------------------------------

@@ -14,20 +14,20 @@ from autorec.numberfield import (
     coset_reps,
     cyclo_field,
     cyclotomic_poly,
+    _MR_BOUND,
+    _is_prime,
     euler_phi,
-    galois_apply,
     is_prime_power,
     multiplicative_order,
 )
 from autorec.recurrence import RootSpec
+from conftest import galois_apply
 from autorec.thuemorse import (
     CASE_OTHER,
     CASE_PRIME_POWER_HALF_ODD,
     CASE_PRIME_POWER_PRIMITIVE,
     CASE_TWO_FACTOR_REAL,
     CASE_TWO_FACTOR_UNIT,
-    _MR_BOUND,
-    _is_prime,
     _conjugate_bounds,
     _scan_exact,
     _tm_cyclic,
