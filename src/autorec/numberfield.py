@@ -444,8 +444,6 @@ def _width(bound: int) -> int:
 
 # the fixed-size struct formats of signed slots of 1, 2, 4 and 8 bytes
 _FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
-# byte -> 0xff where its top bit is set, else 0: a slot's sign extended to a whole byte
-_SIGN = bytes(255 if b & 128 else 0 for b in range(256))
 
 
 def _top(width: int, n: int) -> int:
@@ -456,22 +454,17 @@ def _top(width: int, n: int) -> int:
 def _pack(v: list[int], width: int) -> int:
     """sum v[j] 2^(8 width j) for |v[j]| < 2^(8 width - 1): mod 2^(8 width n) - 1, v mod x^n - 1.
 
-    Slots of up to 8 bytes are written as machine words by one
-    struct.pack, in two's complement; for widths 3, 5, 6 and 7 the words
-    are cut to their low width bytes, one byte plane at a time.  Wider
-    slots are written one to_bytes call each.  With top the sign bit of
-    every slot, (bytes ^ top) - top is the signed sum: the xor turns each
-    two's complement slot x into x + 2^(8 width - 1), and no slot carries.
+    Slots of 1, 2, 4 or 8 bytes are written as machine words by one
+    struct.pack, in two's complement; slots of any other width are
+    written one to_bytes call each.  With top the sign bit of every slot,
+    (bytes ^ top) - top is the signed sum: the xor turns each two's
+    complement slot x into x + 2^(8 width - 1), and no slot carries.
     """
     n = len(v)
-    if width > 8:
-        raw = b"".join([x.to_bytes(width, "little", signed=True) for x in v])
+    if width in _FORMATS:
+        raw = struct.pack(f"<{n}{_FORMATS[width]}", *v)
     else:
-        raw = struct.pack(f"<{n}{_FORMATS.get(width, 'q')}", *v)
-        if width not in _FORMATS:
-            raw, words = bytearray(width * n), raw
-            for k in range(width):
-                raw[k::width] = words[k::8]
+        raw = b"".join([x.to_bytes(width, "little", signed=True) for x in v])
     top = _top(width, n)
     return (int.from_bytes(raw, "little") ^ top) - top
 
@@ -481,25 +474,15 @@ def _unpack(r: int, width: int, n: int) -> list[int]:
 
     Adding top (the sign bit of every slot) to the packed sum makes each
     slot x into x + 2^(8 width - 1) without a carry, and the xor with top
-    then leaves x in two's complement.  Slots of up to 8 bytes are read
-    as machine words by one struct.unpack; for widths 3, 5, 6 and 7 they
-    are first widened to 8 bytes, the top byte planes filled from the
-    sign of each slot's last byte.  Wider slots are read one from_bytes
-    call each.
+    then leaves x in two's complement.  Slots of 1, 2, 4 or 8 bytes are
+    read as machine words by one struct.unpack; slots of any other width
+    are read one from_bytes call each.
     """
     full, top = (1 << 8 * width * n) - 1, _top(width, n)
     raw = ((r + top - (full if r > full >> 1 else 0)) ^ top).to_bytes(width * n, "little")
-    if width > 8:
-        return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, width * n, width)]
-    if width not in _FORMATS:
-        words = bytearray(8 * n)
-        for k in range(width):
-            words[k::8] = raw[k::width]
-        sign = raw[width - 1 :: width].translate(_SIGN)
-        for k in range(width, 8):
-            words[k::8] = sign
-        raw = words
-    return list(struct.unpack(f"<{n}{_FORMATS.get(width, 'q')}", raw))
+    if width in _FORMATS:
+        return list(struct.unpack(f"<{n}{_FORMATS[width]}", raw))
+    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, width * n, width)]
 
 
 def _kronecker(a: list[int], b: list[int]) -> list[int]:

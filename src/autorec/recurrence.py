@@ -269,9 +269,7 @@ def _nonderogatory_mod_p(m: list, field: CycloField) -> bool:
     """
     L, d = field.conductor, len(m)
     dens = {x.den for row in m for x in row}
-    p, g = next(((p, g) for p, g in _split_primes(L, 1 << 61) if all(den % p for den in dens)), (0, 0))
-    if not p:
-        return False
+    p, g = next((p, g) for p, g in _split_primes(L, 1 << 61) if all(den % p for den in dens))
     gs = [1] * L  # g^j mod p
     for j in range(1, L):
         gs[j] = gs[j - 1] * g % p

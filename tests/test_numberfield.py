@@ -480,7 +480,7 @@ def test_cyclic_product_matches_schoolbook_product():
 
 @pytest.mark.parametrize("width", range(1, 11))
 def test_slot_codec_round_trips(width):
-    # widths 1-8 move as machine words (3, 5, 6, 7 cut from 8-byte words), 9 and 10 slot by slot
+    # widths 1, 2, 4 and 8 move as machine words, the others slot by slot
     rng = random.Random(width)
     top = (1 << (8 * width - 1)) - 1
     for n in (1, 2, 3, 15, 1155):
