@@ -30,7 +30,12 @@ else.  Synthesis reads the reduced matrix M-hat as polymatrix.digit_cells,
 builds no polynomial, applies its levels to unit vectors and takes a
 characteristic or minimal polynomial; verify applies those of the full
 machine, whose cells are all 1, and scans the word-sum residual.
-PolyMatrix serves the matrix command and the tests only.
+char_poly forms its power sums on the same packed residues, in slots
+as wide as an a-priori bound on the traces, and integer_recurrence
+multiplies the Galois conjugates of the coefficients modulo split
+primes, rebuilding the product by CRT under an a-priori bound on its
+coefficients; field products are left to Newton's identities.
+PolyMatrix and CycloPoly serve the matrix command and the tests only.
 
 Everything is computed over Q; floating point never enters.
 """
@@ -71,7 +76,6 @@ from .numberfield import (
 from .polymatrix import (
     LEFT,
     RIGHT,
-    CycloPoly,
     SpanAnalysis,
     _mat_mul,
     digit_cells,
@@ -228,18 +232,47 @@ def char_poly(rows, field: CycloField) -> list[CycloElement]:
     term first and c_d = 1.  The coefficients come from the power sums
     p_j = tr(M^j) by Newton's identities,
     j c_(d-j) = -(p_j + sum over 0 < i < j of c_(d-i) p_(j-i)),
-    so the only divisions are by the integers 2, ..., d.  Only M, ..., M^h,
-    h = ceil(d/2), are formed: for j > h, p_j is the sum over i, t of
-    (M^h)_it (M^(j-h))_ti, d^2 products in place of a matrix product's d^3.
+    so the only divisions are by the integers 2, ..., d.
+
+    The power sums never become field elements on the way.  With D the
+    common denominator, N = D M is an integer matrix whose entries are
+    vectors mod x^L - 1, L the conductor, each packed as one residue mod
+    2^(8 width L) - 1 (numberfield._pack).  Only N, ..., N^h, h = ceil(d/2),
+    are formed, one fold per entry; for j > h, tr(N^j) is the sum over i, t
+    of (N^h)_it (N^(j-h))_ti.  Only the d traces are unpacked, normalized
+    and divided by D^j.  Every step is a ring operation, so by the argument
+    of _apply_levels only the slots of the traces (and of N, to be packed)
+    must fit: a cyclic product has max norm at most the l1 norm of one
+    factor times the max norm of the other, so the slots of tr(N^j) are at
+    most tr(N_1^(j-1) N_inf), N_1 and N_inf the entrywise l1 and max norms
+    of N (_trace_width).
     """
     m = _square(rows, field)
-    d = len(m)
-    zero = field.zero()
-    powers = [m]  # M, ..., M^h
+    d, L = len(m), field.conductor
+    den = math.lcm(*(x.den for row in m for x in row))
+    vecs = [[[v * (den // x.den) for v in x.vec] for x in row] for row in m]
+    width = _trace_width(vecs)
+    bits, full = 8 * width * L, (1 << 8 * width * L) - 1
+    n = [[_pack(v, width) for v in row] for row in vecs]
+
+    def fold(acc: int) -> int:
+        return ((acc & full) + (acc >> bits)) % full
+
+    powers = [n]  # N, ..., N^h
+    cols = list(zip(*n))
     while 2 * len(powers) < d:
-        powers.append(_mat_mul(powers[-1], m, zero))
-    p = [zero] + [sum((x[i][i] for i in range(d)), zero) for x in powers]
-    p += [_trace_of_product(powers[-1], x, zero) for x in powers[: d - len(powers)]]
+        powers.append([[fold(sum(x * y for x, y in zip(row, col) if x and y)) for col in cols] for row in powers[-1]])
+    traces = [sum(x[i][i] for i in range(d)) for x in powers]
+    h = powers[-1]
+    for x in powers[: d - len(powers)]:  # tr(N^h x); when x is N^h, each pair i != t once
+        if x is h:
+            pairs = sum(h[i][t] * h[t][i] for i in range(d) for t in range(i + 1, d))
+            traces.append(2 * pairs + sum(y * y for y in (h[i][i] for i in range(d))))
+        else:
+            traces.append(sum(h[i][t] * x[t][i] for i in range(d) for t in range(d)))
+    p = [field.zero()] + [
+        _lowest(field, field._normal(_unpack(fold(t), width, L)), den**j) for j, t in enumerate(traces[:d], 1)
+    ]
     top = [field.one()]  # top[i] = c_(d-i)
     for j in range(1, d + 1):
         acc = sum((top[i] * p[j - i] for i in range(1, j)), p[j])
@@ -247,14 +280,23 @@ def char_poly(rows, field: CycloField) -> list[CycloElement]:
     return top[::-1]
 
 
-def _trace_of_product(a, b, zero):
-    """tr(a b) = sum over i, t of a_it b_ti; when b is a, each pair i != t is formed once."""
-    d, same = len(a), a is b
-    cells = [(i, t) for i in range(d) for t in range(i + 1 if same else 0, d)]
-    acc = sum((a[i][t] * b[t][i] for i, t in cells if a[i][t] and b[t][i]), zero)
-    if same:
-        acc = sum((a[i][i] * a[i][i] for i in range(d) if a[i][i]), acc + acc)
-    return acc
+def _trace_width(n: list) -> int:
+    """The slot width of char_poly: every entry of the integer matrix n and every slot of tr(n^j), j <= d, fits.
+
+    With a = N_inf, the entrywise max norms, the slots of tr(n^j) are at
+    most tr(N_1^(j-1) a): each term of (n^j)_ii is a cyclic product along a
+    closed walk, and its max norm is at most the product of the l1 norms of
+    all its factors but the last one, times that one's max norm.
+    """
+    ones = [[sum(map(abs, v)) for v in row] for row in n]
+    a = [[max(map(abs, v)) for v in row] for row in n]
+    bound = max((x for row in a for x in row), default=0)
+    for j in range(len(n)):
+        if j:
+            cols = list(zip(*a))
+            a = [[sum(map(operator.mul, row, col)) for col in cols] for row in ones]
+        bound = max(bound, sum(a[i][i] for i in range(len(n))))
+    return _width(bound)
 
 
 def _nonderogatory_mod_p(m: list, field: CycloField) -> bool:
@@ -628,28 +670,78 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     """Multiply the recurrence over Galois coset representatives.
 
     Requires every entry of the reduced matrix to have rational
-    coefficients; then each coefficient of the product over psi_u of the
-    characteristic polynomial is rational, and after clearing one common
-    denominator, integral.
+    coefficients.  Then M-hat(k^s; w) has entries in Q(zeta_r0), so do
+    the coefficients C_j of its characteristic polynomial, whatever the
+    outputs, and sigma_k: zeta -> zeta^k, which turns the product into a
+    cyclic rotation of itself, fixes each C_j.  Each C_j is descended into
+    Q(zeta_r0) and sigma_k(C_j) = C_j is checked exactly; a C_j that fails
+    raises, as a bug.  So the C_j lie in the fixed field of <k>, sigma_u(C_j)
+    depends only on the coset of u, and the product over the h coset
+    representatives u of sum over j of sigma_u(C_j) y^j is the norm of the
+    polynomial down to Q: its coefficients are rational.
+
+    They are computed by CRT (von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 5).  With D the lcm of the denominators, a_j = D C_j
+    integer vectors and B = (sum over j of ||a_j||_1)^h, every coefficient
+    of the product of the sum over j of sigma_u(a_j) y^j is an integer of
+    size at most B: each embedding of sigma_u(a_j) has size at most
+    ||a_j||_1.  For each split prime p = 1 (mod 2 r0) above 2^61 in
+    increasing order (numberfield._split_primes), with g of order r0 mod p,
+    zeta -> g^u maps sigma_u(a_j) to the sum over i of a_j[i] g^(u i) in F_p,
+    a ring map, and the h factors are multiplied mod p.  Once the product of
+    the primes passes 2 B the symmetric residues are the coefficients,
+    which are divided by D^h and then scaled by the lcm of their
+    denominators.
     """
     prepared = _prepare(a)
     if any(c.rational_value() is None for *_, c in digit_cells(*prepared[:2])):
         raise AutorecError("integer recurrences need a reduced matrix with rational entries")
     base_rec = _synthesize(a, root, False, lambda: prepared)
-    field = root.field
-    prod = CycloPoly(field, [1])
-    for u in coset_reps(root.k, root.r0):
-        psi = GaloisMap(field, u)
-        prod = prod * CycloPoly(field, [psi(c) for c in base_rec.coefficients])
-    rat = [c.rational_value() for c in prod.coeffs]
-    if None in rat:
+    r0 = root.r0
+    sigma = GaloisMap(cyclo_field(r0), root.k)
+    cs = [_descend(c, r0) for c in base_rec.coefficients]
+    if any(c is None or sigma(c) != c for c in cs):
         raise AutorecError(
             "coset product produced an irrational coefficient; "
             "this contradicts the Galois argument and indicates a bug"
         )
-    den = math.lcm(*(q.denominator for q in rat))
-    coeffs = [cyclo_field(1).from_rational(q * den) for q in rat]
+    den = math.lcm(*(c.den for c in cs))
+    vecs = [[(i, x * (den // c.den)) for i, x in enumerate(c.vec) if x] for c in cs]
+    reps = coset_reps(root.k, r0)
+    bound = sum(abs(x) for v in vecs for _, x in v) ** len(reps)
+    got, modulus = [0] * (len(reps) * (len(cs) - 1) + 1), 1
+    for p, g in _split_primes(r0, 1 << 61):
+        gs = [1] * r0  # g^i mod p
+        for i in range(1, r0):
+            gs[i] = gs[i - 1] * g % p
+        prod = [1]
+        for u in reps:
+            f = [sum(x * gs[i * u % r0] for i, x in v) % p for v in vecs]
+            out = [0] * (len(prod) + len(f) - 1)
+            for i, x in enumerate(prod):
+                for j, y in enumerate(f):
+                    out[i + j] += x * y
+            prod = [x % p for x in out]
+        # the residue mod modulus p that is x mod modulus and y mod p
+        inv = pow(modulus, -1, p)
+        got = [x + modulus * ((y - x) * inv % p) for x, y in zip(got, prod)]
+        modulus *= p
+        if modulus > 2 * bound:
+            break
+    rat = [Fraction(x - modulus if 2 * x > modulus else x, den ** len(reps)) for x in got]
+    scale = math.lcm(*(q.denominator for q in rat))
+    coeffs = [cyclo_field(1).from_rational(q * scale) for q in rat]
     return Recurrence(a.base, root, coeffs, "integer_product")
+
+
+def _descend(c: CycloElement, r0: int) -> Optional[CycloElement]:
+    """c as an element of Q(zeta_r0), or None when it lies outside that field."""
+    if c.field.conductor == r0:
+        return c
+    n, vec = c._minimal()
+    if r0 % n:
+        return None
+    return cyclo_field(r0).coerce(_lowest(cyclo_field(n), vec, c.den))
 
 
 # ----------------------------------------------------------------------

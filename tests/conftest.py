@@ -1,5 +1,6 @@
 """Shared fixtures and exact-arithmetic test helpers."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -7,8 +8,16 @@ from itertools import product as iproduct
 import pytest
 
 from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, sequence_term
-from autorec.numberfield import CycloField, GaloisMap, _rref, factorize, multiplicative_order
-from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix
+from autorec.numberfield import CycloField, GaloisMap, _rref, coset_reps, factorize, multiplicative_order
+from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix, _mat_mul
+
+
+# the Thue-Morse transitions with outputs 1 and zeta_3: the reduced matrix is rational,
+# the coefficients of a recurrence at zeta_r0 sit in Q(zeta_(3 r0))
+TM_ZETA3 = (
+    "base: 2\ndirection: forward\nstates: q0 q1\noutput: q0 = 1\noutput: q1 = zeta(3)\n"
+    "delta: q0 0 -> q0\ndelta: q0 1 -> q1\ndelta: q1 0 -> q1\ndelta: q1 1 -> q0\n"
+)
 
 
 @pytest.fixture(scope="session")
@@ -249,3 +258,64 @@ def nullspace(rows: list[list]) -> list[list]:
             v[col] = -a[i][fc]
         basis.append(v)
     return basis
+
+
+def stratum_patterns(seed: int) -> list:
+    """Three (pattern spec, root exponent e) pairs per stratum (base, length, modulus, leading zero), drawn from seed.
+
+    The strata and the draws of the benchmark's machines workload: a
+    leading-zero stratum always holds the all-zero pattern, and each
+    pattern is read at zeta_5^e.
+    """
+    rng = random.Random(seed)
+    specs = []
+    for k, length, m, lead_zero in iproduct((2, 3), (2, 3), (2, 3), (True, False)):
+        patterns = [v for v in iproduct(range(k), repeat=length) if (v[0] == 0) == lead_zero]
+        chosen = [patterns.pop(0)] if lead_zero else []
+        chosen += rng.sample(patterns, min(3 - len(chosen), len(patterns)))
+        for v in chosen:
+            specs.append((PatternSpec(k, v, m), rng.randrange(1, 5)))
+    return specs
+
+
+def char_poly_newton_oracle(rows, field) -> list:
+    """det(y I - M), constant term first, by Newton's identities over CycloElements.
+
+    The power sums p_j = tr(M^j) are field elements: M, ..., M^h, h = ceil(d/2),
+    by matrix products, and for j > h, p_j = sum over i, t of (M^h)_it (M^(j-h))_ti.
+    """
+    m = [[field.coerce(v) for v in row] for row in rows]
+    d, zero = len(m), field.zero()
+    powers = [m]
+    while 2 * len(powers) < d:
+        powers.append(_mat_mul(powers[-1], m, zero))
+    p = [zero] + [sum((x[i][i] for i in range(d)), zero) for x in powers]
+    p += [
+        sum((powers[-1][i][t] * x[t][i] for i in range(d) for t in range(d)), zero)
+        for x in powers[: d - len(powers)]
+    ]
+    top = [field.one()]  # top[i] = c_(d-i)
+    for j in range(1, d + 1):
+        acc = sum((top[i] * p[j - i] for i in range(1, j)), p[j])
+        top.append(-acc / j)
+    return top[::-1]
+
+
+def coset_product_oracle(coefficients, k: int, r0: int) -> list[int]:
+    """The integer coefficients of the product over coset representatives u of <k> mod r0
+    of sum over j of sigma_u(C_j) y^j, by CycloPoly products, scaled by the lcm of their denominators.
+
+    The C_j lie in Q(zeta_r0) but may be given over Q(zeta_L), r0 | L;
+    sigma_u is then applied as zeta_L -> zeta_L^t for some t = u (mod r0)
+    prime to L, which restricts to sigma_u on Q(zeta_r0).
+    """
+    field = coefficients[0].field
+    L = field.conductor
+    prod = CycloPoly(field, [1])
+    for u in coset_reps(k, r0):
+        t = next(t for t in range(u, u + r0 * L, r0) if math.gcd(t, L) == 1)
+        prod = prod * CycloPoly(field, [GaloisMap(field, t)(c) for c in coefficients])
+    rat = [c.rational_value() for c in prod.coeffs]
+    assert None not in rat, "the coset product is irrational"
+    den = math.lcm(*(q.denominator for q in rat))
+    return [int(q * den) for q in rat]

@@ -10,6 +10,7 @@ import pytest
 
 from autorec.automaton import load_builtin, parse_dfao, sequence_term
 from autorec.cli import main
+from conftest import TM_ZETA3
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +202,19 @@ def test_intrec_report_validates(capsys):
     assert payload["provenance"] == "integer_product"
     assert payload["verification"]["all_zero"] is True
     jsonschema.validate(payload, load_schema("recurrence"))
+
+
+def test_intrec_with_irrational_outputs_and_a_rational_matrix(capsys, tmp_path):
+    path = tmp_path / "tm_zeta3.dfao"
+    path.write_text(TM_ZETA3)
+    code, out, err = run_cli(
+        capsys, "intrec", "--dfao", str(path), "--r", "7", "--e", "1", "--verify-n", "100", "--format", "text"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "A(2^12 n) - 2*A(2^9 n) + 8*A(2^6 n) - 14*A(2^3 n) + 7*A(n) = 0\n"
+        "holds for all n <= 100\n"
+    )
 
 
 def test_span_report_validates(capsys):

@@ -1,6 +1,5 @@
 """Polynomial transition matrices, ordered products, span reduction."""
 
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -28,6 +27,7 @@ from conftest import (
     random_word,
     solve_exact,
     span_by_full_table,
+    stratum_patterns,
     t_for,
     word_value,
 )
@@ -352,29 +352,11 @@ def test_span_matches_column_by_column_solves(shipped):
         assert sp.to_json_dict() == want.to_json_dict(), name
 
 
-def _stratum_patterns(seed: int) -> list:
-    """Three pattern specs per stratum (base, length, modulus, leading zero), drawn from seed.
-
-    The strata and the draws of the benchmark's machines workload: a
-    leading-zero stratum always holds the all-zero pattern.
-    """
-    rng = random.Random(seed)
-    specs = []
-    for k, length, m, lead_zero in itertools.product((2, 3), (2, 3), (2, 3), (True, False)):
-        patterns = [v for v in itertools.product(range(k), repeat=length) if (v[0] == 0) == lead_zero]
-        chosen = [patterns.pop(0)] if lead_zero else []
-        chosen += rng.sample(patterns, min(3 - len(chosen), len(patterns)))
-        for v in chosen:
-            specs.append(PatternSpec(k, v, m))
-            rng.randrange(1, 5)  # the root exponent the workload draws next
-    return specs
-
-
 def _dedupe_machines() -> list:
     """The shipped machines and the pattern machines of seeds 1-3, each forward and reversed."""
     machines = [(name, load_builtin(name)) for name in ("thue_morse", "rudin_shapiro", "baum_sweet")]
     for seed in (1, 2, 3):
-        machines += [(f"{seed}: {spec!r}", pattern_dfao(spec)) for spec in _stratum_patterns(seed)]
+        machines += [(f"{seed}: {spec!r}", pattern_dfao(spec)) for spec, _ in stratum_patterns(seed)]
     # state 0 and state 2 read zero everywhere, states 1 and 3 one: repeats of a zero column and of a pivot
     machines.append(("zero columns", Dfao(2, FORWARD, "abcd", [0, 1, 0, 1], [[2, 2], [3, 1], [0, 0], [1, 3]])))
     return machines + [(name + " reversed", reverse_dfao(a)) for name, a in machines]

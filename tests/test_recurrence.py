@@ -54,7 +54,18 @@ from autorec.recurrence import (
 import blocksum_oracle
 from blocksum_oracle import BlockSums, block_sums, partial_sum_fast
 import level_oracle
-from conftest import gaussian_period, partial_sum_value, poly_divides, random_element, reduced_matrix_oracle, solve_exact
+from conftest import (
+    TM_ZETA3,
+    char_poly_newton_oracle,
+    coset_product_oracle,
+    gaussian_period,
+    partial_sum_value,
+    poly_divides,
+    random_element,
+    reduced_matrix_oracle,
+    solve_exact,
+    stratum_patterns,
+)
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +369,58 @@ def test_minimal_poly_at_a_large_conductor_needs_no_elimination(rs, monkeypatch)
     assert rec.coefficients == synthesize(rs, root).coefficients
 
 
+# char_poly's packed power sums against Newton's identities over CycloElements
+
+
+def _assert_char_poly_matches_newton(a, root, name):
+    ap, span, side = recurrence._prepare(a)
+    rows, f = reduced_product_at_root(ap, span, root, side)
+    assert char_poly(rows, f) == char_poly_newton_oracle(rows, f), (name, root)
+
+
+def test_char_poly_matches_newton_on_the_machines_workload():
+    # the reduced products of the benchmark's pattern machines, seeds 1-3, forward and reversed
+    for seed in (1, 2, 3):
+        for spec, e in stratum_patterns(seed):
+            fwd = pattern_dfao(spec)
+            for a in (fwd, reverse_dfao(fwd)):
+                _assert_char_poly_matches_newton(a, RootSpec(spec.k, 5, e), (seed, spec))
+
+
+def test_char_poly_matches_newton_over_a_shipped_sweep(shipped):
+    for name, a in shipped + _irrational_machines():
+        for rr in range(1, 36, 2):
+            for ee in (1, 2):
+                _assert_char_poly_matches_newton(a, RootSpec(2, rr, ee), name)
+
+
+@pytest.mark.parametrize("r", (105, 1155))
+def test_char_poly_matches_newton_at_large_conductors(rs, r):
+    _assert_char_poly_matches_newton(rs, RootSpec(2, r, 1), "rudin_shapiro")
+
+
+def test_char_poly_of_the_empty_matrix_is_one():
+    for conductor in (1, 7):
+        f = cyclo_field(conductor)
+        assert char_poly([], f) == [f.one()]
+
+
+def test_char_poly_slots_hold_a_trace_at_its_bound(monkeypatch):
+    # N = 7 M is nonnegative, so tr(N^j) equals its bound tr(N_1^(j-1) N_inf); the largest,
+    # tr(N^3) = 2^15 - 1, is the largest value two-byte slots hold
+    sympy = pytest.importorskip("sympy")
+    n = [[11, 21, 2], [13, 5, 20], [12, 1, 9]]
+    rows = [[Fraction(x, 7) for x in row] for row in n]
+    want = [Fraction(int(c.p), int(c.q)) for c in sympy.Matrix(rows).charpoly().all_coeffs()][::-1]
+    f = cyclo_field(1)
+    width = recurrence._trace_width
+    assert width([[[x] for x in row] for row in n]) == 2
+    assert [c.rational_value() for c in char_poly(rows, f)] == want
+    # one byte short, tr(N^2) = 861 and tr(N^3) no longer fit
+    monkeypatch.setattr(recurrence, "_trace_width", lambda n: width(n) - 1)
+    assert [c.rational_value() for c in char_poly(rows, f)] != want
+
+
 # ----------------------------------------------------------------------
 # synthesis at fixed roots
 
@@ -623,8 +686,8 @@ def test_verify_does_no_field_multiplication(monkeypatch):
 
 
 def test_synthesis_and_verify_build_no_polynomial(rs, monkeypatch):
-    # synthesis reads M-hat as digit cells; CycloPoly and PolyMatrix serve
-    # the matrix command and the tests only
+    # synthesis reads M-hat as digit cells and the coset product runs mod split
+    # primes; CycloPoly and PolyMatrix serve the matrix command and the tests only
     built = [0]
     init = CycloPoly.__init__
 
@@ -638,13 +701,16 @@ def test_synthesis_and_verify_build_no_polynomial(rs, monkeypatch):
     for a in (rs, reverse_dfao(pattern_dfao(PatternSpec(2, (0, 1, 0), 3)))):
         for use_minimal in (False, True):
             assert verify(synthesize(a, root, use_minimal), a, 30).all_zero
+    for a in (rs, parse_dfao(TM_ZETA3)):
+        assert verify(integer_recurrence(a, root), a, 30).all_zero
     assert built[0] == 0
 
 
-@pytest.mark.parametrize("build, r, most", ((synthesize, 105, 10), (integer_recurrence, 273, 200)))
+@pytest.mark.parametrize("build, r, most", ((synthesize, 105, 10), (integer_recurrence, 273, 1)))
 def test_large_conductor_synthesis_makes_few_field_products(rs, monkeypatch, build, r, most):
-    # a rational operand is a scaling, and char_poly forms M^j only up to
-    # half the size; the products left are the irrational ones
+    # char_poly forms its power sums on packed residues and the coset product
+    # runs mod split primes; the products left are Newton's, c_(d-i) p_(j-i)
+    # for d = 2, and a rational operand is a scaling
     calls = [0]
     kronecker = numberfield._kronecker
 
@@ -1001,6 +1067,110 @@ def test_integer_recurrence_coefficients_are_integral(shipped):
             ints = rec.integer_coefficients()
             assert ints is not None, (name, rr)
             assert ints[-1] != 0
+
+
+def test_integer_recurrence_with_irrational_outputs_and_a_rational_matrix():
+    a = parse_dfao(TM_ZETA3)
+    root = RootSpec(2, 7, 1)
+    rec = integer_recurrence(a, root)
+    assert rec.pretty() == "A(2^12 n) - 2*A(2^9 n) + 8*A(2^6 n) - 14*A(2^3 n) + 7*A(n) = 0"
+    assert rec.integer_coefficients() == coset_product_oracle(synthesize(a, root).coefficients, 2, 7)
+    assert verify(rec, a, 100).all_zero
+    assert integer_recurrence(a, RootSpec(2, 5, 1)).integer_coefficients() == [5, -6, 1]
+
+
+def _assert_intrec_matches_oracle(a, root, name):
+    want = coset_product_oracle(synthesize(a, root).coefficients, root.k, root.r0)
+    assert integer_recurrence(a, root).integer_coefficients() == want, (name, root)
+
+
+def test_integer_recurrence_matches_the_coset_product_oracle_on_shipped_machines(shipped):
+    for name, a in shipped + [("thue_morse with zeta_3", parse_dfao(TM_ZETA3))]:
+        for rr in (1, 3, 5, 7, 9, 11, 15, 21, 31):
+            _assert_intrec_matches_oracle(a, RootSpec(2, rr, 1), name)
+
+
+# pattern machines counting modulo 2: outputs +-1, so the reduced matrix is rational
+_RATIONAL_PATTERNS = (
+    PatternSpec(2, (1, 1), 2),
+    PatternSpec(2, (0, 1, 0), 2),
+    PatternSpec(2, (0, 0), 2),
+    PatternSpec(3, (1, 2), 2),
+    PatternSpec(3, (0, 0), 2),
+    PatternSpec(3, (2, 1, 0), 2),
+)
+
+
+@pytest.mark.parametrize("spec", _RATIONAL_PATTERNS, ids=repr)
+def test_integer_recurrence_matches_the_coset_product_oracle_on_pattern_machines(spec):
+    # every conductor r0 reached from r <= 45, and s = 2 s0 at every fourth one
+    fwd = pattern_dfao(spec)
+    for a in (fwd, reverse_dfao(fwd)):
+        for r0 in range(1, 46):
+            if math.gcd(r0, spec.k) == 1:
+                root = RootSpec(spec.k, r0, 1)
+                _assert_intrec_matches_oracle(a, root, spec)
+                if r0 % 4 == 1:
+                    _assert_intrec_matches_oracle(a, RootSpec(spec.k, r0, 1, s=2 * root.s0), spec)
+
+
+@pytest.mark.parametrize("r", (105, 273))
+def test_integer_recurrence_matches_the_coset_product_oracle_at_large_conductors(rs, r):
+    _assert_intrec_matches_oracle(rs, RootSpec(2, r, 1), "rudin_shapiro")
+
+
+def _recorded_primes(monkeypatch) -> list:
+    taken = []
+    split = recurrence._split_primes
+
+    def recorded(r0, start):
+        for p, g in split(r0, start):
+            taken.append(p)
+            yield p, g
+
+    monkeypatch.setattr(recurrence, "_split_primes", recorded)
+    return taken
+
+
+def test_integer_recurrence_takes_the_primes_its_bound_asks_for(rs, monkeypatch):
+    # B = (sum over j of ||D C_j||_1)^h bounds the coefficients; CRT stops at the first
+    # prime whose product with the earlier ones passes 2 B, not when the value settles
+    root = RootSpec(2, 273, 1)
+    cs = synthesize(rs, root).coefficients
+    den = math.lcm(*(c.den for c in cs))
+    bound = sum(abs(x) * (den // c.den) for c in cs for x in c.vec) ** len(coset_reps(2, 273))
+    taken = _recorded_primes(monkeypatch)
+    integer_recurrence(rs, root)
+    assert len(taken) == 4
+    assert math.prod(taken[:-1]) <= 2 * bound < math.prod(taken)
+
+
+def test_integer_recurrence_needs_every_prime_below_its_bound(tm, monkeypatch):
+    # k = 2 generates the units mod 3: one coset, so the product is the base recurrence,
+    # and a constant term 2^64 + 1 needs two primes above 2^61
+    big = cyclo_field(1).from_rational(2**64 + 1)
+    monkeypatch.setattr(
+        recurrence, "_synthesize", lambda a, root, *_: Recurrence(2, root, [big, big.field.one()], "char_poly")
+    )
+    taken = _recorded_primes(monkeypatch)
+    assert integer_recurrence(tm, RootSpec(2, 3, 1)).integer_coefficients() == [2**64 + 1, 1]
+    assert len(taken) == 2
+
+
+@pytest.mark.parametrize("zeta3, extra", ((False, 7), (True, 7), (True, 3)))
+def test_integer_recurrence_refuses_a_coefficient_outside_the_fixed_field(rs, monkeypatch, zeta3, extra):
+    # at r = 7, C_0 + zeta_7 is not fixed by sigma_2, and C_0 + zeta_3 does not lie in Q(zeta_7)
+    a = parse_dfao(TM_ZETA3) if zeta3 else rs
+    synth = recurrence._synthesize
+
+    def tampered(*args):
+        rec = synth(*args)
+        c0 = rec.coefficients[0] + cyclo_field(extra).omega()
+        return Recurrence(rec.k, rec.root, (c0,) + rec.coefficients[1:], rec.provenance)
+
+    monkeypatch.setattr(recurrence, "_synthesize", tampered)
+    with pytest.raises(AutorecError, match="irrational coefficient.*indicates a bug"):
+        integer_recurrence(a, RootSpec(2, 7, 1))
 
 
 # ----------------------------------------------------------------------
