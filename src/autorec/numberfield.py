@@ -22,6 +22,11 @@ the compositum Q(zeta_lcm) on demand.
 Dense polynomials have one implementation, _Poly, which RatPoly (over Q)
 and polymatrix.CycloPoly specialize; RatPoly's long division is behind
 cyclotomic_int; CycloField.reduce divides in place by the monic Phi_n.
+
+Modulo a split prime p = 1 (mod n), Z[zeta_n] maps onto F_p in phi(n)
+ways (_embeddings); elimination over F_p (_rref_mod) and rational
+reconstruction (_reconstruct) serve polymatrix.span_analysis, which
+proves its lifted answer exact by a height bound.
 """
 
 from __future__ import annotations
@@ -167,6 +172,15 @@ def _split_primes(r0: int, start: int = 0):
                     yield p, g
                     break
     raise AutorecError(f"no prime certificate below {_MR_BOUND} at r0 = {r0}")
+
+
+@functools.lru_cache(maxsize=256)
+def _split_prime(r0: int, start: int = 1 << 61) -> tuple[int, int]:
+    """The first (p, g) of _split_primes(r0, start); the 256 most recently asked for are kept.
+
+    A caller that needs the next prime asks again from p.
+    """
+    return next(_split_primes(r0, start))
 
 
 def _num(c):
@@ -954,3 +968,83 @@ def _rref(a: list[list], ncols: int) -> list[int]:
         if row == m:
             break
     return pivots
+
+
+# ----------------------------------------------------------------------
+# linear algebra modulo split primes
+#
+# span_analysis eliminates over F_p for split primes p and lifts the
+# result by CRT and rational reconstruction; it proves the lift exact
+# itself.
+
+
+def _rref_mod(a: list[list[int]], ncols: int, p: int) -> list[int]:
+    """_rref over F_p: Gauss-Jordan elimination in place of rows of residues mod p, with the same contract."""
+    m = len(a)
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        sel = next((i for i in range(row, m) if a[i][col]), None)
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        inv = pow(a[row][col], -1, p)
+        a[row][col:] = prow = [c * inv % p for c in a[row][col:]]
+        for i in range(m):
+            f = a[i][col]
+            if f and i != row:
+                a[i][col:] = [(c - f * d) % p for c, d in zip(a[i][col:], prow)]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return pivots
+
+
+@functools.lru_cache(maxsize=256)
+def _embeddings(n: int, p: int, g: int) -> tuple:
+    """The phi(n) maps zeta_n -> g^t of Z[zeta_n] onto F_p, t a unit mod n, for g of order n mod p.
+
+    Returns (powers, basis, inverse, spread).  powers[t][j] = g^(t j) mod p,
+    one row per unit t in increasing order, so the image of an integer
+    normal-form vector v is the sum over j of v[j] powers[t][j].  basis
+    lists the positions of the normal-form basis, and inverse, a phi x phi
+    matrix mod p, takes the phi images of a vector supported on basis back
+    to its coordinates there: V = (g^(t j)), t a unit and j in basis, is
+    invertible mod p, as det(V)^2 is, up to sign, the discriminant of
+    Q(zeta_n), which only primes of n divide.  spread is the largest
+    coordinate of the normal form of any w^j.
+    """
+    field = cyclo_field(n)
+    powers = []
+    for t in range(1, n + 1):
+        if math.gcd(t, n) == 1:
+            x, row = pow(g, t, p), [1] * n
+            for j in range(1, n):
+                row[j] = row[j - 1] * x % p
+            powers.append(row)
+    forms = [field._normal([int(i == j) for i in range(n)]) for j in range(n)]
+    basis = [j for j, v in enumerate(forms) if v[j] == 1 and v.count(0) == n - 1]
+    phi = len(basis)
+    a = [[row[j] for j in basis] + [int(i == t) for i in range(phi)] for t, row in enumerate(powers)]
+    assert _rref_mod(a, phi, p) == list(range(phi)), "the embeddings are dependent mod p"
+    return powers, basis, [row[phi:] for row in a], max(max(map(abs, v)) for v in forms)
+
+
+def _reconstruct(x: int, m: int) -> Optional[tuple[int, int]]:
+    """(a, b) with a = b x mod m, |a| and 0 < b at most sqrt(m/2) and gcd(b, m) = 1, or None when none exists.
+
+    Such a fraction a/b is unique.  The half extended Euclidean algorithm on
+    (m, x) stops at the first remainder at most sqrt(m/2), which is a, with
+    its cofactor b (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982).
+    """
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, x % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or math.gcd(t1, m) != 1:
+        return None
+    return r1, t1

@@ -65,6 +65,7 @@ from .numberfield import (
     _lowest,
     _pack,
     _rref,
+    _split_prime,
     _split_primes,
     _unpack,
     _width,
@@ -302,7 +303,8 @@ def _trace_width(n: list) -> int:
 def _nonderogatory_mod_p(m: list, field: CycloField) -> bool:
     """Whether one split prime shows that the minimal polynomial of the d x d matrix m has degree d.
 
-    With p = 1 mod L, L the conductor, above 2^61 and dividing no
+    With p = 1 mod L, L the conductor, the first split prime above 2^61
+    (numberfield._split_prime, cached per conductor) that divides no
     denominator of m, and g of order L mod p, zeta_L -> g maps the entries
     into F_p.  The minimal polynomial mu of m divides the characteristic
     one, so its coefficients are integral at the prime above p that this
@@ -311,7 +313,9 @@ def _nonderogatory_mod_p(m: list, field: CycloField) -> bool:
     """
     L, d = field.conductor, len(m)
     dens = {x.den for row in m for x in row}
-    p, g = next((p, g) for p, g in _split_primes(L, 1 << 61) if all(den % p for den in dens))
+    p, g = _split_prime(L)
+    while any(den % p == 0 for den in dens):
+        p, g = _split_prime(L, p)
     gs = [1] * L  # g^j mod p
     for j in range(1, L):
         gs[j] = gs[j - 1] * g % p

@@ -206,11 +206,12 @@ def _det_cofactor(rows, field) -> CycloPoly:
 
 
 def span_by_full_table(span) -> tuple:
-    """(rank, generators, alphas) of span's tuple table by one elimination over every state column.
+    """(rank, generators, alphas) of span's tuple table by one exact elimination over every state column.
 
-    The elimination that span_analysis ran before it took each distinct
-    column once: the rows are the distinct rows of the table, and column p
-    holds the coefficients of f_p over the pivots left of it.
+    The oracle for span_analysis, which eliminates each distinct column
+    once, modulo split primes: here the rows are the distinct rows of the
+    table, the entries are CycloElements, and column p holds the
+    coefficients of f_p over the pivots left of it.
     """
     d = len(span.tuple_table[0])
     rows = list({tuple((v.vec, v.den) for v in row): list(row) for row in span.tuple_table}.values())

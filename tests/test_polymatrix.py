@@ -8,8 +8,9 @@ from itertools import product as iproduct
 import pytest
 
 from autorec.automaton import FORWARD, Dfao, PatternSpec, load_builtin, pattern_dfao, reverse_dfao
-from autorec import polymatrix
-from autorec.numberfield import cyclo_field
+from autorec import numberfield, polymatrix
+from autorec.errors import AutorecError
+from autorec.numberfield import CycloElement, cyclo_field
 from autorec.polymatrix import (
     LEFT,
     RIGHT,
@@ -362,30 +363,155 @@ def _dedupe_machines() -> list:
     return machines + [(name + " reversed", reverse_dfao(a)) for name, a in machines]
 
 
+def _assert_matches_full_table(sp, name):
+    """sp agrees with span_by_full_table on its rank, generators, alphas and JSON."""
+    rank, generators, alphas = span_by_full_table(sp)
+    want = SpanAnalysis(sp.field, sp.witness_words, sp.tuples, sp.tuple_table, rank, generators, alphas)
+    assert (sp.rank, sp.generators, sp.alphas) == (rank, generators, alphas), name
+    assert sp.to_json_dict() == want.to_json_dict(), name
+
+
+def _conductor_machines() -> list:
+    """Pattern machines with outputs of conductor 4, 5, 6, 7 and 15, each forward and reversed."""
+    machines = []
+    for m in (4, 5, 6, 7, 15):
+        for k, v in ((2, (0, 1)), (2, (1, 1, 0)), (3, (1, 2)), (3, (0, 0))):
+            a = pattern_dfao(PatternSpec(k, v, m))
+            assert a.output_field.conductor == m
+            machines += [(f"{k} {v} {m}", a), (f"{k} {v} {m} reversed", reverse_dfao(a))]
+    return machines
+
+
 def test_span_matches_full_table_elimination():
     machines = _dedupe_machines()
     assert len(machines) == 272
-    for name, a in machines:
-        sp = span_analysis(a)
-        assert (sp.rank, sp.generators, sp.alphas) == span_by_full_table(sp), name
+    for name, a in machines + _conductor_machines():
+        _assert_matches_full_table(span_analysis(a), name)
+
+
+def _eliminations(monkeypatch) -> list:
+    """(p, columns, rank) of each elimination mod p that span_analysis runs from now on, in order."""
+    calls = []
+    rref_mod = polymatrix._rref_mod
+
+    def recorded(rows, ncols, p):
+        pivots = rref_mod(rows, ncols, p)
+        calls.append((p, ncols, len(pivots)))
+        return pivots
+
+    monkeypatch.setattr(polymatrix, "_rref_mod", recorded)
+    return calls
 
 
 def test_span_eliminates_each_distinct_column_once(monkeypatch):
-    widths = []
-    rref = polymatrix._rref
-
-    def counted(rows, ncols):
-        widths.append(ncols)
-        return rref(rows, ncols)
-
-    monkeypatch.setattr(polymatrix, "_rref", counted)
+    calls = _eliminations(monkeypatch)
     repeated = 0
     for name, a in _dedupe_machines():
+        calls.clear()
         sp = span_analysis(a)
         distinct = len(set(zip(*[[(v.vec, v.den) for v in row] for row in sp.tuple_table])))
-        assert widths.pop() == distinct, name
+        # one elimination per embedding of each prime taken, each over the distinct columns
+        assert calls and {ncols for _, ncols, _ in calls} == {distinct}, name
         repeated += distinct < a.size
     assert repeated > 100
+
+
+def _sum_machine(x, y) -> Dfao:
+    """The Thue-Morse transitions with outputs x and y, and a third state reading 3 x + 5 y everywhere.
+
+    So f_2 = 3 f_0 + 5 f_1, and f_0, f_1 are independent unless x^2 = y^2.
+    """
+    return Dfao(2, FORWARD, "abc", [x, y, 3 * x + 5 * y], [[0, 1], [1, 0], [2, 2]])
+
+
+def _scaled_machine(c) -> Dfao:
+    """Five states: state 1 reads 1 everywhere and state 3 reads c, so f_3 = c f_1."""
+    return Dfao(2, FORWARD, "abcde", [0, 1, 2, c, 5], [[1, 2], [1, 1], [4, 2], [3, 3], [0, 4]])
+
+
+def _full_rank_primes(calls, rank) -> set:
+    """The primes at which every elimination found the given rank."""
+    return {p for p, _, r in calls} - {p for p, _, r in calls if r != rank}
+
+
+def test_span_lifts_a_large_coefficient_over_several_primes(monkeypatch):
+    # 10^40 / 3^50 needs about 270 bits: one prime above 2^61 cannot reconstruct it
+    c = Fraction(10**40, 3**50)
+    calls = _eliminations(monkeypatch)
+    sp = span_analysis(_scaled_machine(c))
+    _assert_matches_full_table(sp, "f_3 = c f_1")
+    assert sp.alphas[3][sp.generators.index(1)] == c
+    assert len(_full_rank_primes(calls, sp.rank)) >= 2
+
+
+def test_span_skips_a_split_prime_that_divides_an_output_denominator(monkeypatch):
+    p, _ = numberfield._split_prime(1)
+    calls = _eliminations(monkeypatch)
+    sp = span_analysis(_sum_machine(Fraction(1, p), 1))
+    _assert_matches_full_table(sp, "output 1/p")
+    assert calls and p not in {q for q, _, _ in calls}
+
+
+@pytest.fixture
+def small_primes(monkeypatch):
+    """Split primes from 2^6 on instead of 2^61, and an error past 2^12, so that a search that never settles fails."""
+    split = numberfield._split_primes
+
+    def small(r0, start=0):
+        for p, g in split(r0, 64 if start == 1 << 61 else start):
+            if p > 1 << 12:
+                raise AutorecError("no small split prime left")
+            yield p, g
+
+    monkeypatch.setattr(numberfield, "_split_primes", small)
+    numberfield._split_prime.cache_clear()
+    yield
+    numberfield._split_prime.cache_clear()
+
+
+def test_span_over_small_primes_drops_unlucky_ones_and_lifts_by_crt(small_primes, monkeypatch):
+    p1, _ = numberfield._split_prime(1)
+    _, g = numberfield._split_prime(3)
+    w = cyclo_field(3).omega()
+    adversarial = [
+        # y = x mod p1: rank 1 at the first prime, rank 2 over Q
+        ("x = y mod p1", _sum_machine(1, p1 + 1)),
+        # y = w + 1 - g^t maps to x = 1 under w -> g^t: that embedding of the first prime over Q(zeta_3) loses a pivot
+        ("first embedding", _sum_machine(1, w + (1 - g))),
+        ("second embedding", _sum_machine(1, w + (1 - g * g))),
+        ("f_3 = c f_1", _scaled_machine(Fraction(10**40, 3**50))),
+    ]
+    calls = _eliminations(monkeypatch)
+    unlucky = crt = 0
+    for name, a in adversarial + _conductor_machines():
+        calls.clear()
+        sp = span_analysis(a)
+        _assert_matches_full_table(sp, name)
+        unlucky += any(r < sp.rank for _, _, r in calls)
+        crt += len(_full_rank_primes(calls, sp.rank)) >= 2
+    assert unlucky >= 3
+    assert crt >= 4
+
+
+def test_span_analysis_makes_no_field_product_or_inverse(monkeypatch):
+    # the elimination runs mod split primes and the alphas are built from their coordinates
+    machines = []
+    for spec, _ in stratum_patterns(1):
+        a = pattern_dfao(spec)
+        machines += [a, reverse_dfao(a)]
+    counts = {"__mul__": 0, "__rmul__": 0, "inverse": 0}
+    for name in counts:
+        method = getattr(CycloElement, name)
+
+        def counted(*args, name=name, method=method):
+            counts[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(CycloElement, name, counted)
+    for a in machines:
+        span_analysis(a)
+    assert len(machines) == 88
+    assert counts == {"__mul__": 0, "__rmul__": 0, "inverse": 0}
 
 
 def test_reduced_matrices_frozen_forms(tm, rs, bs):
