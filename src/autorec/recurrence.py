@@ -23,13 +23,17 @@ rho = sum over j of C_j G_(js), and the term of m is the sum over p of
 rho(p) out(delta(p, m read least significant digit first)).
 
 Synthesis and verification share the padded-word machine that
-_pad_invariant makes of the pruned automaton and the level kernel
+_pad_invariant makes of the pruned automaton, kept per automaton
+structure in one bounded cache (_machine), and the level kernel
 _apply_levels, the s digit levels at x = w^(k^t) on one vector mod
 x^L - 1 per state, packed as one residue mod 2^(8 width L) - 1; nothing
 else.  Synthesis reads the reduced matrix M-hat as polymatrix.digit_cells,
 builds no polynomial, applies its levels to unit vectors and takes a
 characteristic or minimal polynomial; verify applies those of the full
-machine, whose cells are all 1, and scans the word-sum residual.
+machine, whose cells are all 1, and scans the word-sum residual.  It
+decides zero on the packed residues times e_L, the product over the
+primes p | L of x^(L/p) - 1, which is 0 at each zeta_d with d | L, d < L,
+and not at zeta_L; it takes no normal form.
 char_poly forms its power sums on the same packed residues, in slots
 as wide as an a-priori bound on the traces, and integer_recurrence
 multiplies the Galois conjugates of the coefficients modulo split
@@ -66,11 +70,11 @@ from .numberfield import (
     _pack,
     _rref,
     _split_prime,
-    _split_primes,
     _unpack,
     _width,
     coset_reps,
     cyclo_field,
+    factorize,
     multiplicative_order,
     pretty_sum,
 )
@@ -401,7 +405,13 @@ def _combine(terms, width: int, L: int) -> int:
 
 
 def _apply_levels(vecs: list, table: list, root: RootSpec, L: int, width: int) -> list:
-    """Levels t = 0, ..., s - 1 of an integer term table, at x = w^(k^t), on one residue per state."""
+    """Levels t = 0, ..., s - 1 of an integer term table, at x = w^(k^t), on one residue per state.
+
+    Each level folds its sums once, as (acc & full) + (acc >> top): the
+    value stays congruent mod full, as 2^top = 1, and grows by at most
+    log2(sum |c| + 1) bits a level, so one % full per state at the end
+    makes the residues of the s levels.
+    """
     bits, top, full = 8 * width, 8 * width * L, (1 << 8 * width * L) - 1
     step = L // root.r0 * root.primitive_exponent  # zeta_L^step = w^(k^t)
     for _ in range(root.s):
@@ -413,10 +423,10 @@ def _apply_levels(vecs: list, table: list, root: RootSpec, L: int, width: int) -
                 if v:  # zero is exact mod full: a zero vector adds nothing to the final slots
                     v <<= (p + e * step) % L * bits
                     acc += v if c == 1 else c * v
-            nxt.append(((acc & full) + (acc >> top)) % full)  # _combine's fold, inline in the hot loop
+            nxt.append((acc & full) + (acc >> top))
         vecs = nxt
         step = step * root.k % L
-    return vecs
+    return [v % full for v in vecs]
 
 
 def _unit_levels(table: list, root: RootSpec, L: int) -> list:
@@ -447,9 +457,11 @@ def reduced_product_at_root(a: Dfao, span: SpanAnalysis, root: RootSpec, side: s
 # process-wide caches, least recently used first
 
 # entries per cache; a root sweep keeps one per automaton and conductor
-# (72 over criterion 02's grid)
+# (72 over criterion 02's grid) in the synthesis cache, one per automaton
+# in the machine cache
 _CACHE_SIZE = 128
 _SYNTH_CACHE: OrderedDict = OrderedDict()
+_MACHINE_CACHE: OrderedDict = OrderedDict()
 
 
 def _cached(cache: OrderedDict, key, build):
@@ -465,13 +477,25 @@ def _cached(cache: OrderedDict, key, build):
 
 
 def clear_caches() -> None:
-    """Empty the synthesis cache, the only cache of this module."""
+    """Empty the synthesis cache and the machine cache of this module."""
     _SYNTH_CACHE.clear()
+    _MACHINE_CACHE.clear()
 
 
 def _structure(a: Dfao) -> tuple:
-    """What synthesis reads of an automaton: equal keys, equal results."""
+    """What synthesis and verify read of an automaton: equal keys, equal results."""
     return (a.base, a.direction, a.delta, a.output_field.conductor, tuple((v.vec, v.den) for v in a.outputs))
+
+
+def _machine(a: Dfao) -> tuple:
+    """The padded-word machine of a (_pad_invariant) and verify's term table of it, kept per structure."""
+
+    def build():
+        ap = _pad_invariant(prune_inaccessible(a))
+        cells = [(q, p, dig, [(0, 1)]) for q, row in enumerate(ap.delta) for dig, p in enumerate(row)]
+        return ap, _term_table(cells, ap.size, ap.direction == FORWARD)
+
+    return _cached(_MACHINE_CACHE, _structure(a), build)
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +504,7 @@ def _structure(a: Dfao) -> tuple:
 
 def _prepare(a: Dfao):
     """The padded-word machine of a, its span analysis, and the side its product is read from."""
-    ap = _pad_invariant(prune_inaccessible(a))
+    ap = _machine(a)[0]
     return ap, span_analysis(ap), LEFT if ap.direction == FORWARD else RIGHT
 
 
@@ -602,24 +626,29 @@ def verify(
     packed as residues, with the C_j over one denominator; B is
     _apply_levels on the machine, the same s levels each time as k^s fixes
     w.  Forward machines pull with x = out, backward ones push from
-    x = e_q0.  Normal forms are taken of the |Q| entries of rho and, once
-    some is nonzero, of each distinct backward state tuple met; none per
-    n.  A call costs l s |Q| k shifts for any n_max, and nothing in it
-    depends on another call, so no cache is kept.  The budget caps the work units,
-    L + (n k^(js)).bit_length() per n and term, summed in closed form,
-    with a BudgetError at the first n past it unless an earlier n fails.
+    x = e_q0.  No normal form is taken: a vector is zero in Q(zeta_L)
+    exactly when e_L times it is zero mod x^L - 1 (_annihilate), and B
+    commutes with that product, so the C_j are multiplied by e_L once and
+    a term is zero exactly when its residue is 0.  That is one residue
+    per state forward and one packed sum per distinct backward state
+    tuple met; none per n.  A call costs l s |Q| k shifts for any n_max.
+    The padded machine and its term table are kept per automaton
+    structure (_machine), shared with synthesis.  The budget caps the
+    work units, L + (n k^(js)).bit_length() per n and term, summed in
+    closed form, with a BudgetError at the first n past it unless an
+    earlier n fails.
     """
     if rec.k != a.base:
         raise AutorecError("recurrence and automaton disagree on the base k")
     if n_max < 0:
         raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
-    a = _pad_invariant(prune_inaccessible(a))
-    K = cyclo_field(math.lcm(a.output_field.conductor, rec.root.r0))
-    cs = [K.coerce(c) for c in rec.coefficients]
-    den = math.lcm(*(c.den for c in cs))
-    failure = _scan([[x * (den // c.den) for x in c.vec] for c in cs], rec.root, a, K, n_max)
+    a, table = _machine(a)
+    L = math.lcm(a.output_field.conductor, rec.root.r0)
+    cs = [_spread(c, L) for c in rec.coefficients]
+    den = math.lcm(*(d for _, d in cs))
+    failure = _scan([_annihilate([x * (den // d) for x in c], L) for c, d in cs], rec.root, a, table, L, n_max)
     # the units run out at n before the residual at n is read
-    over = _overrun(rec, K.conductor, failure or n_max, budget)
+    over = _overrun(rec, L, failure or n_max, budget)
     if over is not None:
         raise BudgetError(
             f"verification budget exhausted at n = {over[0]} ({over[1]} > {budget} units)"
@@ -627,19 +656,47 @@ def verify(
     return VerificationReport(n_max, failure is None, failure)
 
 
-def _scan(cs: list, root: RootSpec, a: Dfao, K: CycloField, n_max: int) -> Optional[int]:
-    """The first n <= n_max with a nonzero residual, for a as _pad_invariant returns it."""
-    k, size, L = a.base, a.size, K.conductor
+def _spread(c, L: int) -> tuple:
+    """c in Q(zeta_n), n | L, as an integer vector mod x^L - 1 with zeta_n = x^(L/n), and its denominator."""
+    if not isinstance(c, CycloElement) or L % c.field.conductor:
+        c = cyclo_field(L).coerce(c)  # a rational, or coerce's error for a field outside Q(zeta_L)
+    vec = [0] * L
+    vec[:: L // c.field.conductor] = c.vec
+    return vec, c.den
+
+
+def _annihilate(c: list, L: int) -> list:
+    """e_L c mod x^L - 1, e_L the product over the primes p | L of x^(L/p) - 1.
+
+    It is zero exactly when c is zero in Q(zeta_L).  By CRT, Q[x]/(x^L - 1)
+    is the product of the Q(zeta_d) over d | L.  Each d < L divides some
+    L/p, so e_L vanishes at zeta_d; at zeta_L it is the product of the
+    zeta_p - 1, which is not 0.  A slot grows at most 2^omega(L)-fold.
+    """
+    for p, _ in factorize(L):
+        h = L // p
+        c = [x - y for x, y in zip(c[-h:] + c[:-h], c)]
+    return c
+
+
+def _scan(cs: list, root: RootSpec, a: Dfao, table: list, L: int, n_max: int) -> Optional[int]:
+    """The first n <= n_max with a nonzero residual, for a and its term table as _machine gives them.
+
+    The C_j come as integer vectors mod x^L - 1 already multiplied by e_L
+    (_annihilate), so the residues are those of e_L rho, and a term is
+    zero exactly when its residue is 0.
+    """
+    k, size = a.base, a.size
     fwd = a.direction == FORWARD
     # each output as (power of zeta_L, integer) pairs, all over one denominator
     den = math.lcm(*(v.den for v in a.outputs))
     outs = [_pairs(v, L // a.output_field.conductor, den) for v in a.outputs]
     # x of the Horner form per state as such pairs: out forward, e_q0 backward
     xs = outs if fwd else [[(0, 1)]] + [[]] * (size - 1)
-    cells = [(q, p, dig, [(0, 1)]) for q, row in enumerate(a.delta) for dig, p in enumerate(row)]
-    table = _term_table(cells, size, fwd)
-    # rho is the sum of B^j(C_j x), and B makes the slots at most gain^s times larger
-    gain, reach = max(map(len, table)) ** root.s, max(sum(abs(y) for _, y in x) for x in xs)
+    # rho is the sum of B^j(C_j x), and B makes the slots at most gain^s >= k^s times larger;
+    # a backward tuple's sum is the sum of C_j times one output per word of js digits
+    gain = max(map(len, table)) ** root.s
+    reach = max(1, *(sum(abs(y) for _, y in x) for x in outs))
     width = _width(reach * sum(max(map(abs, c)) * gain**j for j, c in enumerate(cs)))
     v = [0] * size
     for j, c in enumerate(reversed(cs)):
@@ -647,18 +704,14 @@ def _scan(cs: list, root: RootSpec, a: Dfao, K: CycloField, n_max: int) -> Optio
             v = _apply_levels(v, table, root, L, width)
         c = _pack(c, width)
         v = [_combine([(u, 0, 1)] + [(c, p, y) for p, y in x], width, L) for u, x in zip(v, xs)]
-    rho = [list(K._normal(_unpack(x, width, L))) for x in v]
-    if not any(map(any, rho)):
+    if not any(v):
         return None  # every term is zero: the recurrence holds for all n
     if fwd:
-        return _first_failure(0, lambda q, dig: a.delta[q][dig], k, lambda q: any(rho[q]), n_max)
-    width = _width(max(abs(x) for r in rho for x in r) * size * max(sum(abs(y) for _, y in x) for x in outs))
-    packed = [_pack(r, width) for r in rho]
+        return _first_failure(0, lambda q, dig: a.delta[q][dig], k, lambda q: v[q] != 0, n_max)
 
     def nonzero(tau: tuple) -> bool:
         """Whether the sum over p of rho(p) out(tau(p)) is nonzero."""
-        terms = [(r, p, x) for r, q in zip(packed, tau) for p, x in outs[q]]
-        return any(K._normal(_unpack(_combine(terms, width, L), width, L)))
+        return _combine([(r, p, x) for r, q in zip(v, tau) for p, x in outs[q]], width, L) != 0
 
     # the state tuple of m maps p to delta(p, m read least significant digit first)
     return _first_failure(
@@ -690,12 +743,12 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     of the product of the sum over j of sigma_u(a_j) y^j is an integer of
     size at most B: each embedding of sigma_u(a_j) has size at most
     ||a_j||_1.  For each split prime p = 1 (mod 2 r0) above 2^61 in
-    increasing order (numberfield._split_primes), with g of order r0 mod p,
-    zeta -> g^u maps sigma_u(a_j) to the sum over i of a_j[i] g^(u i) in F_p,
-    a ring map, and the h factors are multiplied mod p.  Once the product of
-    the primes passes 2 B the symmetric residues are the coefficients,
-    which are divided by D^h and then scaled by the lcm of their
-    denominators.
+    increasing order, walked through the cache of numberfield._split_prime,
+    with g of order r0 mod p, zeta -> g^u maps sigma_u(a_j) to the sum over
+    i of a_j[i] g^(u i) in F_p, a ring map, and the h factors are
+    multiplied mod p.  Once the product of the primes passes 2 B the
+    symmetric residues are the coefficients, which are divided by D^h and
+    then scaled by the lcm of their denominators.
     """
     prepared = _prepare(a)
     if any(c.rational_value() is None for *_, c in digit_cells(*prepared[:2])):
@@ -713,8 +766,9 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     vecs = [[(i, x * (den // c.den)) for i, x in enumerate(c.vec) if x] for c in cs]
     reps = coset_reps(root.k, r0)
     bound = sum(abs(x) for v in vecs for _, x in v) ** len(reps)
-    got, modulus = [0] * (len(reps) * (len(cs) - 1) + 1), 1
-    for p, g in _split_primes(r0, 1 << 61):
+    got, modulus, p = [0] * (len(reps) * (len(cs) - 1) + 1), 1, 1 << 61
+    while modulus <= 2 * bound:
+        p, g = _split_prime(r0, p)
         gs = [1] * r0  # g^i mod p
         for i in range(1, r0):
             gs[i] = gs[i - 1] * g % p
@@ -730,8 +784,6 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
         inv = pow(modulus, -1, p)
         got = [x + modulus * ((y - x) * inv % p) for x, y in zip(got, prod)]
         modulus *= p
-        if modulus > 2 * bound:
-            break
     rat = [Fraction(x - modulus if 2 * x > modulus else x, den ** len(reps)) for x in got]
     scale = math.lcm(*(q.denominator for q in rat))
     coeffs = [cyclo_field(1).from_rational(q * scale) for q in rat]

@@ -7,9 +7,36 @@ from itertools import product as iproduct
 
 import pytest
 
-from autorec.automaton import load_builtin, pattern_dfao, PatternSpec, sequence_term
-from autorec.numberfield import CycloField, GaloisMap, _rref, coset_reps, factorize, multiplicative_order
+from autorec.automaton import (
+    FORWARD,
+    PatternSpec,
+    _pad_invariant,
+    load_builtin,
+    pattern_dfao,
+    prune_inaccessible,
+    sequence_term,
+)
+from autorec.numberfield import (
+    CycloField,
+    GaloisMap,
+    _pack,
+    _rref,
+    _unpack,
+    _width,
+    coset_reps,
+    cyclo_field,
+    factorize,
+    multiplicative_order,
+)
 from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix, _mat_mul
+from autorec.recurrence import (
+    VerificationReport,
+    _apply_levels,
+    _combine,
+    _first_failure,
+    _pairs,
+    _term_table,
+)
 
 
 # the Thue-Morse transitions with outputs 1 and zeta_3: the reduced matrix is rational,
@@ -320,3 +347,53 @@ def coset_product_oracle(coefficients, k: int, r0: int) -> list[int]:
     assert None not in rat, "the coset product is irrational"
     den = math.lcm(*(q.denominator for q in rat))
     return [int(q * den) for q in rat]
+
+
+def scan_by_normal_forms(cs: list, root, a, K: CycloField, n_max: int):
+    """The first n <= n_max with a nonzero residual, each term decided by a normal form in K.
+
+    The scan verify made before it decided zero on packed residues: the
+    same Horner form of rho, then the normal form of each rho(q) and,
+    backward, of each distinct state tuple's sum; a is padded
+    (_pad_invariant) and cs are the C_j in K over one denominator.
+    """
+    k, size, L = a.base, a.size, K.conductor
+    fwd = a.direction == FORWARD
+    den = math.lcm(*(v.den for v in a.outputs))
+    outs = [_pairs(v, L // a.output_field.conductor, den) for v in a.outputs]
+    xs = outs if fwd else [[(0, 1)]] + [[]] * (size - 1)
+    cells = [(q, p, dig, [(0, 1)]) for q, row in enumerate(a.delta) for dig, p in enumerate(row)]
+    table = _term_table(cells, size, fwd)
+    gain, reach = max(map(len, table)) ** root.s, max(sum(abs(y) for _, y in x) for x in xs)
+    width = _width(reach * sum(max(map(abs, c)) * gain**j for j, c in enumerate(cs)))
+    v = [0] * size
+    for j, c in enumerate(reversed(cs)):
+        if j:
+            v = _apply_levels(v, table, root, L, width)
+        c = _pack(c, width)
+        v = [_combine([(u, 0, 1)] + [(c, p, y) for p, y in x], width, L) for u, x in zip(v, xs)]
+    rho = [list(K._normal(_unpack(x, width, L))) for x in v]
+    if not any(map(any, rho)):
+        return None
+    if fwd:
+        return _first_failure(0, lambda q, dig: a.delta[q][dig], k, lambda q: any(rho[q]), n_max)
+    width = _width(max(abs(x) for r in rho for x in r) * size * max(sum(abs(y) for _, y in x) for x in outs))
+    packed = [_pack(r, width) for r in rho]
+
+    def nonzero(tau: tuple) -> bool:
+        terms = [(r, p, x) for r, q in zip(packed, tau) for p, x in outs[q]]
+        return any(K._normal(_unpack(_combine(terms, width, L), width, L)))
+
+    return _first_failure(
+        tuple(range(size)), lambda tau, dig: tuple(tau[row[dig]] for row in a.delta), k, nonzero, n_max
+    )
+
+
+def verify_by_normal_forms(rec, a, n_max: int) -> VerificationReport:
+    """verify without a budget, its terms decided by scan_by_normal_forms."""
+    a = _pad_invariant(prune_inaccessible(a))
+    K = cyclo_field(math.lcm(a.output_field.conductor, rec.root.r0))
+    cs = [K.coerce(c) for c in rec.coefficients]
+    den = math.lcm(*(c.den for c in cs))
+    failure = scan_by_normal_forms([[x * (den // c.den) for x in c.vec] for c in cs], rec.root, a, K, n_max)
+    return VerificationReport(n_max, failure is None, failure)

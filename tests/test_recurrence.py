@@ -26,6 +26,7 @@ from autorec.numberfield import (
     GaloisMap,
     coset_reps,
     cyclo_field,
+    cyclotomic_int,
     factorize,
 )
 from autorec.polymatrix import (
@@ -58,6 +59,7 @@ from conftest import (
     TM_ZETA3,
     char_poly_newton_oracle,
     coset_product_oracle,
+    divisors,
     gaussian_period,
     partial_sum_value,
     poly_divides,
@@ -65,6 +67,7 @@ from conftest import (
     reduced_matrix_oracle,
     solve_exact,
     stratum_patterns,
+    verify_by_normal_forms,
 )
 
 
@@ -685,6 +688,77 @@ def test_verify_does_no_field_multiplication(monkeypatch):
     assert muls[0] == 0
 
 
+def test_verify_takes_no_normal_form(rs, monkeypatch):
+    # zero is decided on packed residues times e_L: no normal form, no unpacking and
+    # no packed field product, also while the padded machine is built on a cold cache
+    f3 = cyclo_field(3)
+    outs = [f3.one() + f3.omega(), f3.omega() / 2, 0]
+    pattern = pattern_dfao(PatternSpec(2, (0, 1, 0), 3))
+    cases = []
+    for a in (
+        Dfao(2, FORWARD, "abc", outs, _ZERO_SENSITIVE),
+        Dfao(2, BACKWARD, "abc", outs, _ZERO_SENSITIVE),
+        pattern,
+        reverse_dfao(pattern),
+        rs,
+    ):
+        for root in (RootSpec(2, 7, 1), RootSpec(2, 105, 2)):
+            rec = synthesize(a, root)
+            cases += [(rec, a), (_perturbed(rec, 0), a)]
+    calls = dict.fromkeys(("_normal", "_unpack", "_kronecker"), 0)
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(CycloField, "_normal", counted("_normal", CycloField._normal))
+    for module in (numberfield, recurrence):
+        monkeypatch.setattr(module, "_unpack", counted("_unpack", numberfield._unpack))
+    monkeypatch.setattr(numberfield, "_kronecker", counted("_kronecker", numberfield._kronecker))
+    clear_caches()
+    reports = [verify(rec, a, 10**4) for rec, a in cases]
+    assert calls == dict.fromkeys(calls, 0)
+    assert {r.all_zero for r in reports} == {True, False}
+
+
+def test_verify_residues_fit_their_slots(monkeypatch):
+    # every packed sum verify forms, the Horner steps and the backward tuple sums,
+    # unpacks to the exact sum of its unpacked terms: the width holds, for outputs
+    # near a slot's edge and perturbed recurrences whose rho is far from zero
+    combine, sums = recurrence._combine, [0]
+
+    def exact(terms, width, L):
+        got = combine(terms, width, L)
+        full = (1 << 8 * width * L) - 1
+        want = level_oracle.shift_sum([(numberfield._unpack(v % full, width, L), p, c) for v, p, c in terms], L)
+        assert numberfield._unpack(got, width, L) == want
+        sums[0] += 1
+        return got
+
+    monkeypatch.setattr(recurrence, "_combine", exact)
+    rng = random.Random(5)
+    failures = 0
+    for _ in range(60):
+        size = rng.randint(2, 6)
+        delta = [[rng.randrange(size) for _ in range(2)] for _ in range(size)]
+        outs = [rng.choice((0, 1, -3, 127, -128, 255)) for _ in range(size)]
+        a = Dfao(2, BACKWARD, [f"s{i}" for i in range(size)], outs, delta)
+        try:
+            source = reverse_dfao(a, 60)
+        except AutorecError:
+            continue  # a reversal of thousands of states: a span analysis of seconds
+        for r in (1, 3, 5):
+            rec = synthesize(source, RootSpec(2, r, 1))
+            for j in range(rec.order + 1):
+                cand = _perturbed(rec, j)
+                if not cand.coefficients[-1].is_zero():
+                    failures += not verify(cand, a, 10**4).all_zero
+    assert failures > 100 and sums[0] > 1000
+
+
 def test_synthesis_and_verify_build_no_polynomial(rs, monkeypatch):
     # synthesis reads M-hat as digit cells and the coset product runs mod split
     # primes; CycloPoly and PolyMatrix serve the matrix command and the tests only
@@ -724,23 +798,27 @@ def test_large_conductor_synthesis_makes_few_field_products(rs, monkeypatch, bui
     assert calls[0] <= most
 
 
-def test_verify_takes_as_many_normal_forms_for_any_bound(monkeypatch):
-    # normal forms per state and, backward, per distinct state tuple met, none
-    # per n: a backward rho may be nonzero yet orthogonal to every term, and
-    # then the scan meets more tuples up to the bound where they run out
+def test_verify_takes_as_many_zero_tests_for_any_bound(monkeypatch):
+    # one packed zero test per distinct state met forward and per distinct state
+    # tuple met backward, none per n: a backward rho may be nonzero yet orthogonal
+    # to every term, and then the scan meets more tuples up to the bound where they run out
     count = [0]
-    normal = CycloField._normal
+    first_failure = recurrence._first_failure
 
-    def counted_normal(self, v):
-        count[0] += 1
-        return normal(self, v)
+    def counted_first_failure(start, step, base, nonzero, n_max):
+        def counted(state):
+            count[0] += 1
+            return nonzero(state)
+
+        return first_failure(start, step, base, counted, n_max)
 
     def counted_verify(rec, a, n_max):
         before = count[0]
         report = verify(rec, a, n_max)
         return count[0] - before, report.first_failure
 
-    monkeypatch.setattr(CycloField, "_normal", counted_normal)
+    monkeypatch.setattr(recurrence, "_first_failure", counted_first_failure)
+    counts = []
     for spec in (PatternSpec(2, (0, 1, 0), 3), PatternSpec(3, (1, 2), 3)):
         for a in (pattern_dfao(spec), reverse_dfao(pattern_dfao(spec))):
             rec = synthesize(a, RootSpec(spec.k, 7, 1))
@@ -748,6 +826,8 @@ def test_verify_takes_as_many_normal_forms_for_any_bound(monkeypatch):
             for cand in (rec, _perturbed(rec, 0)):
                 got = counted_verify(cand, a, small)
                 assert counted_verify(cand, a, large) == got, (spec, a.direction)
+                counts.append(got[0])
+    assert max(counts) > 1  # the reversed machines meet several tuples
 
 
 # ----------------------------------------------------------------------
@@ -797,6 +877,23 @@ def test_caches_keep_equal_machines_over_different_fields_apart(tm):
     rec = synthesize(tm, root)
     assert rec.coefficients == cold
     assert verify(rec, tm, 30).all_zero
+    # nor may verify's padded machines: a recurrence over Q(zeta_15) does not coerce
+    # into tm's Q(zeta_5), on a cold cache or on one that holds a3's machine
+
+    def outcome(rec, a):
+        try:
+            return verify(rec, a, 30).to_json_dict()
+        except ValueError as exc:
+            return str(exc)
+
+    pairs = [(r, a) for r in (rec, synthesize(a3, root)) for a in (tm, a3)]
+    cold = []
+    for r, a in pairs:
+        clear_caches()
+        cold.append(outcome(r, a))
+    assert cold[2] == "cannot coerce conductor 15 into 5"
+    assert [outcome(r, a) for r, a in pairs] == cold
+    assert len(recurrence._MACHINE_CACHE) == 2
 
 
 def test_cache_key_tells_outputs_apart_by_denominator():
@@ -966,6 +1063,84 @@ def _fitted(rec, a):
     return Recurrence(rec.k, root, [-tail / sums[0]] + list(rec.coefficients[1:]), "fitted")
 
 
+# verify's zero test: e_L v = 0 mod x^L - 1, e_L the product over p | L of x^(L/p) - 1,
+# exactly when v is zero in Q(zeta_L)
+
+_ZERO_TEST_CONDUCTORS = tuple(range(1, 200)) + (1155, 3003)
+
+
+def _fold(v, d):
+    """v mod x^d - 1, for d dividing len(v)."""
+    out = [0] * d
+    for j, x in enumerate(v):
+        out[j % d] += x
+    return out
+
+
+def _phi_multiple(L, rng):
+    """Phi_L times a random vector mod x^L - 1, L > 1, with a nonzero image in each Q(zeta_d), d | L, d < L."""
+    phi = list(cyclotomic_int(L))
+    phi += [0] * (L - len(phi))
+    while True:
+        v = numberfield._kronecker(phi, [rng.randint(-2, 2) for _ in range(L)])
+        if all(any(cyclo_field(d)._normal(_fold(v, d))) for d in divisors(L) if d < L):
+            return v
+
+
+def test_zero_test_agrees_with_normal_forms(monkeypatch):
+    rng = random.Random(20)
+    zeros = 0
+    for L in _ZERO_TEST_CONDUCTORS:
+        K = cyclo_field(L)
+        vecs = [[rng.randint(-2, 2) for _ in range(L)] for _ in range(3)] + [[0] * L]
+        multiples = [_phi_multiple(L, rng) for _ in range(2)] if L > 1 else []
+        for v in vecs + multiples:
+            zero = not any(K._normal(list(v)))
+            assert (not any(recurrence._annihilate(v, L))) == zero, (L, v)
+            zeros += zero and any(v)
+        assert all(not any(K._normal(list(v))) for v in multiples)
+        # a mutant that drops the factor of one prime p keeps the component at zeta_(L/p)
+        for p, _ in factorize(L):
+            with monkeypatch.context() as m:
+                m.setattr(recurrence, "factorize", lambda n, p=p: [f for f in factorize(n) if f[0] != p])
+                assert all(any(recurrence._annihilate(v, L)) for v in multiples), (L, p)
+    assert zeros >= 2 * (len(_ZERO_TEST_CONDUCTORS) - 1)
+
+
+def test_verify_matches_the_scan_by_normal_forms(shipped):
+    # the reports of verify and of the scan it replaced, which took a normal form
+    # of every rho(q) and of every backward tuple's sum, on passing, perturbed and
+    # late-failing recurrences
+    cases = []
+    wide, narrow = (1, 3, 5, 7, 9, 11, 13, 15, 21), (1, 3, 5, 7, 9)
+    machines = [(name, a, a, wide) for name, a in shipped]
+    machines += [(name + " reversed", reverse_dfao(a), a, wide) for name, a in shipped]
+    machines += [(name, a, a, narrow) for name, a in _irrational_machines()]
+    for name, a, source, orders in machines:
+        for r in orders:
+            for e in range(r):
+                if math.gcd(e, r) == 1 or r == 1:
+                    cases.append((name, a, synthesize(source, RootSpec(2, r, e))))
+    for seed in (1, 2):
+        for spec, e in stratum_patterns(seed):
+            for a in (pattern_dfao(spec), reverse_dfao(pattern_dfao(spec))):
+                cases.append((repr(spec), a, synthesize(a, RootSpec(spec.k, 5, e))))
+    rs = shipped[1][1]
+    cases += [("rudin_shapiro", rs, synthesize(rs, RootSpec(2, r, 1))) for r in (105, 1155)]
+    cases.append(("rudin_shapiro intrec", rs, integer_recurrence(rs, RootSpec(2, 273, 1))))
+    outcomes = []
+    for i, (name, a, rec) in enumerate(cases):
+        cands = [rec, _perturbed(rec, i % 2 * rec.order)]
+        if i % 8 == 1:
+            cands.append(_fitted(cands[-1], a))
+        for cand in cands:
+            for n_max in (40, 10**6) if i % 4 == 0 else (10**6,):
+                want = verify_by_normal_forms(cand, a, n_max).to_json_dict()
+                assert verify(cand, a, n_max).to_json_dict() == want, (name, rec.root, cand.provenance, n_max)
+                outcomes.append(want["first_failure"])
+    assert None in outcomes and 1 in outcomes and any(n and n > 1 for n in outcomes)
+
+
 def _oracle_machines():
     """Machines the differential test reads, each with the one to synthesize from."""
     f3 = cyclo_field(3)
@@ -1120,15 +1295,16 @@ def test_integer_recurrence_matches_the_coset_product_oracle_at_large_conductors
 
 
 def _recorded_primes(monkeypatch) -> list:
+    # integer_recurrence walks the cached chain of _split_prime, one call per prime
     taken = []
-    split = recurrence._split_primes
+    split = recurrence._split_prime
 
     def recorded(r0, start):
-        for p, g in split(r0, start):
-            taken.append(p)
-            yield p, g
+        p, g = split(r0, start)
+        taken.append(p)
+        return p, g
 
-    monkeypatch.setattr(recurrence, "_split_primes", recorded)
+    monkeypatch.setattr(recurrence, "_split_prime", recorded)
     return taken
 
 
@@ -1216,6 +1392,9 @@ def test_packed_levels_match_list_levels(L):
                     got = recurrence._unit_levels(ints, root, L)
                     got = [[[Fraction(x, den**s) for x in v] for v in col] for col in got]
                     assert got == want, (L, root, kind, d)
+                    # the levels fold lazily, but return residues in [0, 2^(8 width L) - 1)
+                    full = (1 << 8 * L) - 1
+                    assert all(0 <= v < full for v in recurrence._apply_levels([full - 1] * d, ints, root, L, 1))
             # every term at p = 0 and x^0: the final slot is (+-3)^s, the a-priori bound itself
             for c in (1, -1):
                 table = [[(0, 0, 0, c)] * 3]
