@@ -1034,9 +1034,9 @@ def _embeddings(n: int, p: int, g: int) -> tuple:
 def _reconstruct(x: int, m: int) -> Optional[tuple[int, int]]:
     """(a, b) with a = b x mod m, |a| and 0 < b at most sqrt(m/2) and gcd(b, m) = 1, or None when none exists.
 
-    Such a fraction a/b is unique.  The half extended Euclidean algorithm on
-    (m, x) stops at the first remainder at most sqrt(m/2), which is a, with
-    its cofactor b (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982).
+    Such a fraction a/b is unique for m > 2.  The half extended Euclidean
+    algorithm on (m, x) stops at the first remainder at most sqrt(m/2),
+    which is a, with its cofactor b (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982).
     """
     bound = math.isqrt(m // 2)
     r0, r1, t0, t1 = m, x % m, 0, 1

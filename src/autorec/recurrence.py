@@ -23,8 +23,8 @@ rho = sum over j of C_j G_(js), and the term of m is the sum over p of
 rho(p) out(delta(p, m read least significant digit first)).
 
 Synthesis and verification share the padded-word machine that
-_pad_invariant makes of the pruned automaton, kept per automaton
-structure in one bounded cache (_machine), and the level kernel
+_pad_invariant makes of the pruned automaton, kept with its span per
+automaton structure in one bounded cache (_machine), and the level kernel
 _apply_levels, the s digit levels at x = w^(k^t) on one vector mod
 x^L - 1 per state, packed as one residue mod 2^(8 width L) - 1; nothing
 else.  Synthesis reads the reduced matrix M-hat as polymatrix.digit_cells,
@@ -33,7 +33,10 @@ characteristic or minimal polynomial; verify applies those of the full
 machine, whose cells are all 1, and scans the word-sum residual.  It
 decides zero on the packed residues times e_L, the product over the
 primes p | L of x^(L/p) - 1, which is 0 at each zeta_d with d | L, d < L,
-and not at zeta_L; it takes no normal form.
+and not at zeta_L; it takes no normal form.  Both run once per Galois
+class of a root sweep: a sigma_t fixing the outputs carries the relation
+at w1 to one at sigma_t(w1), which verify detects as x -> x^t on the
+coefficients mod x^L - 1.
 char_poly forms its power sums on the same packed residues, in slots
 as wide as an a-priori bound on the traces, and integer_recurrence
 multiplies the Galois conjugates of the coefficients modulo split
@@ -138,6 +141,8 @@ class Recurrence:
     """sum over m of coefficients[m] * A(k^(m s) n; w) = 0 for n >= 1."""
 
     def __init__(self, k: int, root: RootSpec, coefficients, provenance: str):
+        if k != root.k:
+            raise AutorecError(f"recurrence base k = {k} differs from its root's k = {root.k}")
         self.k = k
         self.root = root
         self.coefficients = tuple(coefficients)
@@ -456,12 +461,13 @@ def reduced_product_at_root(a: Dfao, span: SpanAnalysis, root: RootSpec, side: s
 # ----------------------------------------------------------------------
 # process-wide caches, least recently used first
 
-# entries per cache; a root sweep keeps one per automaton and conductor
-# (72 over criterion 02's grid) in the synthesis cache, one per automaton
-# in the machine cache
+# entries per cache; a root sweep keeps one per automaton, conductor and
+# Galois class (72 over criterion 02's grid) in the synthesis and verify
+# caches, one per automaton in the machine cache
 _CACHE_SIZE = 128
 _SYNTH_CACHE: OrderedDict = OrderedDict()
 _MACHINE_CACHE: OrderedDict = OrderedDict()
+_VERIFY_CACHE: OrderedDict = OrderedDict()
 
 
 def _cached(cache: OrderedDict, key, build):
@@ -477,9 +483,10 @@ def _cached(cache: OrderedDict, key, build):
 
 
 def clear_caches() -> None:
-    """Empty the synthesis cache and the machine cache of this module."""
+    """Empty the synthesis, machine and verify caches of this module."""
     _SYNTH_CACHE.clear()
     _MACHINE_CACHE.clear()
+    _VERIFY_CACHE.clear()
 
 
 def _structure(a: Dfao) -> tuple:
@@ -487,15 +494,15 @@ def _structure(a: Dfao) -> tuple:
     return (a.base, a.direction, a.delta, a.output_field.conductor, tuple((v.vec, v.den) for v in a.outputs))
 
 
-def _machine(a: Dfao) -> tuple:
-    """The padded-word machine of a (_pad_invariant) and verify's term table of it, kept per structure."""
+def _machine(a: Dfao, key: Optional[tuple] = None) -> list:
+    """[padded-word machine of a (_pad_invariant), verify's term table, span or None], per structure."""
 
     def build():
         ap = _pad_invariant(prune_inaccessible(a))
         cells = [(q, p, dig, [(0, 1)]) for q, row in enumerate(ap.delta) for dig, p in enumerate(row)]
-        return ap, _term_table(cells, ap.size, ap.direction == FORWARD)
+        return [ap, _term_table(cells, ap.size, ap.direction == FORWARD), None]
 
-    return _cached(_MACHINE_CACHE, _structure(a), build)
+    return _cached(_MACHINE_CACHE, _structure(a) if key is None else key, build)
 
 
 # ----------------------------------------------------------------------
@@ -504,8 +511,11 @@ def _machine(a: Dfao) -> tuple:
 
 def _prepare(a: Dfao):
     """The padded-word machine of a, its span analysis, and the side its product is read from."""
-    ap = _machine(a)[0]
-    return ap, span_analysis(ap), LEFT if ap.direction == FORWARD else RIGHT
+    entry = _machine(a)
+    if entry[2] is None:  # once per structure, kept without the witness words and tuple table
+        span = span_analysis(entry[0])
+        entry[2] = SpanAnalysis(span.field, (), (), (), span.rank, span.generators, span.alphas)
+    return entry[0], entry[2], LEFT if entry[0].direction == FORWARD else RIGHT
 
 
 def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence:
@@ -526,8 +536,8 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
     sigma_t of M-hat(k^s; zeta^u1) entry by entry, and so are its
     characteristic and minimal polynomials; rational coefficients are
     fixed by sigma_t.  For m = 1 there is one class per conductor.  The
-    construction is shared across roots, never the check: verify
-    re-evaluates every root on its own.
+    synthesis cache never decides a check: verify tests by itself whether
+    the coefficients it is given are conjugate.
     """
     return _synthesize(a, root, use_minimal, lambda: _prepare(a))
 
@@ -633,7 +643,11 @@ def verify(
     per state forward and one packed sum per distinct backward state
     tuple met; none per n.  A call costs l s |Q| k shifts for any n_max.
     The padded machine and its term table are kept per automaton
-    structure (_machine), shared with synthesis.  The budget caps the
+    structure (_machine), shared with synthesis.  A sigma_t that fixes
+    zeta_m and takes w1 to w takes the residual of rec at w1 to that of
+    sigma_t(rec) at w, so a sweep scans once per Galois class: a later
+    recurrence of the class that is sigma_t of the kept one (_conjugate)
+    takes its first failure (_VERIFY_CACHE).  The budget caps the
     work units, L + (n k^(js)).bit_length() per n and term, summed in
     closed form, with a BudgetError at the first n past it unless an
     earlier n fails.
@@ -642,11 +656,20 @@ def verify(
         raise AutorecError("recurrence and automaton disagree on the base k")
     if n_max < 0:
         raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
-    a, table = _machine(a)
-    L = math.lcm(a.output_field.conductor, rec.root.r0)
+    struct, root = _structure(a), rec.root
+    ap, table = _machine(a, struct)[:2]
+    m, r0, u = a.output_field.conductor, root.r0, root.primitive_exponent
+    L = math.lcm(m, r0)
     cs = [_spread(c, L) for c in rec.coefficients]
     den = math.lcm(*(d for _, d in cs))
-    failure = _scan([_annihilate([x * (den // d) for x in c], L) for c, d in cs], rec.root, a, table, L, n_max)
+    vecs = [[x * (den // d) for x in c] for c, d in cs]
+
+    def scan():
+        return _scan([_annihilate(v, L) for v in vecs], root, ap, table, L, n_max)
+
+    key = (struct, root.s, r0, u % math.gcd(m, r0), n_max)
+    entry = _cached(_VERIFY_CACHE, key, lambda: (u, vecs, scan()))  # a new entry holds this call's scan
+    failure = entry[2] if entry[1] is vecs or _conjugate(vecs, u, entry, m, r0) else scan()
     # the units run out at n before the residual at n is read
     over = _overrun(rec, L, failure or n_max, budget)
     if over is not None:
@@ -654,6 +677,21 @@ def verify(
             f"verification budget exhausted at n = {over[0]} ({over[1]} > {budget} units)"
         )
     return VerificationReport(n_max, failure is None, failure)
+
+
+def _conjugate(vecs: list, u: int, entry: tuple, m: int, r0: int) -> bool:
+    """Whether each of vecs (den C_j) is sigma_t of entry = (u1, vecs1, failure)'s in Q(zeta_L).
+
+    sigma_t, t = 1 (mod m) and t u1 = u (mod r0), is x -> x^t mod x^L - 1,
+    slot i to slot i t; _annihilate tests each difference.  A rational
+    multiple of sigma_t(rec) is zero at the same n.
+    """
+    u1, vecs1, _ = entry
+    L, t = len(vecs[0]), _conjugator(m, r0, u * pow(u1, -1, r0))
+    if len(vecs1) != len(vecs) or (t - 1) % m or (t * u1 - u) % r0:
+        return False
+    inv = pow(t, -1, L)  # slot i of sigma_t(v1) is slot i / t of v1
+    return not any(any(_annihilate([x - v1[i * inv % L] for i, x in enumerate(v)], L)) for v, v1 in zip(vecs, vecs1))
 
 
 def _spread(c, L: int) -> tuple:

@@ -28,6 +28,7 @@ from autorec.numberfield import (
     factorize,
     multiplicative_order,
 )
+from autorec import recurrence
 from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix, _mat_mul
 from autorec.recurrence import (
     VerificationReport,
@@ -45,6 +46,12 @@ TM_ZETA3 = (
     "base: 2\ndirection: forward\nstates: q0 q1\noutput: q0 = 1\noutput: q1 = zeta(3)\n"
     "delta: q0 0 -> q0\ndelta: q0 1 -> q1\ndelta: q1 0 -> q1\ndelta: q1 1 -> q0\n"
 )
+
+
+@pytest.fixture(autouse=True)
+def _cold_caches():
+    """Each test starts on empty recurrence caches: no verdict or call count carries over from another test."""
+    recurrence.clear_caches()
 
 
 @pytest.fixture(scope="session")

@@ -110,6 +110,16 @@ def test_rootspec_omega_has_declared_order():
     assert p.rational_value() == 1
 
 
+def test_recurrence_refuses_a_root_built_for_another_base(tm):
+    # A(2^4 n) - 5 A(n) = 0 holds for Thue-Morse at zeta_5, but verify would step the
+    # digit levels by the root's k = 4, not by 2, and report a failure at n = 1
+    f = cyclo_field(1)
+    coeffs = [f.from_rational(-5), f.one()]
+    with pytest.raises(AutorecError, match="base k = 2 differs from its root's k = 4"):
+        Recurrence(2, RootSpec(4, 5, 1, s=4), coeffs, "char_poly")
+    assert verify(Recurrence(2, RootSpec(2, 5, 1), coeffs, "char_poly"), tm, 100).all_zero
+
+
 # ----------------------------------------------------------------------
 # characteristic and minimal polynomials over exact fields
 
@@ -950,26 +960,111 @@ def test_second_root_of_a_class_reuses_the_construction(tm, monkeypatch):
     for root in (RootSpec(2, 7, 3), RootSpec(2, 21, 6)):
         assert verify(synthesize(tm, root), tm, 30).all_zero
     assert calls == {"span_analysis": 1, "char_poly": 1}
-    # Q(zeta_3) outputs at r0 = 9: the classes are u = 1 and u = 2 (mod 3)
+    # Q(zeta_3) outputs at r0 = 9: the classes are u = 1 and u = 2 (mod 3); one span per structure
     a = _irrational_machines()[2][1]
     for e, built in ((1, 2), (4, 2), (7, 2), (2, 3), (8, 3)):
         rec = synthesize(a, RootSpec(2, 9, e))
-        assert calls == {"span_analysis": built, "char_poly": built}, e
+        assert calls == {"span_analysis": 2, "char_poly": built}, e
         assert verify(rec, a, 20).all_zero, e
+
+
+def _sweep_cases(a, roots):
+    """Per root, its synthesized recurrence, its C_0 + 1 perturbation and its extension by 1 A(k^((l+1)s) n).
+
+    At a root of conductor r also the e = 1 recurrence, passed unchanged: no conjugate where it is irrational.
+    """
+    first = {root.r: synthesize(a, RootSpec(2, root.r, 1)).coefficients for root in roots}
+    cases = []
+    for root in roots:
+        rec = synthesize(a, root)
+        longer = Recurrence(2, root, rec.coefficients + (root.field.one(),), "extended")
+        cases += [rec, _perturbed(rec, 0), longer]
+        if root.r0 == root.r:
+            cases.append(Recurrence(2, root, first[root.r], "unchanged"))
+    return cases
+
+
+def test_verify_sweep_matches_cold_verify(shipped, monkeypatch):
+    # a verdict taken from the first recurrence verified in a Galois class must read
+    # exactly as a cold verify, whatever order the sweep takes; with Q(zeta_3) outputs
+    # the classes are u mod 3 at r0 = 3, 9, 15, 21
+    roots = [RootSpec(2, rr, ee) for rr in (1, 3, 5, 9, 15, 21) for ee in range(rr)]
+    calls = _count_calls(monkeypatch, "_scan")
+    taken = {True: 0, False: 0}  # verdicts taken from the cache, by all_zero
+    for name, a in shipped + _irrational_machines():
+        cases = _sweep_cases(a, roots)
+        cold = []
+        for rec in cases:
+            clear_caches()
+            cold.append(verify(rec, a, 40).to_json_dict())
+        assert {c["all_zero"] for c in cold} == {True, False}, name
+        for order in (range(len(cases)), random.Random(7).sample(range(len(cases)), len(cases))):
+            clear_caches()
+            got = {}
+            for i in order:
+                scans = calls["_scan"]
+                got[i] = verify(cases[i], a, 40).to_json_dict()
+                taken[got[i]["all_zero"]] += calls["_scan"] == scans
+            for i, want in enumerate(cold):
+                assert got[i] == want, (name, cases[i].root, cases[i].provenance)
+    assert min(taken.values()) > 200
+
+
+def test_verify_scans_once_per_galois_class(tm, monkeypatch):
+    calls = _count_calls(monkeypatch, "_scan")
+    # over Q one class per conductor: r0 = 1, 3, 7, 21
+    for e in range(21):
+        assert verify(synthesize(tm, RootSpec(2, 21, e)), tm, 100).all_zero
+    assert calls["_scan"] == 4
+    # Q(zeta_3) outputs at r = 9: r0 = 1, and u = 1, 2 (mod 3) at r0 = 3 and 9
+    a = _irrational_machines()[3][1]
+    for e in range(9):
+        assert verify(synthesize(a, RootSpec(2, 9, e)), a, 100).all_zero
+    assert calls["_scan"] == 9
+    # another bound is another entry
+    verify(synthesize(a, RootSpec(2, 9, 1)), a, 50)
+    assert calls["_scan"] == 10
+
+
+def test_verify_cache_evicts_the_least_recently_used_entry(tm, monkeypatch):
+    monkeypatch.setattr(recurrence, "_CACHE_SIZE", 2)
+    calls = _count_calls(monkeypatch, "_scan")
+    recs = {(r, e): synthesize(tm, RootSpec(2, r, e)) for r in (3, 5, 7) for e in (1, 2)}
+    for r in (3, 5):
+        verify(_perturbed(recs[r, 1], 0), tm, 30)
+    verify(_perturbed(recs[3, 2], 0), tm, 30)  # a hit: conductor 3 is now the most recent
+    verify(recs[7, 1], tm, 30)  # evicts conductor 5
+    assert calls["_scan"] == 3 and len(recurrence._VERIFY_CACHE) == 2
+    assert verify(_perturbed(recs[3, 1], 0), tm, 30).first_failure == 1
+    assert calls["_scan"] == 3
+    assert verify(_perturbed(recs[5, 2], 0), tm, 30).first_failure == 1
+    assert calls["_scan"] == 4
+
+
+def test_clear_caches_empties_the_verify_cache(tm, monkeypatch):
+    calls = _count_calls(monkeypatch, "_scan")
+    rec = synthesize(tm, RootSpec(2, 5, 1))
+    verify(rec, tm, 30)
+    verify(rec, tm, 30)
+    assert calls["_scan"] == 1 and len(recurrence._VERIFY_CACHE) == 1
+    clear_caches()
+    assert not recurrence._VERIFY_CACHE
+    verify(rec, tm, 30)
+    assert calls["_scan"] == 2
 
 
 def test_caches_evict_the_least_recently_used_entry(tm, monkeypatch):
     monkeypatch.setattr(recurrence, "_CACHE_SIZE", 2)
-    calls = _count_calls(monkeypatch, "span_analysis")
+    calls = _count_calls(monkeypatch, "span_analysis", "char_poly")
     clear_caches()
     first = {r: synthesize(tm, RootSpec(2, r, 1)).to_json_dict() for r in (3, 5)}
     synthesize(tm, RootSpec(2, 3, 2))  # a hit: conductor 3 is now the most recent
     synthesize(tm, RootSpec(2, 7, 1))  # evicts conductor 5
-    assert calls["span_analysis"] == 3 and len(recurrence._SYNTH_CACHE) == 2
+    assert calls == {"span_analysis": 1, "char_poly": 3} and len(recurrence._SYNTH_CACHE) == 2
     assert synthesize(tm, RootSpec(2, 3, 1)).to_json_dict() == first[3]
-    assert calls["span_analysis"] == 3
+    assert calls["char_poly"] == 3
     assert synthesize(tm, RootSpec(2, 5, 1)).to_json_dict() == first[5]
-    assert calls["span_analysis"] == 4
+    assert calls == {"span_analysis": 1, "char_poly": 4}
 
 
 def test_verify_budget_aborts(rs):
