@@ -11,9 +11,7 @@ from .numberfield import (
     CycloElement,
     CycloField,
     GaloisMap,
-    RatPoly,
     cyclo_field,
-    cyclotomic_poly,
     complex_embed,
     multiplicative_order,
     rationality,
@@ -23,9 +21,7 @@ __all__ = [
     "CycloElement",
     "CycloField",
     "GaloisMap",
-    "RatPoly",
     "cyclo_field",
-    "cyclotomic_poly",
     "complex_embed",
     "multiplicative_order",
     "rationality",

@@ -29,14 +29,8 @@ from .automaton import (
     pattern_dfao,
     sequence_terms,
 )
-from .polymatrix import (
-    LEFT,
-    RIGHT,
-    power_product,
-    span_analysis,
-    transition_matrix,
-    truncate,
-)
+from .numberfield import power_atom, pretty_sum
+from .polymatrix import LEFT, RIGHT, digit_product, span_analysis
 from .recurrence import (
     RootSpec,
     dim_experiment,
@@ -96,30 +90,41 @@ def _cmd_seq(args) -> int:
     return 0
 
 
+def _matrix_view(entries: list, conductor: int) -> tuple[dict, str]:
+    """The JSON dict and the text of a square matrix whose entries are coefficient lists, lowest degree first."""
+    cells = [[pretty_sum((c, power_atom("x", e)) for e, c in enumerate(p)) for p in row] for row in entries]
+    width = max((len(c) for row in cells for c in row), default=0)
+    text = "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
+    return {"dim": len(cells), "conductor": conductor, "entries": cells}, text
+
+
 def _cmd_matrix(args) -> int:
     a = _load_dfao(args.dfao)
-    m = transition_matrix(a)
-    mhat = transition_matrix(a, span_analysis(a))
+    span = span_analysis(a)
     side = LEFT if a.direction == "forward" else RIGHT
-    payload = {"m": m.to_json_dict(), "m_hat": mhat.to_json_dict()}
-    blocks = ["M(x):", m.pretty(), "", "reduced M(x):", mhat.pretty()]
-    prod = None
-    if args.power is not None:
-        prod = power_product(mhat, a.base, args.power, side)
-        payload["product"] = prod.to_json_dict()
+    payload, blocks = {}, []
+
+    def show(key: str, title: str, entries: list) -> None:
+        payload[key], text = _matrix_view(entries, a.output_field.conductor)
+        blocks.append(f"{title}\n{text}")
+
+    show("m", "M(x):", digit_product(a, None, 1))
+    show("m_hat", "reduced M(x):", digit_product(a, span, 1))
+    n, t = args.truncate, args.power
+    if t is not None:
+        prod = digit_product(a, span, t)
+        show("product", f"ordered product, {t} factors ({side}):", prod)
         payload["product_side"] = side
-        blocks += ["", f"ordered product, {args.power} factors ({side}):", prod.pretty()]
-    if args.truncate is not None:
-        n = args.truncate
-        if prod is None:
+    if n is not None:
+        if n < 1:
+            raise AutorecError("truncation length must be positive")
+        if t is None:
             t = 0
-            while a.base ** t < n:
+            while a.base**t < n:
                 t += 1
-            prod = power_product(mhat, a.base, t, side)
-        cut = truncate(prod, n)
-        payload["truncated"] = cut.to_json_dict()
-        blocks += ["", f"truncated to exponents below {n}:", cut.pretty()]
-    _emit(args, payload, "\n".join(blocks))
+            prod = digit_product(a, span, t)
+        show("truncated", f"truncated to exponents below {n}:", [[p[:n] for p in row] for row in prod])
+    _emit(args, payload, "\n\n".join(blocks))
     return 0
 
 

@@ -19,14 +19,15 @@ which exists for sanity checks and reports, never for decisions.
 Elements of different conductors may be mixed freely; they are lifted to
 the compositum Q(zeta_lcm) on demand.
 
-Dense polynomials have one implementation, _Poly, which RatPoly (over Q)
-and polymatrix.CycloPoly specialize; RatPoly's long division is behind
-cyclotomic_int; CycloField.reduce divides in place by the monic Phi_n.
+There is no polynomial class: cyclotomic_int divides integer lists
+exactly by a monic Phi_m, and CycloField.reduce divides in place by the
+monic Phi_n.
 
 Modulo a split prime p = 1 (mod n), Z[zeta_n] maps onto F_p in phi(n)
 ways (_embeddings); elimination over F_p (_rref_mod) and rational
 reconstruction (_reconstruct) serve polymatrix.span_analysis, which
-proves its lifted answer exact by a height bound.
+proves its lifted answer exact by a height bound, and _rref_mod alone
+serves recurrence.minimal_poly's non-derogatory test.
 """
 
 from __future__ import annotations
@@ -195,176 +196,7 @@ def _num(c):
 
 
 # ----------------------------------------------------------------------
-# dense univariate polynomials
-
-
-class _Poly:
-    """Dense univariate polynomial: the arithmetic shared by RatPoly and CycloPoly.
-
-    coeffs is a tuple, lowest degree first, with no trailing zero.  A
-    subclass names its coefficient ring by four hooks: _coerce (one value),
-    _zero, _new (its own kind from coefficients) and _lift (self and the
-    other operand in one common kind, or None for NotImplemented).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = list(map(self._coerce, coeffs))
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial having degree -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def coefficient(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._zero()
-
-    def __eq__(self, other):
-        pair = self._lift(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0].coeffs == pair[1].coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        pair = self._lift(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair[0].coeffs, pair[1].coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return pair[0]._new(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        pair = self._lift(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] + (-pair[1])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        pair = self._lift(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        if not a.coeffs or not b.coeffs:
-            return a._new(())
-        if len(b.coeffs) == 1:  # a scalar: no sums to form
-            return a._new([x * b.coeffs[0] for x in a.coeffs])
-        out = [a._zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] = out[i + j] + x * y
-        return a._new(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule; works for rationals and field elements."""
-        acc = self._zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def substitute_power(self, e: int):
-        """The polynomial p(x^e)."""
-        if e < 1:
-            raise ValueError("exponent must be >= 1")
-        if not self.coeffs:
-            return self
-        out = [self._zero()] * (e * self.degree + 1)
-        out[::e] = self.coeffs
-        return self._new(out)
-
-    def truncate(self, n: int):
-        """Drop every term of degree >= n."""
-        return self._new(self.coeffs[:n])
-
-    def pretty(self, var: str = "x") -> str:
-        return pretty_sum((c, power_atom(var, i)) for i, c in enumerate(self.coeffs))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.pretty()})"
-
-
-class RatPoly(_Poly):
-    """Polynomial over Q: its coefficients are ints, and Fractions where not integral.
-
-    The ring operations are _Poly's; RatPoly adds exact long division.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def monomial(cls, e: int, c=1) -> "RatPoly":
-        return cls([0] * e + [c])
-
-    @staticmethod
-    def _coerce(c):
-        return _num(c if isinstance(c, (int, Fraction)) else Fraction(c))
-
-    @staticmethod
-    def _zero():
-        return 0
-
-    @staticmethod
-    def _new(coeffs) -> "RatPoly":
-        return RatPoly(coeffs)
-
-    def _lift(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly([other])
-        return (self, other) if isinstance(other, RatPoly) else None
-
-    def __divmod__(self, other):
-        """Exact polynomial division over Q: (quotient, remainder)."""
-        pair = self._lift(other)
-        if pair is None:
-            return NotImplemented
-        den = pair[1].coeffs
-        if not den:
-            raise ZeroDivisionError("polynomial division by zero")
-        db = len(den) - 1
-        inv = _num(1 / Fraction(den[-1]))  # an int for a monic divisor, so ints stay ints
-        rem = list(self.coeffs)
-        quo = [0] * max(0, len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                lo = i - db
-                f = quo[lo] = c * inv
-                rem[lo : i + 1] = [x - f * y for x, y in zip(rem[lo : i + 1], den)]
-        return RatPoly(quo), RatPoly(rem[:db])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
+# printing sums
 
 
 def power_atom(var: str, i: int) -> str:
@@ -398,27 +230,38 @@ def pretty_sum(terms: Iterable) -> str:
 # cyclotomic polynomials
 
 def cyclotomic_int(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n.
+    """Integer coefficients of Phi_n, lowest degree first.
 
     Built one prime at a time: Phi_1 = x - 1, then for a new prime p,
-    Phi_(mp)(x) = Phi_m(x^p) / Phi_m(x); finally Phi_n(x) =
-    Phi_rad(x^(n/rad)).  Much cheaper than dividing x^n - 1 by every
-    proper divisor's factor when n has large prime parts.
+    Phi_(mp)(x) = Phi_m(x^p) / Phi_m(x), an exact long division by the
+    monic Phi_m in integers; finally Phi_n(x) = Phi_rad(x^(n/rad)).  Much
+    cheaper than dividing x^n - 1 by every proper divisor's factor when n
+    has large prime parts.
     """
     if n < 1:
         raise ValueError("conductor must be positive")
-    f = RatPoly([-1, 1])
+    f = [-1, 1]
     rad = 1
     for p, _ in factorize(n):
         rad *= p
-        f, rem = divmod(f.substitute_power(p), f)
-        assert not rem, "division was not exact"
-    return f.substitute_power(n // rad).coeffs
+        rem, db = _stretch(f, p), len(f) - 1
+        quo = [0] * (len(rem) - db)
+        for i in range(len(rem) - 1, db - 1, -1):
+            c = rem[i]
+            if c:
+                lo = i - db
+                quo[lo] = c
+                rem[lo : i + 1] = [x - c * y for x, y in zip(rem[lo : i + 1], f)]
+        assert not any(rem), "division was not exact"
+        f = quo
+    return tuple(_stretch(f, n // rad))
 
 
-def cyclotomic_poly(n: int) -> RatPoly:
-    """The n-th cyclotomic polynomial Phi_n over Q."""
-    return RatPoly(cyclotomic_int(n))
+def _stretch(f: list, e: int) -> list:
+    """The coefficients of f(x^e)."""
+    out = [0] * (e * (len(f) - 1) + 1)
+    out[::e] = f
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -928,10 +771,11 @@ def complex_embed(a: CycloElement, digits: int = 15) -> mpmath.mpc:
 # ----------------------------------------------------------------------
 # exact linear algebra over a field
 #
-# Synthesis eliminates over CycloElements (the span table, the power
-# table of minimal_poly); rational entries, ints and Fractions, work too.
-# Each pivot row is scaled by one inverse, so all that is used is +, -, *,
-# comparison with zero, and CycloElement.inverse or a Fraction reciprocal.
+# Only minimal_poly's derogatory fallback (its power table) and the test
+# oracles eliminate over CycloElements; rational entries, ints and
+# Fractions, work too.  Each pivot row is scaled by one inverse, so all
+# that is used is +, -, *, comparison with zero, and
+# CycloElement.inverse or a Fraction reciprocal.
 
 
 def _rref(a: list[list], ncols: int) -> list[int]:
@@ -975,7 +819,7 @@ def _rref(a: list[list], ncols: int) -> list[int]:
 #
 # span_analysis eliminates over F_p for split primes p and lifts the
 # result by CRT and rational reconstruction; it proves the lift exact
-# itself.
+# itself.  minimal_poly's non-derogatory test eliminates over one F_p.
 
 
 def _rref_mod(a: list[list[int]], ncols: int, p: int) -> list[int]:

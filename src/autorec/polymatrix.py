@@ -1,4 +1,4 @@
-"""Digit cells, polynomial transition matrices and the span analysis of state functions.
+"""Digit cells, transition matrices and the span analysis of state functions.
 
 For an automaton with states q_0, ..., q_(d-1) the transition matrix is
 
@@ -10,32 +10,28 @@ output(delta(q_i, w)) are redundant; the resulting relations compress
 M(x) to M-hat(x) over the generator states.
 digit_cells gives the nonzero digit coefficients of either matrix as
 (row, col, digit, c) cells, and recurrence synthesis reads those cells.
-PolyMatrix, a matrix of CycloPolys (numberfield's dense polynomials over
-the outputs), is filled from the same cells; its ordered products of
-digit-substituted copies, reading words most significant digit first
-(Left) or least significant digit first (Right), serve the matrix
-command and the tests.
+digit_product multiplies the scalar digit matrices of those cells into
+the coefficients of the ordered products of digit-substituted copies,
+reading words most significant digit first (Left) or least significant
+digit first (Right), for the matrix command.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import AutorecError
-from .automaton import Dfao, closure
+from .automaton import FORWARD, Dfao, closure
 from .numberfield import (
     CycloElement,
     CycloField,
-    _Poly,
     _embeddings,
     _lowest,
     _reconstruct,
     _rref_mod,
     _split_prime,
-    common_field,
 )
 
 LEFT = "left"
@@ -43,51 +39,7 @@ RIGHT = "right"
 
 
 # ----------------------------------------------------------------------
-# polynomials with cyclotomic coefficients
-
-
-class CycloPoly(_Poly):
-    """Polynomial over a cyclotomic field: its coefficients are CycloElements of .field.
-
-    The ring operations are numberfield._Poly's.  An operand over another
-    conductor is lifted with self into the compositum, so polynomials of
-    equal value compare and hash equal across conductors.
-    """
-
-    __slots__ = ("field",)
-
-    def __init__(self, field: CycloField, coeffs: Iterable = ()):
-        self.field = field
-        super().__init__(coeffs)
-
-    @classmethod
-    def monomial(cls, field: CycloField, e: int, c=1) -> "CycloPoly":
-        return cls(field, [0] * e + [c])
-
-    def _coerce(self, c) -> CycloElement:
-        return self.field.coerce(c)
-
-    def _zero(self) -> CycloElement:
-        return self.field.zero()
-
-    def _new(self, coeffs) -> "CycloPoly":
-        return CycloPoly(self.field, coeffs)
-
-    def _lift(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloPoly(self.field, [other])
-        elif isinstance(other, CycloElement):
-            other = CycloPoly(other.field, [other])
-        if not isinstance(other, CycloPoly):
-            return None
-        if other.field.conductor == self.field.conductor:
-            return self, other
-        big = common_field(self.field, other.field)
-        return CycloPoly(big, self.coeffs), CycloPoly(big, other.coeffs)
-
-
-# ----------------------------------------------------------------------
-# matrices of polynomials
+# matrices
 
 
 def _mat_mul(a, b, zero) -> list[list]:
@@ -106,106 +58,6 @@ def _mat_mul(a, b, zero) -> list[list]:
             new.append(acc)
         out.append(new)
     return out
-
-
-class PolyMatrix:
-    """Square matrix of CycloPoly entries over one field."""
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field: CycloField, rows):
-        rows = tuple(
-            tuple(r if isinstance(r, CycloPoly) else CycloPoly(field, [r]) for r in row)
-            for row in rows
-        )
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise AutorecError("matrix must be square")
-        self.field = field
-        self.rows = rows
-
-    @classmethod
-    def identity(cls, field: CycloField, n: int) -> "PolyMatrix":
-        one = CycloPoly(field, [1])
-        zero = CycloPoly(field)
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> CycloPoly:
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.dim == other.dim and all(
-            self.rows[i][j] == other.rows[i][j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __mul__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise AutorecError("dimension mismatch")
-        return PolyMatrix(self.field, _mat_mul(self.rows, other.rows, CycloPoly(self.field)))
-
-    def substitute_power(self, e: int) -> "PolyMatrix":
-        return PolyMatrix(
-            self.field, [[p.substitute_power(e) for p in row] for row in self.rows]
-        )
-
-    def pretty(self, var: str = "x") -> str:
-        cells = [[p.pretty(var) for p in row] for row in self.rows]
-        width = max((len(c) for row in cells for c in row), default=0)
-        return "\n".join(
-            "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "conductor": self.field.conductor,
-            "entries": [[p.pretty() for p in row] for row in self.rows],
-        }
-
-    def __repr__(self):
-        return f"PolyMatrix(dim={self.dim})\n{self.pretty()}"
-
-
-def power_product(m: PolyMatrix, k: int, t: int, side: str) -> PolyMatrix:
-    """The ordered product encoding words of length t.
-
-    Left ordering  M(k^t; x)   = M(x^(k^(t-1))) ... M(x^k) M(x)
-    Right ordering M^R(k^t; x) = M(x) M(x^k) ... M(x^(k^(t-1)))
-    t = 0 gives the identity.
-    """
-    if side not in (LEFT, RIGHT):
-        raise AutorecError(f"side must be {LEFT!r} or {RIGHT!r}")
-    if t < 0:
-        raise AutorecError("t must be nonnegative")
-    acc = PolyMatrix.identity(m.field, m.dim)
-    for i in range(t):
-        factor = m.substitute_power(k**i) if i else m
-        acc = factor * acc if side == LEFT else acc * factor
-    return acc
-
-
-def truncate(m: PolyMatrix, n: int) -> PolyMatrix:
-    """M(n; x): drop all terms of degree >= n from M(k^t; x).
-
-    The caller passes the full product for the block length t that
-    matches n, i.e. k^(t-1) + 1 <= n <= k^t; n = 1 goes with t = 0.
-    """
-    if n < 1:
-        raise AutorecError("truncation length must be positive")
-    return PolyMatrix(m.field, [[p.truncate(n) for p in row] for row in m.rows])
 
 
 # ----------------------------------------------------------------------
@@ -324,14 +176,14 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
 
     generators = pivots if 0 in pivots else [0] + pivots
     gpos = {g: t for t, g in enumerate(generators)}
-    alphas = {}
     zero = field.zero()
-    for p in range(d):
-        if p not in gpos:
-            out = [zero] * len(generators)
-            for g, c in zip(pivots, coeffs[reps[p]]):
-                out[gpos[g]] = c
-            alphas[p] = tuple(out)
+    shared = {}  # one tuple per distinct column, shared by the states that repeat it
+    for c in dict.fromkeys(reps[p] for p in range(d) if p not in gpos):
+        out = [zero] * len(generators)
+        for g, x in zip(pivots, coeffs[c]):
+            out[gpos[g]] = x
+        shared[c] = tuple(out)
+    alphas = {p: shared[reps[p]] for p in range(d) if p not in gpos}
     return SpanAnalysis(field, tuple(words), tuple(tuples), table, len(pivots), generators, alphas)
 
 
@@ -433,11 +285,29 @@ def digit_cells(a: Dfao, span: Optional[SpanAnalysis] = None) -> list[tuple]:
     return cells
 
 
-def transition_matrix(a: Dfao, span: Optional[SpanAnalysis] = None) -> PolyMatrix:
-    """M(x), or M-hat(x) over the generators of span, filled from digit_cells."""
-    field = a.output_field
+def digit_product(a: Dfao, span: Optional[SpanAnalysis], t: int) -> list[list[list]]:
+    """The coefficients of the ordered product of t digit-substituted copies of M(x), or of M-hat(x) given span.
+
+    Entry (i, j) of the result lists the k^t coefficients of x^0, ...,
+    x^(k^t - 1).  A forward machine reads words most significant digit
+    first, M(k^t; x) = M(x^(k^(t-1))) ... M(x^k) M(x); a backward one least
+    significant digit first, M^R(k^t; x) = M(x) M(x^k) ... M(x^(k^(t-1))).
+    Each coefficient is a product of the scalar digit matrices M_d of
+    digit_cells, one per level: the block of digit d at level t is
+    M_d P_(t-1) (forward) or P_(t-1) M_d (backward), at exponents
+    d k^(t-1) and up.  t = 0 gives the identity.
+    """
+    if t < 0:
+        raise AutorecError("t must be nonnegative")
+    zero, one = a.output_field.zero(), a.output_field.one()
     dim = a.size if span is None else len(span.generators)
-    coeffs = [[[0] * a.base for _ in range(dim)] for _ in range(dim)]
+    digits = [[[zero] * dim for _ in range(dim)] for _ in range(a.base)]
     for i, j, d, c in digit_cells(a, span):
-        coeffs[i][j][d] = c
-    return PolyMatrix(field, [[CycloPoly(field, p) for p in row] for row in coeffs])
+        digits[d][i][j] = c
+    blocks = [[[one if i == j else zero for j in range(dim)] for i in range(dim)]]
+    for _ in range(t):
+        if a.direction == FORWARD:
+            blocks = [_mat_mul(m, p, zero) for m in digits for p in blocks]
+        else:
+            blocks = [_mat_mul(p, m, zero) for m in digits for p in blocks]
+    return [[[p[i][j] for p in blocks] for j in range(dim)] for i in range(dim)]

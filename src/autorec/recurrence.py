@@ -42,7 +42,8 @@ as wide as an a-priori bound on the traces, and integer_recurrence
 multiplies the Galois conjugates of the coefficients modulo split
 primes, rebuilding the product by CRT under an a-priori bound on its
 coefficients; field products are left to Newton's identities.
-PolyMatrix and CycloPoly serve the matrix command and the tests only.
+The matrix command's ordered products are polymatrix.digit_product's
+products of scalar digit matrices; no polynomial is formed.
 
 Everything is computed over Q; floating point never enters.
 """
@@ -72,6 +73,7 @@ from .numberfield import (
     _lowest,
     _pack,
     _rref,
+    _rref_mod,
     _split_prime,
     _unpack,
     _width,
@@ -329,21 +331,12 @@ def _nonderogatory_mod_p(m: list, field: CycloField) -> bool:
     for j in range(1, L):
         gs[j] = gs[j - 1] * g % p
     cols = list(zip(*[[sum(map(operator.mul, x.vec, gs)) * pow(x.den, -1, p) % p for x in row] for row in m]))
-    power, basis = [[int(i == j) for j in range(d)] for i in range(d)], []
+    power, flat = [[int(i == j) for j in range(d)] for i in range(d)], []
     for _ in range(d):
-        # reduce the next power against the earlier ones, each 1 at its pivot and 0 at the pivots before
-        v = [x for row in power for x in row]
-        for c, b in basis:
-            if v[c]:
-                f = v[c]
-                v = [(x - f * y) % p for x, y in zip(v, b)]
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is None:
-            return False
-        inv = pow(v[c], -1, p)
-        basis.append((c, [x * inv % p for x in v]))
+        flat.append([x for row in power for x in row])
         power = [[sum(map(operator.mul, row, col)) % p for col in cols] for row in power]
-    return True
+    # column t of the table is m-bar^t flattened: all d columns are pivots exactly when they are independent
+    return _rref_mod([list(r) for r in zip(*flat)], d, p) == list(range(d))
 
 
 def minimal_poly(rows, field: CycloField) -> list[CycloElement]:

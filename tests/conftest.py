@@ -29,7 +29,7 @@ from autorec.numberfield import (
     multiplicative_order,
 )
 from autorec import recurrence
-from autorec.polymatrix import CycloPoly, LEFT, PolyMatrix, _mat_mul
+from autorec.polymatrix import LEFT, _mat_mul
 from autorec.recurrence import (
     VerificationReport,
     _apply_levels,
@@ -38,6 +38,7 @@ from autorec.recurrence import (
     _pairs,
     _term_table,
 )
+from poly_oracle import CycloPoly, PolyMatrix
 
 
 # the Thue-Morse transitions with outputs 1 and zeta_3: the reduced matrix is rational,

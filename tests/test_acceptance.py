@@ -23,20 +23,11 @@ from autorec.numberfield import (
     complex_embed,
     coset_reps,
     cyclo_field,
-    cyclotomic_poly,
     euler_phi,
     is_prime_power,
     multiplicative_order,
 )
-from autorec.polymatrix import (
-    LEFT,
-    RIGHT,
-    CycloPoly,
-    power_product,
-    span_analysis,
-    transition_matrix,
-    truncate,
-)
+from autorec.polymatrix import LEFT, RIGHT, span_analysis
 from autorec.recurrence import (
     RootSpec,
     integer_recurrence,
@@ -47,6 +38,7 @@ from autorec.recurrence import (
 )
 from autorec.thuemorse import tm_identities_check, tm_classify, tm_coefficient, tm_table
 from conftest import det_cofactor, galois_apply, occurrences, partial_sum_poly, t_for
+from poly_oracle import CycloPoly, cyclotomic_poly, power_product, transition_matrix, truncate
 
 
 @pytest.fixture

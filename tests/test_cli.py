@@ -8,9 +8,11 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from autorec.automaton import load_builtin, parse_dfao, sequence_term
+from autorec.automaton import FORWARD, load_builtin, parse_dfao, sequence_term
 from autorec.cli import main
+from autorec.polymatrix import LEFT, RIGHT, span_analysis
 from conftest import TM_ZETA3
+import poly_oracle
 
 
 def run_cli(capsys, *argv):
@@ -256,6 +258,52 @@ def test_matrix_text_output(capsys):
     assert code == 0
     assert "M(x):" in out
     assert "1 - x - x^2" in out
+
+
+def _matrix_oracle(name: str, power, n) -> tuple[dict, str]:
+    """The JSON and the text of `matrix` for a bundled machine, built from poly_oracle's polynomial matrices."""
+    a = load_builtin(name)
+    m = poly_oracle.transition_matrix(a)
+    mhat = poly_oracle.transition_matrix(a, span_analysis(a))
+    side = LEFT if a.direction == FORWARD else RIGHT
+    payload = {"m": m.to_json_dict(), "m_hat": mhat.to_json_dict()}
+    blocks = ["M(x):", m.pretty(), "", "reduced M(x):", mhat.pretty()]
+    if power is None:
+        t = next(t for t in range(n + 1) if a.base**t >= n)
+    else:
+        t = power
+        prod = poly_oracle.power_product(mhat, a.base, t, side)
+        payload["product"] = prod.to_json_dict()
+        payload["product_side"] = side
+        blocks += ["", f"ordered product, {t} factors ({side}):", prod.pretty()]
+    if n is not None:
+        cut = poly_oracle.truncate(poly_oracle.power_product(mhat, a.base, t, side), n)
+        payload["truncated"] = cut.to_json_dict()
+        blocks += ["", f"truncated to exponents below {n}:", cut.pretty()]
+    return payload, "\n".join(blocks) + "\n"
+
+
+@pytest.mark.parametrize("name", ["rudin_shapiro", "baum_sweet"])
+@pytest.mark.parametrize("power, n", [(0, None), (3, None), (None, 5)])
+def test_matrix_products_and_truncations_match_polynomial_oracle(capsys, name, power, n):
+    payload, text = _matrix_oracle(name, power, n)
+    args = ["matrix", "--dfao", name]
+    args += [] if power is None else ["--power", str(power)]
+    args += [] if n is None else ["--truncate", str(n)]
+    assert run_cli(capsys, *args) == (0, text, "")
+    code, out, err = run_cli(capsys, *args, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [("--power", "t must be nonnegative"), ("--truncate", "truncation length must be positive")],
+)
+def test_matrix_rejects_bad_lengths(capsys, option, message):
+    bad = "-1" if option == "--power" else "0"
+    for name in ("rudin_shapiro", "baum_sweet"):
+        assert run_cli(capsys, "matrix", "--dfao", name, option, bad) == (1, "", f"error[domain]: {message}\n")
 
 
 def test_pattern_writes_loadable_machine(capsys, tmp_path):

@@ -10,7 +10,6 @@ import pytest
 from autorec.numberfield import (
     CycloField,
     GaloisMap,
-    RatPoly,
     _kronecker,
     _num,
     _pack,
@@ -20,7 +19,6 @@ from autorec.numberfield import (
     coset_reps,
     cyclo_field,
     cyclotomic_int,
-    cyclotomic_poly,
     euler_phi,
     factorize,
     is_prime_power,
@@ -28,6 +26,7 @@ from autorec.numberfield import (
     rationality,
 )
 from conftest import divisors, galois_apply, gaussian_period, nullspace, random_element, solve_exact
+from poly_oracle import RatPoly, cyclotomic_poly
 
 CONDUCTORS = (3, 5, 7, 9, 15, 21, 33)
 EMBED_TOL = mpmath.mpf("1e-9")

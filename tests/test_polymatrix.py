@@ -11,17 +11,8 @@ from autorec.automaton import FORWARD, Dfao, PatternSpec, load_builtin, pattern_
 from autorec import numberfield, polymatrix
 from autorec.errors import AutorecError
 from autorec.numberfield import CycloElement, cyclo_field
-from autorec.polymatrix import (
-    LEFT,
-    RIGHT,
-    CycloPoly,
-    PolyMatrix,
-    SpanAnalysis,
-    power_product,
-    span_analysis,
-    transition_matrix,
-    truncate,
-)
+from autorec.cli import _matrix_view
+from autorec.polymatrix import LEFT, RIGHT, SpanAnalysis, digit_product, span_analysis
 from conftest import (
     det_cofactor,
     partial_sum_poly,
@@ -32,6 +23,7 @@ from conftest import (
     t_for,
     word_value,
 )
+from poly_oracle import CycloPoly, PolyMatrix, power_product, transition_matrix, truncate
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +173,41 @@ def test_product_matches_repeated_multiplication(rs):
     assert left == m.substitute_power(4) * m.substitute_power(2) * m
     right = power_product(m, 2, 3, RIGHT)
     assert right == m * m.substitute_power(2) * m.substitute_power(4)
+
+
+def _strip(coeffs: list) -> tuple:
+    """The coefficient list without its trailing zeros, as a polynomial keeps it."""
+    n = len(coeffs)
+    while n and coeffs[n - 1].is_zero():
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def test_digit_product_matches_polynomial_oracle(shipped):
+    # the digit matrices multiplied level by level give power_product's coefficients,
+    # and their slices every truncate's; the printed text and JSON are compared at
+    # full length, and at every truncation for M-hat, which the matrix command truncates
+    sources = [a for _, a in shipped]
+    sources += [pattern_dfao(spec) for spec in dict.fromkeys(spec for spec, _ in stratum_patterns(1))]
+    checked = 0
+    for a in sources + [reverse_dfao(a) for a in sources]:
+        side = LEFT if a.direction == FORWARD else RIGHT
+        for span in (None, span_analysis(a)):
+            mat = transition_matrix(a, span)
+            for t in range(4):
+                got = digit_product(a, span, t)
+                want = power_product(mat, a.base, t, side)
+                assert {len(p) for row in got for p in row} == {a.base**t}
+                for n in [None] + list(range(1, a.base**t + 2)):
+                    cut = got if n is None else [[p[:n] for p in row] for row in got]
+                    ref = want if n is None else truncate(want, n)
+                    assert [[_strip(p) for p in row] for row in cut] == [[p.coeffs for p in row] for row in ref.rows]
+                    if n is None or span:
+                        assert _matrix_view(cut, a.output_field.conductor) == (ref.to_json_dict(), ref.pretty())
+                    checked += 1
+    assert checked == 6816
+    with pytest.raises(AutorecError, match="t must be nonnegative"):
+        digit_product(sources[0], None, -1)
 
 
 # ----------------------------------------------------------------------
@@ -385,8 +412,19 @@ def _conductor_machines() -> list:
 def test_span_matches_full_table_elimination():
     machines = _dedupe_machines()
     assert len(machines) == 272
+    shared = 0
     for name, a in machines + _conductor_machines():
-        _assert_matches_full_table(span_analysis(a), name)
+        sp = span_analysis(a)
+        _assert_matches_full_table(sp, name)
+        firsts = {}  # column -> the alphas of the first dependent state that reads it
+        for p, alpha in sp.alphas.items():
+            col = tuple((row[p].vec, row[p].den) for row in sp.tuple_table)
+            if col in firsts:
+                assert alpha is firsts[col], (name, p)  # one tuple per distinct column
+                shared += 1
+            else:
+                firsts[col] = alpha
+    assert shared == 2337
 
 
 def _eliminations(monkeypatch) -> list:

@@ -1,6 +1,6 @@
-"""Differential tests of the polynomial layer against sympy, on hypothesis inputs.
+"""Differential tests of the polynomial oracle and of cyclotomic_int against sympy, on hypothesis inputs.
 
-RatPoly arithmetic and division are compared with sympy's
+poly_oracle's RatPoly arithmetic and division are compared with sympy's
 Poly over QQ; cyclotomic_int and CycloField.reduce with sympy's
 cyclotomic polynomials and remainders; CycloPoly's ring operations with
 evaluation at field elements.  Every test draws its examples from a
@@ -16,13 +16,8 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from autorec.numberfield import (  # noqa: E402
-    RatPoly,
-    cyclo_field,
-    cyclotomic_int,
-    euler_phi,
-)
-from autorec.polymatrix import CycloPoly  # noqa: E402
+from autorec.numberfield import cyclo_field, cyclotomic_int, euler_phi  # noqa: E402
+from poly_oracle import CycloPoly, RatPoly  # noqa: E402
 
 X = sympy.Symbol("x")
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -29,15 +29,7 @@ from autorec.numberfield import (
     cyclotomic_int,
     factorize,
 )
-from autorec.polymatrix import (
-    LEFT,
-    RIGHT,
-    CycloPoly,
-    digit_cells,
-    power_product,
-    span_analysis,
-    transition_matrix,
-)
+from autorec.polymatrix import LEFT, RIGHT, digit_cells, span_analysis
 from autorec.recurrence import (
     Recurrence,
     RootSpec,
@@ -69,6 +61,7 @@ from conftest import (
     stratum_patterns,
     verify_by_normal_forms,
 )
+from poly_oracle import power_product, transition_matrix
 
 
 # ----------------------------------------------------------------------
@@ -767,27 +760,6 @@ def test_verify_residues_fit_their_slots(monkeypatch):
                 if not cand.coefficients[-1].is_zero():
                     failures += not verify(cand, a, 10**4).all_zero
     assert failures > 100 and sums[0] > 1000
-
-
-def test_synthesis_and_verify_build_no_polynomial(rs, monkeypatch):
-    # synthesis reads M-hat as digit cells and the coset product runs mod split
-    # primes; CycloPoly and PolyMatrix serve the matrix command and the tests only
-    built = [0]
-    init = CycloPoly.__init__
-
-    def counted_init(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(CycloPoly, "__init__", counted_init)
-    clear_caches()
-    root = RootSpec(2, 5, 2)
-    for a in (rs, reverse_dfao(pattern_dfao(PatternSpec(2, (0, 1, 0), 3)))):
-        for use_minimal in (False, True):
-            assert verify(synthesize(a, root, use_minimal), a, 30).all_zero
-    for a in (rs, parse_dfao(TM_ZETA3)):
-        assert verify(integer_recurrence(a, root), a, 30).all_zero
-    assert built[0] == 0
 
 
 @pytest.mark.parametrize("build, r, most", ((synthesize, 105, 10), (integer_recurrence, 273, 1)))
