@@ -8,10 +8,8 @@ first (backward) from the initial state induces the sequence
     a(n) = output(delta(q0, w)),   w the expansion of n, (0) = empty word.
 
 The module also provides the reversal construction that flips the
-reading direction without changing the sequence, a pattern counting
-automaton for sequences zeta^(number of occurrences of a digit block),
-and a commutation test for state symmetries that yield linear relations
-between the state functions f_i(w) = output(delta(q_i, w)).
+reading direction without changing the sequence, and a pattern counting
+automaton for sequences zeta^(number of occurrences of a digit block).
 """
 
 from __future__ import annotations

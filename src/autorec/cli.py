@@ -35,7 +35,6 @@ from .recurrence import (
     RootSpec,
     dim_experiment,
     integer_recurrence,
-    lmin_bound,
     synthesize,
     verify,
 )
@@ -237,7 +236,7 @@ def _cmd_dims(args) -> int:
     a = _load_dfao(args.dfao)
     rep = dim_experiment(a, cap=args.cap)
     payload = rep.to_json_dict()
-    payload["lmin_bound"] = lmin_bound(a)
+    payload["lmin_bound"] = rep.forward_dim if a.direction == "forward" else rep.backward_dim
     text = (
         f"forward dimension {rep.forward_dim} ({rep.forward_states} states), "
         f"backward dimension {rep.backward_dim} ({rep.backward_states} states)"

@@ -24,10 +24,10 @@ exactly by a monic Phi_m, and CycloField.reduce divides in place by the
 monic Phi_n.
 
 Modulo a split prime p = 1 (mod n), Z[zeta_n] maps onto F_p in phi(n)
-ways (_embeddings); elimination over F_p (_rref_mod) and rational
-reconstruction (_reconstruct) serve polymatrix.span_analysis, which
+ways, which _embeddings inverts in closed form.  Elimination over F_p
+(_rref_mod) and rational reconstruction serve span_analysis, which
 proves its lifted answer exact by a height bound, and _rref_mod alone
-serves recurrence.minimal_poly's non-derogatory test.
+serves minimal_poly's non-derogatory test.
 """
 
 from __future__ import annotations
@@ -213,6 +213,8 @@ def pretty_sum(terms: Iterable) -> str:
     """
     parts = []
     for c, atom in terms:
+        if isinstance(c, CycloElement) and not any(c.vec):
+            continue
         q = c.rational_value() if isinstance(c, CycloElement) else c
         if q == 0:
             continue
@@ -845,34 +847,35 @@ def _rref_mod(a: list[list[int]], ncols: int, p: int) -> list[int]:
     return pivots
 
 
+def _geometric(x: int, n: int, p: int) -> list[int]:
+    """[1, x, ..., x^(n-1)] mod p."""
+    out = [1] * n
+    for j in range(1, n):
+        out[j] = out[j - 1] * x % p
+    return out
+
+
 @functools.lru_cache(maxsize=256)
 def _embeddings(n: int, p: int, g: int) -> tuple:
     """The phi(n) maps zeta_n -> g^t of Z[zeta_n] onto F_p, t a unit mod n, for g of order n mod p.
 
-    Returns (powers, basis, inverse, spread).  powers[t][j] = g^(t j) mod p,
-    one row per unit t in increasing order, so the image of an integer
+    Returns (powers, basis, inverse).  powers[t][j] = g^(t j) mod p, one
+    row per unit t in increasing order, so the image of an integer
     normal-form vector v is the sum over j of v[j] powers[t][j].  basis
-    lists the positions of the normal-form basis, and inverse, a phi x phi
-    matrix mod p, takes the phi images of a vector supported on basis back
-    to its coordinates there: V = (g^(t j)), t a unit and j in basis, is
-    invertible mod p, as det(V)^2 is, up to sign, the discriminant of
-    Q(zeta_n), which only primes of n divide.  spread is the largest
-    coordinate of the normal form of any w^j.
+    lists the positions of the normal-form basis, the j with j mod q
+    outside every relation's residues.  inverse, phi x phi mod p, takes
+    the images x_t of c to c's coordinates on basis: n^(-1) sum over t of
+    x_t (g^(-t j))_j is c E, E the idempotent of Phi_n in F_p[x]/(x^n - 1)
+    (1 at every primitive n-th root, 0 at the others), and c E = c mod
+    Phi_n, so column t is the normal form of n^(-1) (g^(-t j))_j on basis.
     """
     field = cyclo_field(n)
-    powers = []
-    for t in range(1, n + 1):
-        if math.gcd(t, n) == 1:
-            x, row = pow(g, t, p), [1] * n
-            for j in range(1, n):
-                row[j] = row[j - 1] * x % p
-            powers.append(row)
-    forms = [field._normal([int(i == j) for i in range(n)]) for j in range(n)]
-    basis = [j for j, v in enumerate(forms) if v[j] == 1 and v.count(0) == n - 1]
-    phi = len(basis)
-    a = [[row[j] for j in basis] + [int(i == t) for i in range(phi)] for t, row in enumerate(powers)]
-    assert _rref_mod(a, phi, p) == list(range(phi)), "the embeddings are dependent mod p"
-    return powers, basis, [row[phi:] for row in a], max(max(map(abs, v)) for v in forms)
+    units = [t for t in range(1, n + 1) if math.gcd(t, n) == 1]
+    basis = [j for j in range(n) if all(j % q not in residues for q, _, residues in field._relations)]
+    scale = pow(n, -1, p)
+    cols = [field._normal([x * scale for x in _geometric(pow(g, -t, p), n, p)]) for t in units]
+    powers = [_geometric(pow(g, t, p), n, p) for t in units]
+    return powers, basis, [[col[j] % p for col in cols] for j in basis]
 
 
 def _reconstruct(x: int, m: int) -> Optional[tuple[int, int]]:

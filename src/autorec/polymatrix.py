@@ -137,7 +137,10 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
     f_c(u)) lies in Z[zeta_m] and vanishes at every map modulo every prime
     kept, so M divides its normal-form coordinates.  They are at most
     s (sum over b of ||D alpha_b||_1 + D) max over outputs o of ||T o||_1,
-    s the largest coordinate of the normal form of any power of zeta_m.
+    s = 1 the largest coordinate of the normal form of any power of
+    zeta_m: each prime power q || m clears a forbidden top digit into its
+    p - 1 partners (one for p = 2) with sign -1, and different primes
+    move disjoint CRT components.
     When that bound is below M/2 every residual is zero, so c lies in the
     span of the pivots left of it with these coefficients; otherwise the
     next prime is taken, and only finitely many primes are unlucky.  So
@@ -202,7 +205,7 @@ def _certified_rref(field: CycloField, outs: list, rows: list) -> tuple[list[int
         p, g = _split_prime(n, p)
         if den % p == 0:
             continue
-        powers, basis, inverse, spread = _embeddings(n, p, g)
+        powers, basis, inverse = _embeddings(n, p, g)
         dinv = [pow(b, -1, p) for _, b in outs]
         runs = []
         for pw in powers:
@@ -231,7 +234,7 @@ def _certified_rref(field: CycloField, outs: list, rows: list) -> tuple[list[int
             continue
         phi = len(basis)
         lifted = [fracs[k * rank * phi : (k + 1) * rank * phi] for k in range(len(free))]
-        if all(_certified(col, spread, height, modulus) for col in lifted):
+        if all(_certified(col, height, modulus) for col in lifted):
             break
     one, zero = field.one(), field.zero()
     coeffs = [None] * ncols
@@ -242,10 +245,10 @@ def _certified_rref(field: CycloField, outs: list, rows: list) -> tuple[list[int
     return pivots, coeffs
 
 
-def _certified(col: list, spread: int, height: int, modulus: int) -> bool:
+def _certified(col: list, height: int, modulus: int) -> bool:
     """Whether the height bound of span_analysis, for the (numerator, denominator) pairs col of one column, is below modulus / 2."""
     lcm = math.lcm(*(b for _, b in col))
-    return 2 * spread * (sum(abs(x) * (lcm // b) for x, b in col) + lcm) * height < modulus
+    return 2 * (sum(abs(x) * (lcm // b) for x, b in col) + lcm) * height < modulus
 
 
 def _element(field: CycloField, basis: list, coords: list) -> CycloElement:

@@ -70,6 +70,7 @@ from .numberfield import (
     CycloElement,
     CycloField,
     GaloisMap,
+    _geometric,
     _lowest,
     _pack,
     _rref,
@@ -84,8 +85,6 @@ from .numberfield import (
     pretty_sum,
 )
 from .polymatrix import (
-    LEFT,
-    RIGHT,
     SpanAnalysis,
     _mat_mul,
     digit_cells,
@@ -327,9 +326,7 @@ def _nonderogatory_mod_p(m: list, field: CycloField) -> bool:
     p, g = _split_prime(L)
     while any(den % p == 0 for den in dens):
         p, g = _split_prime(L, p)
-    gs = [1] * L  # g^j mod p
-    for j in range(1, L):
-        gs[j] = gs[j - 1] * g % p
+    gs = _geometric(g, L, p)
     cols = list(zip(*[[sum(map(operator.mul, x.vec, gs)) * pow(x.den, -1, p) % p for x in row] for row in m]))
     power, flat = [[int(i == j) for j in range(d)] for i in range(d)], []
     for _ in range(d):
@@ -434,8 +431,8 @@ def _unit_levels(table: list, root: RootSpec, L: int) -> list:
     return [[_unpack(v, width, L) for v in _apply_levels(u, table, root, L, width)] for u in units]
 
 
-def reduced_product_at_root(a: Dfao, span: SpanAnalysis, root: RootSpec, side: str):
-    """M-hat(k^s; w) (Left) or its Right mirror, as a scalar matrix.
+def reduced_product_at_root(a: Dfao, span: SpanAnalysis, root: RootSpec):
+    """M-hat(k^s; w), Left for a forward a and its Right mirror for a backward one, as a scalar matrix.
 
     The ordered product of the s digit-substituted copies of M-hat(x), read
     as digit_cells(a, span), at x = w: column j (Left) or row j (Right) is
@@ -446,9 +443,10 @@ def reduced_product_at_root(a: Dfao, span: SpanAnalysis, root: RootSpec, side: s
     cells = digit_cells(a, span)
     den = math.lcm(*(c.den for *_, c in cells))
     cells = [(i, j, e, _pairs(c, K.conductor // m, den)) for i, j, e, c in cells]
-    got = _unit_levels(_term_table(cells, len(span.generators), side == LEFT), root, K.conductor)
+    left = a.direction == FORWARD
+    got = _unit_levels(_term_table(cells, len(span.generators), left), root, K.conductor)
     got = [[_lowest(K, K._normal(v), den**root.s) for v in col] for col in got]
-    return [list(col) for col in zip(*got)] if side == LEFT else got, K
+    return [list(col) for col in zip(*got)] if left else got, K
 
 
 # ----------------------------------------------------------------------
@@ -503,12 +501,12 @@ def _machine(a: Dfao, key: Optional[tuple] = None) -> list:
 
 
 def _prepare(a: Dfao):
-    """The padded-word machine of a, its span analysis, and the side its product is read from."""
+    """The padded-word machine of a and its span analysis."""
     entry = _machine(a)
     if entry[2] is None:  # once per structure, kept without the witness words and tuple table
         span = span_analysis(entry[0])
         entry[2] = SpanAnalysis(span.field, (), (), (), span.rank, span.generators, span.alphas)
-    return entry[0], entry[2], LEFT if entry[0].direction == FORWARD else RIGHT
+    return entry[0], entry[2]
 
 
 def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence:
@@ -543,8 +541,8 @@ def _synthesize(a: Dfao, root: RootSpec, use_minimal: bool, prepare) -> Recurren
     key = (_structure(a), root.s, r0, u % math.gcd(m, r0), use_minimal)
 
     def build():
-        ap, span, side = prepare()
-        scal, field = reduced_product_at_root(ap, span, root, side)
+        ap, span = prepare()
+        scal, field = reduced_product_at_root(ap, span, root)
         return u, minimal_poly(scal, field) if use_minimal else char_poly(scal, field)
 
     u1, coeffs = _cached(_SYNTH_CACHE, key, build)
@@ -782,7 +780,7 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     then scaled by the lcm of their denominators.
     """
     prepared = _prepare(a)
-    if any(c.rational_value() is None for *_, c in digit_cells(*prepared[:2])):
+    if any(c.rational_value() is None for *_, c in digit_cells(*prepared)):
         raise AutorecError("integer recurrences need a reduced matrix with rational entries")
     base_rec = _synthesize(a, root, False, lambda: prepared)
     r0 = root.r0
@@ -800,9 +798,7 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     got, modulus, p = [0] * (len(reps) * (len(cs) - 1) + 1), 1, 1 << 61
     while modulus <= 2 * bound:
         p, g = _split_prime(r0, p)
-        gs = [1] * r0  # g^i mod p
-        for i in range(1, r0):
-            gs[i] = gs[i - 1] * g % p
+        gs = _geometric(g, r0, p)
         prod = [1]
         for u in reps:
             f = [sum(x * gs[i * u % r0] for i, x in v) % p for v in vecs]

@@ -21,6 +21,7 @@ from autorec.numberfield import (
     GaloisMap,
     _pack,
     _rref,
+    _rref_mod,
     _unpack,
     _width,
     coset_reps,
@@ -238,6 +239,22 @@ def _det_cofactor(rows, field) -> CycloPoly:
         term = rows[0][j] * _det_cofactor(minor, field)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def embeddings_by_elimination(n: int, p: int, g: int) -> tuple:
+    """(powers, basis, inverse) of numberfield._embeddings, built by Gauss-Jordan elimination mod p.
+
+    basis holds the j whose unit vector is its own normal form, and
+    inverse is V^(-1) mod p for V = (g^(t j)), t a unit and j in basis.
+    """
+    field = cyclo_field(n)
+    powers = [[pow(g, t * j, p) for j in range(n)] for t in range(1, n + 1) if math.gcd(t, n) == 1]
+    forms = [field._normal([int(i == j) for i in range(n)]) for j in range(n)]
+    basis = [j for j, v in enumerate(forms) if v[j] == 1 and v.count(0) == n - 1]
+    phi = len(basis)
+    a = [[row[j] for j in basis] + [int(i == t) for i in range(phi)] for t, row in enumerate(powers)]
+    assert _rref_mod(a, phi, p) == list(range(phi)), "the embeddings are dependent mod p"
+    return powers, basis, [row[phi:] for row in a]
 
 
 def span_by_full_table(span) -> tuple:

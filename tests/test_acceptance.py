@@ -100,7 +100,7 @@ def test_criterion_04_block_counting_coefficient_forms(bs, announce):
             root = RootSpec(2, r, e)
             rec = synthesize(bs, root)
             assert rec.order == 2
-            mat, K = reduced_product_at_root(bs, span, root, RIGHT)
+            mat, K = reduced_product_at_root(bs, span, root)
             trace = mat[0][0] + mat[1][1]
             const = rec.coefficients[0].rational_value()
             assert const == (-1) ** root.s, (r, e)

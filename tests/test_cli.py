@@ -8,7 +8,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from autorec.automaton import FORWARD, load_builtin, parse_dfao, sequence_term
+from autorec import recurrence
+from autorec.automaton import FORWARD, Dfao, load_builtin, parse_dfao, sequence_term
 from autorec.cli import main
 from autorec.polymatrix import LEFT, RIGHT, span_analysis
 from conftest import TM_ZETA3
@@ -249,6 +250,32 @@ def test_dims_report_validates(capsys):
     assert payload["forward_dim"] == 2
     assert payload["backward_dim"] == 2
     jsonschema.validate(payload, load_schema("dims"))
+
+
+def test_dims_runs_one_span_analysis_per_direction(capsys, monkeypatch):
+    calls = []
+    span_analysis = recurrence.span_analysis
+    monkeypatch.setattr(recurrence, "span_analysis", lambda a: calls.append(a) or span_analysis(a))
+    for name in ("thue_morse", "baum_sweet", "rudin_shapiro"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "dims", "--dfao", name, "--format", "json")
+        assert code == 0 and len(calls) == 2, name
+
+
+def test_lmin_bound_is_the_rank_of_the_unpadded_machine(capsys, tmp_path):
+    # a(n) = 0 for every n: the empty word ends in a, a leading 1 in c.  Unpadded, f_b = 1 and
+    # f_c = 0 everywhere and f_a(0 w) = 1, so the rank is 2; the padded machine's span has rank 0.
+    a = Dfao(2, FORWARD, "abc", [0, 1, 0], [[1, 2], [1, 1], [2, 2]])
+    assert recurrence.lmin_bound(a) == 2
+    assert recurrence._prepare(a)[1].rank == 0
+    path = tmp_path / "zero.dfao"
+    path.write_text(a.to_text())
+    code, out, _ = run_cli(capsys, "dims", "--dfao", str(path), "--format", "json")
+    assert code == 0
+    assert out == (
+        '{\n  "forward_dim": 2,\n  "backward_dim": 2,\n  "forward_states": 3,\n'
+        '  "backward_states": 3,\n  "lmin_bound": 2\n}\n'
+    )
 
 
 def test_matrix_text_output(capsys):

@@ -7,12 +7,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from autorec import numberfield
 from autorec.numberfield import (
     CycloField,
     GaloisMap,
+    _embeddings,
     _kronecker,
     _num,
     _pack,
+    _split_prime,
     _unpack,
     _width,
     complex_embed,
@@ -25,7 +28,7 @@ from autorec.numberfield import (
     multiplicative_order,
     rationality,
 )
-from conftest import divisors, galois_apply, gaussian_period, nullspace, random_element, solve_exact
+from conftest import divisors, embeddings_by_elimination, galois_apply, gaussian_period, nullspace, random_element, solve_exact
 from poly_oracle import RatPoly, cyclotomic_poly
 
 CONDUCTORS = (3, 5, 7, 9, 15, 21, 33)
@@ -700,3 +703,44 @@ def test_normal_form_against_long_division_small_conductors():
 @pytest.mark.parametrize("n", [315, 1155])
 def test_normal_form_against_long_division_large_conductors(n):
     _check_against_oracle(n, random.Random(n), lifts=3)
+
+
+# ----------------------------------------------------------------------
+# the split-prime embeddings and their closed-form inverse
+
+
+def test_embeddings_match_the_elimination_oracle():
+    for n in list(range(1, 61)) + [63, 77, 90, 105]:
+        p, g = _split_prime(n)
+        assert _embeddings(n, p, g) == embeddings_by_elimination(n, p, g), n
+
+
+@pytest.mark.parametrize("n", [231, 455, 1155])
+def test_embeddings_invert_the_images_at_large_conductors(n):
+    p, g = _split_prime(n)
+    powers, basis, inverse = _embeddings(n, p, g)
+    field, rng = cyclo_field(n), random.Random(n)
+    for _ in range(2):
+        v = field.element([rng.randint(-9, 9) for _ in range(n)]).vec
+        assert not any(v[j] for j in set(range(n)) - set(basis))
+        images = [sum(x * y for x, y in zip(v, row)) % p for row in powers]
+        assert [sum(x * y for x, y in zip(row, images)) % p for row in inverse] == [v[j] % p for j in basis]
+
+
+def test_embeddings_make_no_elimination(monkeypatch):
+    calls = []
+    rref_mod = numberfield._rref_mod
+    monkeypatch.setattr(numberfield, "_rref_mod", lambda *args: calls.append(args) or rref_mod(*args))
+    _embeddings.cache_clear()
+    for n in (1, 2, 12, 15, 105):
+        _embeddings(n, *_split_prime(n))
+    assert calls == []
+
+
+def test_normal_forms_of_roots_of_unity_have_coordinates_in_minus_one_zero_one():
+    # the certificate of span_analysis bounds the residual's coordinates by this
+    for n in list(range(1, 201)) + [231, 455]:
+        field = cyclo_field(n)
+        for j in range(n):
+            v = field._normal([int(i == j) for i in range(n)])
+            assert any(v) and set(v) <= {-1, 0, 1}, (n, j)

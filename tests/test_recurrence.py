@@ -265,8 +265,8 @@ def test_char_and_minimal_poly_match_oracles_on_reduced_products(r, e):
     root = RootSpec(2, r, e)
     for spec in (PatternSpec(2, (0, 1, 0), 3), PatternSpec(2, (1, 1), 3), PatternSpec(2, (0, 1), 6)):
         for a in (pattern_dfao(spec), reverse_dfao(pattern_dfao(spec))):
-            ap, span, side = recurrence._prepare(a)
-            rows, f = reduced_product_at_root(ap, span, root, side)
+            ap, span = recurrence._prepare(a)
+            rows, f = reduced_product_at_root(ap, span, root)
             _assert_matches_oracles(rows, f)
 
 
@@ -379,8 +379,8 @@ def test_minimal_poly_at_a_large_conductor_needs_no_elimination(rs, monkeypatch)
 
 
 def _assert_char_poly_matches_newton(a, root, name):
-    ap, span, side = recurrence._prepare(a)
-    rows, f = reduced_product_at_root(ap, span, root, side)
+    ap, span = recurrence._prepare(a)
+    rows, f = reduced_product_at_root(ap, span, root)
     assert char_poly(rows, f) == char_poly_newton_oracle(rows, f), (name, root)
 
 
@@ -1516,24 +1516,24 @@ def test_reduced_transition_matrix_matches_reduction_oracle(shipped):
 
 
 def test_reduced_product_at_root_matches_power_product():
-    """Entries of M-hat(k^s; x) evaluated at x = w, both sides, several u per conductor."""
+    """Entries of M-hat(k^s; x) evaluated at x = w, Left forward and Right backward, several u per conductor."""
     for a in _product_machines():
         span = span_analysis(a)
         mhat = reduced_matrix_oracle(transition_matrix(a), span)
-        for side in (LEFT, RIGHT):
-            products = {}  # per step s
-            for r0 in (5, 9, 15) if a.base == 2 else (5, 10):
-                for u in sorted({1, 2, r0 - 1}):
-                    if math.gcd(u, r0) != 1:
-                        continue
-                    root = RootSpec(a.base, r0, u)
-                    if root.s not in products:
-                        products[root.s] = power_product(mhat, a.base, root.s, side)
-                    got, K = reduced_product_at_root(a, span, root, side)
-                    w = root.omega
-                    want = [[p(w) for p in row] for row in products[root.s].rows]
-                    assert K.conductor == math.lcm(a.output_field.conductor, r0)
-                    assert got == want, (a.to_text(), side, r0, u)
+        side = LEFT if a.direction == FORWARD else RIGHT
+        products = {}  # per step s
+        for r0 in (5, 9, 15) if a.base == 2 else (5, 10):
+            for u in sorted({1, 2, r0 - 1}):
+                if math.gcd(u, r0) != 1:
+                    continue
+                root = RootSpec(a.base, r0, u)
+                if root.s not in products:
+                    products[root.s] = power_product(mhat, a.base, root.s, side)
+                got, K = reduced_product_at_root(a, span, root)
+                w = root.omega
+                want = [[p(w) for p in row] for row in products[root.s].rows]
+                assert K.conductor == math.lcm(a.output_field.conductor, r0)
+                assert got == want, (a.to_text(), side, r0, u)
 
 
 # ----------------------------------------------------------------------
