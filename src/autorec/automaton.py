@@ -203,7 +203,7 @@ def parse_dfao(text: str) -> Dfao:
         if key == "base":
             if base is not None:
                 raise ParseError("duplicate base line", line_no)
-            if not body.isdigit():
+            if not body.isdecimal():
                 raise ParseError(f"base must be an integer, got {body!r}", line_no, bodycol)
             base = int(body)
             if base < 2:

@@ -214,7 +214,7 @@ def _cmd_tm_table(args) -> int:
 def _cmd_pattern(args) -> int:
     digits = []
     for ch in args.pattern:
-        if not ch.isdigit():
+        if not ch.isdecimal():
             raise AutorecError(f"pattern must be a digit string, got {args.pattern!r}")
         digits.append(int(ch))
     spec = PatternSpec(args.k, tuple(digits), args.modulus)

@@ -859,10 +859,11 @@ def _geometric(x: int, n: int, p: int) -> list[int]:
 def _embeddings(n: int, p: int, g: int) -> tuple:
     """The phi(n) maps zeta_n -> g^t of Z[zeta_n] onto F_p, t a unit mod n, for g of order n mod p.
 
-    Returns (powers, basis, inverse).  powers[t][j] = g^(t j) mod p, one
-    row per unit t in increasing order, so the image of an integer
-    normal-form vector v is the sum over j of v[j] powers[t][j].  basis
-    lists the positions of the normal-form basis, the j with j mod q
+    Returns (roots, basis, inverse).  roots lists the images g^t mod p of
+    zeta_n, one per unit t in increasing order; the image of an integer
+    normal-form vector v is the sum over j of v[j] g^(t j), so a caller
+    builds the row _geometric(g^t, n, p) of a map when it needs one.
+    basis lists the positions of the normal-form basis, the j with j mod q
     outside every relation's residues.  inverse, phi x phi mod p, takes
     the images x_t of c to c's coordinates on basis: n^(-1) sum over t of
     x_t (g^(-t j))_j is c E, E the idempotent of Phi_n in F_p[x]/(x^n - 1)
@@ -874,8 +875,7 @@ def _embeddings(n: int, p: int, g: int) -> tuple:
     basis = [j for j in range(n) if all(j % q not in residues for q, _, residues in field._relations)]
     scale = pow(n, -1, p)
     cols = [field._normal([x * scale for x in _geometric(pow(g, -t, p), n, p)]) for t in units]
-    powers = [_geometric(pow(g, t, p), n, p) for t in units]
-    return powers, basis, [[col[j] % p for col in cols] for j in basis]
+    return [pow(g, t, p) for t in units], basis, [[col[j] % p for col in cols] for j in basis]
 
 
 def _reconstruct(x: int, m: int) -> Optional[tuple[int, int]]:

@@ -28,6 +28,7 @@ from .numberfield import (
     CycloElement,
     CycloField,
     _embeddings,
+    _geometric,
     _lowest,
     _reconstruct,
     _rref_mod,
@@ -69,18 +70,15 @@ class SpanAnalysis:
 
     witness_words   one word per distinct state tuple found by the
                     breadth-first closure of (q_0, ..., q_(d-1))
-    tuple_table     f_i evaluated at the witness words, one row per word
     rank            dimension of span{f_0, ..., f_(d-1)}
     generators      greedy-leftmost spanning prefix; always contains 0
     alphas          for each non-generator p the coefficients of
                     f_p = sum_j alphas[p][j] f_(generators[j])
     """
 
-    def __init__(self, field, witness_words, tuples, tuple_table, rank, generators, alphas):
+    def __init__(self, field, witness_words, rank, generators, alphas):
         self.field = field
         self.witness_words = witness_words
-        self.tuples = tuples
-        self.tuple_table = tuple_table
         self.rank = rank
         self.generators = generators
         self.alphas = alphas
@@ -165,7 +163,6 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
                 words[t] = words[pos] + (dig,)
 
     field = a.output_field
-    table = [list(map(a.outputs.__getitem__, tp)) for tp in tuples]
     # a state reads the index of its output among the distinct ones; equal rows add
     # nothing to the elimination, and a repeated column is never a pivot
     index: dict = {}
@@ -187,7 +184,7 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
             out[gpos[g]] = x
         shared[c] = tuple(out)
     alphas = {p: shared[reps[p]] for p in range(d) if p not in gpos}
-    return SpanAnalysis(field, tuple(words), tuple(tuples), table, len(pivots), generators, alphas)
+    return SpanAnalysis(field, tuple(words), len(pivots), generators, alphas)
 
 
 def _certified_rref(field: CycloField, outs: list, rows: list) -> tuple[list[int], list[list]]:
@@ -205,10 +202,10 @@ def _certified_rref(field: CycloField, outs: list, rows: list) -> tuple[list[int
         p, g = _split_prime(n, p)
         if den % p == 0:
             continue
-        powers, basis, inverse = _embeddings(n, p, g)
+        roots, basis, inverse = _embeddings(n, p, g)
         dinv = [pow(b, -1, p) for _, b in outs]
         runs = []
-        for pw in powers:
+        for pw in (_geometric(x, n, p) for x in roots):
             img = [sum(map(operator.mul, v, pw)) * x % p for (v, _), x in zip(outs, dinv)]
             m = [[img[i] for i in row] for row in rows]
             runs.append((_rref_mod(m, ncols, p), m))

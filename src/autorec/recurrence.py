@@ -22,9 +22,10 @@ over the y of l digits with delta(q0, y read backwards) = p, G_0 = e_q0,
 rho = sum over j of C_j G_(js), and the term of m is the sum over p of
 rho(p) out(delta(p, m read least significant digit first)).
 
-Synthesis and verification share the padded-word machine that
-_pad_invariant makes of the pruned automaton, kept with its span per
-automaton structure in one bounded cache (_machine), and the level kernel
+Synthesis and verification share one _Machine per automaton structure,
+kept in one bounded cache (_machine): the padded-word machine that
+_pad_invariant makes of the pruned automaton, verify's term table and
+the span, built on first use; and the level kernel
 _apply_levels, the s digit levels at x = w^(k^t) on one vector mod
 x^L - 1 per state, packed as one residue mod 2^(8 width L) - 1; nothing
 else.  Synthesis reads the reduced matrix M-hat as polymatrix.digit_cells,
@@ -485,28 +486,28 @@ def _structure(a: Dfao) -> tuple:
     return (a.base, a.direction, a.delta, a.output_field.conductor, tuple((v.vec, v.den) for v in a.outputs))
 
 
-def _machine(a: Dfao, key: Optional[tuple] = None) -> list:
-    """[padded-word machine of a (_pad_invariant), verify's term table, span or None], per structure."""
+class _Machine:
+    """The padded-word machine of a (_pad_invariant), verify's term table and, on first use, the span."""
 
-    def build():
-        ap = _pad_invariant(prune_inaccessible(a))
+    def __init__(self, a: Dfao):
+        self.padded = ap = _pad_invariant(prune_inaccessible(a))
         cells = [(q, p, dig, [(0, 1)]) for q, row in enumerate(ap.delta) for dig, p in enumerate(row)]
-        return [ap, _term_table(cells, ap.size, ap.direction == FORWARD), None]
+        self.table = _term_table(cells, ap.size, ap.direction == FORWARD)
 
-    return _cached(_MACHINE_CACHE, _structure(a) if key is None else key, build)
+    @functools.cached_property
+    def span(self) -> SpanAnalysis:
+        """The padded machine's span analysis, once per structure, kept without the witness words."""
+        span = span_analysis(self.padded)
+        return SpanAnalysis(span.field, (), span.rank, span.generators, span.alphas)
+
+
+def _machine(a: Dfao, key: Optional[tuple] = None) -> _Machine:
+    """The _Machine of a, per structure."""
+    return _cached(_MACHINE_CACHE, _structure(a) if key is None else key, lambda: _Machine(a))
 
 
 # ----------------------------------------------------------------------
 # synthesis
-
-
-def _prepare(a: Dfao):
-    """The padded-word machine of a and its span analysis."""
-    entry = _machine(a)
-    if entry[2] is None:  # once per structure, kept without the witness words and tuple table
-        span = span_analysis(entry[0])
-        entry[2] = SpanAnalysis(span.field, (), (), (), span.rank, span.generators, span.alphas)
-    return entry[0], entry[2]
 
 
 def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence:
@@ -530,19 +531,14 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
     synthesis cache never decides a check: verify tests by itself whether
     the coefficients it is given are conjugate.
     """
-    return _synthesize(a, root, use_minimal, lambda: _prepare(a))
-
-
-def _synthesize(a: Dfao, root: RootSpec, use_minimal: bool, prepare) -> Recurrence:
-    """synthesize, where prepare() gives _prepare(a) on a cache miss."""
     if root.k != a.base:
         raise AutorecError(f"root was built for k = {root.k}, automaton has base {a.base}")
     m, r0, u = a.output_field.conductor, root.r0, root.primitive_exponent
     key = (_structure(a), root.s, r0, u % math.gcd(m, r0), use_minimal)
 
     def build():
-        ap, span = prepare()
-        scal, field = reduced_product_at_root(ap, span, root)
+        machine = _machine(a)
+        scal, field = reduced_product_at_root(machine.padded, machine.span, root)
         return u, minimal_poly(scal, field) if use_minimal else char_poly(scal, field)
 
     u1, coeffs = _cached(_SYNTH_CACHE, key, build)
@@ -648,7 +644,7 @@ def verify(
     if n_max < 0:
         raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
     struct, root = _structure(a), rec.root
-    ap, table = _machine(a, struct)[:2]
+    machine = _machine(a, struct)
     m, r0, u = a.output_field.conductor, root.r0, root.primitive_exponent
     L = math.lcm(m, r0)
     cs = [_spread(c, L) for c in rec.coefficients]
@@ -656,7 +652,7 @@ def verify(
     vecs = [[x * (den // d) for x in c] for c, d in cs]
 
     def scan():
-        return _scan([_annihilate(v, L) for v in vecs], root, ap, table, L, n_max)
+        return _scan([_annihilate(v, L) for v in vecs], root, machine.padded, machine.table, L, n_max)
 
     key = (struct, root.s, r0, u % math.gcd(m, r0), n_max)
     entry = _cached(_VERIFY_CACHE, key, lambda: (u, vecs, scan()))  # a new entry holds this call's scan
@@ -779,10 +775,10 @@ def integer_recurrence(a: Dfao, root: RootSpec) -> Recurrence:
     symmetric residues are the coefficients, which are divided by D^h and
     then scaled by the lcm of their denominators.
     """
-    prepared = _prepare(a)
-    if any(c.rational_value() is None for *_, c in digit_cells(*prepared)):
+    machine = _machine(a)
+    if any(c.rational_value() is None for *_, c in digit_cells(machine.padded, machine.span)):
         raise AutorecError("integer recurrences need a reduced matrix with rational entries")
-    base_rec = _synthesize(a, root, False, lambda: prepared)
+    base_rec = synthesize(a, root)
     r0 = root.r0
     sigma = GaloisMap(cyclo_field(r0), root.k)
     cs = [_descend(c, r0) for c in base_rec.coefficients]

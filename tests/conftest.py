@@ -257,7 +257,12 @@ def embeddings_by_elimination(n: int, p: int, g: int) -> tuple:
     return powers, basis, [row[phi:] for row in a]
 
 
-def span_by_full_table(span) -> tuple:
+def tuple_table(a, span) -> list:
+    """f_i evaluated at span's witness words: one row per word, one column per state of a."""
+    return [[a.outputs[a.run(i, w)] for i in range(a.size)] for w in span.witness_words]
+
+
+def span_by_full_table(a, span) -> tuple:
     """(rank, generators, alphas) of span's tuple table by one exact elimination over every state column.
 
     The oracle for span_analysis, which eliminates each distinct column
@@ -265,8 +270,8 @@ def span_by_full_table(span) -> tuple:
     table, the entries are CycloElements, and column p holds the
     coefficients of f_p over the pivots left of it.
     """
-    d = len(span.tuple_table[0])
-    rows = list({tuple((v.vec, v.den) for v in row): list(row) for row in span.tuple_table}.values())
+    d = a.size
+    rows = list({tuple((v.vec, v.den) for v in row): row for row in tuple_table(a, span)}.values())
     pivots = _rref(rows, d)
     generators = pivots if 0 in pivots else [0] + pivots
     gpos = {g: t for t, g in enumerate(generators)}

@@ -107,6 +107,18 @@ def test_undecodable_dfao_exits_one(capsys, tmp_path):
     assert err.startswith("error[parse]: ") and "not UTF-8" in err
 
 
+def test_non_ascii_digits_exit_one(capsys, tmp_path):
+    # str.isdigit accepts the superscript two, which int() refuses
+    path = tmp_path / "superscript.dfao"
+    path.write_text("base: ²\n", encoding="utf-8")
+    assert run_cli(capsys, "parse", "--dfao", str(path)) == (
+        1, "", "error[parse]: base must be an integer, got '²' (line 1, column 6)\n"
+    )
+    assert run_cli(capsys, "pattern", "--k", "2", "--pattern", "1²", "--modulus", "2") == (
+        1, "", "error[domain]: pattern must be a digit string, got '1²'\n"
+    )
+
+
 def test_pattern_out_in_missing_directory_exits_one(capsys, tmp_path):
     target = tmp_path / "missing" / "p.dfao"
     code, out, err = run_cli(
@@ -267,7 +279,7 @@ def test_lmin_bound_is_the_rank_of_the_unpadded_machine(capsys, tmp_path):
     # f_c = 0 everywhere and f_a(0 w) = 1, so the rank is 2; the padded machine's span has rank 0.
     a = Dfao(2, FORWARD, "abc", [0, 1, 0], [[1, 2], [1, 1], [2, 2]])
     assert recurrence.lmin_bound(a) == 2
-    assert recurrence._prepare(a)[1].rank == 0
+    assert recurrence._machine(a).span.rank == 0
     path = tmp_path / "zero.dfao"
     path.write_text(a.to_text())
     code, out, _ = run_cli(capsys, "dims", "--dfao", str(path), "--format", "json")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,7 @@ from autorec.numberfield import (
     CycloField,
     GaloisMap,
     _embeddings,
+    _geometric,
     _kronecker,
     _num,
     _pack,
@@ -712,13 +714,17 @@ def test_normal_form_against_long_division_large_conductors(n):
 def test_embeddings_match_the_elimination_oracle():
     for n in list(range(1, 61)) + [63, 77, 90, 105]:
         p, g = _split_prime(n)
-        assert _embeddings(n, p, g) == embeddings_by_elimination(n, p, g), n
+        roots, basis, inverse = _embeddings(n, p, g)
+        powers, *want = embeddings_by_elimination(n, p, g)
+        # column 1 of powers is g^t, the image of zeta_n under the map of unit t
+        assert roots == [row[1 % n] for row in powers] and [basis, inverse] == want, n
 
 
 @pytest.mark.parametrize("n", [231, 455, 1155])
 def test_embeddings_invert_the_images_at_large_conductors(n):
     p, g = _split_prime(n)
-    powers, basis, inverse = _embeddings(n, p, g)
+    roots, basis, inverse = _embeddings(n, p, g)
+    powers = [_geometric(x, n, p) for x in roots]
     field, rng = cyclo_field(n), random.Random(n)
     for _ in range(2):
         v = field.element([rng.randint(-9, 9) for _ in range(n)]).vec
@@ -735,6 +741,21 @@ def test_embeddings_make_no_elimination(monkeypatch):
     for n in (1, 2, 12, 15, 105):
         _embeddings(n, *_split_prime(n))
     assert calls == []
+
+
+def test_embeddings_entry_keeps_no_power_table():
+    # one row of g^(t j) determines every map, so an entry keeps phi images, not a phi x n table
+    n = 455
+    cyclo_field(n)
+    p, g = _split_prime(n)
+    _embeddings.cache_clear()
+    tracemalloc.start()
+    try:
+        entry = _embeddings(n, p, g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(entry[0]) == 288 and held < 5 * 2**20, held
 
 
 def test_normal_forms_of_roots_of_unity_have_coordinates_in_minus_one_zero_one():

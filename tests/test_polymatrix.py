@@ -7,7 +7,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from autorec.automaton import FORWARD, Dfao, PatternSpec, load_builtin, pattern_dfao, reverse_dfao
+from autorec.automaton import FORWARD, Dfao, PatternSpec, closure, load_builtin, pattern_dfao, reverse_dfao
 from autorec import numberfield, polymatrix
 from autorec.errors import AutorecError
 from autorec.numberfield import CycloElement, cyclo_field
@@ -21,6 +21,7 @@ from conftest import (
     span_by_full_table,
     stratum_patterns,
     t_for,
+    tuple_table,
     word_value,
 )
 from poly_oracle import CycloPoly, PolyMatrix, power_product, transition_matrix, truncate
@@ -251,16 +252,16 @@ def test_span_relations_hold_on_random_words(shipped):
 
 
 def test_span_witness_table_is_consistent(rs):
+    # the witness words reach pairwise distinct state tuples, one per tuple of the closure
     sp = span_analysis(rs)
-    assert len(sp.witness_words) == len(sp.tuple_table)
-    for w, row in zip(sp.witness_words, sp.tuple_table):
-        for i in range(rs.size):
-            assert row[i] == rs.outputs[rs.run(i, w)]
+    reached = {tuple(rs.run(i, w) for i in range(rs.size)) for w in sp.witness_words}
+    found, _ = closure(tuple(range(rs.size)), lambda tp, dig: tuple(rs.delta[q][dig] for q in tp), rs.base)
+    assert len(reached) == len(sp.witness_words) == len(found) and reached == set(found)
 
 
-def check_relation(sp, rel) -> bool:
+def check_relation(a, sp, rel) -> bool:
     """Does sum_i rel[i] * f_i vanish on every witness word?"""
-    for row in sp.tuple_table:
+    for row in tuple_table(a, sp):
         acc = sp.field.zero()
         for i, c in rel.items():
             acc = acc + row[i] * c
@@ -273,14 +274,14 @@ def test_check_relation_accepts_known_dependence(rs):
     sp = span_analysis(rs)
     f = rs.output_field
     # f_3 = -f_0 on this machine
-    assert check_relation(sp, {3: f.one(), 0: f.one()})
-    assert not check_relation(sp, {0: f.one()})
+    assert check_relation(rs, sp, {3: f.one(), 0: f.one()})
+    assert not check_relation(rs, sp, {0: f.one()})
 
 
-def span_by_columns(sp) -> SpanAnalysis:
+def span_by_columns(a, sp) -> SpanAnalysis:
     """The span structure column by column: one solve per state against the pivots so far."""
     field = sp.field
-    table = sp.tuple_table
+    table = tuple_table(a, sp)
     d = len(table[0])
     cols = [[row[j] for row in table] for j in range(d)]
     pivots, exprs = [], {}
@@ -302,7 +303,7 @@ def span_by_columns(sp) -> SpanAnalysis:
             for t, c in enumerate(exprs[p]):
                 coeffs[gpos[pivots[t]]] = field.coerce(c)
             alphas[p] = tuple(coeffs)
-    return SpanAnalysis(field, sp.witness_words, sp.tuples, table, len(pivots), generators, alphas)
+    return SpanAnalysis(field, sp.witness_words, len(pivots), generators, alphas)
 
 
 def test_span_json_frozen():
@@ -373,7 +374,7 @@ def test_span_matches_column_by_column_solves(shipped):
     machines.append(("all outputs zero", zero))
     for name, a in machines:
         sp = span_analysis(a)
-        want = span_by_columns(sp)
+        want = span_by_columns(a, sp)
         assert sp.rank == want.rank, name
         assert sp.generators == want.generators, name
         assert sp.alphas == want.alphas, name
@@ -390,10 +391,10 @@ def _dedupe_machines() -> list:
     return machines + [(name + " reversed", reverse_dfao(a)) for name, a in machines]
 
 
-def _assert_matches_full_table(sp, name):
+def _assert_matches_full_table(a, sp, name):
     """sp agrees with span_by_full_table on its rank, generators, alphas and JSON."""
-    rank, generators, alphas = span_by_full_table(sp)
-    want = SpanAnalysis(sp.field, sp.witness_words, sp.tuples, sp.tuple_table, rank, generators, alphas)
+    rank, generators, alphas = span_by_full_table(a, sp)
+    want = SpanAnalysis(sp.field, sp.witness_words, rank, generators, alphas)
     assert (sp.rank, sp.generators, sp.alphas) == (rank, generators, alphas), name
     assert sp.to_json_dict() == want.to_json_dict(), name
 
@@ -415,10 +416,11 @@ def test_span_matches_full_table_elimination():
     shared = 0
     for name, a in machines + _conductor_machines():
         sp = span_analysis(a)
-        _assert_matches_full_table(sp, name)
+        _assert_matches_full_table(a, sp, name)
+        table = tuple_table(a, sp)
         firsts = {}  # column -> the alphas of the first dependent state that reads it
         for p, alpha in sp.alphas.items():
-            col = tuple((row[p].vec, row[p].den) for row in sp.tuple_table)
+            col = tuple((row[p].vec, row[p].den) for row in table)
             if col in firsts:
                 assert alpha is firsts[col], (name, p)  # one tuple per distinct column
                 shared += 1
@@ -447,7 +449,7 @@ def test_span_eliminates_each_distinct_column_once(monkeypatch):
     for name, a in _dedupe_machines():
         calls.clear()
         sp = span_analysis(a)
-        distinct = len(set(zip(*[[(v.vec, v.den) for v in row] for row in sp.tuple_table])))
+        distinct = len(set(zip(*[[(v.vec, v.den) for v in row] for row in tuple_table(a, sp)])))
         # one elimination per embedding of each prime taken, each over the distinct columns
         assert calls and {ncols for _, ncols, _ in calls} == {distinct}, name
         repeated += distinct < a.size
@@ -476,8 +478,9 @@ def test_span_lifts_a_large_coefficient_over_several_primes(monkeypatch):
     # 10^40 / 3^50 needs about 270 bits: one prime above 2^61 cannot reconstruct it
     c = Fraction(10**40, 3**50)
     calls = _eliminations(monkeypatch)
-    sp = span_analysis(_scaled_machine(c))
-    _assert_matches_full_table(sp, "f_3 = c f_1")
+    a = _scaled_machine(c)
+    sp = span_analysis(a)
+    _assert_matches_full_table(a, sp, "f_3 = c f_1")
     assert sp.alphas[3][sp.generators.index(1)] == c
     assert len(_full_rank_primes(calls, sp.rank)) >= 2
 
@@ -485,8 +488,9 @@ def test_span_lifts_a_large_coefficient_over_several_primes(monkeypatch):
 def test_span_skips_a_split_prime_that_divides_an_output_denominator(monkeypatch):
     p, _ = numberfield._split_prime(1)
     calls = _eliminations(monkeypatch)
-    sp = span_analysis(_sum_machine(Fraction(1, p), 1))
-    _assert_matches_full_table(sp, "output 1/p")
+    a = _sum_machine(Fraction(1, p), 1)
+    sp = span_analysis(a)
+    _assert_matches_full_table(a, sp, "output 1/p")
     assert calls and p not in {q for q, _, _ in calls}
 
 
@@ -524,7 +528,7 @@ def test_span_over_small_primes_drops_unlucky_ones_and_lifts_by_crt(small_primes
     for name, a in adversarial + _conductor_machines():
         calls.clear()
         sp = span_analysis(a)
-        _assert_matches_full_table(sp, name)
+        _assert_matches_full_table(a, sp, name)
         unlucky += any(r < sp.rank for _, _, r in calls)
         crt += len(_full_rank_primes(calls, sp.rank)) >= 2
     assert unlucky >= 3

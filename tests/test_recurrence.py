@@ -265,8 +265,8 @@ def test_char_and_minimal_poly_match_oracles_on_reduced_products(r, e):
     root = RootSpec(2, r, e)
     for spec in (PatternSpec(2, (0, 1, 0), 3), PatternSpec(2, (1, 1), 3), PatternSpec(2, (0, 1), 6)):
         for a in (pattern_dfao(spec), reverse_dfao(pattern_dfao(spec))):
-            ap, span = recurrence._prepare(a)
-            rows, f = reduced_product_at_root(ap, span, root)
+            machine = recurrence._machine(a)
+            rows, f = reduced_product_at_root(machine.padded, machine.span, root)
             _assert_matches_oracles(rows, f)
 
 
@@ -379,8 +379,8 @@ def test_minimal_poly_at_a_large_conductor_needs_no_elimination(rs, monkeypatch)
 
 
 def _assert_char_poly_matches_newton(a, root, name):
-    ap, span = recurrence._prepare(a)
-    rows, f = reduced_product_at_root(ap, span, root)
+    machine = recurrence._machine(a)
+    rows, f = reduced_product_at_root(machine.padded, machine.span, root)
     assert char_poly(rows, f) == char_poly_newton_oracle(rows, f), (name, root)
 
 
@@ -940,6 +940,30 @@ def test_second_root_of_a_class_reuses_the_construction(tm, monkeypatch):
         assert verify(rec, a, 20).all_zero, e
 
 
+def test_one_machine_entry_serves_synthesis_integer_recurrence_and_verify(rs, monkeypatch):
+    calls = _count_calls(monkeypatch, "span_analysis", "_pad_invariant")
+    roots = [RootSpec(2, r, 1) for r in (3, 5, 15)]
+    intrec_root = RootSpec(2, 7, 1)
+    clear_caches()
+    warm = [synthesize(rs, root).to_json_dict() for root in roots]
+    rec = integer_recurrence(rs, intrec_root)
+    report = verify(rec, rs, 60)
+    assert report.all_zero
+    warm += [rec.to_json_dict(), report.to_json_dict()]
+    assert calls == {"span_analysis": 1, "_pad_invariant": 1}
+    (machine,) = recurrence._MACHINE_CACHE.values()
+    assert machine.span.witness_words == () and machine.span.rank == 2
+    cold = []
+    for root in roots:
+        clear_caches()
+        cold.append(synthesize(rs, root).to_json_dict())
+    clear_caches()
+    cold.append(integer_recurrence(rs, intrec_root).to_json_dict())
+    clear_caches()
+    cold.append(verify(rec, rs, 60).to_json_dict())
+    assert cold == warm
+
+
 def _sweep_cases(a, roots):
     """Per root, its synthesized recurrence, its C_0 + 1 perturbation and its extension by 1 A(k^((l+1)s) n).
 
@@ -1290,10 +1314,10 @@ def test_integer_recurrence_backward_machine(bs):
 
 
 def test_integer_recurrence_prepares_the_machine_once(rs, monkeypatch):
-    calls = _count_calls(monkeypatch, "_prepare")
+    calls = _count_calls(monkeypatch, "span_analysis")
     clear_caches()
     assert integer_recurrence(rs, RootSpec(2, 15, 1)).integer_coefficients() is not None
-    assert calls == {"_prepare": 1}
+    assert calls == {"span_analysis": 1}
 
 
 def test_integer_recurrence_needs_rational_matrix():
@@ -1393,7 +1417,7 @@ def test_integer_recurrence_needs_every_prime_below_its_bound(tm, monkeypatch):
     # and a constant term 2^64 + 1 needs two primes above 2^61
     big = cyclo_field(1).from_rational(2**64 + 1)
     monkeypatch.setattr(
-        recurrence, "_synthesize", lambda a, root, *_: Recurrence(2, root, [big, big.field.one()], "char_poly")
+        recurrence, "synthesize", lambda a, root, *_: Recurrence(2, root, [big, big.field.one()], "char_poly")
     )
     taken = _recorded_primes(monkeypatch)
     assert integer_recurrence(tm, RootSpec(2, 3, 1)).integer_coefficients() == [2**64 + 1, 1]
@@ -1404,14 +1428,14 @@ def test_integer_recurrence_needs_every_prime_below_its_bound(tm, monkeypatch):
 def test_integer_recurrence_refuses_a_coefficient_outside_the_fixed_field(rs, monkeypatch, zeta3, extra):
     # at r = 7, C_0 + zeta_7 is not fixed by sigma_2, and C_0 + zeta_3 does not lie in Q(zeta_7)
     a = parse_dfao(TM_ZETA3) if zeta3 else rs
-    synth = recurrence._synthesize
+    synth = recurrence.synthesize
 
     def tampered(*args):
         rec = synth(*args)
         c0 = rec.coefficients[0] + cyclo_field(extra).omega()
         return Recurrence(rec.k, rec.root, (c0,) + rec.coefficients[1:], rec.provenance)
 
-    monkeypatch.setattr(recurrence, "_synthesize", tampered)
+    monkeypatch.setattr(recurrence, "synthesize", tampered)
     with pytest.raises(AutorecError, match="irrational coefficient.*indicates a bug"):
         integer_recurrence(a, RootSpec(2, 7, 1))
 
