@@ -38,11 +38,13 @@ and not at zeta_L; it takes no normal form.  Both run once per Galois
 class of a root sweep: a sigma_t fixing the outputs carries the relation
 at w1 to one at sigma_t(w1), which verify detects as x -> x^t on the
 coefficients mod x^L - 1.
-char_poly forms its power sums on the same packed residues, in slots
-as wide as an a-priori bound on the traces, and integer_recurrence
-multiplies the Galois conjugates of the coefficients modulo split
-primes, rebuilding the product by CRT under an a-priori bound on its
-coefficients; field products are left to Newton's identities.
+The characteristic polynomial comes from Berkowitz's division-free
+recursion on the same packed residues, the product's vectors taken as
+the levels leave them, in slots as wide as an a-priori bound on its
+coefficients, and only its d coefficients take a normal form;
+integer_recurrence multiplies the Galois conjugates of the coefficients
+modulo split primes, rebuilding the product by CRT under an a-priori
+bound on its coefficients.  Synthesis makes no field product.
 The matrix command's ordered products are polymatrix.digit_product's
 products of scalar digit matrices; no polynomial is formed.
 
@@ -147,7 +149,8 @@ class Recurrence:
             raise AutorecError(f"recurrence base k = {k} differs from its root's k = {root.k}")
         self.k = k
         self.root = root
-        self.coefficients = tuple(coefficients)
+        # an int or Fraction is an element of Q; coerce raises TypeError for anything else
+        self.coefficients = tuple(c if isinstance(c, CycloElement) else cyclo_field(1).coerce(c) for c in coefficients)
         if not self.coefficients or self.coefficients[-1].is_zero():
             raise AutorecError("leading recurrence coefficient must be nonzero")
         self.provenance = provenance
@@ -226,89 +229,74 @@ def _square(rows, field: CycloField) -> list:
     return m
 
 
-def _powers(rows, field: CycloField) -> list:
-    """I, M, M^2, ..., M^d for the d x d matrix M, from d - 1 products."""
-    m = _square(rows, field)
-    d = len(m)
-    zero, one = field.zero(), field.one()
-    powers = [[[one if i == j else zero for j in range(d)] for i in range(d)], m][: d + 1]
-    while len(powers) <= d:
-        powers.append(_mat_mul(powers[-1], m, zero))
-    return powers
-
-
 def char_poly(rows, field: CycloField) -> list[CycloElement]:
     """Characteristic polynomial coefficients of a scalar matrix.
 
     Returns (c_0, ..., c_d) with det(y I - M) = sum c_m y^m, constant
-    term first and c_d = 1.  The coefficients come from the power sums
-    p_j = tr(M^j) by Newton's identities,
-    j c_(d-j) = -(p_j + sum over 0 < i < j of c_(d-i) p_(j-i)),
-    so the only divisions are by the integers 2, ..., d.
-
-    The power sums never become field elements on the way.  With D the
-    common denominator, N = D M is an integer matrix whose entries are
-    vectors mod x^L - 1, L the conductor, each packed as one residue mod
-    2^(8 width L) - 1 (numberfield._pack).  Only N, ..., N^h, h = ceil(d/2),
-    are formed, one fold per entry; for j > h, tr(N^j) is the sum over i, t
-    of (N^h)_it (N^(j-h))_ti.  Only the d traces are unpacked, normalized
-    and divided by D^j.  Every step is a ring operation, so by the argument
-    of _apply_levels only the slots of the traces (and of N, to be packed)
-    must fit: a cyclic product has max norm at most the l1 norm of one
-    factor times the max norm of the other, so the slots of tr(N^j) are at
-    most tr(N_1^(j-1) N_inf), N_1 and N_inf the entrywise l1 and max norms
-    of N (_trace_width).
+    term first and c_d = 1: _char_poly on D M, D the common denominator.
     """
     m = _square(rows, field)
-    d, L = len(m), field.conductor
     den = math.lcm(*(x.den for row in m for x in row))
-    vecs = [[[v * (den // x.den) for v in x.vec] for x in row] for row in m]
-    width = _trace_width(vecs)
+    return _char_poly([[[v * (den // x.den) for v in x.vec] for x in row] for row in m], den, field)
+
+
+def _char_poly(vecs: list, den: int, field: CycloField) -> list[CycloElement]:
+    """det(y I - N / den), constant term first, for a d x d matrix N of integer vectors mod x^L - 1, L the conductor.
+
+    The vectors need not be normal forms.  Berkowitz's division-free
+    recursion (Inf. Process. Lett. 18 (1984) 147-150) runs on their packed
+    residues (numberfield._pack): with N_i the trailing principal submatrix
+    from row i on, [[a, R], [C, N_(i+1)]], det(y I - N_i) has the
+    coefficients of det(y I - N_(i+1)), highest power first, times the
+    lower triangular Toeplitz matrix with first column 1, -a, -R C,
+    -R N_(i+1) C, ..., -R N_(i+1)^(d-i-2) C.  Each product is one packed
+    multiplication and a fold; by the ring argument of _apply_levels only
+    the slots of N and of the result must fit (_char_poly_width).  The
+    coefficient of y^(d-j) is D^j times that of N / D: only these d are
+    unpacked, normalized and divided by D^j.
+    """
+    d, L = len(vecs), field.conductor
+    width = _char_poly_width(vecs)
     bits, full = 8 * width * L, (1 << 8 * width * L) - 1
     n = [[_pack(v, width) for v in row] for row in vecs]
 
-    def fold(acc: int) -> int:
+    def dot(xs, ys) -> int:
+        acc = sum(x * y for x, y in zip(xs, ys) if x and y)
         return ((acc & full) + (acc >> bits)) % full
 
-    powers = [n]  # N, ..., N^h
-    cols = list(zip(*n))
-    while 2 * len(powers) < d:
-        powers.append([[fold(sum(x * y for x, y in zip(row, col) if x and y)) for col in cols] for row in powers[-1]])
-    traces = [sum(x[i][i] for i in range(d)) for x in powers]
-    h = powers[-1]
-    for x in powers[: d - len(powers)]:  # tr(N^h x); when x is N^h, each pair i != t once
-        if x is h:
-            pairs = sum(h[i][t] * h[t][i] for i in range(d) for t in range(i + 1, d))
-            traces.append(2 * pairs + sum(y * y for y in (h[i][i] for i in range(d))))
-        else:
-            traces.append(sum(h[i][t] * x[t][i] for i in range(d) for t in range(d)))
-    p = [field.zero()] + [
-        _lowest(field, field._normal(_unpack(fold(t), width, L)), den**j) for j, t in enumerate(traces[:d], 1)
-    ]
-    top = [field.one()]  # top[i] = c_(d-i)
-    for j in range(1, d + 1):
-        acc = sum((top[i] * p[j - i] for i in range(1, j)), p[j])
-        top.append(-acc / j if j > 1 else -acc)  # a division by 1 still costs a pass
-    return top[::-1]
+    poly = [1]  # det(y I - N_(i+1)), highest power first; the vector 1 packs as 1
+    for i in range(d - 1, -1, -1):
+        row, col, sub = n[i][i + 1 :], [r[i] for r in n[i + 1 :]], [r[i + 1 :] for r in n[i + 1 :]]
+        toeplitz = [1, -n[i][i]]
+        for t in range(d - 1 - i):
+            if t:
+                col = [dot(r, col) for r in sub]
+            toeplitz.append(-dot(row, col))
+        poly = [dot(reversed(toeplitz[: j + 1]), poly) for j in range(len(poly) + 1)]
+    coeffs = [_lowest(field, field._normal(_unpack(c, width, L)), den**j) for j, c in enumerate(poly[1:], 1)]
+    return coeffs[::-1] + [field.one()]
 
 
-def _trace_width(n: list) -> int:
-    """The slot width of char_poly: every entry of the integer matrix n and every slot of tr(n^j), j <= d, fits.
+def _char_poly_width(n: list) -> int:
+    """The slot width of _char_poly: every entry of the integer matrix n and every slot of its coefficients fits.
 
-    With a = N_inf, the entrywise max norms, the slots of tr(n^j) are at
-    most tr(N_1^(j-1) a): each term of (n^j)_ii is a cyclic product along a
-    closed walk, and its max norm is at most the product of the l1 norms of
-    all its factors but the last one, times that one's max norm.
+    With r_i and m_i the sums over row i of the l1 and of the max norms of
+    the entries, the coefficient (-1)^j sum over |S| = j of det n[S] of
+    y^(d-j) has slots at most sum over i of m_i e_(j-1)(r_(i+1), ..., r_d):
+    a term of det n[S] is a cyclic product of one entry per row of S, whose
+    max norm is at most the max norm of the first row's entry times the l1
+    norms of the others, and letting each row range over all columns
+    bounds the sum over the permutations.  At j = 1 the bound covers
+    every entry.
     """
-    ones = [[sum(map(abs, v)) for v in row] for row in n]
-    a = [[max(map(abs, v)) for v in row] for row in n]
-    bound = max((x for row in a for x in row), default=0)
-    for j in range(len(n)):
-        if j:
-            cols = list(zip(*a))
-            a = [[sum(map(operator.mul, row, col)) for col in cols] for row in ones]
-        bound = max(bound, sum(a[i][i] for i in range(len(n))))
-    return _width(bound)
+    bound = [0] * len(n)  # bound[j - 1] for the coefficient of y^(d-j)
+    e = [1] + [0] * (len(n) - 1)  # e[j] = e_j(r_(i+1), ..., r_d), for i from d - 1 down
+    for row in reversed(n):
+        m = sum(max(map(abs, v)) for v in row)
+        r = sum(sum(map(abs, v)) for v in row)
+        bound = [b + m * x for b, x in zip(bound, e)]
+        e = [1] + [y + r * x for x, y in zip(e, e[1:])]
+    return _width(max(bound, default=0))
 
 
 def _nonderogatory_mod_p(m: list, field: CycloField) -> bool:
@@ -351,8 +339,10 @@ def minimal_poly(rows, field: CycloField) -> list[CycloElement]:
     m = _square(rows, field)
     if _nonderogatory_mod_p(m, field):
         return char_poly(m, field)
-    powers = _powers(m, field)
-    d = len(powers) - 1
+    d, zero, one = len(m), field.zero(), field.one()
+    powers = [[[one if i == j else zero for j in range(d)] for i in range(d)], m][: d + 1]  # I, M, ..., M^d
+    while len(powers) <= d:
+        powers.append(_mat_mul(powers[-1], m, zero))
     table = [[x[i][j] for x in powers] for i in range(d) for j in range(d)]
     pivots = _rref(table, d + 1)
     t = next(c for c in range(d + 1) if c not in pivots)
@@ -433,11 +423,18 @@ def _unit_levels(table: list, root: RootSpec, L: int) -> list:
 
 
 def reduced_product_at_root(a: Dfao, span: SpanAnalysis, root: RootSpec):
-    """M-hat(k^s; w), Left for a forward a and its Right mirror for a backward one, as a scalar matrix.
+    """M-hat(k^s; w), Left for a forward a and its Right mirror for a backward one, as a scalar matrix."""
+    vecs, den, K = _reduced_product(a, span, root)
+    return [[_lowest(K, K._normal(v), den) for v in row] for row in vecs], K
+
+
+def _reduced_product(a: Dfao, span: SpanAnalysis, root: RootSpec) -> tuple:
+    """M-hat(k^s; w) as integer vectors mod x^L - 1, not normalized, over D, with its field Q(zeta_L).
 
     The ordered product of the s digit-substituted copies of M-hat(x), read
     as digit_cells(a, span), at x = w: column j (Left) or row j (Right) is
-    the levels applied to e_j, over D^s.
+    the levels applied to e_j, and D = den^s for den the lcm of the cells'
+    denominators.
     """
     m = a.output_field.conductor
     K = cyclo_field(math.lcm(m, root.r0))
@@ -446,8 +443,7 @@ def reduced_product_at_root(a: Dfao, span: SpanAnalysis, root: RootSpec):
     cells = [(i, j, e, _pairs(c, K.conductor // m, den)) for i, j, e, c in cells]
     left = a.direction == FORWARD
     got = _unit_levels(_term_table(cells, len(span.generators), left), root, K.conductor)
-    got = [[_lowest(K, K._normal(v), den**root.s) for v in col] for col in got]
-    return [list(col) for col in zip(*got)] if left else got, K
+    return [list(col) for col in zip(*got)] if left else got, den**root.s, K
 
 
 # ----------------------------------------------------------------------
@@ -538,8 +534,9 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
 
     def build():
         machine = _machine(a)
-        scal, field = reduced_product_at_root(machine.padded, machine.span, root)
-        return u, minimal_poly(scal, field) if use_minimal else char_poly(scal, field)
+        if use_minimal:
+            return u, minimal_poly(*reduced_product_at_root(machine.padded, machine.span, root))
+        return u, _char_poly(*_reduced_product(machine.padded, machine.span, root))
 
     u1, coeffs = _cached(_SYNTH_CACHE, key, build)
     if u1 != u:
@@ -681,10 +678,10 @@ def _conjugate(vecs: list, u: int, entry: tuple, m: int, r0: int) -> bool:
     return not any(any(_annihilate([x - v1[i * inv % L] for i, x in enumerate(v)], L)) for v, v1 in zip(vecs, vecs1))
 
 
-def _spread(c, L: int) -> tuple:
+def _spread(c: CycloElement, L: int) -> tuple:
     """c in Q(zeta_n), n | L, as an integer vector mod x^L - 1 with zeta_n = x^(L/n), and its denominator."""
-    if not isinstance(c, CycloElement) or L % c.field.conductor:
-        c = cyclo_field(L).coerce(c)  # a rational, or coerce's error for a field outside Q(zeta_L)
+    if L % c.field.conductor:
+        cyclo_field(L).coerce(c)  # raises: c lies outside Q(zeta_L)
     vec = [0] * L
     vec[:: L // c.field.conductor] = c.vec
     return vec, c.den
@@ -728,7 +725,8 @@ def _scan(cs: list, root: RootSpec, a: Dfao, table: list, L: int, n_max: int) ->
         if j:
             v = _apply_levels(v, table, root, L, width)
         c = _pack(c, width)
-        v = [_combine([(u, 0, 1)] + [(c, p, y) for p, y in x], width, L) for u, x in zip(v, xs)]
+        # a state without terms keeps its residue
+        v = [_combine([(u, 0, 1)] + [(c, p, y) for p, y in x], width, L) if x else u for u, x in zip(v, xs)]
     if not any(v):
         return None  # every term is zero: the recurrence holds for all n
     if fwd:

@@ -113,6 +113,21 @@ def test_recurrence_refuses_a_root_built_for_another_base(tm):
     assert verify(Recurrence(2, RootSpec(2, 5, 1), coeffs, "char_poly"), tm, 100).all_zero
 
 
+def test_recurrence_takes_int_and_fraction_coefficients_as_rationals(tm):
+    # the rationals verify accepts are elements of Q, as integer_recurrence builds them;
+    # the leading coefficient is still tested, and anything else is refused
+    f = cyclo_field(1)
+    rec = Recurrence(2, RootSpec(2, 5, 1), [-5, Fraction(1)], "char_poly")
+    assert rec.coefficients == (f.from_rational(-5), f.one())
+    assert [c["coords"] for c in rec.to_json_dict()["coefficients"]] == [["-5"], ["1"]]
+    assert verify(rec, tm, 100).all_zero
+    assert verify(Recurrence(2, RootSpec(2, 5, 1), [Fraction(-9, 2), 1], "char_poly"), tm, 100).first_failure == 1
+    with pytest.raises(AutorecError, match="leading recurrence coefficient"):
+        Recurrence(2, RootSpec(2, 3, 1), [1, Fraction(0)], "char_poly")
+    with pytest.raises(TypeError):
+        Recurrence(2, RootSpec(2, 3, 1), [1, 1.0], "char_poly")
+
+
 # ----------------------------------------------------------------------
 # characteristic and minimal polynomials over exact fields
 
@@ -375,7 +390,7 @@ def test_minimal_poly_at_a_large_conductor_needs_no_elimination(rs, monkeypatch)
     assert rec.coefficients == synthesize(rs, root).coefficients
 
 
-# char_poly's packed power sums against Newton's identities over CycloElements
+# char_poly's Berkowitz recursion on packed residues against Newton's identities over CycloElements
 
 
 def _assert_char_poly_matches_newton(a, root, name):
@@ -411,20 +426,21 @@ def test_char_poly_of_the_empty_matrix_is_one():
         assert char_poly([], f) == [f.one()]
 
 
-def test_char_poly_slots_hold_a_trace_at_its_bound(monkeypatch):
-    # N = 7 M is nonnegative, so tr(N^j) equals its bound tr(N_1^(j-1) N_inf); the largest,
-    # tr(N^3) = 2^15 - 1, is the largest value two-byte slots hold
-    sympy = pytest.importorskip("sympy")
-    n = [[11, 21, 2], [13, 5, 20], [12, 1, 9]]
-    rows = [[Fraction(x, 7) for x in row] for row in n]
-    want = [Fraction(int(c.p), int(c.q)) for c in sympy.Matrix(rows).charpoly().all_coeffs()][::-1]
-    f = cyclo_field(1)
-    width = recurrence._trace_width
-    assert width([[[x] for x in row] for row in n]) == 2
-    assert [c.rational_value() for c in char_poly(rows, f)] == want
-    # one byte short, tr(N^2) = 861 and tr(N^3) no longer fit
-    monkeypatch.setattr(recurrence, "_trace_width", lambda n: width(n) - 1)
-    assert [c.rational_value() for c in char_poly(rows, f)] != want
+def test_char_poly_slots_hold_a_coefficient_at_its_bound(monkeypatch):
+    # in N = 7 M over Q(zeta_3) only the 3-cycle is nonzero, so det(y I - N) = y^3 - n_01 n_12 n_20,
+    # -271 (11 w)^2 = 32791 (1 + w), and 32791 = 271 * 11 * 11 is the bound m_0 r_1 r_2: -271 is
+    # 271 (w + w^2), of max norm 271; it is just past 2^15 - 1, the most that two-byte slots hold
+    f = cyclo_field(3)
+    zero, w = f.zero(), f.omega()
+    n = [[zero, f.from_rational(-271), zero], [zero, zero, 11 * w], [11 * w, zero, zero]]
+    rows = [[x / 7 for x in row] for row in n]
+    want = char_poly_newton_oracle(rows, f)
+    width = recurrence._char_poly_width
+    assert width([[list(x.vec) for x in row] for row in n]) == 3
+    assert char_poly(rows, f) == want
+    # one byte short, the constant term no longer fits
+    monkeypatch.setattr(recurrence, "_char_poly_width", lambda n: width(n) - 1)
+    assert char_poly(rows, f) != want
 
 
 # ----------------------------------------------------------------------
@@ -727,6 +743,37 @@ def test_verify_takes_no_normal_form(rs, monkeypatch):
     assert {r.all_zero for r in reports} == {True, False}
 
 
+def test_synthesis_miss_takes_d_normal_forms_and_no_field_product(rs, tm, monkeypatch):
+    # only the d coefficients of the characteristic polynomial take a normal form, and no
+    # field product is made; the machines and the fields are built before counting
+    pattern = pattern_dfao(PatternSpec(2, (0, 1, 0), 3))
+    machines, roots = [rs, tm, pattern, reverse_dfao(pattern)], [RootSpec(2, r, 1) for r in (7, 105)]
+    clear_caches()
+    for a in machines:
+        recurrence._machine(a).span
+        for root in roots:
+            cyclo_field(math.lcm(a.output_field.conductor, root.r0))
+    calls = dict.fromkeys(("_normal", "_kronecker"), 0)
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(CycloField, "_normal", counted("_normal", CycloField._normal))
+    monkeypatch.setattr(numberfield, "_kronecker", counted("_kronecker", numberfield._kronecker))
+    orders = set()
+    for a in machines:
+        for root in roots:
+            calls.update(_normal=0, _kronecker=0)
+            rec = synthesize(a, root)
+            assert calls == {"_normal": rec.order, "_kronecker": 0}, (a, root)
+            orders.add(rec.order)
+    assert orders == {1, 2, 4}
+
+
 def test_verify_residues_fit_their_slots(monkeypatch):
     # every packed sum verify forms, the Horner steps and the backward tuple sums,
     # unpacks to the exact sum of its unpacked terms: the width holds, for outputs
@@ -764,9 +811,8 @@ def test_verify_residues_fit_their_slots(monkeypatch):
 
 @pytest.mark.parametrize("build, r, most", ((synthesize, 105, 10), (integer_recurrence, 273, 1)))
 def test_large_conductor_synthesis_makes_few_field_products(rs, monkeypatch, build, r, most):
-    # char_poly forms its power sums on packed residues and the coset product
-    # runs mod split primes; the products left are Newton's, c_(d-i) p_(j-i)
-    # for d = 2, and a rational operand is a scaling
+    # the characteristic polynomial is formed on packed residues and the coset
+    # product runs mod split primes
     calls = [0]
     kronecker = numberfield._kronecker
 
@@ -924,19 +970,19 @@ def test_sweep_matches_cold_synthesis(shipped):
 
 
 def test_second_root_of_a_class_reuses_the_construction(tm, monkeypatch):
-    calls = _count_calls(monkeypatch, "span_analysis", "char_poly")
+    calls = _count_calls(monkeypatch, "span_analysis", "_char_poly")
     clear_caches()
     synthesize(tm, RootSpec(2, 7, 1))
-    assert calls == {"span_analysis": 1, "char_poly": 1}
+    assert calls == {"span_analysis": 1, "_char_poly": 1}
     # over Q one class per conductor: zeta_7^3 and zeta_21^6 = zeta_7^2
     for root in (RootSpec(2, 7, 3), RootSpec(2, 21, 6)):
         assert verify(synthesize(tm, root), tm, 30).all_zero
-    assert calls == {"span_analysis": 1, "char_poly": 1}
+    assert calls == {"span_analysis": 1, "_char_poly": 1}
     # Q(zeta_3) outputs at r0 = 9: the classes are u = 1 and u = 2 (mod 3); one span per structure
     a = _irrational_machines()[2][1]
     for e, built in ((1, 2), (4, 2), (7, 2), (2, 3), (8, 3)):
         rec = synthesize(a, RootSpec(2, 9, e))
-        assert calls == {"span_analysis": 2, "char_poly": built}, e
+        assert calls == {"span_analysis": 2, "_char_poly": built}, e
         assert verify(rec, a, 20).all_zero, e
 
 
@@ -1051,16 +1097,16 @@ def test_clear_caches_empties_the_verify_cache(tm, monkeypatch):
 
 def test_caches_evict_the_least_recently_used_entry(tm, monkeypatch):
     monkeypatch.setattr(recurrence, "_CACHE_SIZE", 2)
-    calls = _count_calls(monkeypatch, "span_analysis", "char_poly")
+    calls = _count_calls(monkeypatch, "span_analysis", "_char_poly")
     clear_caches()
     first = {r: synthesize(tm, RootSpec(2, r, 1)).to_json_dict() for r in (3, 5)}
     synthesize(tm, RootSpec(2, 3, 2))  # a hit: conductor 3 is now the most recent
     synthesize(tm, RootSpec(2, 7, 1))  # evicts conductor 5
-    assert calls == {"span_analysis": 1, "char_poly": 3} and len(recurrence._SYNTH_CACHE) == 2
+    assert calls == {"span_analysis": 1, "_char_poly": 3} and len(recurrence._SYNTH_CACHE) == 2
     assert synthesize(tm, RootSpec(2, 3, 1)).to_json_dict() == first[3]
-    assert calls["char_poly"] == 3
+    assert calls["_char_poly"] == 3
     assert synthesize(tm, RootSpec(2, 5, 1)).to_json_dict() == first[5]
-    assert calls == {"span_analysis": 1, "char_poly": 4}
+    assert calls == {"span_analysis": 1, "_char_poly": 4}
 
 
 def test_verify_budget_aborts(rs):
