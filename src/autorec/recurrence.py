@@ -22,22 +22,18 @@ over the y of l digits with delta(q0, y read backwards) = p, G_0 = e_q0,
 rho = sum over j of C_j G_(js), and the term of m is the sum over p of
 rho(p) out(delta(p, m read least significant digit first)).
 
-Synthesis and verification share one _Machine per automaton structure,
-kept in one bounded cache (_machine): the padded-word machine that
-_pad_invariant makes of the pruned automaton, verify's term table and
-the span, built on first use; and the level kernel
-_apply_levels, the s digit levels at x = w^(k^t) on one vector mod
-x^L - 1 per state, packed as one residue mod 2^(8 width L) - 1; nothing
-else.  Synthesis reads the reduced matrix M-hat as polymatrix.digit_cells,
-builds no polynomial, applies its levels to unit vectors and takes a
-characteristic or minimal polynomial; verify applies those of the full
-machine, whose cells are all 1, and scans the word-sum residual.  It
-decides zero on the packed residues times e_L, the product over the
-primes p | L of x^(L/p) - 1, which is 0 at each zeta_d with d | L, d < L,
-and not at zeta_L; it takes no normal form.  Both run once per Galois
-class of a root sweep: a sigma_t fixing the outputs carries the relation
-at w1 to one at sigma_t(w1), which verify detects as x -> x^t on the
-coefficients mod x^L - 1.
+Synthesis and verification share, per automaton structure (_machine),
+the padded-word machine that _pad_invariant makes of the pruned
+automaton and its span; one term table, M-hat's cells over the span's
+generators (_reduced_table); and one level kernel, _apply_levels, the s
+digit levels at x = w^(k^t) on one vector mod x^L - 1 per generator,
+packed as one residue mod 2^(8 width L) - 1.  Synthesis applies them to
+unit vectors and takes a characteristic or minimal polynomial; verify
+takes rho over the generators, rho-hat, 0 exactly when every n passes
+(_scan), scans only a failing recurrence and takes no normal form
+(_annihilate).  Both run once per Galois class of a root sweep: a
+sigma_t fixing the outputs carries the relation at w1 to one at
+sigma_t(w1), which verify detects as x -> x^t on the coefficients.
 The characteristic polynomial comes from Berkowitz's division-free
 recursion on the same packed residues, the product's vectors taken as
 the levels leave them, in slots as wide as an a-priori bound on its
@@ -370,17 +366,21 @@ def _pairs(c: CycloElement, lift: int, den: int) -> list:
     return [(i * lift, x * f) for i, x in enumerate(c.vec) if x]
 
 
-def _term_table(cells, size: int, pull: bool) -> list:
-    """Per state, the (source, x-power, power of zeta_L, rational) terms it gathers.
+def _reduced_table(a: Dfao, span: SpanAnalysis, L: int) -> tuple:
+    """M-hat's cells at conductor L as one integer term table and its denominator den.
 
-    A cell (row, col, e, pairs) is the terms c zeta_L^p x^e, (p, c) in pairs, of entry (row, col);
-    pulling (Left, forward), row gathers from col, and pushing (Right, backward), col from row.
+    Per generator, the (source, x-power, power of zeta_L, integer) terms it
+    gathers, den c x^e for a cell (row, col, e, c) of digit_cells: row from
+    col pulling (Left, forward), col from row pushing (Right, backward).
     """
-    table: list = [[] for _ in range(size)]
-    for row, col, e, pairs in cells:
+    cells = digit_cells(a, span)
+    den = math.lcm(*(c.den for *_, c in cells))
+    pull, lift = a.direction == FORWARD, L // a.output_field.conductor
+    table: list = [[] for _ in span.generators]
+    for row, col, e, c in cells:
         dst, src = (row, col) if pull else (col, row)
-        table[dst] += [(src, e, p, c) for p, c in pairs]
-    return table
+        table[dst] += [(src, e, p, x) for p, x in _pairs(c, lift, den)]
+    return table, den
 
 
 def _combine(terms, width: int, L: int) -> int:
@@ -432,18 +432,13 @@ def _reduced_product(a: Dfao, span: SpanAnalysis, root: RootSpec) -> tuple:
     """M-hat(k^s; w) as integer vectors mod x^L - 1, not normalized, over D, with its field Q(zeta_L).
 
     The ordered product of the s digit-substituted copies of M-hat(x), read
-    as digit_cells(a, span), at x = w: column j (Left) or row j (Right) is
-    the levels applied to e_j, and D = den^s for den the lcm of the cells'
-    denominators.
+    as _reduced_table over den, at x = w: column j (Left) or row j (Right)
+    is the levels applied to e_j, and D = den^s.
     """
-    m = a.output_field.conductor
-    K = cyclo_field(math.lcm(m, root.r0))
-    cells = digit_cells(a, span)
-    den = math.lcm(*(c.den for *_, c in cells))
-    cells = [(i, j, e, _pairs(c, K.conductor // m, den)) for i, j, e, c in cells]
-    left = a.direction == FORWARD
-    got = _unit_levels(_term_table(cells, len(span.generators), left), root, K.conductor)
-    return [list(col) for col in zip(*got)] if left else got, den**root.s, K
+    K = cyclo_field(math.lcm(a.output_field.conductor, root.r0))
+    table, den = _reduced_table(a, span, K.conductor)
+    got = _unit_levels(table, root, K.conductor)
+    return [list(col) for col in zip(*got)] if a.direction == FORWARD else got, den**root.s, K
 
 
 # ----------------------------------------------------------------------
@@ -483,12 +478,10 @@ def _structure(a: Dfao) -> tuple:
 
 
 class _Machine:
-    """The padded-word machine of a (_pad_invariant), verify's term table and, on first use, the span."""
+    """The padded-word machine of a (_pad_invariant) and, on first use, its span."""
 
     def __init__(self, a: Dfao):
-        self.padded = ap = _pad_invariant(prune_inaccessible(a))
-        cells = [(q, p, dig, [(0, 1)]) for q, row in enumerate(ap.delta) for dig, p in enumerate(row)]
-        self.table = _term_table(cells, ap.size, ap.direction == FORWARD)
+        self.padded = _pad_invariant(prune_inaccessible(a))
 
     @functools.cached_property
     def span(self) -> SpanAnalysis:
@@ -612,29 +605,23 @@ def verify(
     n_max: int,
     budget: Optional[int] = None,
 ) -> VerificationReport:
-    """Re-check the recurrence for n = 1, ..., n_max through the word-sum recursion.
+    """Re-check the recurrence for n = 1, ..., n_max through the word-sum recursion on M-hat.
 
     The first failure is 1 + the least m < n_max whose term (module
-    docstring) is nonzero.  rho comes in Horner form, v <- B(v) + C_j x
-    for j = l, ..., 0, over integer vectors mod x^L - 1, L = lcm(m, r0),
-    packed as residues, with the C_j over one denominator; B is
-    _apply_levels on the machine, the same s levels each time as k^s fixes
-    w.  Forward machines pull with x = out, backward ones push from
-    x = e_q0.  No normal form is taken: a vector is zero in Q(zeta_L)
-    exactly when e_L times it is zero mod x^L - 1 (_annihilate), and B
-    commutes with that product, so the C_j are multiplied by e_L once and
-    a term is zero exactly when its residue is 0.  That is one residue
-    per state forward and one packed sum per distinct backward state
-    tuple met; none per n.  A call costs l s |Q| k shifts for any n_max.
-    The padded machine and its term table are kept per automaton
-    structure (_machine), shared with synthesis.  A sigma_t that fixes
-    zeta_m and takes w1 to w takes the residual of rec at w1 to that of
-    sigma_t(rec) at w, so a sweep scans once per Galois class: a later
-    recurrence of the class that is sigma_t of the kept one (_conjugate)
-    takes its first failure (_VERIFY_CACHE).  The budget caps the
-    work units, L + (n k^(js)).bit_length() per n and term, summed in
-    closed form, with a BudgetError at the first n past it unless an
-    earlier n fails.
+    docstring) is nonzero.  _scan builds rho-hat, rho over the span's
+    generators, on the term table synthesis reads, with no normal form
+    (_annihilate): rho-hat = 0 proves every n, and otherwise one packed
+    sum per state, or per distinct backward state tuple, met up to the
+    first failure locates it.  A call costs l s T shifts for any n_max, T
+    the table's terms, plus those sums.  The padded machine and its span
+    are kept per automaton structure (_machine), shared with synthesis.
+    A sigma_t that fixes zeta_m and takes w1 to w takes the residual of
+    rec at w1 to that of sigma_t(rec) at w, so a sweep scans once per
+    Galois class: a later recurrence of the class that is sigma_t of the
+    kept one (_conjugate) takes its first failure (_VERIFY_CACHE).  The
+    budget caps the work units, L + (n k^(js)).bit_length() per n and
+    term, summed in closed form, with a BudgetError at the first n past
+    it unless an earlier n fails.
     """
     if rec.k != a.base:
         raise AutorecError("recurrence and automaton disagree on the base k")
@@ -649,7 +636,7 @@ def verify(
     vecs = [[x * (den // d) for x in c] for c, d in cs]
 
     def scan():
-        return _scan([_annihilate(v, L) for v in vecs], root, machine.padded, machine.table, L, n_max)
+        return _scan([_annihilate(v, L) for v in vecs], root, machine, L, n_max)
 
     key = (struct, root.s, r0, u % math.gcd(m, r0), n_max)
     entry = _cached(_VERIFY_CACHE, key, lambda: (u, vecs, scan()))  # a new entry holds this call's scan
@@ -701,45 +688,61 @@ def _annihilate(c: list, L: int) -> list:
     return c
 
 
-def _scan(cs: list, root: RootSpec, a: Dfao, table: list, L: int, n_max: int) -> Optional[int]:
-    """The first n <= n_max with a nonzero residual, for a and its term table as _machine gives them.
+def _scan(cs: list, root: RootSpec, machine: _Machine, L: int, n_max: int) -> Optional[int]:
+    """The first n <= n_max with a nonzero residual, from rho-hat on M-hat's term table (_reduced_table).
 
-    The C_j come as integer vectors mod x^L - 1 already multiplied by e_L
-    (_annihilate), so the residues are those of e_L rho, and a term is
-    zero exactly when its residue is 0.
+    With f_p = sum over b of alpha_(p,b) f_(g_b) on all words (the span)
+    and the f_(g_b) independent, H_l(p) = sum over b of alpha_(p,b)
+    H-hat_l(b) and G_l alpha = G-hat_l, the levels of the table from
+    out(g_b) and from e_0.  So with rho-hat = sum over j of C_j H-hat_(js)
+    (or G-hat_(js)), the term of m is sum over b of alpha_(q,b) rho-hat(b),
+    q = state(m), forward, and sum over b of rho-hat(b) out(tau(g_b)), tau
+    the state tuple of m, backward.  Every n passes exactly when rho-hat =
+    0: if not, forward, rho-hat(b) is the term of an m that reaches g_b,
+    as the padded machine ignores leading zeros; backward, the sum over b
+    of rho-hat(b) f_(g_b) is nonzero at some word u, as the f_(g_b) are
+    independent, and so at u without its trailing zeros, the word of some
+    m, as out(delta(p, 0)) = out(p).  With B the s levels of the table and
+    D = den^s, Horner's form gives D^l rho-hat = sum over j of
+    B^j(D^(l-j) C_j x), the C_j times e_L (_annihilate), so a term is zero
+    exactly when its residue is 0.
     """
-    k, size = a.base, a.size
-    fwd = a.direction == FORWARD
+    a, span = machine.padded, machine.span
+    gens, lift = span.generators, L // a.output_field.conductor
+    table, den = _reduced_table(a, span, L)
     # each output as (power of zeta_L, integer) pairs, all over one denominator
-    den = math.lcm(*(v.den for v in a.outputs))
-    outs = [_pairs(v, L // a.output_field.conductor, den) for v in a.outputs]
-    # x of the Horner form per state as such pairs: out forward, e_q0 backward
-    xs = outs if fwd else [[(0, 1)]] + [[]] * (size - 1)
-    # rho is the sum of B^j(C_j x), and B makes the slots at most gain^s >= k^s times larger;
-    # a backward tuple's sum is the sum of C_j times one output per word of js digits
-    gain = max(map(len, table)) ** root.s
-    reach = max(1, *(sum(abs(y) for _, y in x) for x in outs))
-    width = _width(reach * sum(max(map(abs, c)) * gain**j for j, c in enumerate(cs)))
-    v = [0] * size
-    for j, c in enumerate(reversed(cs)):
-        if j:
-            v = _apply_levels(v, table, root, L, width)
+    oden = math.lcm(*(v.den for v in a.outputs))
+    outs = [_pairs(v, lift, oden) for v in a.outputs]
+    if a.direction == FORWARD:
+        # the term of q reads rho-hat through alpha_q, over its own denominator
+        rows = {g: [(b, 0, 1)] for b, g in enumerate(gens)}
+        for q, alpha in span.alphas.items():
+            d = math.lcm(*(c.den for c in alpha))
+            rows[q] = [(b, p, y) for b, c in enumerate(alpha) for p, y in _pairs(c, lift, d)]
+        xs, spread = [outs[g] for g in gens], max(sum(abs(y) for *_, y in row) for row in rows.values())
+        start, step = 0, lambda q, dig: a.delta[q][dig]
+    else:
+        xs, spread = [[(0, 1)]] + [[]] * (len(gens) - 1), len(gens)
+        # the state tuple of m maps p to delta(p, m read least significant digit first)
+        start, step = tuple(range(a.size)), lambda tau, dig: tuple(tau[row[dig]] for row in a.delta)
+    # slots: B multiplies them by at most gain, x by reach and a term by ||alpha_q||_1 or the rank
+    gain = max(1, *(sum(abs(t[-1]) for t in terms) for terms in table)) ** root.s
+    l, D, reach = len(cs) - 1, den**root.s, max(1, *(sum(abs(y) for _, y in x) for x in outs))
+    width = _width(reach * spread * sum(max(map(abs, c)) * D ** (l - j) * gain**j for j, c in enumerate(cs)))
+    v = [0] * len(gens)
+    for i, c in enumerate(reversed(cs)):
+        v = _apply_levels(v, table, root, L, width)  # a no-op on the zeros before C_l
         c = _pack(c, width)
-        # a state without terms keeps its residue
-        v = [_combine([(u, 0, 1)] + [(c, p, y) for p, y in x], width, L) if x else u for u, x in zip(v, xs)]
+        v = [_combine([(u, 0, 1)] + [(c, p, y * D**i) for p, y in x], width, L) for u, x in zip(v, xs)]
     if not any(v):
-        return None  # every term is zero: the recurrence holds for all n
-    if fwd:
-        return _first_failure(0, lambda q, dig: a.delta[q][dig], k, lambda q: v[q] != 0, n_max)
+        return None  # rho-hat = 0: the recurrence holds for all n
 
-    def nonzero(tau: tuple) -> bool:
-        """Whether the sum over p of rho(p) out(tau(p)) is nonzero."""
-        return _combine([(r, p, x) for r, q in zip(v, tau) for p, x in outs[q]], width, L) != 0
+    def nonzero(state) -> bool:
+        """Whether the term of a state (forward) or of a state tuple (backward) is nonzero."""
+        terms = rows[state] if a.direction == FORWARD else [(b, p, y) for b, g in enumerate(gens) for p, y in outs[state[g]]]
+        return _combine([(v[b], p, y) for b, p, y in terms], width, L) != 0
 
-    # the state tuple of m maps p to delta(p, m read least significant digit first)
-    return _first_failure(
-        tuple(range(size)), lambda tau, dig: tuple(tau[row[dig]] for row in a.delta), k, nonzero, n_max
-    )
+    return _first_failure(start, step, a.base, nonzero, n_max)
 
 
 # ----------------------------------------------------------------------
@@ -852,15 +855,12 @@ class DimReport:
 
 
 def dim_experiment(a: Dfao, cap: int = 100000) -> DimReport:
-    """Span ranks of the machine and of its direction reversal."""
-    rev = reverse_dfao(a, cap)
-    fwd_machine = a if a.direction == FORWARD else rev
-    bwd_machine = rev if a.direction == FORWARD else a
-    fp = prune_inaccessible(fwd_machine)
-    bp = prune_inaccessible(bwd_machine)
-    return DimReport(
-        span_analysis(fp).rank,
-        span_analysis(bp).rank,
-        fp.size,
-        bp.size,
-    )
+    """Span ranks of the machine and of its direction reversal, from one span analysis.
+
+    Both are the rank of the Hankel matrix (u, v) -> a(uv) of the word
+    function, whose reversal's, a(v^R u^R), is a relabelled transpose;
+    the reversal is built for its size alone.
+    """
+    rank = lmin_bound(a)
+    sizes = [prune_inaccessible(b).size for b in (a, reverse_dfao(a, cap))]
+    return DimReport(rank, rank, *(sizes if a.direction == FORWARD else sizes[::-1]))

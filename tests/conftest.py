@@ -37,7 +37,6 @@ from autorec.recurrence import (
     _combine,
     _first_failure,
     _pairs,
-    _term_table,
 )
 from poly_oracle import CycloPoly, PolyMatrix
 
@@ -392,8 +391,12 @@ def scan_by_normal_forms(cs: list, root, a, K: CycloField, n_max: int):
     den = math.lcm(*(v.den for v in a.outputs))
     outs = [_pairs(v, L // a.output_field.conductor, den) for v in a.outputs]
     xs = outs if fwd else [[(0, 1)]] + [[]] * (size - 1)
-    cells = [(q, p, dig, [(0, 1)]) for q, row in enumerate(a.delta) for dig, p in enumerate(row)]
-    table = _term_table(cells, size, fwd)
+    # the full machine's term table: per state, the (source, digit, 0, 1) terms it gathers
+    table = [[] for _ in range(size)]
+    for q, row in enumerate(a.delta):
+        for dig, p in enumerate(row):
+            dst, src = (q, p) if fwd else (p, q)
+            table[dst].append((src, dig, 0, 1))
     gain, reach = max(map(len, table)) ** root.s, max(sum(abs(y) for _, y in x) for x in xs)
     width = _width(reach * sum(max(map(abs, c)) * gain**j for j, c in enumerate(cs)))
     v = [0] * size

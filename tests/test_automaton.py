@@ -1,10 +1,12 @@
 """DFAO parsing, semantics, reversal, and the pattern-counting builder."""
 
 import random
+from itertools import product
 
 import pytest
 
 from autorec.automaton import (
+    BACKWARD,
     FORWARD,
     Dfao,
     PatternSpec,
@@ -202,6 +204,31 @@ def test_reverse_twice_preserves_sequence(tm):
     assert fwd.direction == tm.direction
     for n in range(2**10):
         assert sequence_term(fwd, n) == sequence_term(tm, n)
+
+
+def _read(a, word):
+    """The output a shows after reading word from its initial state, in a's own reading order."""
+    q = 0
+    for dig in word:
+        q = a.delta[q][dig]
+    return a.outputs[q]
+
+
+def test_reverse_reads_every_word_backwards(tm, rs, bs):
+    # the reversal's word function is the source's on the reversed word, zeros at
+    # either end included; dims takes the reversal's span rank from the source's on this
+    rng = random.Random(23)
+    machines = [tm, rs, bs, pattern_dfao(PatternSpec(2, (0, 1, 0), 3)), pattern_dfao(PatternSpec(3, (1, 2), 3))]
+    for i in range(20):
+        size, k = rng.randint(2, 5), rng.choice((2, 3))
+        delta = [[rng.randrange(size) for _ in range(k)] for _ in range(size)]
+        outs = [rng.randrange(3) for _ in range(size)]
+        machines.append(Dfao(k, (FORWARD, BACKWARD)[i % 2], [f"s{j}" for j in range(size)], outs, delta))
+    for a in machines:
+        rev = reverse_dfao(a)
+        for n in range(7):
+            for word in product(range(a.base), repeat=n):
+                assert _read(rev, word) == _read(a, word[::-1]), (a, word)
 
 
 def test_reverse_delta_frozen():

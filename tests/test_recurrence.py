@@ -774,10 +774,11 @@ def test_synthesis_miss_takes_d_normal_forms_and_no_field_product(rs, tm, monkey
     assert orders == {1, 2, 4}
 
 
-def test_verify_residues_fit_their_slots(monkeypatch):
-    # every packed sum verify forms, the Horner steps and the backward tuple sums,
-    # unpacks to the exact sum of its unpacked terms: the width holds, for outputs
-    # near a slot's edge and perturbed recurrences whose rho is far from zero
+def _exact_combines(monkeypatch) -> list:
+    """Make each packed sum of recurrence._combine assert that it unpacks to the exact sum of its unpacked terms.
+
+    Returns the one-item list that counts the sums.
+    """
     combine, sums = recurrence._combine, [0]
 
     def exact(terms, width, L):
@@ -789,6 +790,14 @@ def test_verify_residues_fit_their_slots(monkeypatch):
         return got
 
     monkeypatch.setattr(recurrence, "_combine", exact)
+    return sums
+
+
+def test_verify_residues_fit_their_slots(monkeypatch):
+    # every packed sum verify forms, the Horner steps and the backward tuple sums,
+    # unpacks to the exact sum of its unpacked terms: the width holds, for outputs
+    # near a slot's edge and perturbed recurrences whose rho is far from zero
+    sums = _exact_combines(monkeypatch)
     rng = random.Random(5)
     failures = 0
     for _ in range(60):
@@ -807,6 +816,25 @@ def test_verify_residues_fit_their_slots(monkeypatch):
                 if not cand.coefficients[-1].is_zero():
                     failures += not verify(cand, a, 10**4).all_zero
     assert failures > 100 and sums[0] > 1000
+
+
+def test_verify_residues_fit_their_slots_over_fractional_cells(monkeypatch):
+    # outputs over denominators give M-hat fractional cells, and the Horner steps
+    # then carry D^(l-j) C_j, D = den^s: the width holds those sums too, forward
+    # and backward, for coefficients perturbed by 1 and by 10^6
+    sums = _exact_combines(monkeypatch)
+    outs = (0, 1, -1, 127, -128, Fraction(1, 3), Fraction(255, 7), Fraction(10**6, 3**9))
+    failures = 0
+    for a in _random_machines(random.Random(3), 60, outs):
+        for r in (1, 5, 7):
+            rec = synthesize(a, RootSpec(a.base, r, 1))
+            for j in range(rec.order + 1):
+                for x in (1, 10**6):
+                    coeffs = list(rec.coefficients)
+                    coeffs[j] = coeffs[j] + x
+                    if not coeffs[-1].is_zero():
+                        failures += not verify(Recurrence(a.base, rec.root, coeffs, "perturbed"), a, 10**4).all_zero
+    assert failures > 1000 and sums[0] > 10000
 
 
 @pytest.mark.parametrize("build, r, most", ((synthesize, 105, 10), (integer_recurrence, 273, 1)))
@@ -828,8 +856,9 @@ def test_large_conductor_synthesis_makes_few_field_products(rs, monkeypatch, bui
 
 def test_verify_takes_as_many_zero_tests_for_any_bound(monkeypatch):
     # one packed zero test per distinct state met forward and per distinct state
-    # tuple met backward, none per n: a backward rho may be nonzero yet orthogonal
-    # to every term, and then the scan meets more tuples up to the bound where they run out
+    # tuple met backward, none per n; a passing recurrence has rho-hat = 0 and makes
+    # none in either direction, where the full machine's scan tested 20 tuples of
+    # reversed (2, 010, 3) and 13 of reversed (3, 12, 3) up to the bound
     count = [0]
     first_failure = recurrence._first_failure
 
@@ -841,21 +870,19 @@ def test_verify_takes_as_many_zero_tests_for_any_bound(monkeypatch):
         return first_failure(start, step, base, counted, n_max)
 
     def counted_verify(rec, a, n_max):
+        clear_caches()  # a cold verify: no verdict comes from the cache
         before = count[0]
         report = verify(rec, a, n_max)
         return count[0] - before, report.first_failure
 
     monkeypatch.setattr(recurrence, "_first_failure", counted_first_failure)
-    counts = []
+    bounds = (10**4, 10**8, 10**12)
     for spec in (PatternSpec(2, (0, 1, 0), 3), PatternSpec(3, (1, 2), 3)):
         for a in (pattern_dfao(spec), reverse_dfao(pattern_dfao(spec))):
             rec = synthesize(a, RootSpec(spec.k, 7, 1))
-            small, large = (10, 10**5) if a.direction == FORWARD else (10**4, 10**8)
-            for cand in (rec, _perturbed(rec, 0)):
-                got = counted_verify(cand, a, small)
-                assert counted_verify(cand, a, large) == got, (spec, a.direction)
-                counts.append(got[0])
-    assert max(counts) > 1  # the reversed machines meet several tuples
+            assert [counted_verify(rec, a, n_max) for n_max in bounds] == [(0, None)] * 3, (spec, a.direction)
+            got = [counted_verify(_perturbed(rec, 0), a, n_max) for n_max in bounds]
+            assert got == got[:1] * 3 and got[0][0] > 0, (spec, a.direction)
 
 
 # ----------------------------------------------------------------------
@@ -1334,6 +1361,76 @@ def test_verify_matches_per_term_oracle(shipped):
     assert any(isinstance(o, str) and "at n = 1 " not in o for o in outcomes)
 
 
+_RANDOM_OUTPUTS = (0, 1, -1, 2, Fraction(1, 2), cyclo_field(3).omega())
+
+
+def _random_machines(rng: random.Random, count: int, outs=_RANDOM_OUTPUTS) -> list:
+    """count machines of 2 to 5 states over bases 2 and 3, alternating directions, with outputs drawn from outs."""
+    machines = []
+    for i in range(count):
+        size, k = rng.randint(2, 5), rng.choice((2, 3))
+        delta = [[rng.randrange(size) for _ in range(k)] for _ in range(size)]
+        names = [f"s{j}" for j in range(size)]
+        machines.append(Dfao(k, (FORWARD, BACKWARD)[i % 2], names, [rng.choice(outs) for _ in range(size)], delta))
+    return machines
+
+
+def _reached(start, step, base: int, cap: int) -> list:
+    """The states, or state tuples, that step reaches from start, breadth first, at most cap of them."""
+    items, seen = [start], {start}
+    for item in items:
+        for dig in range(base):
+            nxt = step(item, dig)
+            if nxt not in seen and len(items) < cap:
+                seen.add(nxt)
+                items.append(nxt)
+    return items
+
+
+def test_verify_zero_pattern_matches_the_scan_by_normal_forms(shipped, monkeypatch):
+    # the term verify tests is zero at exactly the states (forward) and reached state
+    # tuples (backward) where the full machine's normal form is: a first failure alone
+    # misses a wrong term at a state the scan meets after it
+    scans = {}
+
+    def capture(name):
+        def first_failure(start, step, base, nonzero, n_max):
+            scans[name] = (start, step, base, nonzero)
+
+        return first_failure
+
+    monkeypatch.setattr(recurrence, "_first_failure", capture("reduced"))
+    monkeypatch.setitem(verify_by_normal_forms.__globals__, "_first_failure", capture("full"))
+    machines = [a for _, a in shipped] + [pattern_dfao(spec) for spec, _ in stratum_patterns(1)]
+    machines += [reverse_dfao(a) for a in machines] + [a for _, a in _irrational_machines(_ZERO_SENSITIVE)]
+    machines += _random_machines(random.Random(17), 80)
+    compared = set()
+    for a in machines:
+        for r in (5, 7):
+            rec = synthesize(a, RootSpec(a.base, r, 1))
+            for j in range(-1, rec.order + 1):  # unchanged, then C_j + (j + 1) w
+                coeffs = list(rec.coefficients)
+                if j >= 0:
+                    coeffs[j] = coeffs[j] + (j + 1) * rec.root.omega
+                if coeffs[-1].is_zero():
+                    continue
+                cand = Recurrence(a.base, rec.root, coeffs, "perturbed")
+                scans.clear()
+                clear_caches()
+                verify(cand, a, 10**6)
+                verify_by_normal_forms(cand, a, 10**6)
+                if not scans:
+                    continue
+                start, step, base, _ = next(iter(scans.values()))
+                states = _reached(start, step, base, 400)
+                got = {name: [nonzero(x) for x in states] for name, (*_, nonzero) in scans.items()}
+                want = got.get("full", [False] * len(states))
+                assert got.get("reduced", [False] * len(states)) == want, (a, rec.root, j)
+                compared.add((a.direction, 0 < sum(want) < len(states)))
+    # forward and backward scans that find zero and nonzero terms among the states
+    assert compared >= {(FORWARD, True), (BACKWARD, True)}
+
+
 # ----------------------------------------------------------------------
 # integer recurrences via the coset product
 
@@ -1707,6 +1804,21 @@ def test_dim_experiment_shipped_values(tm, rs, bs):
     assert db.forward_dim == 2
     d = db.to_json_dict()
     assert set(d) >= {"forward_dim", "backward_dim", "forward_states", "backward_states"}
+
+
+def test_reversal_has_the_span_rank_of_its_source(shipped):
+    # both spans computed here: dim_experiment reports the source's rank for both directions
+    machines = [a for _, a in shipped] + [pattern_dfao(spec) for spec, _ in stratum_patterns(2)]
+    machines += [a for _, a in _irrational_machines(_ZERO_SENSITIVE)] + _random_machines(random.Random(19), 40)
+    ranks = set()
+    for a in machines:
+        rev = reverse_dfao(a)
+        rank = span_analysis(prune_inaccessible(a)).rank
+        assert span_analysis(prune_inaccessible(rev)).rank == rank, a
+        report = dim_experiment(a)
+        assert (report.forward_dim, report.backward_dim) == (rank, rank), a
+        ranks.add(rank)
+    assert len(ranks) >= 4
 
 
 def test_verify_synthesized_at_s_multiple(tm):
