@@ -236,7 +236,7 @@ def _cmd_dims(args) -> int:
     a = _load_dfao(args.dfao)
     rep = dim_experiment(a, cap=args.cap)
     payload = rep.to_json_dict()
-    payload["lmin_bound"] = rep.forward_dim if a.direction == "forward" else rep.backward_dim
+    payload["lmin_bound"] = rep.forward_dim
     text = (
         f"forward dimension {rep.forward_dim} ({rep.forward_states} states), "
         f"backward dimension {rep.backward_dim} ({rep.backward_states} states)"

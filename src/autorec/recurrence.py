@@ -40,7 +40,8 @@ the levels leave them, in slots as wide as an a-priori bound on its
 coefficients, and only its d coefficients take a normal form;
 integer_recurrence multiplies the Galois conjugates of the coefficients
 modulo split primes, rebuilding the product by CRT under an a-priori
-bound on its coefficients.  Synthesis makes no field product.
+bound on its coefficients.  Synthesis makes no field product, except
+for a derogatory --minimal product.
 The matrix command's ordered products are polymatrix.digit_product's
 products of scalar digit matrices; no polynomial is formed.
 
@@ -217,23 +218,28 @@ class VerificationReport:
 # scalar matrices over a cyclotomic field
 
 
-def _square(rows, field: CycloField) -> list:
-    """The rows as elements of field; raises unless they form a square matrix."""
+def _integer_matrix(rows, field: CycloField) -> tuple:
+    """(D M, D, field) for the rows M, D M integer vectors and D their least common denominator; M must be square."""
     m = [[field.coerce(v) for v in row] for row in rows]
     if any(len(row) != len(m) for row in m):
         raise AutorecError("matrix must be square")
-    return m
+    den = math.lcm(*(x.den for row in m for x in row))
+    return [[[v * (den // x.den) for v in x.vec] for x in row] for row in m], den, field
+
+
+def _elements(vecs: list, den: int, field: CycloField) -> list:
+    """The matrix of integer vectors mod x^L - 1 over den as field elements."""
+    return [[_lowest(field, field._normal(list(v)), den) for v in row] for row in vecs]
 
 
 def char_poly(rows, field: CycloField) -> list[CycloElement]:
-    """Characteristic polynomial coefficients of a scalar matrix.
+    """Characteristic polynomial (c_0, ..., c_d), det(y I - M) = sum c_m y^m, of a scalar M: _char_poly on D M."""
+    return _char_poly(*_integer_matrix(rows, field))
 
-    Returns (c_0, ..., c_d) with det(y I - M) = sum c_m y^m, constant
-    term first and c_d = 1: _char_poly on D M, D the common denominator.
-    """
-    m = _square(rows, field)
-    den = math.lcm(*(x.den for row in m for x in row))
-    return _char_poly([[[v * (den // x.den) for v in x.vec] for x in row] for row in m], den, field)
+
+def minimal_poly(rows, field: CycloField) -> list[CycloElement]:
+    """Monic minimal polynomial of a scalar matrix M, constant term first: _minimal_poly on D M."""
+    return _minimal_poly(*_integer_matrix(rows, field))
 
 
 def _char_poly(vecs: list, den: int, field: CycloField) -> list[CycloElement]:
@@ -295,54 +301,50 @@ def _char_poly_width(n: list) -> int:
     return _width(max(bound, default=0))
 
 
-def _nonderogatory_mod_p(m: list, field: CycloField) -> bool:
-    """Whether one split prime shows that the minimal polynomial of the d x d matrix m has degree d.
+def _nonderogatory(vecs: list, L: int) -> bool:
+    """Whether one split prime shows that the d x d matrix N of integer vectors mod x^L - 1 is non-derogatory.
 
-    With p = 1 mod L, L the conductor, the first split prime above 2^61
-    (numberfield._split_prime, cached per conductor) that divides no
-    denominator of m, and g of order L mod p, zeta_L -> g maps the entries
-    into F_p.  The minimal polynomial mu of m divides the characteristic
-    one, so its coefficients are integral at the prime above p that this
-    map reads, and mu(m) = 0 maps to mu-bar(m-bar) = 0.  So deg mu = d
-    when I, m-bar, ..., m-bar^(d-1) are independent mod p.
+    With p = 1 mod L the first split prime above 2^61 (numberfield._split_prime,
+    cached per conductor) and g of order L mod p, x -> g maps Z[x]/(x^L - 1)
+    onto F_p through Z[zeta_L], a ring map that reads the vectors as they
+    are, normal forms or not.  The minimal polynomial mu of N divides the
+    characteristic one, monic over the integrally closed Z[zeta_L], so its
+    coefficients are integral, and mu(N) = 0 maps to mu-bar(N-bar) = 0.
+    So deg mu = d when I, N-bar, ..., N-bar^(d-1) are independent mod p.
     """
-    L, d = field.conductor, len(m)
-    dens = {x.den for row in m for x in row}
+    d = len(vecs)
     p, g = _split_prime(L)
-    while any(den % p == 0 for den in dens):
-        p, g = _split_prime(L, p)
     gs = _geometric(g, L, p)
-    cols = list(zip(*[[sum(map(operator.mul, x.vec, gs)) * pow(x.den, -1, p) % p for x in row] for row in m]))
+    cols = list(zip(*[[sum(map(operator.mul, v, gs)) % p for v in row] for row in vecs]))
     power, flat = [[int(i == j) for j in range(d)] for i in range(d)], []
     for _ in range(d):
         flat.append([x for row in power for x in row])
         power = [[sum(map(operator.mul, row, col)) % p for col in cols] for row in power]
-    # column t of the table is m-bar^t flattened: all d columns are pivots exactly when they are independent
+    # column t of the table is N-bar^t flattened: all d columns are pivots exactly when they are independent
     return _rref_mod([list(r) for r in zip(*flat)], d, p) == list(range(d))
 
 
-def minimal_poly(rows, field: CycloField) -> list[CycloElement]:
-    """Monic minimal polynomial of a scalar matrix, constant term first.
+def _minimal_poly(vecs: list, den: int, field: CycloField) -> list[CycloElement]:
+    """The monic minimal polynomial of M = N / den, constant term first, for N as in _char_poly.
 
-    When one split prime shows I, M, ..., M^(d-1) independent
-    (_nonderogatory_mod_p), the minimal polynomial has degree d and is
-    the characteristic one.  Otherwise one elimination over the table whose
-    column t is M^t flattened, t = 0, ..., d: the first non-pivot column t
-    is the first power that depends on the lower ones, and the pivot rows
-    hold its coefficients, M^t = sum over i < t of table[i][t] M^i.  By
-    Cayley-Hamilton some t <= d is dependent.
+    When one split prime shows N, so M, non-derogatory (_nonderogatory),
+    it is the characteristic polynomial, _char_poly on the same vectors.
+    Otherwise M becomes field elements for one elimination over the table
+    whose column t is M^t flattened, t = 0, ..., d: the first non-pivot
+    column t is the first power that depends on the lower ones, and the
+    pivot rows hold its coefficients, M^t = sum over i < t of table[i][t]
+    M^i.  By Cayley-Hamilton some t <= d is dependent.
     """
-    m = _square(rows, field)
-    if _nonderogatory_mod_p(m, field):
-        return char_poly(m, field)
-    d, zero, one = len(m), field.zero(), field.one()
+    if _nonderogatory(vecs, field.conductor):
+        return _char_poly(vecs, den, field)
+    m, d, zero, one = _elements(vecs, den, field), len(vecs), field.zero(), field.one()
     powers = [[[one if i == j else zero for j in range(d)] for i in range(d)], m][: d + 1]  # I, M, ..., M^d
     while len(powers) <= d:
         powers.append(_mat_mul(powers[-1], m, zero))
     table = [[x[i][j] for x in powers] for i in range(d) for j in range(d)]
     pivots = _rref(table, d + 1)
     t = next(c for c in range(d + 1) if c not in pivots)
-    return [-table[i][t] for i in range(t)] + [field.one()]
+    return [-table[i][t] for i in range(t)] + [one]
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +427,7 @@ def _unit_levels(table: list, root: RootSpec, L: int) -> list:
 def reduced_product_at_root(a: Dfao, span: SpanAnalysis, root: RootSpec):
     """M-hat(k^s; w), Left for a forward a and its Right mirror for a backward one, as a scalar matrix."""
     vecs, den, K = _reduced_product(a, span, root)
-    return [[_lowest(K, K._normal(v), den) for v in row] for row in vecs], K
+    return _elements(vecs, den, K), K
 
 
 def _reduced_product(a: Dfao, span: SpanAnalysis, root: RootSpec) -> tuple:
@@ -527,9 +529,7 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
 
     def build():
         machine = _machine(a)
-        if use_minimal:
-            return u, minimal_poly(*reduced_product_at_root(machine.padded, machine.span, root))
-        return u, _char_poly(*_reduced_product(machine.padded, machine.span, root))
+        return u, (_minimal_poly if use_minimal else _char_poly)(*_reduced_product(machine.padded, machine.span, root))
 
     u1, coeffs = _cached(_SYNTH_CACHE, key, build)
     if u1 != u:

@@ -301,6 +301,26 @@ def solve_exact(rows: list[list], rhs: list):
     return x
 
 
+def scalar_mat_mul(a, b, f):
+    """The product of two n x n matrices over the field f, summed term by term."""
+    n = len(a)
+    return [[sum((a[i][t] * b[t][j] for t in range(n)), f.zero()) for j in range(n)] for i in range(n)]
+
+
+def minimal_poly_by_solves(rows, f):
+    """Append powers of M until the next one solves exactly over the earlier ones."""
+    a = [[f.coerce(v) for v in row] for row in rows]
+    n = len(a)
+    powers = [[[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]]
+    while True:
+        nxt = scalar_mat_mul(powers[-1], a, f)
+        table = [[p[i][j] for p in powers] for i in range(n) for j in range(n)]
+        sol = solve_exact(table, [v for row in nxt for v in row])
+        if sol is not None:
+            return [-f.coerce(v) for v in sol] + [f.one()]
+        powers.append(nxt)
+
+
 def nullspace(rows: list[list]) -> list[list]:
     """A basis of the right nullspace of the matrix, exact."""
     ncols = len(rows[0]) if rows else 0

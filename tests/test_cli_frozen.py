@@ -19,7 +19,8 @@ from autorec.cli import main
 SHIPPED = ("thue_morse", "rudin_shapiro", "baum_sweet")
 # (file name, k, pattern, modulus)
 PATTERNS = (("pat_2_010_3.dfao", 2, (0, 1, 0), 3), ("pat_3_12_2.dfao", 3, (1, 2), 2))
-# outputs in Q(zeta_3) at r = 105: the minimal polynomial eliminates over Q(zeta_105)
+# outputs in Q(zeta_3) at r = 105: the product over Q(zeta_105) is non-derogatory, so
+# the minimal polynomial is the characteristic one and nothing is eliminated
 LARGE = ("pat_2_01_3.dfao", 2, (0, 1), 3)
 ROOTS = {2: ((3, 1), (5, 2), (9, 3), (15, 7)), 3: ((5, 1), (7, 2))}
 
@@ -55,6 +56,7 @@ def _commands() -> list[tuple]:
     out.append(("tm-classify", "--r0", "63"))
     out.append(("tm-table", "--bound", "300"))
     out.append(("synth", "--dfao", LARGE[0], "--r", "105", "--minimal", "--verify-n", "20"))
+    out.append(("synth", "--dfao", "rudin_shapiro", "--r", "1155", "--minimal", "--verify-n", "20"))
     return out
 
 
@@ -150,6 +152,7 @@ FROZEN = {
     "tm-classify --r0 63": "882383907dc1a92bb89fd522105d65af9085af169c5b74feaaad190846b8235a",
     "tm-table --bound 300": "05ec50898c38cfb24175a01d7b0b36150ecac5ae34a920736fcc82c41d920b8b",
     "synth --dfao pat_2_01_3.dfao --r 105 --minimal --verify-n 20": "db238d3f208e77ad3cb8e6ebfc4f35b7fedec25388344d45b0ed951c3c62e805",
+    "synth --dfao rudin_shapiro --r 1155 --minimal --verify-n 20": "daf748b10ac70d5c8075c8fa15bed89e685b8c593a6d42e6bb56c42855a819a1",
 }
 
 

@@ -1,9 +1,10 @@
 """Property tests of the exact number theory behind the modular routes, on hypothesis inputs.
 
 numberfield._reconstruct, the rational reconstruction that lifts
-span_analysis's residues, is compared with Fraction arithmetic, and
+span_analysis's residues, is compared with Fraction arithmetic,
 recurrence._char_poly, the characteristic polynomial on packed residues,
-with Newton's identities over CycloElements.  Every test draws its
+with Newton's identities over CycloElements, and recurrence._minimal_poly
+with exact solves over the powers of the matrix.  Every test draws its
 examples from a fixed seed (derandomize), so a run is reproducible.
 """
 
@@ -16,9 +17,10 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from autorec.numberfield import _reconstruct, cyclo_field  # noqa: E402
-from autorec.recurrence import _char_poly  # noqa: E402
-from conftest import char_poly_newton_oracle  # noqa: E402
+from autorec import recurrence  # noqa: E402
+from autorec.numberfield import _reconstruct, _split_prime, cyclo_field  # noqa: E402
+from autorec.recurrence import _char_poly, _minimal_poly  # noqa: E402
+from conftest import char_poly_newton_oracle, minimal_poly_by_solves  # noqa: E402
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 # m = 2 is left out: there 1 = -1, and a/b = -1/1 is read back as 1/1
@@ -66,3 +68,70 @@ def test_char_poly_kernel_matches_newton_on_raw_vectors(n, d, den, bits, data):
     field = cyclo_field(n)
     rows = [[field.element([Fraction(x, den) for x in v]) for v in row] for row in vecs]
     assert _char_poly(vecs, den, field) == char_poly_newton_oracle(rows, field)
+
+
+def _conjugated(m: list, ops) -> list:
+    """E m E^-1 for each E = I + c x^e e_ij, i != j, of ops in turn: m conjugated by a unimodular matrix.
+
+    x^e v mod x^L - 1 is v shifted by e slots, so E m adds c x^e row j to row i,
+    and (E m) E^-1 subtracts c x^e column i from column j.
+    """
+    for i, j, c, e in ops:
+        if i != j:
+            m[i] = [[x + c * y for x, y in zip(u, v[-e:] + v[:-e])] for u, v in zip(m[i], m[j])]
+            for row in m:
+                row[j] = [x - c * y for x, y in zip(row[j], row[i][-e:] + row[i][:-e])]
+    return m
+
+
+def test_minimal_poly_kernel_matches_solves_on_raw_vectors(monkeypatch):
+    # the vectors go in as drawn, not in normal form, over denominators that include the first
+    # split prime p of n, which certifies as D M is integral; random matrices take the
+    # non-derogatory test, and a scalar, block-diag(B, B) or J_2 + scalar, conjugated by a
+    # unimodular matrix, the elimination
+    nonderogatory, branches = recurrence._nonderogatory, set()
+
+    def recorded(vecs, L):
+        got = nonderogatory(vecs, L)
+        branches.add(got)
+        return got
+
+    monkeypatch.setattr(recurrence, "_nonderogatory", recorded)
+
+    @FIXED
+    @given(st.sampled_from((1, 3, 15, 105)), st.sampled_from(("random", "scalar", "blocks", "jordan")), st.data())
+    def check(n, kind, data):
+        p, _ = _split_prime(n)
+        den = data.draw(st.one_of(st.integers(1, 10**6), st.sampled_from((p, 6 * p))))
+        bits = data.draw(st.sampled_from((2, 7, 31, 70)))
+        terms = st.lists(st.tuples(st.integers(0, n - 1), st.integers(-(2**bits), 2**bits)), max_size=3)
+
+        def vector() -> list:
+            v = [0] * n
+            for place, x in data.draw(terms):
+                v[place] += x
+            return v
+
+        if kind == "random":
+            d = data.draw(st.integers(0, 4))
+            vecs = [[vector() for _ in range(d)] for _ in range(d)]
+        elif kind == "blocks":
+            b = data.draw(st.integers(1, 2))
+            block = [[vector() for _ in range(b)] for _ in range(b)]
+            d = 2 * b
+            vecs = [[list(block[i % b][j % b]) if i // b == j // b else [0] * n for j in range(d)] for i in range(d)]
+        else:
+            d, c = data.draw(st.integers(2, 4)) if kind == "scalar" else 3, vector()
+            vecs = [[list(c) if i == j else [0] * n for j in range(d)] for i in range(d)]
+            if kind == "jordan":
+                vecs[0][1][0] = data.draw(st.integers(1, 2**bits))
+        if kind != "random":
+            index = st.integers(0, d - 1)
+            ops = st.lists(st.tuples(index, index, st.integers(-3, 3), st.integers(0, n - 1)), max_size=6)
+            vecs = _conjugated(vecs, data.draw(ops))
+        field = cyclo_field(n)
+        rows = [[field.element([Fraction(x, den) for x in v]) for v in row] for row in vecs]
+        assert _minimal_poly(vecs, den, field) == minimal_poly_by_solves(rows, field)
+
+    check()
+    assert branches == {True, False}

@@ -53,10 +53,12 @@ from conftest import (
     coset_product_oracle,
     divisors,
     gaussian_period,
+    minimal_poly_by_solves,
     partial_sum_value,
     poly_divides,
     random_element,
     reduced_matrix_oracle,
+    scalar_mat_mul,
     solve_exact,
     stratum_patterns,
     verify_by_normal_forms,
@@ -187,11 +189,6 @@ def test_minimal_poly_detects_scalar_matrix():
 # differential oracles: the Faddeev-LeVerrier recursion and one exact solve per power
 
 
-def _scalar_mat_mul(a, b, f):
-    n = len(a)
-    return [[sum((a[i][t] * b[t][j] for t in range(n)), f.zero()) for j in range(n)] for i in range(n)]
-
-
 def _char_poly_faddeev_leverrier(rows, f):
     """M_1 = M, c_(d-1) = -tr M; M_j = M (M_(j-1) + c_(d-j+1) I), c_(d-j) = -tr(M_j) / j."""
     a = [[f.coerce(v) for v in row] for row in rows]
@@ -200,29 +197,15 @@ def _char_poly_faddeev_leverrier(rows, f):
     cs = [f.one(), -sum((m[i][i] for i in range(n)), f.zero())]
     for j in range(2, n + 1):
         shifted = [[v + cs[-1] if i == t else v for t, v in enumerate(row)] for i, row in enumerate(m)]
-        m = _scalar_mat_mul(a, shifted, f)
+        m = scalar_mat_mul(a, shifted, f)
         cs.append(-sum((m[i][i] for i in range(n)), f.zero()) / j)
     return cs[::-1]
-
-
-def _minimal_poly_by_solves(rows, f):
-    """Append powers of M until the next one solves exactly over the earlier ones."""
-    a = [[f.coerce(v) for v in row] for row in rows]
-    n = len(a)
-    powers = [[[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]]
-    while True:
-        nxt = _scalar_mat_mul(powers[-1], a, f)
-        table = [[p[i][j] for p in powers] for i in range(n) for j in range(n)]
-        sol = solve_exact(table, [v for row in nxt for v in row])
-        if sol is not None:
-            return [-f.coerce(v) for v in sol] + [f.one()]
-        powers.append(nxt)
 
 
 def _assert_matches_oracles(rows, f):
     cp, mp = char_poly(rows, f), minimal_poly(rows, f)
     assert cp == _char_poly_faddeev_leverrier(rows, f)
-    assert mp == _minimal_poly_by_solves(rows, f)
+    assert mp == minimal_poly_by_solves(rows, f)
     return cp, mp
 
 
@@ -361,7 +344,7 @@ def test_minimal_poly_falls_back_when_the_split_prime_is_unlucky(monkeypatch):
     rows = [[1, 0], [0, 1 + p]]
     assert minimal_poly(rows, f) == char_poly(rows, f)
     assert calls == [3]
-    # an entry 1/p has no image mod p: the next split prime certifies
+    # D M is integral, so the first prime certifies
     rows = [[Fraction(1, p), 0], [0, 1]]
     assert minimal_poly(rows, f) == char_poly(rows, f)
     assert calls == [3]
@@ -745,7 +728,8 @@ def test_verify_takes_no_normal_form(rs, monkeypatch):
 
 def test_synthesis_miss_takes_d_normal_forms_and_no_field_product(rs, tm, monkeypatch):
     # only the d coefficients of the characteristic polynomial take a normal form, and no
-    # field product is made; the machines and the fields are built before counting
+    # field product is made, with use_minimal too when the product is non-derogatory, as
+    # every one here is; the machines and the fields are built before counting
     pattern = pattern_dfao(PatternSpec(2, (0, 1, 0), 3))
     machines, roots = [rs, tm, pattern, reverse_dfao(pattern)], [RootSpec(2, r, 1) for r in (7, 105)]
     clear_caches()
@@ -767,10 +751,13 @@ def test_synthesis_miss_takes_d_normal_forms_and_no_field_product(rs, tm, monkey
     orders = set()
     for a in machines:
         for root in roots:
-            calls.update(_normal=0, _kronecker=0)
-            rec = synthesize(a, root)
-            assert calls == {"_normal": rec.order, "_kronecker": 0}, (a, root)
-            orders.add(rec.order)
+            for use_minimal in (False, True):
+                recurrence._SYNTH_CACHE.clear()
+                calls.update(_normal=0, _kronecker=0)
+                rec = synthesize(a, root, use_minimal)
+                assert calls == {"_normal": rec.order, "_kronecker": 0}, (a, root, use_minimal)
+                assert rec.order == recurrence._machine(a).span.rank
+                orders.add(rec.order)
     assert orders == {1, 2, 4}
 
 
