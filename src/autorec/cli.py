@@ -206,7 +206,7 @@ def _cmd_tm_classify(args) -> int:
 
 
 def _cmd_tm_table(args) -> int:
-    t = tm_table(args.bound, jobs=args.jobs, method=args.method, progress=args.progress)
+    t = tm_table(args.bound, jobs=args.jobs, progress=args.progress)
     _emit(args, t.to_json_dict(), t.pretty())
     return 0
 
@@ -314,10 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("tm-table", _cmd_tm_table, "tabulate Thue-Morse coefficient classes up to a bound")
     p.add_argument("--bound", type=int, required=True, help="scan odd conductors up to this bound")
     p.add_argument("--jobs", type=int, default=None, help="worker processes")
-    p.add_argument(
-        "--method", choices=("exact", "numeric"), default="exact",
-        help="numeric is an alias of exact, reported under its own name",
-    )
     p.add_argument("--progress", action="store_true", help="log scan progress")
 
     p = cmd("pattern", _cmd_pattern, "build the pattern-occurrence-counting automaton")

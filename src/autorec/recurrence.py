@@ -29,11 +29,12 @@ generators (_reduced_table); and one level kernel, _apply_levels, the s
 digit levels at x = w^(k^t) on one vector mod x^L - 1 per generator,
 packed as one residue mod 2^(8 width L) - 1.  Synthesis applies them to
 unit vectors and takes a characteristic or minimal polynomial; verify
-takes rho over the generators, rho-hat, 0 exactly when every n passes
-(_scan), scans only a failing recurrence and takes no normal form
-(_annihilate).  Both run once per Galois class of a root sweep: a
-sigma_t fixing the outputs carries the relation at w1 to one at
-sigma_t(w1), which verify detects as x -> x^t on the coefficients.
+takes rho over the generators, rho-hat, whose zero proves every n
+(_scan), scans a nonzero one for its first failure over all n and takes
+no normal form (_annihilate).  Both work at one root w1 per Galois
+class of a root sweep (_frame): synthesis maps the polynomial built at
+w1 by sigma_t, and verify pulls the coefficients back by sigma_t^(-1),
+so each cached polynomial and first failure is a function of its key.
 The characteristic polynomial comes from Berkowitz's division-free
 recursion on the same packed residues, the product's vectors taken as
 the levels leave them, in slots as wide as an a-priori bound on its
@@ -457,14 +458,13 @@ _VERIFY_CACHE: OrderedDict = OrderedDict()
 
 def _cached(cache: OrderedDict, key, build):
     """cache[key], built on a miss; the least recently used entry goes past _CACHE_SIZE."""
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = build()
+    try:
+        cache.move_to_end(key)
+    except KeyError:
+        cache[key] = build()
         if len(cache) > _CACHE_SIZE:
             cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return got
+    return cache[key]
 
 
 def clear_caches() -> None:
@@ -506,59 +506,68 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
 
     The coefficients are those of the characteristic polynomial of
     M-hat(k^s; w); with use_minimal the minimal polynomial is taken
-    instead, which can shorten the recurrence.
-
-    A root sweep builds one polynomial per automaton, conductor and
-    Galois class, and reaches the other roots of the class by a Galois
-    map.  With outputs in Q(zeta_m), w = zeta_r0^u, L = lcm(m, r0) and
-    g = gcd(m, r0), the product entry at slot (j, i) becomes
-    zeta_m^i w^j.  Take a root u1 already built with u = u1 (mod g).
-    The t mod L with t = 1 (mod m) and t = u / u1 (mod r0) exists, as
-    both congruences agree mod g, and sigma_t: zeta_L -> zeta_L^t fixes
-    zeta_m and sends zeta_r0^u1 to zeta_r0^u.  So M-hat(k^s; zeta^u) is
-    sigma_t of M-hat(k^s; zeta^u1) entry by entry, and so are its
-    characteristic and minimal polynomials; rational coefficients are
-    fixed by sigma_t.  For m = 1 there is one class per conductor.  The
-    synthesis cache never decides a check: verify tests by itself whether
-    the coefficients it is given are conjugate.
+    instead, which can shorten the recurrence.  The polynomial is built
+    at the root u1 of w's Galois class (_frame) and mapped by sigma_t, so
+    a root sweep builds one per automaton, conductor and class.
     """
     if root.k != a.base:
         raise AutorecError(f"root was built for k = {root.k}, automaton has base {a.base}")
-    m, r0, u = a.output_field.conductor, root.r0, root.primitive_exponent
-    key = (_structure(a), root.s, r0, u % math.gcd(m, r0), use_minimal)
+    r0, u = root.r0, root.primitive_exponent
+    u1, sigma = _frame(a.output_field.conductor, r0, u)
 
     def build():
         machine = _machine(a)
-        return u, (_minimal_poly if use_minimal else _char_poly)(*_reduced_product(machine.padded, machine.span, root))
+        at_u1 = RootSpec(root.k, r0, u1, root.s)
+        return (_minimal_poly if use_minimal else _char_poly)(*_reduced_product(machine.padded, machine.span, at_u1))
 
-    u1, coeffs = _cached(_SYNTH_CACHE, key, build)
+    coeffs = _cached(_SYNTH_CACHE, (_structure(a), root.s, r0, u1, use_minimal), build)
     if u1 != u:
-        psi = GaloisMap(cyclo_field(math.lcm(m, r0)), _conjugator(m, r0, u * pow(u1, -1, r0)))
-        coeffs = [c if c.rational_value() is not None else psi(c) for c in coeffs]
+        coeffs = [c if sigma.field._rational(c.vec) is not None else sigma(c) for c in coeffs]
     return Recurrence(a.base, root, coeffs, "min_poly" if use_minimal else "char_poly")
 
 
-def _conjugator(m: int, r0: int, v: int) -> int:
-    """The t mod lcm(m, r0) with t = 1 (mod m) and t = v (mod r0), for v = 1 (mod gcd(m, r0))."""
+def _frame(m: int, r0: int, u: int) -> tuple:
+    """(u1, sigma_t): the root zeta_r0^u1 that stands for zeta_r0^u in synthesis and verify, and the map between them.
+
+    u1 is the least unit mod r0 with u1 = u (mod g), g = gcd(m, r0), and
+    sigma_t: zeta_L -> zeta_L^t on Q(zeta_L), L = lcm(m, r0), with t = 1
+    (mod m) and t u1 = u (mod r0); both congruences agree mod g, so t
+    exists, and it is prime to L.  sigma_t fixes the outputs, in
+    Q(zeta_m), and takes w1 = zeta_r0^u1 to w = zeta_r0^u.  The entry of
+    the product at slot (j, i) becomes zeta_m^i w^j, so M-hat(k^s; w) is
+    sigma_t of M-hat(k^s; w1) entry by entry, and so are its
+    characteristic and minimal polynomials; and A(n; w) = sigma_t(A(n;
+    w1)), so the residuals of a recurrence at w are sigma_t of those of
+    sigma_t^(-1) of it at w1, and vanish at the same n.  Rational
+    coefficients are fixed.  For m = 1 there is one class per conductor.
+    """
     g = math.gcd(m, r0)
-    x = (v - 1) // g * pow(m // g, -1, r0 // g)
-    return (1 + m * x) % math.lcm(m, r0)
+    u1 = u % g
+    while math.gcd(u1, r0) != 1:
+        u1 += g
+    # t = 1 + m x with m x = u / u1 - 1 (mod r0), which g divides
+    x = (u * pow(u1, -1, r0) - 1) // g * pow(m // g, -1, r0 // g)
+    return u1, GaloisMap(cyclo_field(math.lcm(m, r0)), 1 + m * x)
 
 
 # ----------------------------------------------------------------------
 # verification
 
 
-def _first_failure(start, step, base: int, nonzero, n_max: int) -> Optional[int]:
-    """1 + the least m < n_max whose expansion leads from start to a state where nonzero holds.
+def _first_failure(start, step, base: int, nonzero) -> Optional[int]:
+    """1 + the least m whose expansion leads from start to a state where nonzero holds, or None when none does.
 
-    step(state, digit) reads one digit, most significant first; n = 0 is
-    the empty word.  The expansions of one length ascend with their
-    values, so per state only the least m of each length is kept, and
-    nonzero is tested once per distinct state.
+    step(state, digit) reads one digit, most significant first; m = 0 is
+    the empty word.  Each state is tested and extended once, at the first
+    length that reaches it and from the least m found there, as the
+    expansions of one length ascend with their values.  No failure is
+    lost: were a state on the path of the least failing m met before, at
+    some m', m' followed by the rest of m's digits would fail below m, as
+    a digit word has the term of its value, leading zeros or not
+    (_pad_invariant).  So None, every reached state tested zero, proves
+    every m.
     """
-    nonzero = functools.cache(nonzero)
-    frontier = {start: 0} if n_max > 0 else {}  # state -> least m, ascending in m
+    frontier, seen = {start: 0}, {start}  # state -> least m, ascending in m
     digits = range(1, base)
     while frontier:
         for state, m in frontier.items():
@@ -567,9 +576,10 @@ def _first_failure(start, step, base: int, nonzero, n_max: int) -> Optional[int]
         nxt: dict = {}
         for state, m in frontier.items():
             for dig in digits:
-                if m * base + dig >= n_max:
-                    break
-                nxt.setdefault(step(state, dig), m * base + dig)
+                q = step(state, dig)
+                if q not in seen:
+                    seen.add(q)
+                    nxt[q] = m * base + dig
         frontier, digits = nxt, range(base)
     return None
 
@@ -607,21 +617,20 @@ def verify(
 ) -> VerificationReport:
     """Re-check the recurrence for n = 1, ..., n_max through the word-sum recursion on M-hat.
 
-    The first failure is 1 + the least m < n_max whose term (module
-    docstring) is nonzero.  _scan builds rho-hat, rho over the span's
-    generators, on the term table synthesis reads, with no normal form
-    (_annihilate): rho-hat = 0 proves every n, and otherwise one packed
-    sum per state, or per distinct backward state tuple, met up to the
-    first failure locates it.  A call costs l s T shifts for any n_max, T
-    the table's terms, plus those sums.  The padded machine and its span
-    are kept per automaton structure (_machine), shared with synthesis.
-    A sigma_t that fixes zeta_m and takes w1 to w takes the residual of
-    rec at w1 to that of sigma_t(rec) at w, so a sweep scans once per
-    Galois class: a later recurrence of the class that is sigma_t of the
-    kept one (_conjugate) takes its first failure (_VERIFY_CACHE).  The
-    budget caps the work units, L + (n k^(js)).bit_length() per n and
-    term, summed in closed form, with a BudgetError at the first n past
-    it unless an earlier n fails.
+    The first failure is 1 + the least m whose term (module docstring)
+    is nonzero.  _scan builds rho-hat, rho over the span's generators, on
+    the term table synthesis reads, with no normal form (_annihilate),
+    and scans a nonzero rho-hat per distinct state, or per distinct
+    backward state tuple, for the first failure over all n, which verify
+    reports when it is at most n_max.  The scan runs at the root u1 of
+    w's Galois class (_frame) on the coefficients pulled back by
+    sigma_t^(-1), and its first failure is kept per automaton structure,
+    step, class and pulled-back coefficients (_VERIFY_CACHE), for every
+    bound and every root of the class.  A call costs l s T shifts for any
+    n_max, T the table's terms, plus those sums.  The budget caps the
+    work units, L + (n k^(js)).bit_length() per n and term, summed in
+    closed form, with a BudgetError at the first n past it unless an
+    earlier n fails.
     """
     if rec.k != a.base:
         raise AutorecError("recurrence and automaton disagree on the base k")
@@ -629,49 +638,29 @@ def verify(
         raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
     struct, root = _structure(a), rec.root
     machine = _machine(a, struct)
-    m, r0, u = a.output_field.conductor, root.r0, root.primitive_exponent
-    L = math.lcm(m, r0)
-    cs = [_spread(c, L) for c in rec.coefficients]
-    den = math.lcm(*(d for _, d in cs))
-    vecs = [[x * (den // d) for x in c] for c, d in cs]
+    u1, sigma = _frame(a.output_field.conductor, root.r0, root.primitive_exponent)
+    K = sigma.field
+    cs = [K.coerce(c) for c in rec.coefficients]  # raises for a c outside Q(zeta_L)
+    if u1 != root.primitive_exponent:
+        pull = GaloisMap(K, pow(sigma.m, -1, K.conductor))
+        cs = [c if K._rational(c.vec) is not None else pull(c) for c in cs]
 
     def scan():
-        return _scan([_annihilate(v, L) for v in vecs], root, machine, L, n_max)
+        den = math.lcm(*(c.den for c in cs))
+        vecs = [_annihilate([x * (den // c.den) for x in c.vec], K.conductor) for c in cs]
+        return _scan(vecs, RootSpec(root.k, root.r0, u1, root.s), machine, K.conductor)
 
-    key = (struct, root.s, r0, u % math.gcd(m, r0), n_max)
-    entry = _cached(_VERIFY_CACHE, key, lambda: (u, vecs, scan()))  # a new entry holds this call's scan
-    failure = entry[2] if entry[1] is vecs or _conjugate(vecs, u, entry, m, r0) else scan()
+    key = (struct, root.s, root.r0, u1, tuple((c.vec, c.den) for c in cs))
+    failure = _cached(_VERIFY_CACHE, key, scan)
+    if failure is not None and failure > n_max:
+        failure = None
     # the units run out at n before the residual at n is read
-    over = _overrun(rec, L, failure or n_max, budget)
+    over = _overrun(rec, K.conductor, failure or n_max, budget)
     if over is not None:
         raise BudgetError(
             f"verification budget exhausted at n = {over[0]} ({over[1]} > {budget} units)"
         )
     return VerificationReport(n_max, failure is None, failure)
-
-
-def _conjugate(vecs: list, u: int, entry: tuple, m: int, r0: int) -> bool:
-    """Whether each of vecs (den C_j) is sigma_t of entry = (u1, vecs1, failure)'s in Q(zeta_L).
-
-    sigma_t, t = 1 (mod m) and t u1 = u (mod r0), is x -> x^t mod x^L - 1,
-    slot i to slot i t; _annihilate tests each difference.  A rational
-    multiple of sigma_t(rec) is zero at the same n.
-    """
-    u1, vecs1, _ = entry
-    L, t = len(vecs[0]), _conjugator(m, r0, u * pow(u1, -1, r0))
-    if len(vecs1) != len(vecs) or (t - 1) % m or (t * u1 - u) % r0:
-        return False
-    inv = pow(t, -1, L)  # slot i of sigma_t(v1) is slot i / t of v1
-    return not any(any(_annihilate([x - v1[i * inv % L] for i, x in enumerate(v)], L)) for v, v1 in zip(vecs, vecs1))
-
-
-def _spread(c: CycloElement, L: int) -> tuple:
-    """c in Q(zeta_n), n | L, as an integer vector mod x^L - 1 with zeta_n = x^(L/n), and its denominator."""
-    if L % c.field.conductor:
-        cyclo_field(L).coerce(c)  # raises: c lies outside Q(zeta_L)
-    vec = [0] * L
-    vec[:: L // c.field.conductor] = c.vec
-    return vec, c.den
 
 
 def _annihilate(c: list, L: int) -> list:
@@ -688,24 +677,26 @@ def _annihilate(c: list, L: int) -> list:
     return c
 
 
-def _scan(cs: list, root: RootSpec, machine: _Machine, L: int, n_max: int) -> Optional[int]:
-    """The first n <= n_max with a nonzero residual, from rho-hat on M-hat's term table (_reduced_table).
+def _scan(cs: list, root: RootSpec, machine: _Machine, L: int) -> Optional[int]:
+    """The first n with a nonzero residual, from rho-hat on M-hat's term table (_reduced_table).
 
-    With f_p = sum over b of alpha_(p,b) f_(g_b) on all words (the span)
-    and the f_(g_b) independent, H_l(p) = sum over b of alpha_(p,b)
+    With f_p = sum over b of alpha_(p,b) f_(g_b) on all words (the span),
+    H_l(p) = sum over b of alpha_(p,b)
     H-hat_l(b) and G_l alpha = G-hat_l, the levels of the table from
     out(g_b) and from e_0.  So with rho-hat = sum over j of C_j H-hat_(js)
     (or G-hat_(js)), the term of m is sum over b of alpha_(q,b) rho-hat(b),
     q = state(m), forward, and sum over b of rho-hat(b) out(tau(g_b)), tau
-    the state tuple of m, backward.  Every n passes exactly when rho-hat =
-    0: if not, forward, rho-hat(b) is the term of an m that reaches g_b,
-    as the padded machine ignores leading zeros; backward, the sum over b
-    of rho-hat(b) f_(g_b) is nonzero at some word u, as the f_(g_b) are
-    independent, and so at u without its trailing zeros, the word of some
-    m, as out(delta(p, 0)) = out(p).  With B the s levels of the table and
-    D = den^s, Horner's form gives D^l rho-hat = sum over j of
-    B^j(D^(l-j) C_j x), the C_j times e_L (_annihilate), so a term is zero
-    exactly when its residue is 0.
+    the state tuple of m, backward.  rho-hat = 0 proves every n.  The
+    converse holds forward, as rho-hat(b) is the term of an m that
+    reaches g_b (the padded machine ignores leading zeros), but not
+    always backward: the f_(g_b) are independent unless state 0 is a
+    generator and no pivot (span_analysis), that is, unless f_0, the
+    sequence, is 0 on every word, and then every recurrence holds.  So a
+    nonzero rho-hat is scanned (_first_failure), which returns None when
+    every reached state or state tuple has a zero term.  With B the s
+    levels of the table and D = den^s, Horner's form gives D^l rho-hat =
+    sum over j of B^j(D^(l-j) C_j x), the C_j times e_L (_annihilate), so
+    a term is zero exactly when its residue is 0.
     """
     a, span = machine.padded, machine.span
     gens, lift = span.generators, L // a.output_field.conductor
@@ -742,7 +733,7 @@ def _scan(cs: list, root: RootSpec, machine: _Machine, L: int, n_max: int) -> Op
         terms = rows[state] if a.direction == FORWARD else [(b, p, y) for b, g in enumerate(gens) for p, y in outs[state[g]]]
         return _combine([(v[b], p, y) for b, p, y in terms], width, L) != 0
 
-    return _first_failure(start, step, a.base, nonzero, n_max)
+    return _first_failure(start, step, a.base, nonzero)
 
 
 # ----------------------------------------------------------------------

@@ -254,9 +254,8 @@ class TmTable:
     exclusion counts are kept alongside.
     """
 
-    def __init__(self, bound, method, cells, considered, in_set, odd_s0, forced_real):
+    def __init__(self, bound, cells, considered, in_set, odd_s0, forced_real):
         self.bound = bound
-        self.method = method
         self.cells = cells  # dict row -> dict col -> count
         self.considered = considered
         self.in_set = in_set
@@ -272,7 +271,7 @@ class TmTable:
     def to_json_dict(self) -> dict:
         return {
             "bound": self.bound,
-            "method": self.method,
+            "method": "exact",
             "considered": self.considered,
             "in_set": self.in_set,
             "excluded_odd_s0": self.excluded_odd_s0,
@@ -432,7 +431,6 @@ def _collect(outcomes, total: int, progress: bool) -> list:
 def tm_table(
     bound: int,
     jobs: Optional[int] = None,
-    method: str = "exact",
     progress: bool = False,
 ) -> TmTable:
     """Scan odd conductors with >= 2 distinct prime factors up to bound.
@@ -441,17 +439,13 @@ def tm_table(
     p = 1 mod r0 (see _unit_certificate): a residue other than +-1
     refutes T = +-1 after O(s0) work, and T = +-1 is confirmed by one
     residue when phi = 2 s0 and otherwise, usually, by the residues of
-    one prime against an integer bound on the conjugates of T.  method
-    "numeric" is an alias of "exact" that the table reports under its
-    own name.  jobs spreads the scan over worker processes; the merge is
-    deterministic because results are keyed by conductor.  progress
-    logs every 1000 conductors to stderr, from this process whether or
-    not jobs is set.
+    one prime against an integer bound on the conjugates of T.  jobs
+    spreads the scan over worker processes; the merge is deterministic
+    because results are keyed by conductor.  progress logs every 1000
+    conductors to stderr, from this process whether or not jobs is set.
     """
     if bound < 15:
         raise AutorecError("bound must be at least 15, the smallest valid conductor")
-    if method not in ("exact", "numeric"):
-        raise AutorecError(f"unknown method {method!r}")
     targets = [r0 for r0 in range(15, bound + 1, 2) if is_prime_power(r0) is None]
     if jobs is not None and jobs > 1 and len(targets) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -472,7 +466,7 @@ def tm_table(
             row, col = outcome
             cells[row][col] += 1
             in_set += 1
-    return TmTable(bound, method, cells, len(targets), in_set, odd_s0, forced_real)
+    return TmTable(bound, cells, len(targets), in_set, odd_s0, forced_real)
 
 
 # ----------------------------------------------------------------------

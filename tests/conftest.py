@@ -1,5 +1,6 @@
 """Shared fixtures and exact-arithmetic test helpers."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -35,7 +36,6 @@ from autorec.recurrence import (
     VerificationReport,
     _apply_levels,
     _combine,
-    _first_failure,
     _pairs,
 )
 from poly_oracle import CycloPoly, PolyMatrix
@@ -398,6 +398,31 @@ def coset_product_oracle(coefficients, k: int, r0: int) -> list[int]:
     return [int(q * den) for q in rat]
 
 
+def bounded_first_failure(start, step, base: int, nonzero, n_max: int):
+    """1 + the least m < n_max whose expansion leads from start to a state where nonzero holds.
+
+    step(state, digit) reads one digit, most significant first; m = 0 is
+    the empty word.  The expansions of one length ascend with their
+    values, so per state only the least m of each length is kept, and
+    nonzero is tested once per distinct state.
+    """
+    nonzero = functools.cache(nonzero)
+    frontier = {start: 0} if n_max > 0 else {}  # state -> least m, ascending in m
+    digits = range(1, base)
+    while frontier:
+        for state, m in frontier.items():
+            if nonzero(state):
+                return m + 1
+        nxt: dict = {}
+        for state, m in frontier.items():
+            for dig in digits:
+                if m * base + dig >= n_max:
+                    break
+                nxt.setdefault(step(state, dig), m * base + dig)
+        frontier, digits = nxt, range(base)
+    return None
+
+
 def scan_by_normal_forms(cs: list, root, a, K: CycloField, n_max: int):
     """The first n <= n_max with a nonzero residual, each term decided by a normal form in K.
 
@@ -429,7 +454,7 @@ def scan_by_normal_forms(cs: list, root, a, K: CycloField, n_max: int):
     if not any(map(any, rho)):
         return None
     if fwd:
-        return _first_failure(0, lambda q, dig: a.delta[q][dig], k, lambda q: any(rho[q]), n_max)
+        return bounded_first_failure(0, lambda q, dig: a.delta[q][dig], k, lambda q: any(rho[q]), n_max)
     width = _width(max(abs(x) for r in rho for x in r) * size * max(sum(abs(y) for _, y in x) for x in outs))
     packed = [_pack(r, width) for r in rho]
 
@@ -437,7 +462,7 @@ def scan_by_normal_forms(cs: list, root, a, K: CycloField, n_max: int):
         terms = [(r, p, x) for r, q in zip(packed, tau) for p, x in outs[q]]
         return any(K._normal(_unpack(_combine(terms, width, L), width, L)))
 
-    return _first_failure(
+    return bounded_first_failure(
         tuple(range(size)), lambda tau, dig: tuple(tau[row[dig]] for row in a.delta), k, nonzero, n_max
     )
 

@@ -1,13 +1,16 @@
 """Command-line surface: snapshots, exit codes, schema validation."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import autorec
 from autorec import recurrence
 from autorec.automaton import FORWARD, Dfao, load_builtin, parse_dfao, sequence_term
 from autorec.cli import main
@@ -380,12 +383,15 @@ def test_seq_with_local_file(capsys, tmp_path):
 # module execution and console script
 
 
+def _run_python(*args):
+    """Run this interpreter on args, with the directory that holds the imported autorec package on its path."""
+    path = [str(Path(autorec.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "autorec", "seq", "--dfao", "thue_morse", "--count", "4"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_python("-m", "autorec", "seq", "--dfao", "thue_morse", "--count", "4")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 -1 -1 1"
 
@@ -393,6 +399,6 @@ def test_module_entry_point():
 def test_importing_the_cli_loads_neither_mpmath_nor_a_process_pool():
     # complex_embed and tm_table(jobs > 1) import them on first use
     probe = "import sys, autorec.cli; print(sorted({'mpmath', 'concurrent.futures.process'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = _run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

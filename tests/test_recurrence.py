@@ -824,6 +824,33 @@ def test_verify_residues_fit_their_slots_over_fractional_cells(monkeypatch):
     assert failures > 1000 and sums[0] > 10000
 
 
+def test_verify_term_slots_hold_the_alpha_factor(monkeypatch):
+    # a forward term sums alpha_q over rho-hat, so its slots need the factor
+    # ||d_q alpha_q||_1 on top of rho-hat's: here f_q = (f_A + f_B + f_C) / 3, q is
+    # reached at m = 1 and the generators A, B, C after it; at w = 1 the recurrence
+    # 455 A(6 n) - 58240 A(n) has term 0 at m = 0 and 9 rho(q) = -(2^24 - 1) at q,
+    # while rho-hat's slots fit 3 bytes: a width without the factor reads the term
+    # of q as 0 mod 2^24 - 1 and reports n = 3, the term of A
+    sums = _exact_combines(monkeypatch)
+    S, L1, L2, Lm, A, B, C, q = range(1, 9)
+    sink = [S] * 6
+    delta = [
+        [0, q, A, B, C, Lm],
+        sink, sink, sink, sink,  # S, and the leaves of outputs 1, 2 and -1
+        [Lm, L2, S, S, S, S],
+        [Lm, Lm, L1, S, S, S],
+        [Lm, Lm, Lm, S, S, S],
+        [Lm, S, S, S, S, S],
+    ]
+    a = Dfao(6, FORWARD, [f"s{i}" for i in range(9)], [1, 0, 1, 2, -1, 32, 32, 32, 32], delta)
+    span = recurrence._machine(a).span
+    assert span.generators == [0, L1, A, B, C] and [c.rational_value() for c in span.alphas[q]][2:] == [Fraction(1, 3)] * 3
+    rec = Recurrence(6, RootSpec(6, 1, 0), [-58240, 455], "designed")
+    want = verify_by_normal_forms(rec, a, 100).to_json_dict()
+    assert want["first_failure"] == 2 and verify(rec, a, 100).to_json_dict() == want
+    assert sums[0] > 0
+
+
 @pytest.mark.parametrize("build, r, most", ((synthesize, 105, 10), (integer_recurrence, 273, 1)))
 def test_large_conductor_synthesis_makes_few_field_products(rs, monkeypatch, build, r, most):
     # the characteristic polynomial is formed on packed residues and the coset
@@ -849,12 +876,12 @@ def test_verify_takes_as_many_zero_tests_for_any_bound(monkeypatch):
     count = [0]
     first_failure = recurrence._first_failure
 
-    def counted_first_failure(start, step, base, nonzero, n_max):
+    def counted_first_failure(start, step, base, nonzero):
         def counted(state):
             count[0] += 1
             return nonzero(state)
 
-        return first_failure(start, step, base, counted, n_max)
+        return first_failure(start, step, base, counted)
 
     def counted_verify(rec, a, n_max):
         clear_caches()  # a cold verify: no verdict comes from the cache
@@ -1077,9 +1104,9 @@ def test_verify_scans_once_per_galois_class(tm, monkeypatch):
     for e in range(9):
         assert verify(synthesize(a, RootSpec(2, 9, e)), a, 100).all_zero
     assert calls["_scan"] == 9
-    # another bound is another entry
+    # another bound reads the same entry
     verify(synthesize(a, RootSpec(2, 9, 1)), a, 50)
-    assert calls["_scan"] == 10
+    assert calls["_scan"] == 9
 
 
 def test_verify_cache_evicts_the_least_recently_used_entry(tm, monkeypatch):
@@ -1107,6 +1134,74 @@ def test_clear_caches_empties_the_verify_cache(tm, monkeypatch):
     assert not recurrence._VERIFY_CACHE
     verify(rec, tm, 30)
     assert calls["_scan"] == 2
+
+
+def test_sweep_order_changes_no_coefficient_and_no_build(tm, monkeypatch):
+    # each class is built at its least unit u1 (_frame) and mapped by sigma_t, so the
+    # order of a sweep decides neither a coefficient nor the number of polynomials:
+    # over Q one per conductor of r = 21; Q(zeta_3) outputs at r = 9, one at r0 = 1
+    # and two, u = 1 and 2 (mod 3), at r0 = 3 and at 9
+    calls = _count_calls(monkeypatch, "_char_poly")
+    for a, r, built in ((tm, 21, 4), (_irrational_machines()[3][1], 9, 5)):
+        sweeps = []
+        for order in (range(r), random.Random(11).sample(range(r), r)):
+            clear_caches()
+            before = calls["_char_poly"]
+            got = {e: synthesize(a, RootSpec(2, r, e)).to_json_dict()["coefficients"] for e in order}
+            sweeps.append(([got[e] for e in range(r)], calls["_char_poly"] - before))
+        assert sweeps[0] == sweeps[1] and sweeps[0][1] == built, r
+
+
+def test_one_recurrence_scans_once_for_every_bound(tm, monkeypatch):
+    # the verify entry is the first failure over all n, kept without the bound: on this
+    # backward machine, C_0 + 1 first fails at n = 9
+    calls = _count_calls(monkeypatch, "_scan")
+    a = Dfao(2, BACKWARD, "abcd", [0, -1, -1, 0], [[2, 0], [3, 3], [1, 0], [3, 1]])
+    bad = _perturbed(synthesize(a, RootSpec(2, 5, 1)), 0)
+    bounds = (8, 9, 10, 20, 30, 40)
+    reports = [verify(bad, a, n_max).to_json_dict() for n_max in bounds]
+    assert calls["_scan"] == 1 and [r["first_failure"] for r in reports] == [None] + [9] * 5
+    assert reports == [verify_by_normal_forms(bad, a, n_max).to_json_dict() for n_max in bounds]
+    # a synthesized recurrence, then one perturbed recurrence three times: one scan each
+    clear_caches()
+    verify(synthesize(tm, RootSpec(2, 7, 3)), tm, 30)
+    for _ in range(3):
+        verify(_perturbed(synthesize(tm, RootSpec(2, 7, 3)), 1), tm, 30)
+    assert calls["_scan"] == 3
+
+
+def test_verify_holds_on_a_backward_machine_of_zeros(monkeypatch):
+    # state 0 outputs 0 and moves to state 1 (output 1) on a 0, and every 1 leads back
+    # to state 0: each term is out(s0) = 0, state 0 is a generator and no pivot, and
+    # rho-hat of C_0 + 1 is nonzero while every n passes, which only the scan shows
+    a = Dfao(2, BACKWARD, ["s0", "s1"], [0, 1], [[1, 0], [0, 0]])
+    calls = _count_calls(monkeypatch, "_first_failure")
+    report = verify(_perturbed(synthesize(a, RootSpec(2, 5, 1)), 0), a, 10**12)
+    assert calls["_first_failure"] == 1  # rho-hat != 0: the scan ran
+    assert report.to_json_dict() == {"n_max": 10**12, "all_zero": True, "first_failure": None}
+
+
+def test_verify_matches_the_bounded_oracle_around_the_first_failure(shipped):
+    # verify keeps the first failure over all n: at bounds below, at and above it, warm
+    # or cold, it reads as the bounded scan by normal forms
+    machines = [a for _, a in shipped] + [pattern_dfao(spec) for spec, _ in stratum_patterns(2)[::4]]
+    machines += [reverse_dfao(a) for a in machines] + _random_machines(random.Random(23), 16)
+    seen = set()
+    for a in machines:
+        rec = synthesize(a, RootSpec(a.base, 5, 1))
+        for j in range(rec.order + 1):
+            cand = _perturbed(rec, j)
+            if cand.coefficients[-1].is_zero():
+                continue
+            first = verify_by_normal_forms(cand, a, 10**6).first_failure
+            bounds = (10**6,) if first is None else (first - 1, first, first + 1, 10**6)
+            for n_max in bounds:
+                want = verify_by_normal_forms(cand, a, n_max).to_json_dict()
+                assert verify(cand, a, n_max).to_json_dict() == want, (a, j, n_max)
+                clear_caches()
+                assert verify(cand, a, n_max).to_json_dict() == want, (a, j, n_max)
+            seen.add((a.direction, first is None, first is not None and first > 1))
+    assert {(d, False, True) for d in (FORWARD, BACKWARD)} <= seen
 
 
 def test_caches_evict_the_least_recently_used_entry(tm, monkeypatch):
@@ -1381,13 +1476,13 @@ def test_verify_zero_pattern_matches_the_scan_by_normal_forms(shipped, monkeypat
     scans = {}
 
     def capture(name):
-        def first_failure(start, step, base, nonzero, n_max):
+        def first_failure(start, step, base, nonzero, *n_max):
             scans[name] = (start, step, base, nonzero)
 
         return first_failure
 
     monkeypatch.setattr(recurrence, "_first_failure", capture("reduced"))
-    monkeypatch.setitem(verify_by_normal_forms.__globals__, "_first_failure", capture("full"))
+    monkeypatch.setitem(verify_by_normal_forms.__globals__, "bounded_first_failure", capture("full"))
     machines = [a for _, a in shipped] + [pattern_dfao(spec) for spec, _ in stratum_patterns(1)]
     machines += [reverse_dfao(a) for a in machines] + [a for _, a in _irrational_machines(_ZERO_SENSITIVE)]
     machines += _random_machines(random.Random(17), 80)

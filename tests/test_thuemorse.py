@@ -230,15 +230,6 @@ def test_table_frozen_grid_at_300():
     assert t.considered == 78 and t.in_set == 61
 
 
-def test_table_methods_agree():
-    exact = tm_table(300)
-    numeric = tm_table(300, method="numeric")
-    assert exact.cells == numeric.cells
-    assert exact.in_set == numeric.in_set
-    assert exact.considered == numeric.considered
-    assert numeric.to_json_dict()["method"] == "numeric"
-
-
 def test_table_parallel_agrees():
     seq = tm_table(300)
     par = tm_table(300, jobs=2)
@@ -263,8 +254,6 @@ def test_table_json_fields():
 def test_table_rejects_bad_arguments():
     with pytest.raises(AutorecError):
         tm_table(10)
-    with pytest.raises(AutorecError):
-        tm_table(100, method="guess")
 
 
 def find_unit_coefficient(limit: int = 500):
