@@ -14,7 +14,6 @@ from .numberfield import (
     cyclo_field,
     complex_embed,
     multiplicative_order,
-    rationality,
 )
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "cyclo_field",
     "complex_embed",
     "multiplicative_order",
-    "rationality",
 ]
 
 __version__ = "0.1.0"

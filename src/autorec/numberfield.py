@@ -27,7 +27,7 @@ Modulo a split prime p = 1 (mod n), Z[zeta_n] maps onto F_p in phi(n)
 ways, which _embeddings inverts in closed form.  Elimination over F_p
 (_rref_mod) and rational reconstruction serve span_analysis, which
 proves its lifted answer exact by a height bound, and _rref_mod alone
-serves minimal_poly's non-derogatory test.
+serves _minimal_poly's non-derogatory test.
 """
 
 from __future__ import annotations
@@ -717,41 +717,7 @@ def root_of_unity(order: int, e: int) -> CycloElement:
 
 
 # ----------------------------------------------------------------------
-# rationality and numeric embedding
-
-
-class Rationality:
-    """Outcome of the exact rationality test for a field element."""
-
-    __slots__ = ("kind", "value")
-
-    def __init__(self, kind: str, value: Optional[Fraction]):
-        self.kind = kind  # "integer" | "rational" | "irrational"
-        self.value = value
-
-    def __repr__(self):
-        return f"Rationality({self.kind}, {self.value})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Rationality)
-            and other.kind == self.kind
-            and other.value == self.value
-        )
-
-
-def rationality(a: CycloElement) -> Rationality:
-    """Classify a as integer, non-integer rational, or irrational.
-
-    An element is rational exactly when its normal-form vector is a
-    multiple of the normal form of 1.
-    """
-    v = a.rational_value()
-    if v is None:
-        return Rationality("irrational", None)
-    if v.denominator == 1:
-        return Rationality("integer", v)
-    return Rationality("rational", v)
+# numeric embedding
 
 
 def complex_embed(a: CycloElement, digits: int = 15) -> mpmath.mpc:
@@ -773,7 +739,7 @@ def complex_embed(a: CycloElement, digits: int = 15) -> mpmath.mpc:
 # ----------------------------------------------------------------------
 # exact linear algebra over a field
 #
-# Only minimal_poly's derogatory fallback (its power table) and the test
+# Only _minimal_poly's derogatory fallback (its power table) and the test
 # oracles eliminate over CycloElements; rational entries, ints and
 # Fractions, work too.  Each pivot row is scaled by one inverse, so all
 # that is used is +, -, *, comparison with zero, and
@@ -821,7 +787,7 @@ def _rref(a: list[list], ncols: int) -> list[int]:
 #
 # span_analysis eliminates over F_p for split primes p and lifts the
 # result by CRT and rational reconstruction; it proves the lift exact
-# itself.  minimal_poly's non-derogatory test eliminates over one F_p.
+# itself.  _minimal_poly's non-derogatory test eliminates over one F_p.
 
 
 def _rref_mod(a: list[list[int]], ncols: int, p: int) -> list[int]:

@@ -219,28 +219,9 @@ class VerificationReport:
 # scalar matrices over a cyclotomic field
 
 
-def _integer_matrix(rows, field: CycloField) -> tuple:
-    """(D M, D, field) for the rows M, D M integer vectors and D their least common denominator; M must be square."""
-    m = [[field.coerce(v) for v in row] for row in rows]
-    if any(len(row) != len(m) for row in m):
-        raise AutorecError("matrix must be square")
-    den = math.lcm(*(x.den for row in m for x in row))
-    return [[[v * (den // x.den) for v in x.vec] for x in row] for row in m], den, field
-
-
 def _elements(vecs: list, den: int, field: CycloField) -> list:
     """The matrix of integer vectors mod x^L - 1 over den as field elements."""
     return [[_lowest(field, field._normal(list(v)), den) for v in row] for row in vecs]
-
-
-def char_poly(rows, field: CycloField) -> list[CycloElement]:
-    """Characteristic polynomial (c_0, ..., c_d), det(y I - M) = sum c_m y^m, of a scalar M: _char_poly on D M."""
-    return _char_poly(*_integer_matrix(rows, field))
-
-
-def minimal_poly(rows, field: CycloField) -> list[CycloElement]:
-    """Monic minimal polynomial of a scalar matrix M, constant term first: _minimal_poly on D M."""
-    return _minimal_poly(*_integer_matrix(rows, field))
 
 
 def _char_poly(vecs: list, den: int, field: CycloField) -> list[CycloElement]:
@@ -423,12 +404,6 @@ def _unit_levels(table: list, root: RootSpec, L: int) -> list:
     width = _width(max(sum(abs(t[-1]) for t in terms) for terms in table) ** root.s)
     units = [[int(i == j) for i in range(len(table))] for j in range(len(table))]
     return [[_unpack(v, width, L) for v in _apply_levels(u, table, root, L, width)] for u in units]
-
-
-def reduced_product_at_root(a: Dfao, span: SpanAnalysis, root: RootSpec):
-    """M-hat(k^s; w), Left for a forward a and its Right mirror for a backward one, as a scalar matrix."""
-    vecs, den, K = _reduced_product(a, span, root)
-    return _elements(vecs, den, K), K
 
 
 def _reduced_product(a: Dfao, span: SpanAnalysis, root: RootSpec) -> tuple:
@@ -630,7 +605,10 @@ def verify(
     n_max, T the table's terms, plus those sums.  The budget caps the
     work units, L + (n k^(js)).bit_length() per n and term, summed in
     closed form, with a BudgetError at the first n past it unless an
-    earlier n fails.
+    earlier n fails.  A coefficient may be written in a field larger
+    than Q(zeta_L), L the conductor of the outputs and w together; it
+    is descended into Q(zeta_L) first, and one whose value lies outside
+    that field raises.
     """
     if rec.k != a.base:
         raise AutorecError("recurrence and automaton disagree on the base k")
@@ -640,22 +618,25 @@ def verify(
     machine = _machine(a, struct)
     u1, sigma = _frame(a.output_field.conductor, root.r0, root.primitive_exponent)
     K = sigma.field
-    cs = [K.coerce(c) for c in rec.coefficients]  # raises for a c outside Q(zeta_L)
+    L = K.conductor
+    cs = [K.coerce(c) if L % c.field.conductor == 0 else _descend(c, L) for c in rec.coefficients]
+    if any(c is None for c in cs):
+        raise AutorecError(f"a recurrence coefficient lies outside Q(zeta_{L}), the field of the outputs and w")
     if u1 != root.primitive_exponent:
-        pull = GaloisMap(K, pow(sigma.m, -1, K.conductor))
+        pull = GaloisMap(K, pow(sigma.m, -1, L))
         cs = [c if K._rational(c.vec) is not None else pull(c) for c in cs]
 
     def scan():
         den = math.lcm(*(c.den for c in cs))
-        vecs = [_annihilate([x * (den // c.den) for x in c.vec], K.conductor) for c in cs]
-        return _scan(vecs, RootSpec(root.k, root.r0, u1, root.s), machine, K.conductor)
+        vecs = [_annihilate([x * (den // c.den) for x in c.vec], L) for c in cs]
+        return _scan(vecs, RootSpec(root.k, root.r0, u1, root.s), machine, L)
 
     key = (struct, root.s, root.r0, u1, tuple((c.vec, c.den) for c in cs))
     failure = _cached(_VERIFY_CACHE, key, scan)
     if failure is not None and failure > n_max:
         failure = None
     # the units run out at n before the residual at n is read
-    over = _overrun(rec, K.conductor, failure or n_max, budget)
+    over = _overrun(rec, L, failure or n_max, budget)
     if over is not None:
         raise BudgetError(
             f"verification budget exhausted at n = {over[0]} ({over[1]} > {budget} units)"

@@ -5,9 +5,8 @@ T(2^s n; x) = T(n; x^(2^s)) T(2^s; x), so at a root of unity w of odd
 conductor r0 the single number T(2^s0; w), s0 the order of 2 mod r0,
 controls the whole recurrence.  This module computes that coefficient
 exactly, classifies its value (integer p, purely imaginary i*sqrt(p),
-unit +-1, real non-integer), tabulates the classification over ranges
-of conductors, and demonstrates the companion recurrence for the sum
-over odd-weight m only.
+unit +-1, real non-integer) and tabulates the classification over
+ranges of conductors.
 
 tm_classify works on the exact value in Q(zeta_r0).  The scan table
 only asks whether the value is +1, -1 or neither, and answers without
@@ -40,10 +39,7 @@ from .numberfield import (
     euler_phi,
     is_prime_power,
     multiplicative_order,
-    rationality,
 )
-from .automaton import load_builtin
-from .recurrence import Recurrence, RootSpec, verify
 
 CASE_PRIME_POWER_PRIMITIVE = "PrimePowerPrimitiveRoot"
 CASE_PRIME_POWER_HALF_ODD = "PrimePowerHalfOdd"
@@ -140,7 +136,7 @@ def tm_coefficient(r0: int, e: int = 1) -> CycloElement:
 class TmClassification:
     """Exact value of T(2^s0; w) together with its classification."""
 
-    def __init__(self, r0, s0, phi, case, value, is_real, is_imaginary, rat, abs_square):
+    def __init__(self, r0, s0, phi, case, value, is_real, is_imaginary, abs_square):
         self.r0 = r0
         self.s0 = s0
         self.phi = phi
@@ -148,7 +144,6 @@ class TmClassification:
         self.value = value
         self.is_real = is_real
         self.is_imaginary = is_imaginary
-        self.rationality = rat
         self.abs_square = abs_square  # value * conj(value) when computed
 
     def integer_value(self) -> Optional[int]:
@@ -194,7 +189,6 @@ def tm_classify(r0: int) -> TmClassification:
     if is_real != (s0 % 2 == 0) or (s0 % 2 == 1 and not is_imag):
         raise AutorecError(f"realness contradicts the parity of s0 at r0 = {r0}")
 
-    rat = rationality(value)
     pp = is_prime_power(r0)
     abs_square = None
     if pp is not None:
@@ -204,7 +198,7 @@ def tm_classify(r0: int) -> TmClassification:
             if value.rational_value() != p:
                 raise AutorecError(f"expected the prime {p} at r0 = {r0}")
         else:
-            if rat.kind != "irrational":
+            if value.rational_value() is not None:
                 raise AutorecError(f"unexpected rational value at prime power r0 = {r0}")
             if 2 * s0 == phi and s0 % 2 == 1:
                 case = CASE_PRIME_POWER_HALF_ODD
@@ -227,7 +221,7 @@ def tm_classify(r0: int) -> TmClassification:
                 raise AutorecError(f"expected a unit at r0 = {r0}")
         else:
             case = CASE_OTHER
-    return TmClassification(r0, s0, phi, case, value, is_real, is_imag, rat, abs_square)
+    return TmClassification(r0, s0, phi, case, value, is_real, is_imag, abs_square)
 
 
 # ----------------------------------------------------------------------
@@ -440,12 +434,15 @@ def tm_table(
     refutes T = +-1 after O(s0) work, and T = +-1 is confirmed by one
     residue when phi = 2 s0 and otherwise, usually, by the residues of
     one prime against an integer bound on the conjugates of T.  jobs
-    spreads the scan over worker processes; the merge is deterministic
-    because results are keyed by conductor.  progress logs every 1000
+    spreads the scan over that many worker processes, at least 1; None
+    and 1 scan in this process.  The merge is deterministic because
+    results are keyed by conductor.  progress logs every 1000
     conductors to stderr, from this process whether or not jobs is set.
     """
     if bound < 15:
         raise AutorecError("bound must be at least 15, the smallest valid conductor")
+    if jobs is not None and jobs < 1:
+        raise AutorecError(f"jobs must be at least 1, got {jobs}")
     targets = [r0 for r0 in range(15, bound + 1, 2) if is_prime_power(r0) is None]
     if jobs is not None and jobs > 1 and len(targets) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -467,83 +464,3 @@ def tm_table(
             cells[row][col] += 1
             in_set += 1
     return TmTable(bound, cells, len(targets), in_set, odd_s0, forced_real)
-
-
-# ----------------------------------------------------------------------
-# the odd-weight companion sum
-
-
-class TildeReport:
-    """Outcome of the two odd-weight-sum identities."""
-
-    def __init__(self, r0, e, s, c_value, n_max):
-        self.r0 = r0
-        self.e = e
-        self.s = s
-        self.c_value = c_value
-        self.n_max = n_max
-        self.polynomial_identity_ok = False
-        self.root_identity_ok = False
-        self.first_failure = None
-
-    @property
-    def c_is_one(self) -> bool:
-        return self.c_value.rational_value() == 1
-
-    def to_json_dict(self) -> dict:
-        q = self.c_value.rational_value()
-        return {
-            "r0": self.r0,
-            "e": self.e,
-            "s": self.s,
-            "c": str(q) if q is not None else self.c_value.pretty(),
-            "c_is_one": self.c_is_one,
-            "two_term": self.c_is_one,
-            "polynomial_identity_ok": self.polynomial_identity_ok,
-            "root_identity_ok": self.root_identity_ok,
-            "n_max": self.n_max,
-            "first_failure": self.first_failure,
-        }
-
-
-def tilde_demo(root: RootSpec, n_max: int) -> TildeReport:
-    """Check both identities for the sum over odd-weight m only.
-
-    With S(n; x) = 1 + x + ... + x^(n-1) and the odd-weight partial sum
-    U(n; x) = sum of x^m over m < n with odd binary weight:
-
-        2 U(n; x) = S(n; x) - T(n; x)            (polynomial identity)
-        U(2^s n; w) = C U(n; w) + (1 - C)(w^n - 1) / (2 (w - 1))
-
-    where C = T(2^s; w).  When C = 1 the second relation collapses to a
-    genuine two-term recurrence U(2^s n; w) = U(n; w).  As w^(2^s) = w,
-    S(2^s n; w) = S(n; w), so by the first identity the second holds at n
-    exactly when T(2^s n; w) = C T(n; w); that recurrence is verified on
-    the Thue-Morse machine for n <= n_max.
-    """
-    if root.r0 == 1:
-        raise AutorecError("the affine identity needs a nontrivial root of unity")
-    if root.k != 2:
-        raise AutorecError("the odd-weight sum is specific to base 2")
-    r0, s = root.r0, root.s
-    field = root.field
-    base = tm_coefficient(r0, root.primitive_exponent)
-    c_value = base ** (s // root.s0)
-    report = TildeReport(r0, root.primitive_exponent, s, c_value, n_max)
-
-    # the identity at n adds to the one at n - 1 only its x^(n-1) coefficient,
-    # 2 [t(n-1) = -1] = 1 - t(n-1), so each m < n_max is checked once
-    t = tm_poly(n_max)
-    for m in range(n_max):
-        if 2 * (tm_term(m) < 0) != 1 - t[m]:
-            report.first_failure = ("polynomial", m + 1)
-            return report
-    report.polynomial_identity_ok = True
-
-    rec = Recurrence(2, root, [-c_value, field.one()], "tilde")
-    failure = verify(rec, load_builtin("thue_morse"), n_max).first_failure
-    if failure is not None:
-        report.first_failure = ("root", failure)
-        return report
-    report.root_identity_ok = True
-    return report

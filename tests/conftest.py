@@ -35,8 +35,12 @@ from autorec.polymatrix import LEFT, _mat_mul
 from autorec.recurrence import (
     VerificationReport,
     _apply_levels,
+    _char_poly,
     _combine,
+    _elements,
+    _minimal_poly,
     _pairs,
+    _reduced_product,
 )
 from poly_oracle import CycloPoly, PolyMatrix
 
@@ -353,6 +357,30 @@ def stratum_patterns(seed: int) -> list:
         for v in chosen:
             specs.append((PatternSpec(k, v, m), rng.randrange(1, 5)))
     return specs
+
+
+def _integer_matrix(rows, field: CycloField) -> tuple:
+    """(D M, D, field) for the square rows M, D M integer vectors and D their least common denominator."""
+    m = [[field.coerce(v) for v in row] for row in rows]
+    assert all(len(row) == len(m) for row in m), "matrix must be square"
+    den = math.lcm(*(x.den for row in m for x in row))
+    return [[[v * (den // x.den) for v in x.vec] for x in row] for row in m], den, field
+
+
+def char_poly(rows, field: CycloField) -> list:
+    """det(y I - M), constant term first, of a scalar matrix M given as rows: recurrence._char_poly on D M."""
+    return _char_poly(*_integer_matrix(rows, field))
+
+
+def minimal_poly(rows, field: CycloField) -> list:
+    """The monic minimal polynomial of a scalar matrix M, constant term first: recurrence._minimal_poly on D M."""
+    return _minimal_poly(*_integer_matrix(rows, field))
+
+
+def reduced_product_at_root(a, span, root) -> tuple:
+    """(M-hat(k^s; w) as field elements, its field): Left for a forward a, its Right mirror for a backward one."""
+    vecs, den, field = _reduced_product(a, span, root)
+    return _elements(vecs, den, field), field
 
 
 def char_poly_newton_oracle(rows, field) -> list:

@@ -32,12 +32,11 @@ from autorec.recurrence import (
     RootSpec,
     integer_recurrence,
     lmin_bound,
-    reduced_product_at_root,
     synthesize,
     verify,
 )
 from autorec.thuemorse import tm_identities_check, tm_classify, tm_coefficient, tm_table
-from conftest import det_cofactor, galois_apply, occurrences, partial_sum_poly, t_for
+from conftest import det_cofactor, galois_apply, occurrences, partial_sum_poly, reduced_product_at_root, t_for
 from poly_oracle import CycloPoly, cyclotomic_poly, power_product, transition_matrix, truncate
 
 

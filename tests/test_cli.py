@@ -252,6 +252,13 @@ def test_tm_table_json_validates(capsys):
     jsonschema.validate(payload, load_schema("table"))
 
 
+def test_tm_table_rejects_zero_jobs(capsys):
+    code, out, err = run_cli(capsys, "tm-table", "--bound", "100", "--jobs", "0")
+    assert code == 1
+    assert not out
+    assert err == "error[domain]: jobs must be at least 1, got 0\n"
+
+
 def test_tm_table_text_layout(capsys):
     code, out, _ = run_cli(capsys, "tm-table", "--bound", "100")
     assert code == 0
@@ -394,6 +401,13 @@ def test_module_entry_point():
     proc = _run_python("-m", "autorec", "seq", "--dfao", "thue_morse", "--count", "4")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 -1 -1 1"
+
+
+def test_importing_thuemorse_loads_neither_recurrence_nor_automaton():
+    probe = "import sys, autorec.thuemorse; print(sorted(m for m in sys.modules if m.startswith('autorec')))"
+    proc = _run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['autorec', 'autorec.errors', 'autorec.numberfield', 'autorec.thuemorse']"
 
 
 def test_importing_the_cli_loads_neither_mpmath_nor_a_process_pool():

@@ -28,7 +28,6 @@ from autorec.numberfield import (
     factorize,
     is_prime_power,
     multiplicative_order,
-    rationality,
 )
 from conftest import divisors, embeddings_by_elimination, galois_apply, gaussian_period, nullspace, random_element, solve_exact
 from poly_oracle import RatPoly, cyclotomic_poly
@@ -280,10 +279,11 @@ def test_rationality_stable_under_galois():
     field = cyclo_field(21)
     rng = random.Random(5)
     for _ in range(100):
+        # a Galois map fixes Q and takes an irrational value to an irrational one
         a = random_element(field, rng)
-        img = galois_apply(a, 2)
-        if img == a:
-            assert rationality(img) == rationality(a)
+        q = field.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for x in (a, q):
+            assert galois_apply(x, 2).rational_value() == x.rational_value()
 
 
 def test_equal_values_hash_equal_across_conductors():
@@ -309,11 +309,12 @@ def test_equal_values_hash_equal_across_conductors():
 
 def test_rationality_kinds():
     field = cyclo_field(7)
-    assert rationality(field.from_rational(5)).kind == "integer"
-    assert rationality(field.from_rational(Fraction(1, 2))).kind == "rational"
-    assert rationality(field.omega()).kind == "irrational"
+    five = field.from_rational(5).rational_value()
+    assert five == 5 and five.denominator == 1
+    assert field.from_rational(Fraction(1, 2)).rational_value() == Fraction(1, 2)
+    assert field.omega().rational_value() is None
     z = field.omega() - field.omega()
-    assert rationality(z) == rationality(field.zero())
+    assert z.rational_value() == field.zero().rational_value() == 0
 
 
 def test_gaussian_periods_conductor_seven():

@@ -34,13 +34,10 @@ from autorec.recurrence import (
     Recurrence,
     RootSpec,
     VerificationReport,
-    char_poly,
     clear_caches,
     dim_experiment,
     integer_recurrence,
     lmin_bound,
-    minimal_poly,
-    reduced_product_at_root,
     synthesize,
     verify,
 )
@@ -49,15 +46,18 @@ from blocksum_oracle import BlockSums, block_sums, partial_sum_fast
 import level_oracle
 from conftest import (
     TM_ZETA3,
+    char_poly,
     char_poly_newton_oracle,
     coset_product_oracle,
     divisors,
     gaussian_period,
+    minimal_poly,
     minimal_poly_by_solves,
     partial_sum_value,
     poly_divides,
     random_element,
     reduced_matrix_oracle,
+    reduced_product_at_root,
     scalar_mat_mul,
     solve_exact,
     stratum_patterns,
@@ -933,6 +933,22 @@ def test_verify_accepts_api_built_automaton_with_irrational_outputs():
         assert verify(rec, a, 30).all_zero, (rr, ee)
 
 
+def test_verify_takes_coefficients_written_in_a_larger_field(tm):
+    # thue_morse at zeta_5 verifies in Q(zeta_5); the same coefficients written in
+    # Q(zeta_15) are the same recurrence, and a wrong one fails at the same n
+    root = RootSpec(2, 5, 1)
+    f15 = cyclo_field(15)
+    rec = synthesize(tm, root)
+    for coeffs in (rec.coefficients, (rec.coefficients[0] + 1,) + rec.coefficients[1:]):
+        narrow = Recurrence(2, root, coeffs, "char_poly")
+        wide = Recurrence(2, root, [f15.coerce(c) for c in coeffs], "char_poly")
+        assert verify(wide, tm, 100).to_json_dict() == verify(narrow, tm, 100).to_json_dict()
+    # a value outside Q(zeta_5) is a domain error, not a failed coercion
+    outside = Recurrence(2, root, [f15.omega(), f15.one()], "char_poly")
+    with pytest.raises(AutorecError, match="outside"):
+        verify(outside, tm, 100)
+
+
 def test_caches_keep_equal_machines_over_different_fields_apart(tm):
     # the same Thue-Morse machine with outputs typed in Q(zeta_3): its reduced
     # matrix equals the rational one, but cached syntheses must not be shared
@@ -946,8 +962,8 @@ def test_caches_keep_equal_machines_over_different_fields_apart(tm):
     rec = synthesize(tm, root)
     assert rec.coefficients == cold
     assert verify(rec, tm, 30).all_zero
-    # nor may verify's padded machines: a recurrence over Q(zeta_15) does not coerce
-    # into tm's Q(zeta_5), on a cold cache or on one that holds a3's machine
+    # nor may verify's padded machines: a3's recurrence, written over Q(zeta_15), descends
+    # into tm's Q(zeta_5) alike on a cold cache and on one that holds a3's machine
 
     def outcome(rec, a):
         try:
@@ -960,7 +976,7 @@ def test_caches_keep_equal_machines_over_different_fields_apart(tm):
     for r, a in pairs:
         clear_caches()
         cold.append(outcome(r, a))
-    assert cold[2] == "cannot coerce conductor 15 into 5"
+    assert cold[2] == {"n_max": 30, "all_zero": True, "first_failure": None}
     assert [outcome(r, a) for r, a in pairs] == cold
     assert len(recurrence._MACHINE_CACHE) == 2
 

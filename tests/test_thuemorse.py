@@ -19,7 +19,7 @@ from autorec.numberfield import (
     is_prime_power,
     multiplicative_order,
 )
-from autorec.recurrence import RootSpec
+from autorec.recurrence import Recurrence, RootSpec, synthesize, verify
 from conftest import galois_apply
 from poly_oracle import RatPoly, cyclotomic_poly
 from autorec.thuemorse import (
@@ -32,7 +32,6 @@ from autorec.thuemorse import (
     _scan_exact,
     _tm_cyclic,
     _unit_certificate,
-    tilde_demo,
     tm_classify,
     tm_coefficient,
     tm_identities_check,
@@ -254,6 +253,11 @@ def test_table_json_fields():
 def test_table_rejects_bad_arguments():
     with pytest.raises(AutorecError):
         tm_table(10)
+    for jobs in (0, -2):
+        with pytest.raises(AutorecError, match="jobs"):
+            tm_table(100, jobs=jobs)
+    # None and 1 both scan in this process
+    assert tm_table(100, jobs=1).cells == tm_table(100, jobs=None).cells
 
 
 def find_unit_coefficient(limit: int = 500):
@@ -454,61 +458,46 @@ def test_table_full_scale():
 # the odd-weight variant
 
 
-def test_tilde_identity_at_conductor_three():
-    rep = tilde_demo(RootSpec(2, 3, 1, s=2), 100)
-    assert rep.polynomial_identity_ok
-    assert rep.root_identity_ok
-    assert rep.c_value.rational_value() == 3
-    assert not rep.c_is_one
-    d = rep.to_json_dict()
-    assert d["c"] == "3" and d["two_term"] is False
+def tilde_recurrence(root, shift: int = 0):
+    """(T(2^s n; w) = C T(n; w) with shift added to C, C) for C = T(2^s; w) = T(2^s0; w)^(s/s0).
+
+    With S(n; x) = 1 + x + ... + x^(n-1) and the odd-weight partial sum
+    U(n; x) = sum of x^m over m < n with odd binary weight, 2 U = S - T,
+    and S(2^s n; w) = S(n; w) as w^(2^s) = w.  So
+    U(2^s n; w) = C U(n; w) + (1 - C)(w^n - 1) / (2 (w - 1)) holds at n
+    exactly when this recurrence does, and C = 1 makes it the two-term
+    recurrence U(2^s n; w) = U(n; w).
+    """
+    c = tm_coefficient(root.r0, root.primitive_exponent) ** (root.s // root.s0)
+    return Recurrence(2, root, [-(c + shift), c.field.one()], "tilde"), c
 
 
-def test_tilde_polynomial_identity_is_one_pass(monkeypatch):
-    # each coefficient of x^m is checked once, not once per n > m
-    calls = [0]
-    exact = thuemorse.tm_poly
-
-    def counted(n):
-        calls[0] += 1
-        return exact(n)
-
-    monkeypatch.setattr(thuemorse, "tm_poly", counted)
-    rep = tilde_demo(RootSpec(2, 3, 1), 2000)
-    assert calls[0] <= 1
-    assert rep.to_json_dict() == {
-        "r0": 3, "e": 1, "s": 2, "c": "3", "c_is_one": False, "two_term": False,
-        "polynomial_identity_ok": True, "root_identity_ok": True, "n_max": 2000, "first_failure": None,
-    }
+def test_tilde_identity_at_conductor_three(tm):
+    root = RootSpec(2, 3, 1, s=2)
+    rec, c = tilde_recurrence(root)
+    assert c.rational_value() == 3
+    assert verify(rec, tm, 100).all_zero
+    # the reduced matrix of thue_morse is 1 - x, so this is the synthesized recurrence
+    assert synthesize(tm, root).coefficients == rec.coefficients
 
 
-def test_tilde_two_term_recurrence_at_unit_witness():
-    root = RootSpec(2, 39, 1)
-    rep = tilde_demo(root, 100)
-    assert rep.c_is_one
-    assert rep.polynomial_identity_ok and rep.root_identity_ok
-    assert rep.to_json_dict()["two_term"] is True
+def test_tilde_two_term_recurrence_at_unit_witness(tm):
+    rec, c = tilde_recurrence(RootSpec(2, 39, 1))
+    assert c.rational_value() == 1
+    assert verify(rec, tm, 100).all_zero
 
 
-def test_tilde_root_identity_at_a_large_conductor():
+def test_tilde_root_identity_at_a_large_conductor(tm):
     # s = 60: the identity is verified through the recurrence, not by sums up to 2^s n_max
-    rep = tilde_demo(RootSpec(2, 3003, 1), 20)
-    assert rep.polynomial_identity_ok and rep.root_identity_ok
-    assert rep.first_failure is None
+    root = RootSpec(2, 3003, 1)
+    assert root.s == 60
+    assert verify(tilde_recurrence(root)[0], tm, 20).all_zero
 
 
-def test_tilde_reports_a_wrong_coefficient_at_n_one(monkeypatch):
-    exact = thuemorse.tm_coefficient
-    monkeypatch.setattr(thuemorse, "tm_coefficient", lambda r0, e=1: exact(r0, e) + 1)
+def test_tilde_reports_a_wrong_coefficient_at_n_one(tm):
     for root in (RootSpec(2, 9, 1), RootSpec(2, 39, 1)):
-        rep = tilde_demo(root, 20)
-        assert rep.polynomial_identity_ok and not rep.root_identity_ok
-        assert rep.first_failure == ("root", 1)
-
-
-def test_tilde_rejects_root_one():
-    with pytest.raises(AutorecError):
-        tilde_demo(RootSpec(2, 5, 0), 10)
+        rep = verify(tilde_recurrence(root, shift=1)[0], tm, 20)
+        assert not rep.all_zero and rep.first_failure == 1, root
 
 
 # ----------------------------------------------------------------------
