@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -389,7 +390,11 @@ class CycloField:
         one[0] = 1
         # the normal form of 1, a product of its prime-power parts: one sign on a fixed support
         self._one = self._normal(one)
-        self._one_support = [j for j, x in enumerate(self._one) if x]
+        support = [j for j, x in enumerate(self._one) if x]
+        self._lead, self._zeros = support[0], conductor - len(support)
+        # the support's slots, the first one twice so that even one slot gives a tuple
+        self._on_support = operator.itemgetter(*support, support[0])
+        self._support_run = len(support) + 1
 
     @functools.cached_property
     def modulus_int(self) -> tuple[int, ...]:
@@ -465,12 +470,22 @@ class CycloField:
         return self.one()._scale(q.numerator, q.denominator)
 
     def _rational(self, vec: tuple) -> Optional[int]:
-        """q when vec is q times the normal form of 1, else None; the test compares ints only."""
-        support = self._one_support
-        x = vec[support[0]]
-        if vec.count(0) != self.conductor - (len(support) if x else 0):
-            return None
-        return x * self._one[support[0]] if all(vec[j] == x for j in support) else None
+        """q when the tuple vec is q times the normal form of 1, else None.
+
+        q is read at the first slot of the support of 1, where 1 has +-1.
+        For q = 1 the tuples are compared whole; for another q != 0, vec
+        is rational when it has as many zeros as 1 and one value on every
+        slot of that support, which, nonzero, is then its whole support.
+        """
+        x = vec[self._lead]
+        q = x * self._one[self._lead]
+        if q == 1:
+            hit = vec == self._one
+        elif q:
+            hit = vec.count(0) == self._zeros and self._on_support(vec) == (x,) * self._support_run
+        else:
+            hit = not any(vec)
+        return q if hit else None
 
     def omega(self) -> "CycloElement":
         return self.omega_power(1)

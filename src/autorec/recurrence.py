@@ -25,7 +25,8 @@ rho(p) out(delta(p, m read least significant digit first)).
 Synthesis and verification share, per automaton structure (_machine),
 the padded-word machine that _pad_invariant makes of the pruned
 automaton and its span; one term table, M-hat's cells over the span's
-generators (_reduced_table); and one level kernel, _apply_levels, the s
+generators (_reduced_table), kept for the last conductor (_Machine.table);
+and one level kernel, _apply_levels, the s
 digit levels at x = w^(k^t) on one vector mod x^L - 1 per generator,
 packed as one residue mod 2^(8 width L) - 1.  Synthesis applies them to
 unit vectors and takes a characteristic or minimal polynomial; verify
@@ -34,7 +35,8 @@ takes rho over the generators, rho-hat, whose zero proves every n
 no normal form (_annihilate).  Both work at one root w1 per Galois
 class of a root sweep (_frame): synthesis maps the polynomial built at
 w1 by sigma_t, and verify pulls the coefficients back by sigma_t^(-1),
-so each cached polynomial and first failure is a function of its key.
+so each cached polynomial and first failure is a function of its key;
+the frames are memoized, so a root of a cached class costs lookups.
 The characteristic polynomial comes from Berkowitz's division-free
 recursion on the same packed residues, the product's vectors taken as
 the levels leave them, in slots as wide as an a-priori bound on its
@@ -406,15 +408,14 @@ def _unit_levels(table: list, root: RootSpec, L: int) -> list:
     return [[_unpack(v, width, L) for v in _apply_levels(u, table, root, L, width)] for u in units]
 
 
-def _reduced_product(a: Dfao, span: SpanAnalysis, root: RootSpec) -> tuple:
+def _reduced_product(a: Dfao, table: list, den: int, root: RootSpec) -> tuple:
     """M-hat(k^s; w) as integer vectors mod x^L - 1, not normalized, over D, with its field Q(zeta_L).
 
     The ordered product of the s digit-substituted copies of M-hat(x), read
-    as _reduced_table over den, at x = w: column j (Left) or row j (Right)
-    is the levels applied to e_j, and D = den^s.
+    as _reduced_table's table over den at L = lcm(m, r0), at x = w: column
+    j (Left) or row j (Right) is the levels applied to e_j, and D = den^s.
     """
     K = cyclo_field(math.lcm(a.output_field.conductor, root.r0))
-    table, den = _reduced_table(a, span, K.conductor)
     got = _unit_levels(table, root, K.conductor)
     return [list(col) for col in zip(*got)] if a.direction == FORWARD else got, den**root.s, K
 
@@ -426,6 +427,9 @@ def _reduced_product(a: Dfao, span: SpanAnalysis, root: RootSpec) -> tuple:
 # Galois class (72 over criterion 02's grid) in the synthesis and verify
 # caches, one per automaton in the machine cache
 _CACHE_SIZE = 128
+# frames (_frame), one per output conductor and root, not per class: 257
+# over criterion 02's grid, each three small objects
+_FRAME_CACHE_SIZE = 1024
 _SYNTH_CACHE: OrderedDict = OrderedDict()
 _MACHINE_CACHE: OrderedDict = OrderedDict()
 _VERIFY_CACHE: OrderedDict = OrderedDict()
@@ -443,22 +447,36 @@ def _cached(cache: OrderedDict, key, build):
 
 
 def clear_caches() -> None:
-    """Empty the synthesis, machine and verify caches of this module."""
+    """Empty the synthesis, machine, verify and frame caches of this module.
+
+    The machines go with their spans and term tables, so the next call
+    does all of its work cold.
+    """
     _SYNTH_CACHE.clear()
     _MACHINE_CACHE.clear()
     _VERIFY_CACHE.clear()
+    _frame.cache_clear()
 
 
 def _structure(a: Dfao) -> tuple:
-    """What synthesis and verify read of an automaton: equal keys, equal results."""
-    return (a.base, a.direction, a.delta, a.output_field.conductor, tuple((v.vec, v.den) for v in a.outputs))
+    """What synthesis and verify read of an automaton: equal keys, equal results.
+
+    A Dfao is never mutated, so the key is built once and kept on it.
+    """
+    try:
+        return a._structure_key
+    except AttributeError:
+        key = (a.base, a.direction, a.delta, a.output_field.conductor, tuple((v.vec, v.den) for v in a.outputs))
+        a._structure_key = key
+        return key
 
 
 class _Machine:
-    """The padded-word machine of a (_pad_invariant) and, on first use, its span."""
+    """The padded-word machine of a (_pad_invariant) and, on first use, its span and term table."""
 
     def __init__(self, a: Dfao):
         self.padded = _pad_invariant(prune_inaccessible(a))
+        self._table: tuple = (None, None)
 
     @functools.cached_property
     def span(self) -> SpanAnalysis:
@@ -466,10 +484,16 @@ class _Machine:
         span = span_analysis(self.padded)
         return SpanAnalysis(span.field, (), span.rank, span.generators, span.alphas)
 
+    def table(self, L: int) -> tuple:
+        """_reduced_table at conductor L, kept for the last L only: synthesis and verify of a root ask for the same L."""
+        if self._table[0] != L:
+            self._table = (L, _reduced_table(self.padded, self.span, L))
+        return self._table[1]
 
-def _machine(a: Dfao, key: Optional[tuple] = None) -> _Machine:
+
+def _machine(a: Dfao) -> _Machine:
     """The _Machine of a, per structure."""
-    return _cached(_MACHINE_CACHE, _structure(a) if key is None else key, lambda: _Machine(a))
+    return _cached(_MACHINE_CACHE, _structure(a), lambda: _Machine(a))
 
 
 # ----------------------------------------------------------------------
@@ -488,12 +512,13 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
     if root.k != a.base:
         raise AutorecError(f"root was built for k = {root.k}, automaton has base {a.base}")
     r0, u = root.r0, root.primitive_exponent
-    u1, sigma = _frame(a.output_field.conductor, r0, u)
+    u1, sigma, _ = _frame(a.output_field.conductor, r0, u)
 
     def build():
         machine = _machine(a)
         at_u1 = RootSpec(root.k, r0, u1, root.s)
-        return (_minimal_poly if use_minimal else _char_poly)(*_reduced_product(machine.padded, machine.span, at_u1))
+        product = _reduced_product(machine.padded, *machine.table(sigma.field.conductor), at_u1)
+        return (_minimal_poly if use_minimal else _char_poly)(*product)
 
     coeffs = _cached(_SYNTH_CACHE, (_structure(a), root.s, r0, u1, use_minimal), build)
     if u1 != u:
@@ -501,8 +526,9 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
     return Recurrence(a.base, root, coeffs, "min_poly" if use_minimal else "char_poly")
 
 
+@functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
 def _frame(m: int, r0: int, u: int) -> tuple:
-    """(u1, sigma_t): the root zeta_r0^u1 that stands for zeta_r0^u in synthesis and verify, and the map between them.
+    """(u1, sigma_t, sigma_t^(-1)): the root zeta_r0^u1 that stands for zeta_r0^u in synthesis and verify, and the maps between them.
 
     u1 is the least unit mod r0 with u1 = u (mod g), g = gcd(m, r0), and
     sigma_t: zeta_L -> zeta_L^t on Q(zeta_L), L = lcm(m, r0), with t = 1
@@ -515,6 +541,7 @@ def _frame(m: int, r0: int, u: int) -> tuple:
     w1)), so the residuals of a recurrence at w are sigma_t of those of
     sigma_t^(-1) of it at w1, and vanish at the same n.  Rational
     coefficients are fixed.  For m = 1 there is one class per conductor.
+    The frames of the last _FRAME_CACHE_SIZE keys are kept.
     """
     g = math.gcd(m, r0)
     u1 = u % g
@@ -522,7 +549,8 @@ def _frame(m: int, r0: int, u: int) -> tuple:
         u1 += g
     # t = 1 + m x with m x = u / u1 - 1 (mod r0), which g divides
     x = (u * pow(u1, -1, r0) - 1) // g * pow(m // g, -1, r0 // g)
-    return u1, GaloisMap(cyclo_field(math.lcm(m, r0)), 1 + m * x)
+    K, t = cyclo_field(math.lcm(m, r0)), 1 + m * x
+    return u1, GaloisMap(K, t), GaloisMap(K, pow(t, -1, K.conductor))
 
 
 # ----------------------------------------------------------------------
@@ -576,8 +604,10 @@ def _units(factors: list, L: int, n: int) -> int:
 
 def _overrun(rec: Recurrence, L: int, n_max: int, budget: Optional[int]) -> Optional[tuple]:
     """The first n <= n_max whose work units pass the budget, with the units spent."""
+    if budget is None or n_max < 1:
+        return None
     factors = [rec.k ** (rec.root.s * j) for j in range(rec.order + 1)]
-    if budget is None or n_max < 1 or _units(factors, L, n_max) <= budget:
+    if _units(factors, L, n_max) <= budget:
         return None
     # the units grow with n, so the first n past the budget is found by bisection
     n = 1 + bisect.bisect_right(range(1, n_max + 1), budget, key=lambda m: _units(factors, L, m))
@@ -614,24 +644,22 @@ def verify(
         raise AutorecError("recurrence and automaton disagree on the base k")
     if n_max < 0:
         raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
-    struct, root = _structure(a), rec.root
-    machine = _machine(a, struct)
-    u1, sigma = _frame(a.output_field.conductor, root.r0, root.primitive_exponent)
-    K = sigma.field
+    root = rec.root
+    u1, _, pull = _frame(a.output_field.conductor, root.r0, root.primitive_exponent)
+    K = pull.field
     L = K.conductor
     cs = [K.coerce(c) if L % c.field.conductor == 0 else _descend(c, L) for c in rec.coefficients]
     if any(c is None for c in cs):
         raise AutorecError(f"a recurrence coefficient lies outside Q(zeta_{L}), the field of the outputs and w")
     if u1 != root.primitive_exponent:
-        pull = GaloisMap(K, pow(sigma.m, -1, L))
         cs = [c if K._rational(c.vec) is not None else pull(c) for c in cs]
 
     def scan():
         den = math.lcm(*(c.den for c in cs))
         vecs = [_annihilate([x * (den // c.den) for x in c.vec], L) for c in cs]
-        return _scan(vecs, RootSpec(root.k, root.r0, u1, root.s), machine, L)
+        return _scan(vecs, RootSpec(root.k, root.r0, u1, root.s), _machine(a), L)
 
-    key = (struct, root.s, root.r0, u1, tuple((c.vec, c.den) for c in cs))
+    key = (_structure(a), root.s, root.r0, u1, tuple((c.vec, c.den) for c in cs))
     failure = _cached(_VERIFY_CACHE, key, scan)
     if failure is not None and failure > n_max:
         failure = None
@@ -681,7 +709,7 @@ def _scan(cs: list, root: RootSpec, machine: _Machine, L: int) -> Optional[int]:
     """
     a, span = machine.padded, machine.span
     gens, lift = span.generators, L // a.output_field.conductor
-    table, den = _reduced_table(a, span, L)
+    table, den = machine.table(L)
     # each output as (power of zeta_L, integer) pairs, all over one denominator
     oden = math.lcm(*(v.den for v in a.outputs))
     outs = [_pairs(v, lift, oden) for v in a.outputs]

@@ -41,6 +41,7 @@ from autorec.recurrence import (
     _minimal_poly,
     _pairs,
     _reduced_product,
+    _reduced_table,
 )
 from poly_oracle import CycloPoly, PolyMatrix
 
@@ -379,7 +380,8 @@ def minimal_poly(rows, field: CycloField) -> list:
 
 def reduced_product_at_root(a, span, root) -> tuple:
     """(M-hat(k^s; w) as field elements, its field): Left for a forward a, its Right mirror for a backward one."""
-    vecs, den, field = _reduced_product(a, span, root)
+    table = _reduced_table(a, span, math.lcm(a.output_field.conductor, root.r0))
+    vecs, den, field = _reduced_product(a, *table, root)
     return _elements(vecs, den, field), field
 
 

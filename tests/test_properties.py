@@ -2,6 +2,7 @@
 
 numberfield._reconstruct, the rational reconstruction that lifts
 span_analysis's residues, is compared with Fraction arithmetic,
+CycloField._rational with the power-basis coordinates,
 recurrence._char_poly, the characteristic polynomial on packed residues,
 with Newton's identities over CycloElements, and recurrence._minimal_poly
 with exact solves over the powers of the matrix.  Every test draws its
@@ -18,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from autorec import recurrence  # noqa: E402
-from autorec.numberfield import _reconstruct, _split_prime, cyclo_field  # noqa: E402
+from autorec.numberfield import CycloElement, _reconstruct, _split_prime, cyclo_field  # noqa: E402
 from autorec.recurrence import _char_poly, _minimal_poly  # noqa: E402
 from conftest import char_poly_newton_oracle, minimal_poly_by_solves  # noqa: E402
 
@@ -46,6 +47,27 @@ def test_reconstruct_answers_only_within_its_bounds(m, x):
         bound = math.isqrt(m // 2)
         assert (a - b * x) % m == 0
         assert abs(a) <= bound and 0 < b <= bound and math.gcd(b, m) == 1
+
+
+@FIXED
+@given(st.sampled_from((1, 2, 4, 6, 12, 15, 30, 105)), st.sampled_from((0, 1, -1, 2, -2, 7, -9)), st.data())
+def test_rational_is_read_off_the_power_basis(n, q, data):
+    # a normal form is q times that of 1 exactly when its power-basis coordinates past the
+    # constant are 0, and then q is the constant; the conductors include prime powers and
+    # n = 2 mod 4, the inputs q times 1, q times 1 with one slot moved by 1, and random ones
+    field = cyclo_field(n)
+    kind = data.draw(st.sampled_from(("multiple", "moved", "random")))
+    if kind == "random":
+        v = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    else:
+        v = [q * x for x in field._one]
+        if kind == "moved":
+            v[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from((1, -1)))
+    vec = field._normal(v)
+    coords = CycloElement(field, vec).coords
+    assert field._rational(vec) == (None if any(coords[1:]) else coords[0])
+    if kind == "multiple":
+        assert field._rational(vec) == q
 
 
 @settings(FIXED, max_examples=100)

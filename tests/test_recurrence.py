@@ -1152,6 +1152,40 @@ def test_clear_caches_empties_the_verify_cache(tm, monkeypatch):
     assert calls["_scan"] == 2
 
 
+def test_a_repeated_sweep_finds_every_root_cached(tm, monkeypatch):
+    # every e of r = 21 on thue_morse and of r = 9 on a Q(zeta_3) pattern machine, twice:
+    # the second sweep finds each frame, polynomial and first failure cached, so it builds
+    # no Galois map, runs no frame and no term table, polynomial or scan, and reports
+    # what the first did; after clear_caches() a sweep does the first one's work again
+    calls = _count_calls(monkeypatch, "_reduced_table", "_char_poly", "_scan")
+    init = GaloisMap.__init__
+
+    def counted_init(self, *args):
+        calls["GaloisMap"] += 1
+        init(self, *args)
+
+    calls["GaloisMap"] = 0
+    monkeypatch.setattr(GaloisMap, "__init__", counted_init)
+    sweeps = ((tm, 21), (_irrational_machines()[3][1], 9))
+
+    def sweep() -> tuple:
+        before = {**calls, "_frame": recurrence._frame.cache_info().misses}
+        reports = []
+        for a, r in sweeps:
+            for e in range(r):
+                rec = synthesize(a, RootSpec(2, r, e))
+                reports.append((rec.to_json_dict(), verify(rec, a, 40).to_json_dict()))
+        after = {**calls, "_frame": recurrence._frame.cache_info().misses}
+        return reports, {name: after[name] - before[name] for name in after}
+
+    first, cold = sweep()
+    assert all(cold.values()), cold
+    second, warm = sweep()
+    assert warm == dict.fromkeys(cold, 0) and second == first
+    clear_caches()
+    assert sweep() == (first, cold)
+
+
 def test_sweep_order_changes_no_coefficient_and_no_build(tm, monkeypatch):
     # each class is built at its least unit u1 (_frame) and mapped by sigma_t, so the
     # order of a sweep decides neither a coefficient nor the number of polynomials:
