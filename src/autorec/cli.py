@@ -20,6 +20,7 @@ from typing import Optional
 
 from .errors import AutorecError, ParseError
 from .automaton import (
+    FORWARD,
     Dfao,
     PatternSpec,
     _render_value,
@@ -100,7 +101,7 @@ def _matrix_view(entries: list, conductor: int) -> tuple[dict, str]:
 def _cmd_matrix(args) -> int:
     a = _load_dfao(args.dfao)
     span = span_analysis(a)
-    side = LEFT if a.direction == "forward" else RIGHT
+    side = LEFT if a.direction == FORWARD else RIGHT
     payload, blocks = {}, []
 
     def show(key: str, title: str, entries: list) -> None:

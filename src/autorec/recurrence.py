@@ -22,21 +22,22 @@ over the y of l digits with delta(q0, y read backwards) = p, G_0 = e_q0,
 rho = sum over j of C_j G_(js), and the term of m is the sum over p of
 rho(p) out(delta(p, m read least significant digit first)).
 
-Synthesis and verification share, per automaton structure (_machine),
-the padded-word machine that _pad_invariant makes of the pruned
-automaton and its span; one term table, M-hat's cells over the span's
-generators (_reduced_table), kept for the last conductor (_Machine.table);
-and one level kernel, _apply_levels, the s
-digit levels at x = w^(k^t) on one vector mod x^L - 1 per generator,
-packed as one residue mod 2^(8 width L) - 1.  Synthesis applies them to
-unit vectors and takes a characteristic or minimal polynomial; verify
-takes rho over the generators, rho-hat, whose zero proves every n
-(_scan), scans a nonzero one for its first failure over all n and takes
-no normal form (_annihilate).  Both work at one root w1 per Galois
-class of a root sweep (_frame): synthesis maps the polynomial built at
-w1 by sigma_t, and verify pulls the coefficients back by sigma_t^(-1),
-so each cached polynomial and first failure is a function of its key;
-the frames are memoized, so a root of a cached class costs lookups.
+Synthesis and verification share one _Machine per automaton structure
+(_machine): the padded-word machine that _pad_invariant makes of the
+pruned automaton, its span, one term table, M-hat's cells over the
+span's generators (_reduced_table), kept for the last conductor, and
+the polynomials and first failures found on it; and one level kernel,
+_apply_levels, the s digit levels at x = w^(k^t) on one vector mod
+x^L - 1 per generator, packed as one residue mod 2^(8 width L) - 1.
+Synthesis applies them to unit vectors and takes a characteristic or
+minimal polynomial; verify takes rho over the generators, rho-hat,
+whose zero proves every n (_scan), scans a nonzero one for its first
+failure over all n and takes no normal form (_annihilate).  Both work
+at one root w1 per Galois class of a root sweep (_frame): synthesis
+maps the polynomial built at w1 by sigma_t, and verify pulls the
+coefficients back by sigma_t^(-1), so each polynomial and first failure
+a machine keeps is a function of its key; the frames are memoized, so
+a root of a cached class costs lookups.
 The characteristic polynomial comes from Berkowitz's division-free
 recursion on the same packed residues, the product's vectors taken as
 the levels leave them, in slots as wide as an a-priori bound on its
@@ -423,16 +424,14 @@ def _reduced_product(a: Dfao, table: list, den: int, root: RootSpec) -> tuple:
 # ----------------------------------------------------------------------
 # process-wide caches, least recently used first
 
-# entries per cache; a root sweep keeps one per automaton, conductor and
-# Galois class (72 over criterion 02's grid) in the synthesis and verify
-# caches, one per automaton in the machine cache
+# machines, and polynomials and first failures per machine; a root sweep
+# keeps one of each per conductor and Galois class on its machine (18 per
+# machine over criterion 02's grid)
 _CACHE_SIZE = 128
 # frames (_frame), one per output conductor and root, not per class: 257
 # over criterion 02's grid, each three small objects
 _FRAME_CACHE_SIZE = 1024
-_SYNTH_CACHE: OrderedDict = OrderedDict()
 _MACHINE_CACHE: OrderedDict = OrderedDict()
-_VERIFY_CACHE: OrderedDict = OrderedDict()
 
 
 def _cached(cache: OrderedDict, key, build):
@@ -447,14 +446,14 @@ def _cached(cache: OrderedDict, key, build):
 
 
 def clear_caches() -> None:
-    """Empty the synthesis, machine, verify and frame caches of this module.
+    """Empty the machine and frame caches of this module, so the next call does all of its work cold.
 
-    The machines go with their spans and term tables, so the next call
-    does all of its work cold.
+    They hold at most _CACHE_SIZE machines, each with its span, term
+    table and at most _CACHE_SIZE polynomials and _CACHE_SIZE first
+    failures, and at most _FRAME_CACHE_SIZE frames.  numberfield's LRUs
+    (cyclo_field, _split_prime, _embeddings) are not emptied.
     """
-    _SYNTH_CACHE.clear()
     _MACHINE_CACHE.clear()
-    _VERIFY_CACHE.clear()
     _frame.cache_clear()
 
 
@@ -472,11 +471,13 @@ def _structure(a: Dfao) -> tuple:
 
 
 class _Machine:
-    """The padded-word machine of a (_pad_invariant) and, on first use, its span and term table."""
+    """The padded-word machine of a (_pad_invariant), on first use its span and term table, and LRUs of its polynomials and first failures."""
 
     def __init__(self, a: Dfao):
         self.padded = _pad_invariant(prune_inaccessible(a))
         self._table: tuple = (None, None)
+        self.polys: OrderedDict = OrderedDict()
+        self.failures: OrderedDict = OrderedDict()
 
     @functools.cached_property
     def span(self) -> SpanAnalysis:
@@ -511,16 +512,15 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
     """
     if root.k != a.base:
         raise AutorecError(f"root was built for k = {root.k}, automaton has base {a.base}")
-    r0, u = root.r0, root.primitive_exponent
+    machine, r0, u = _machine(a), root.r0, root.primitive_exponent
     u1, sigma, _ = _frame(a.output_field.conductor, r0, u)
 
     def build():
-        machine = _machine(a)
         at_u1 = RootSpec(root.k, r0, u1, root.s)
         product = _reduced_product(machine.padded, *machine.table(sigma.field.conductor), at_u1)
         return (_minimal_poly if use_minimal else _char_poly)(*product)
 
-    coeffs = _cached(_SYNTH_CACHE, (_structure(a), root.s, r0, u1, use_minimal), build)
+    coeffs = _cached(machine.polys, (root.s, r0, u1, use_minimal), build)
     if u1 != u:
         coeffs = [c if sigma.field._rational(c.vec) is not None else sigma(c) for c in coeffs]
     return Recurrence(a.base, root, coeffs, "min_poly" if use_minimal else "char_poly")
@@ -629,10 +629,10 @@ def verify(
     backward state tuple, for the first failure over all n, which verify
     reports when it is at most n_max.  The scan runs at the root u1 of
     w's Galois class (_frame) on the coefficients pulled back by
-    sigma_t^(-1), and its first failure is kept per automaton structure,
-    step, class and pulled-back coefficients (_VERIFY_CACHE), for every
-    bound and every root of the class.  A call costs l s T shifts for any
-    n_max, T the table's terms, plus those sums.  The budget caps the
+    sigma_t^(-1), and its first failure is kept on the automaton's
+    _Machine per step, class and pulled-back coefficients (failures),
+    for every bound and every root of the class.  A call costs l s T
+    shifts for any n_max, T the table's terms, plus those sums.  The budget caps the
     work units, L + (n k^(js)).bit_length() per n and term, summed in
     closed form, with a BudgetError at the first n past it unless an
     earlier n fails.  A coefficient may be written in a field larger
@@ -644,7 +644,7 @@ def verify(
         raise AutorecError("recurrence and automaton disagree on the base k")
     if n_max < 0:
         raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
-    root = rec.root
+    root, machine = rec.root, _machine(a)
     u1, _, pull = _frame(a.output_field.conductor, root.r0, root.primitive_exponent)
     K = pull.field
     L = K.conductor
@@ -657,10 +657,10 @@ def verify(
     def scan():
         den = math.lcm(*(c.den for c in cs))
         vecs = [_annihilate([x * (den // c.den) for x in c.vec], L) for c in cs]
-        return _scan(vecs, RootSpec(root.k, root.r0, u1, root.s), _machine(a), L)
+        return _scan(vecs, RootSpec(root.k, root.r0, u1, root.s), machine, L)
 
-    key = (_structure(a), root.s, root.r0, u1, tuple((c.vec, c.den) for c in cs))
-    failure = _cached(_VERIFY_CACHE, key, scan)
+    key = (root.s, root.r0, u1, tuple((c.vec, c.den) for c in cs))
+    failure = _cached(machine.failures, key, scan)
     if failure is not None and failure > n_max:
         failure = None
     # the units run out at n before the residual at n is read

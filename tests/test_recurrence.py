@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -752,7 +753,7 @@ def test_synthesis_miss_takes_d_normal_forms_and_no_field_product(rs, tm, monkey
     for a in machines:
         for root in roots:
             for use_minimal in (False, True):
-                recurrence._SYNTH_CACHE.clear()
+                recurrence._machine(a).polys.clear()
                 calls.update(_normal=0, _kronecker=0)
                 rec = synthesize(a, root, use_minimal)
                 assert calls == {"_normal": rec.order, "_kronecker": 0}, (a, root, use_minimal)
@@ -1133,7 +1134,7 @@ def test_verify_cache_evicts_the_least_recently_used_entry(tm, monkeypatch):
         verify(_perturbed(recs[r, 1], 0), tm, 30)
     verify(_perturbed(recs[3, 2], 0), tm, 30)  # a hit: conductor 3 is now the most recent
     verify(recs[7, 1], tm, 30)  # evicts conductor 5
-    assert calls["_scan"] == 3 and len(recurrence._VERIFY_CACHE) == 2
+    assert calls["_scan"] == 3 and len(recurrence._machine(tm).failures) == 2
     assert verify(_perturbed(recs[3, 1], 0), tm, 30).first_failure == 1
     assert calls["_scan"] == 3
     assert verify(_perturbed(recs[5, 2], 0), tm, 30).first_failure == 1
@@ -1145,11 +1146,113 @@ def test_clear_caches_empties_the_verify_cache(tm, monkeypatch):
     rec = synthesize(tm, RootSpec(2, 5, 1))
     verify(rec, tm, 30)
     verify(rec, tm, 30)
-    assert calls["_scan"] == 1 and len(recurrence._VERIFY_CACHE) == 1
+    assert calls["_scan"] == 1 and len(recurrence._machine(tm).failures) == 1
     clear_caches()
-    assert not recurrence._VERIFY_CACHE
+    assert not recurrence._MACHINE_CACHE
     verify(rec, tm, 30)
     assert calls["_scan"] == 2
+
+
+def test_equal_automata_share_one_machine_polynomial_and_first_failure(monkeypatch):
+    # the same text parsed twice: two Dfao objects of one structure, so one machine
+    # serves both, and its polynomial and first failure are each found once
+    calls = _count_calls(monkeypatch, "_char_poly", "_scan")
+    a, b = parse_dfao(TM_ZETA3), parse_dfao(TM_ZETA3)
+    assert a is not b and recurrence._structure(a) == recurrence._structure(b)
+    root = RootSpec(2, 5, 1)
+    bad = _perturbed(synthesize(a, root), 0)
+    got = [(synthesize(x, root).to_json_dict(), verify(bad, x, 30).to_json_dict()) for x in (a, b)]
+    assert got[0] == got[1] and got[0][1]["first_failure"] == 1
+    assert calls == {"_char_poly": 1, "_scan": 1}
+    assert len(recurrence._MACHINE_CACHE) == 1 and recurrence._machine(a) is recurrence._machine(b)
+
+
+def test_machine_keys_keep_the_step(tm, monkeypatch):
+    # thue_morse at zeta_3: A(4 n) = 3 A(n) at s = 2 and A(16 n) = 9 A(n) at s = 4, two
+    # polynomials on one machine; the coefficients of s = 2 read at s = 4 fail at n = 1
+    calls = _count_calls(monkeypatch, "_char_poly", "_scan")
+    recs = [synthesize(tm, RootSpec(2, 3, 1, s)) for s in (2, 4)]
+    assert [rec.integer_coefficients() for rec in recs] == [[-3, 1], [-9, 1]]
+    assert all(verify(rec, tm, 40).all_zero for rec in recs)
+    assert verify(Recurrence(2, recs[1].root, recs[0].coefficients, "moved"), tm, 40).first_failure == 1
+    machine = recurrence._machine(tm)
+    assert [key[0] for key in machine.polys] == [2, 4] and [key[0] for key in machine.failures] == [2, 4, 4]
+    assert calls == {"_char_poly": 2, "_scan": 3}
+
+
+def test_machine_keys_keep_the_galois_class(monkeypatch):
+    # Q(zeta_3) outputs in base 4 = 1 (mod 3), which keeps the classes u = 1 and 2 (mod 3)
+    # apart (base 2 swaps them, and their polynomials agree): every e of r = 9 leaves one
+    # polynomial and one first failure per class, r0 = 1 and u1 = 1, 2 at r0 = 3 and 9,
+    # and the recurrence of one class fails at the other's root of the same u1
+    f3 = cyclo_field(3)
+    a = Dfao(4, FORWARD, "ab", [f3.omega(), 0], [[1, 0, 1, 1], [1, 1, 1, 1]])
+    calls = _count_calls(monkeypatch, "_char_poly")
+    recs = {e: synthesize(a, RootSpec(4, 9, e)) for e in range(9)}
+    assert all(verify(rec, a, 40).all_zero for rec in recs.values())
+    machine, classes = recurrence._machine(a), [(1, 0), (3, 1), (3, 2), (9, 1), (9, 2)]
+    assert sorted(key[1:3] for key in machine.polys) == sorted(key[1:3] for key in machine.failures) == classes
+    assert calls["_char_poly"] == 5
+    for e, other in ((3, 6), (6, 3), (1, 2), (2, 1)):
+        moved = Recurrence(4, RootSpec(4, 9, other), recs[e].coefficients, "moved")
+        assert verify(moved, a, 40).first_failure == 1, (e, other)
+
+
+def test_a_third_machine_evicts_the_least_recently_used_machine_with_its_entries(tm, rs, bs, monkeypatch):
+    monkeypatch.setattr(recurrence, "_CACHE_SIZE", 2)
+    calls = _count_calls(monkeypatch, "span_analysis", "_char_poly", "_scan")
+    root = RootSpec(2, 3, 1)
+
+    def run(a) -> tuple:
+        rec = synthesize(a, root)
+        return rec.to_json_dict(), verify(rec, a, 30).to_json_dict()
+
+    first = {name: run(a) for name, a in (("tm", tm), ("rs", rs))}
+    synthesize(tm, root)  # a hit: thue_morse is now the most recent
+    evicted = recurrence._MACHINE_CACHE[recurrence._structure(rs)]
+    run(bs)  # evicts rudin_shapiro's machine, its polynomial and its first failure
+    assert list(recurrence._MACHINE_CACHE) == [recurrence._structure(a) for a in (tm, bs)]
+    assert calls == {"span_analysis": 3, "_char_poly": 3, "_scan": 3}
+    assert run(tm) == first["tm"] and calls == {"span_analysis": 3, "_char_poly": 3, "_scan": 3}
+    assert run(rs) == first["rs"] and calls == {"span_analysis": 4, "_char_poly": 4, "_scan": 4}
+    assert recurrence._machine(rs) is not evicted
+
+
+def test_a_third_polynomial_evicts_only_its_machines_oldest_entry(tm, rs, monkeypatch):
+    monkeypatch.setattr(recurrence, "_CACHE_SIZE", 2)
+    calls = _count_calls(monkeypatch, "_char_poly")
+    for r in (3, 5):
+        synthesize(tm, RootSpec(2, r, 1))
+    synthesize(rs, RootSpec(2, 3, 1))
+    synthesize(tm, RootSpec(2, 7, 1))  # evicts thue_morse's conductor 3, not rudin_shapiro's
+    assert [key[1] for key in recurrence._machine(tm).polys] == [5, 7]
+    assert [key[1] for key in recurrence._machine(rs).polys] == [3]
+    synthesize(rs, RootSpec(2, 3, 1))
+    assert calls["_char_poly"] == 4
+    synthesize(tm, RootSpec(2, 3, 1))
+    assert calls["_char_poly"] == 5
+
+
+def test_clear_caches_empties_every_cache_of_the_module(tm, rs):
+    # a cache that clear_caches misses would carry results from one test into the next:
+    # every OrderedDict and lru_cache of recurrence's own reads empty after it
+
+    def sizes() -> dict:
+        out = {}
+        for name, v in vars(recurrence).items():
+            if isinstance(v, OrderedDict):
+                out[name] = len(v)
+            elif hasattr(v, "cache_info") and v.__module__ == recurrence.__name__:
+                out[name] = v.cache_info().currsize
+        return out
+
+    for a in (tm, rs):
+        for e in range(9):
+            verify(synthesize(a, RootSpec(2, 9, e)), a, 30)
+    swept = sizes()
+    assert {"_MACHINE_CACHE", "_frame"} <= set(swept) and all(swept.values()), swept
+    clear_caches()
+    assert sizes() == dict.fromkeys(swept, 0)
 
 
 def test_a_repeated_sweep_finds_every_root_cached(tm, monkeypatch):
@@ -1261,7 +1364,7 @@ def test_caches_evict_the_least_recently_used_entry(tm, monkeypatch):
     first = {r: synthesize(tm, RootSpec(2, r, 1)).to_json_dict() for r in (3, 5)}
     synthesize(tm, RootSpec(2, 3, 2))  # a hit: conductor 3 is now the most recent
     synthesize(tm, RootSpec(2, 7, 1))  # evicts conductor 5
-    assert calls == {"span_analysis": 1, "_char_poly": 3} and len(recurrence._SYNTH_CACHE) == 2
+    assert calls == {"span_analysis": 1, "_char_poly": 3} and len(recurrence._machine(tm).polys) == 2
     assert synthesize(tm, RootSpec(2, 3, 1)).to_json_dict() == first[3]
     assert calls["_char_poly"] == 3
     assert synthesize(tm, RootSpec(2, 5, 1)).to_json_dict() == first[5]
