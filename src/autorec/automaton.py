@@ -371,9 +371,11 @@ def reverse_dfao(a: Dfao, cap: int = 100000) -> Dfao:
 
     States are the word-induced maps Q -> Q, built breadth first from the
     identity; reading w in the new machine tracks the action of reading
-    the reversal of w in the old one.  Raises when more than cap states
-    appear.
+    the reversal of w in the old one.  Raises when cap is below 1 or more
+    than cap states appear.
     """
+    if cap < 1:
+        raise AutorecError(f"the reversal's state cap must be at least 1, got {cap}")
     states = range(a.size)
     # first act with the digit, then with the already-read suffix
     maps, delta = closure(

@@ -24,10 +24,11 @@ exactly by a monic Phi_m, and CycloField.reduce divides in place by the
 monic Phi_n.
 
 Modulo a split prime p = 1 (mod n), Z[zeta_n] maps onto F_p in phi(n)
-ways, which _embeddings inverts in closed form.  Elimination over F_p
-(_rref_mod) and rational reconstruction serve span_analysis, which
-proves its lifted answer exact by a height bound, and _rref_mod alone
-serves _minimal_poly's non-derogatory test.
+ways, which _embeddings inverts in closed form.  The one elimination of
+the package, _certified_rref, runs over F_p (_rref_mod) and lifts by CRT
+and rational reconstruction, proved exact by a height bound; it serves
+span_analysis and _minimal_poly's derogatory fallback, and _rref_mod
+alone serves _minimal_poly's non-derogatory test.
 """
 
 from __future__ import annotations
@@ -752,61 +753,20 @@ def complex_embed(a: CycloElement, digits: int = 15) -> mpmath.mpc:
 
 
 # ----------------------------------------------------------------------
-# exact linear algebra over a field
-#
-# Only _minimal_poly's derogatory fallback (its power table) and the test
-# oracles eliminate over CycloElements; rational entries, ints and
-# Fractions, work too.  Each pivot row is scaled by one inverse, so all
-# that is used is +, -, *, comparison with zero, and
-# CycloElement.inverse or a Fraction reciprocal.
-
-
-def _rref(a: list[list], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination of the rows in place on their first ncols columns.
-
-    Pivot rows are scaled to 1 and moved to the top, in the order of
-    their pivot columns, and every other row is zero in each pivot
-    column.  Returns the pivot columns in order.  So a non-pivot column
-    c holds the coefficients of column c over the pivot columns left of
-    it: entry (i, c) goes with the i-th pivot column.
-    """
-    m = len(a)
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, m):
-            if a[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[row], a[sel] = a[sel], a[row]
-        piv = a[row][col]
-        inv = piv.inverse() if isinstance(piv, CycloElement) else 1 / Fraction(piv)
-        # the rows from `row` on are zero left of col, so only columns col.. change
-        a[row][col:] = prow = [c * inv for c in a[row][col:]]
-        for i in range(m):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i][col:] = [c - f * d if d else c for c, d in zip(a[i][col:], prow)]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    return pivots
-
-
-# ----------------------------------------------------------------------
 # linear algebra modulo split primes
 #
-# span_analysis eliminates over F_p for split primes p and lifts the
-# result by CRT and rational reconstruction; it proves the lift exact
-# itself.  _minimal_poly's non-derogatory test eliminates over one F_p.
+# _certified_rref serves span_analysis and _minimal_poly's derogatory
+# fallback; _minimal_poly's non-derogatory test eliminates over one F_p.
 
 
 def _rref_mod(a: list[list[int]], ncols: int, p: int) -> list[int]:
-    """_rref over F_p: Gauss-Jordan elimination in place of rows of residues mod p, with the same contract."""
+    """Gauss-Jordan elimination in place of rows of residues mod p on their first ncols columns; the pivot columns in order.
+
+    Pivot rows are scaled to 1 and moved to the top, and every other row
+    is zero in each pivot column.  So a non-pivot column c holds its
+    coefficients over the pivot columns left of it: entry (i, c) goes
+    with the i-th pivot column.
+    """
     m = len(a)
     pivots = []
     row = 0
@@ -876,3 +836,108 @@ def _reconstruct(x: int, m: int) -> Optional[tuple[int, int]]:
     if t1 > bound or math.gcd(t1, m) != 1:
         return None
     return r1, t1
+
+
+def _certified_rref(field: CycloField, outs: list, rows: list) -> tuple[list[int], list[list]]:
+    """(pivots, coeffs) of the matrix whose entries are outs[i], (vector, denominator) pairs, for the indices i in rows.
+
+    pivots are its pivot columns, and coeffs[c] holds the coefficients of
+    column c over them: zero on the pivots right of c, and a unit vector
+    for a pivot column.
+
+    Let m be the conductor of field, K = Q(zeta_m) and T the lcm of the
+    denominators of outs.  Each split prime p = 1 (mod 2m) above 2^61
+    that does not divide T gives phi(m) ring maps zeta_m -> g^t onto F_p,
+    one per unit t mod m.  Each distinct entry is mapped once per map,
+    and the matrix is eliminated once per map (_rref_mod).  Columns
+    independent mod p are independent over K.  A prime whose maps
+    disagree on the pivots is dropped; of two primes with different
+    pivots, the one whose pivot list has the larger prefix ranks is kept
+    and the other is dropped.  Each coefficient is rebuilt from its
+    phi(m) images as normal-form coordinates mod p, combined by CRT over
+    the product M of the primes kept, and rationally reconstructed.
+
+    The certificate: let D be the lcm of the denominators of the
+    coefficients alpha_b of a non-pivot column c.  In each row u, with
+    u_b its entry in column b, the residual
+    D T (sum over b of alpha_b u_b - u_c) lies in Z[zeta_m] and
+    vanishes at every map modulo every prime kept, so M divides its
+    normal-form coordinates.  They are at most
+    s (sum over b of ||D alpha_b||_1 + D) max over o in outs of ||T o||_1,
+    s = 1 the largest coordinate of the normal form of any power of
+    zeta_m: each prime power q || m clears a forbidden top digit into its
+    p - 1 partners (one for p = 2) with sign -1, and different primes
+    move disjoint CRT components.
+    When that bound is below M/2 every residual is zero, so c lies in the
+    span of the pivots left of it with these coefficients; otherwise the
+    next prime is taken, and only finitely many primes are unlucky.  So
+    the pivots, the rank and the coefficients are exact; none is taken
+    from a prime on trust.
+
+    The cost per prime is phi(m) eliminations of O(rank * rows * cols)
+    operations in F_p, plus phi(m)^2 operations per coefficient for its
+    coordinates.  No field element is multiplied or inverted.
+    """
+    n, ncols = field.conductor, len(rows[0])
+    den = math.lcm(*(b for _, b in outs))
+    height = max(sum(map(abs, v)) * (den // b) for v, b in outs)  # max over o of ||T o||_1
+    best, modulus, got, p = None, 1, None, 1 << 61
+    while True:
+        p, g = _split_prime(n, p)
+        if den % p == 0:
+            continue
+        roots, basis, inverse = _embeddings(n, p, g)
+        dinv = [pow(b, -1, p) for _, b in outs]
+        runs = []
+        for pw in (_geometric(x, n, p) for x in roots):
+            img = [sum(map(operator.mul, v, pw)) * x % p for (v, _), x in zip(outs, dinv)]
+            m = [[img[i] for i in row] for row in rows]
+            runs.append((_rref_mod(m, ncols, p), m))
+        pivots = runs[0][0]
+        if any(other != pivots for other, _ in runs):
+            continue
+        # no prime's prefix ranks exceed the true ones, so the true pivot list has the least key
+        key = pivots + [ncols]
+        if best is not None and key > best:
+            continue
+        if key != best:
+            best, modulus, got = key, 1, None
+        free = [c for c in range(ncols) if c not in pivots]
+        rank = len(pivots)
+        # the phi images of the coefficient of each free column c on each pivot i, and its coordinates mod p
+        images = [[m[i][c] for _, m in runs] for c in free for i in range(rank)]
+        res = [sum(map(operator.mul, row, v)) % p for v in images for row in inverse]
+        inv = pow(modulus, -1, p)
+        got = res if got is None else [x + modulus * ((y - x) * inv % p) for x, y in zip(got, res)]
+        modulus *= p
+        fracs = [_reconstruct(x, modulus) for x in got]
+        if None in fracs:
+            continue
+        phi = len(basis)
+        lifted = [fracs[k * rank * phi : (k + 1) * rank * phi] for k in range(len(free))]
+        if all(_certified(col, height, modulus) for col in lifted):
+            break
+    one, zero = field.one(), field.zero()
+    coeffs = [None] * ncols
+    for t, c in enumerate(pivots):
+        coeffs[c] = [one if i == t else zero for i in range(rank)]
+    for c, col in zip(free, lifted):
+        coeffs[c] = [_element(field, basis, col[i * phi : (i + 1) * phi]) for i in range(rank)]
+    return pivots, coeffs
+
+
+def _certified(col: list, height: int, modulus: int) -> bool:
+    """Whether the height bound of _certified_rref, for the (numerator, denominator) pairs col of one column, is below modulus / 2."""
+    lcm = math.lcm(*(b for _, b in col))
+    return 2 * (sum(abs(x) * (lcm // b) for x, b in col) + lcm) * height < modulus
+
+
+def _element(field: CycloField, basis: list, coords: list) -> CycloElement:
+    """The element with the rational coordinates coords, (numerator, denominator) pairs, on the normal-form basis."""
+    if not any(x for x, _ in coords):
+        return field.zero()
+    lcm = math.lcm(*(b for _, b in coords))
+    vec = [0] * field.conductor
+    for j, (x, b) in zip(basis, coords):
+        vec[j] = x * (lcm // b)
+    return _lowest(field, vec, lcm)

@@ -18,22 +18,11 @@ digit first (Right), for the matrix command.
 
 from __future__ import annotations
 
-import math
-import operator
 from typing import Optional
 
 from .errors import AutorecError
 from .automaton import FORWARD, Dfao, closure
-from .numberfield import (
-    CycloElement,
-    CycloField,
-    _embeddings,
-    _geometric,
-    _lowest,
-    _reconstruct,
-    _rref_mod,
-    _split_prime,
-)
+from .numberfield import _certified_rref
 
 LEFT = "left"
 RIGHT = "right"
@@ -117,40 +106,11 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
     always keep state 0 so the partial sums of the induced sequence stay
     expressible.
 
-    The elimination runs in F_p (_certified_rref).  Let m be the output
-    conductor, K = Q(zeta_m) and T the lcm of the output denominators.
-    Each split prime p = 1 (mod 2m) above 2^61 that does not divide T
-    gives phi(m) ring maps zeta_m -> g^t onto F_p, one per unit t mod m.
-    Each distinct output is mapped once per map, and the table, whose
-    entries are output indices, is eliminated once per map.  Columns
-    independent mod p are independent over K.  A prime whose maps disagree
-    on the pivots is dropped; of two primes with different pivots, the one
-    whose pivot list has the larger prefix ranks is kept and the other is
-    dropped.  Each coefficient is rebuilt from its phi(m) images as
-    normal-form coordinates mod p, combined by CRT over the product M of
-    the primes kept, and rationally reconstructed.
-
-    The certificate: let D be the lcm of the denominators in a non-pivot
-    column c.  Each residual D T (sum over b of alpha_b f_(g_b)(u) -
-    f_c(u)) lies in Z[zeta_m] and vanishes at every map modulo every prime
-    kept, so M divides its normal-form coordinates.  They are at most
-    s (sum over b of ||D alpha_b||_1 + D) max over outputs o of ||T o||_1,
-    s = 1 the largest coordinate of the normal form of any power of
-    zeta_m: each prime power q || m clears a forbidden top digit into its
-    p - 1 partners (one for p = 2) with sign -1, and different primes
-    move disjoint CRT components.
-    When that bound is below M/2 every residual is zero, so c lies in the
-    span of the pivots left of it with these coefficients; otherwise the
-    next prime is taken, and only finitely many primes are unlucky.  So
-    the pivots, the rank and the alphas are exact; none is taken from a
-    prime on trust.
-
-    The cost per prime is phi(m) eliminations of O(rank * rows * cols)
-    operations in F_p, rows and cols counting distinct ones only (a
-    reversed pattern machine with 50 states and 50 tuples has 10 distinct
-    rows and 15 distinct columns), plus phi(m)^2 operations per
-    coefficient for its coordinates.  No field element is multiplied or
-    inverted.
+    The elimination runs modulo split primes and is proved exact by a
+    height bound (numberfield._certified_rref states both), so the pivots,
+    the rank and the alphas are exact.  It sees distinct rows and columns
+    only: a reversed pattern machine with 50 states and 50 tuples has 10
+    distinct rows and 15 distinct columns.
     """
     d = a.size
     targets = [[row[dig] for row in a.delta] for dig in range(a.base)]  # delta(., dig) as a list
@@ -185,78 +145,6 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
         shared[c] = tuple(out)
     alphas = {p: shared[reps[p]] for p in range(d) if p not in gpos}
     return SpanAnalysis(field, tuple(words), len(pivots), generators, alphas)
-
-
-def _certified_rref(field: CycloField, outs: list, rows: list) -> tuple[list[int], list[list]]:
-    """(pivots, coeffs) of the matrix whose entries are the outputs outs[i], (vector, denominator) pairs, for the indices i in rows.
-
-    pivots are its pivot columns, and coeffs[c] holds the coefficients of
-    column c over them: zero on the pivots right of c, and a unit vector
-    for a pivot column.  The method and its certificate are span_analysis's.
-    """
-    n, ncols = field.conductor, len(rows[0])
-    den = math.lcm(*(b for _, b in outs))
-    height = max(sum(map(abs, v)) * (den // b) for v, b in outs)  # max over o of ||T o||_1
-    best, modulus, got, p = None, 1, None, 1 << 61
-    while True:
-        p, g = _split_prime(n, p)
-        if den % p == 0:
-            continue
-        roots, basis, inverse = _embeddings(n, p, g)
-        dinv = [pow(b, -1, p) for _, b in outs]
-        runs = []
-        for pw in (_geometric(x, n, p) for x in roots):
-            img = [sum(map(operator.mul, v, pw)) * x % p for (v, _), x in zip(outs, dinv)]
-            m = [[img[i] for i in row] for row in rows]
-            runs.append((_rref_mod(m, ncols, p), m))
-        pivots = runs[0][0]
-        if any(other != pivots for other, _ in runs):
-            continue
-        # no prime's prefix ranks exceed the true ones, so the true pivot list has the least key
-        key = pivots + [ncols]
-        if best is not None and key > best:
-            continue
-        if key != best:
-            best, modulus, got = key, 1, None
-        free = [c for c in range(ncols) if c not in pivots]
-        rank = len(pivots)
-        # the phi images of the coefficient of each free column c on each pivot i, and its coordinates mod p
-        images = [[m[i][c] for _, m in runs] for c in free for i in range(rank)]
-        res = [sum(map(operator.mul, row, v)) % p for v in images for row in inverse]
-        inv = pow(modulus, -1, p)
-        got = res if got is None else [x + modulus * ((y - x) * inv % p) for x, y in zip(got, res)]
-        modulus *= p
-        fracs = [_reconstruct(x, modulus) for x in got]
-        if None in fracs:
-            continue
-        phi = len(basis)
-        lifted = [fracs[k * rank * phi : (k + 1) * rank * phi] for k in range(len(free))]
-        if all(_certified(col, height, modulus) for col in lifted):
-            break
-    one, zero = field.one(), field.zero()
-    coeffs = [None] * ncols
-    for t, c in enumerate(pivots):
-        coeffs[c] = [one if i == t else zero for i in range(rank)]
-    for c, col in zip(free, lifted):
-        coeffs[c] = [_element(field, basis, col[i * phi : (i + 1) * phi]) for i in range(rank)]
-    return pivots, coeffs
-
-
-def _certified(col: list, height: int, modulus: int) -> bool:
-    """Whether the height bound of span_analysis, for the (numerator, denominator) pairs col of one column, is below modulus / 2."""
-    lcm = math.lcm(*(b for _, b in col))
-    return 2 * (sum(abs(x) * (lcm // b) for x, b in col) + lcm) * height < modulus
-
-
-def _element(field: CycloField, basis: list, coords: list) -> CycloElement:
-    """The element with the rational coordinates coords, (numerator, denominator) pairs, on the normal-form basis."""
-    if not any(x for x, _ in coords):
-        return field.zero()
-    lcm = math.lcm(*(b for _, b in coords))
-    vec = [0] * field.conductor
-    for j, (x, b) in zip(basis, coords):
-        vec[j] = x * (lcm // b)
-    return _lowest(field, vec, lcm)
 
 
 # ----------------------------------------------------------------------

@@ -74,10 +74,10 @@ from .numberfield import (
     CycloElement,
     CycloField,
     GaloisMap,
+    _certified_rref,
     _geometric,
     _lowest,
     _pack,
-    _rref,
     _rref_mod,
     _split_prime,
     _unpack,
@@ -314,11 +314,13 @@ def _minimal_poly(vecs: list, den: int, field: CycloField) -> list[CycloElement]
 
     When one split prime shows N, so M, non-derogatory (_nonderogatory),
     it is the characteristic polynomial, _char_poly on the same vectors.
-    Otherwise M becomes field elements for one elimination over the table
-    whose column t is M^t flattened, t = 0, ..., d: the first non-pivot
-    column t is the first power that depends on the lower ones, and the
-    pivot rows hold its coefficients, M^t = sum over i < t of table[i][t]
-    M^i.  By Cayley-Hamilton some t <= d is dependent.
+    Otherwise the powers I, M, ..., M^d become field elements, and the
+    table whose column t is M^t flattened, t = 0, ..., d, goes to the
+    certified elimination (numberfield._certified_rref) as indices of its
+    distinct entries: the first non-pivot column t is the first power
+    that depends on the lower ones, and its coefficients over the pivots
+    give M^t = sum over i < t of c_i M^i.  By Cayley-Hamilton some t <= d
+    is dependent.  No field element is inverted.
     """
     if _nonderogatory(vecs, field.conductor):
         return _char_poly(vecs, den, field)
@@ -326,10 +328,11 @@ def _minimal_poly(vecs: list, den: int, field: CycloField) -> list[CycloElement]
     powers = [[[one if i == j else zero for j in range(d)] for i in range(d)], m][: d + 1]  # I, M, ..., M^d
     while len(powers) <= d:
         powers.append(_mat_mul(powers[-1], m, zero))
-    table = [[x[i][j] for x in powers] for i in range(d) for j in range(d)]
-    pivots = _rref(table, d + 1)
+    index: dict = {}  # one index per distinct entry; row i*d + j holds entry (i, j) of each power
+    rows = [[index.setdefault((x[i][j].vec, x[i][j].den), len(index)) for x in powers] for i in range(d) for j in range(d)]
+    pivots, coeffs = _certified_rref(field, list(index), rows)
     t = next(c for c in range(d + 1) if c not in pivots)
-    return [-table[i][t] for i in range(t)] + [one]
+    return [-coeffs[t][i] for i in range(t)] + [one]
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +454,8 @@ def clear_caches() -> None:
     They hold at most _CACHE_SIZE machines, each with its span, term
     table and at most _CACHE_SIZE polynomials and _CACHE_SIZE first
     failures, and at most _FRAME_CACHE_SIZE frames.  numberfield's LRUs
-    (cyclo_field, _split_prime, _embeddings) are not emptied.
+    (cyclo_field, _split_prime, _embeddings) are not emptied; _embeddings
+    also holds the product conductor L of a derogatory --minimal.
     """
     _MACHINE_CACHE.clear()
     _frame.cache_clear()

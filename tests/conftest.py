@@ -18,10 +18,10 @@ from autorec.automaton import (
     sequence_term,
 )
 from autorec.numberfield import (
+    CycloElement,
     CycloField,
     GaloisMap,
     _pack,
-    _rref,
     _rref_mod,
     _unpack,
     _width,
@@ -259,6 +259,50 @@ def embeddings_by_elimination(n: int, p: int, g: int) -> tuple:
     a = [[row[j] for j in basis] + [int(i == t) for i in range(phi)] for t, row in enumerate(powers)]
     assert _rref_mod(a, phi, p) == list(range(phi)), "the embeddings are dependent mod p"
     return powers, basis, [row[phi:] for row in a]
+
+
+# exact linear algebra over a field
+#
+# Only the test oracles eliminate over CycloElements; rational entries,
+# ints and Fractions, work too.  Each pivot row is scaled by one inverse,
+# so all that is used is +, -, *, comparison with zero, and
+# CycloElement.inverse or a Fraction reciprocal.
+
+
+def _rref(a: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of the rows in place on their first ncols columns.
+
+    Pivot rows are scaled to 1 and moved to the top, in the order of
+    their pivot columns, and every other row is zero in each pivot
+    column.  Returns the pivot columns in order.  So a non-pivot column
+    c holds the coefficients of column c over the pivot columns left of
+    it: entry (i, c) goes with the i-th pivot column.
+    """
+    m = len(a)
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(row, m):
+            if a[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        piv = a[row][col]
+        inv = piv.inverse() if isinstance(piv, CycloElement) else 1 / Fraction(piv)
+        # the rows from `row` on are zero left of col, so only columns col.. change
+        a[row][col:] = prow = [c * inv for c in a[row][col:]]
+        for i in range(m):
+            if i != row and a[i][col] != 0:
+                f = a[i][col]
+                a[i][col:] = [c - f * d if d else c for c, d in zip(a[i][col:], prow)]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return pivots
 
 
 def tuple_table(a, span) -> list:

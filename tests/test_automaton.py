@@ -250,6 +250,14 @@ def test_reverse_state_cap():
         reverse_dfao(load_builtin("rudin_shapiro"), cap=2)
 
 
+@pytest.mark.parametrize("cap", (0, -5))
+def test_reverse_rejects_a_cap_below_one(cap):
+    # a one-state machine needs no new state, so only the check up front refuses it
+    one = Dfao(2, FORWARD, ["q"], [1], [[0, 0]])
+    with pytest.raises(AutorecError, match=f"cap must be at least 1, got {cap}"):
+        reverse_dfao(one, cap=cap)
+
+
 # ----------------------------------------------------------------------
 # structural transforms
 

@@ -88,6 +88,14 @@ def test_negative_term_count_exits_one(capsys):
     assert err.startswith("error[domain]")
 
 
+def test_reversal_cap_below_one_exits_one(capsys):
+    code, out, err = run_cli(capsys, "dims", "--dfao", "thue_morse", "--cap", "0")
+    assert code == 1
+    assert not out
+    assert err.startswith("error[domain]")
+    assert "cap must be at least 1, got 0" in err
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "seq", "--dfao", "no_such_file.dfao", "--count", "3")
     assert code == 1

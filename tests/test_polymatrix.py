@@ -8,7 +8,7 @@ from itertools import product as iproduct
 import pytest
 
 from autorec.automaton import FORWARD, Dfao, PatternSpec, closure, load_builtin, pattern_dfao, reverse_dfao
-from autorec import numberfield, polymatrix
+from autorec import numberfield
 from autorec.errors import AutorecError
 from autorec.numberfield import CycloElement, cyclo_field
 from autorec.cli import _matrix_view
@@ -432,14 +432,14 @@ def test_span_matches_full_table_elimination():
 def _eliminations(monkeypatch) -> list:
     """(p, columns, rank) of each elimination mod p that span_analysis runs from now on, in order."""
     calls = []
-    rref_mod = polymatrix._rref_mod
+    rref_mod = numberfield._rref_mod
 
     def recorded(rows, ncols, p):
         pivots = rref_mod(rows, ncols, p)
         calls.append((p, ncols, len(pivots)))
         return pivots
 
-    monkeypatch.setattr(polymatrix, "_rref_mod", recorded)
+    monkeypatch.setattr(numberfield, "_rref_mod", recorded)
     return calls
 
 

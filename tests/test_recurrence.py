@@ -339,8 +339,10 @@ def test_minimal_poly_falls_back_when_the_split_prime_is_unlucky(monkeypatch):
     f = cyclo_field(1)
     p, _ = next(numberfield._split_primes(1, 1 << 61))
     calls = []
-    rref = recurrence._rref
-    monkeypatch.setattr(recurrence, "_rref", lambda rows, n: calls.append(n) or rref(rows, n))
+    rref = recurrence._certified_rref
+    monkeypatch.setattr(
+        recurrence, "_certified_rref", lambda field, outs, rows: calls.append(len(rows[0])) or rref(field, outs, rows)
+    )
     # the identity mod p, though not scalar: the powers mod p are dependent
     rows = [[1, 0], [0, 1 + p]]
     assert minimal_poly(rows, f) == char_poly(rows, f)
@@ -362,12 +364,30 @@ def test_minimal_poly_of_a_derogatory_matrix_with_irrational_entries(conductor):
     assert [c.rational_value() for c in char_poly(rows, f)] == [1, -1, -1, 1]
 
 
+def test_minimal_poly_of_a_derogatory_matrix_inverts_no_field_element(monkeypatch):
+    # block-diag(B, B) has the minimal polynomial of B, of degree 2, and is derogatory:
+    # the fallback eliminates the powers modulo split primes, with no inverse over Q(zeta_105)
+    f = cyclo_field(105)
+    rng = random.Random(105)
+    b = [[random_element(f, rng, 2) for _ in range(2)] for _ in range(2)]
+    rows = [[b[i % 2][j % 2] if i // 2 == j // 2 else f.zero() for j in range(4)] for i in range(4)]
+    want = minimal_poly_by_solves(rows, f)
+
+    def refuse(self):
+        raise AssertionError("inverse called")
+
+    monkeypatch.setattr(CycloElement, "inverse", refuse)
+    got = minimal_poly(rows, f)
+    assert got == want
+    assert len(got) == 3
+
+
 def test_minimal_poly_at_a_large_conductor_needs_no_elimination(rs, monkeypatch):
-    def refuse(rows, ncols):
+    def refuse(field, outs, rows):
         raise AssertionError("minimal_poly eliminated")
 
     clear_caches()
-    monkeypatch.setattr(recurrence, "_rref", refuse)
+    monkeypatch.setattr(recurrence, "_certified_rref", refuse)
     root = RootSpec(2, 1155, 1)
     rec = synthesize(rs, root, use_minimal=True)
     assert rec.provenance == "min_poly"
