@@ -37,11 +37,12 @@ at one root w1 per Galois class of a root sweep (_frame): synthesis
 maps the polynomial built at w1 by sigma_t, and verify pulls the
 coefficients back by sigma_t^(-1), so each polynomial and first failure
 a machine keeps is a function of its key; the frames are memoized, so
-a root of a cached class costs lookups.
+a root of a cached class costs lookups.  Each packed kernel sizes its
+slots by the narrower of two a-priori bounds, one from l1 norms and one
+from l2 norms (Parseval; _parseval, _char_poly_width).
 The characteristic polynomial comes from Berkowitz's division-free
 recursion on the same packed residues, the product's vectors taken as
-the levels leave them, in slots as wide as an a-priori bound on its
-coefficients, and only its d coefficients take a normal form;
+the levels leave them, and only its d coefficients take a normal form;
 integer_recurrence multiplies the Galois conjugates of the coefficients
 modulo split primes, rebuilding the product by CRT under an a-priori
 bound on its coefficients.  Synthesis makes no field product, except
@@ -267,23 +268,42 @@ def _char_poly(vecs: list, den: int, field: CycloField) -> list[CycloElement]:
 def _char_poly_width(n: list) -> int:
     """The slot width of _char_poly: every entry of the integer matrix n and every slot of its coefficients fits.
 
-    With r_i and m_i the sums over row i of the l1 and of the max norms of
-    the entries, the coefficient (-1)^j sum over |S| = j of det n[S] of
-    y^(d-j) has slots at most sum over i of m_i e_(j-1)(r_(i+1), ..., r_d):
-    a term of det n[S] is a cyclic product of one entry per row of S, whose
-    max norm is at most the max norm of the first row's entry times the l1
-    norms of the others, and letting each row range over all columns
-    bounds the sum over the permutations.  At j = 1 the bound covers
-    every entry.
+    The coefficient of y^(d-j) is (-1)^j sum over |S| = j of det n[S].  A
+    term of det n[S] is a cyclic product a_1 * ... * a_j of one entry per
+    row of S, in row order, and letting each row range over all columns
+    bounds the sum over the permutations.  With m_i, r_i and q_i the sums
+    over row i of the max, the l1 and the l2 norms (rounded up) of the
+    entries, two bounds hold, and the narrower is taken per j:
+    - l1: ||a_1 * ... * a_j||_inf <= ||a_1||_inf times the ||a_i||_1 of the
+      others, so the slots are at most sum over i of
+      m_i e_(j-1)(r_(i+1), ..., r_d);
+    - l2: it is at most ||a_1||_2 ||a_2||_2 times the ||a_i||_1 of the rest
+      (Cauchy-Schwarz on a_1 * a_2), so at most sum over i_1 < i_2 of
+      q_(i_1) q_(i_2) e_(j-2)(r after i_2) for j >= 2.
+    At j = 1 the l1 bound, sum of m_i, covers every entry.  The l2 norms
+    cost a pass over every slot, so the l2 bound is taken only past 8
+    bytes, where _pack and _unpack leave struct for a codec per slot
+    (numberfield._FORMATS).
     """
-    bound = [0] * len(n)  # bound[j - 1] for the coefficient of y^(d-j)
-    e = [1] + [0] * (len(n) - 1)  # e[j] = e_j(r_(i+1), ..., r_d), for i from d - 1 down
-    for row in reversed(n):
-        m = sum(max(map(abs, v)) for v in row)
-        r = sum(sum(map(abs, v)) for v in row)
-        bound = [b + m * x for b, x in zip(bound, e)]
-        e = [1] + [y + r * x for x, y in zip(e, e[1:])]
+    m = [sum(max(map(abs, v)) for v in row) for row in n]
+    r = [sum(sum(map(abs, v)) for v in row) for row in n]
+    bound = _minor_bounds(m, r, r)
+    if _width(max(bound, default=0)) > 8:
+        q = [sum(1 + math.isqrt(t - 1) for t in (sum(map(operator.mul, v, v)) for v in row) if t) for row in n]
+        bound = list(map(min, bound, _minor_bounds(q, q, r)))
     return _width(max(bound, default=0))
+
+
+def _minor_bounds(first: list, second: list, r: list) -> list:
+    """Per j = 1, ..., d, the sum over i_1 < ... < i_j of first[i_1] second[i_2] r[i_3] ... r[i_j]; first[i_1] alone at j = 1."""
+    d = len(r)
+    bound, tail, e = [0] * d, [1] + [0] * (d - 1), [1] + [0] * (d - 1)
+    # from row d - 1 down: e[t] = e_t(r after i), tail[t] the sum over t rows after i of second at the first, r at the rest
+    for a, b, c in zip(reversed(first), reversed(second), reversed(r)):
+        bound = [x + a * y for x, y in zip(bound, tail)]
+        tail = [1] + [y + b * x for x, y in zip(e, tail[1:])]
+        e = [1] + [y + c * x for x, y in zip(e, e[1:])]
+    return bound
 
 
 def _nonderogatory(vecs: list, L: int) -> bool:
@@ -343,8 +363,10 @@ def _minimal_poly(vecs: list, den: int, field: CycloField) -> list[CycloElement]
 # c zeta_L^(i L/m + e k^t (L/r0) u).  So the levels act over Z, after one
 # common denominator D, on one vector mod x^L - 1 per state, packed as a
 # residue (numberfield._pack), and each becomes one field element at the
-# end.  Every step is a ring operation, so only the final slots must fit:
-# s levels whose states gather at most gain in sum |c| keep them <= gain^s.
+# end.  Every step is a ring operation, so only the final slots must fit,
+# and two bounds size them (_parseval): s levels keep the max slot within
+# gain^s, gain the most sum |c| a state gathers (l1), and the sum of the
+# squared slots within lambda^s times its start (l2, Parseval).
 
 
 def _pairs(c: CycloElement, lift: int, den: int) -> list:
@@ -371,6 +393,39 @@ def _reduced_table(a: Dfao, span: SpanAnalysis, L: int) -> tuple:
         dst, src = (row, col) if pull else (col, row)
         table[dst] += [(src, e, p, x) for p, x in _pairs(c, lift, den)]
     return table, den
+
+
+def _parseval(table: list, L: int) -> int:
+    """lambda: a level of the integer term table multiplies the sum over states of sum slot^2 by at most lambda.
+
+    Reading a vector mod x^L - 1 at an L-th root of unity eta is a ring
+    map, so a level at x = zeta_L^step acts on the values v(eta) as the
+    d x d matrix A(eta), A[g][src] the sum of c eta^(p + e step) over the
+    terms (src, e, p, c) of table[g].  Parseval on Z/L gives sum slot^2 =
+    (1/L) sum over eta of |v(eta)|^2, so a level multiplies the sum over g
+    of ||v_g||_2^2 by at most the max over eta of ||A(eta)||_2^2 =
+    rho(A* A) <= max over i of sum over j of |(A* A)[i][j]|.  (A* A)[i][j]
+    sums c1 c2 eta^(p2 - p1 + (e2 - e1) step) over the ordered pairs of
+    terms of one generator whose sources are i and j; grouped by the key
+    (i, j, (p2 - p1) mod L, e2 - e1), it is at most the sum over keys of
+    |sum c1 c2|, and lambda is the max over i of that sum.  A key fixes
+    the power of eta at every step, so one lambda serves every level and
+    every root; the table's p are i L/m (_pairs), so it is the same at
+    every conductor L.  After s levels on e_j every slot is at most
+    isqrt(lambda^s), beside the l1 bound gain^s.  Neither bound implies
+    the other: lambda exceeds gain^2 when one source feeds many states,
+    and Rudin-Shapiro's level [[1, x], [1, -x]] has lambda = 2, gain^2 = 4.
+    """
+    sums: dict = {}
+    for terms in table:
+        for i, e1, p1, c1 in terms:
+            for j, e2, p2, c2 in terms:
+                key = (i, j, (p2 - p1) % L, e2 - e1)
+                sums[key] = sums.get(key, 0) + c1 * c2
+    rows = [0] * len(table)
+    for (i, *_), x in sums.items():
+        rows[i] += abs(x)
+    return max(rows, default=0)
 
 
 def _combine(terms, width: int, L: int) -> int:
@@ -405,22 +460,28 @@ def _apply_levels(vecs: list, table: list, root: RootSpec, L: int, width: int) -
     return [v % full for v in vecs]
 
 
-def _unit_levels(table: list, root: RootSpec, L: int) -> list:
-    """Per j, the levels of an integer term table applied to the unit vector e_j, as vectors mod x^L - 1."""
-    width = _width(max(sum(abs(t[-1]) for t in terms) for terms in table) ** root.s)
+def _unit_levels(table: list, root: RootSpec, L: int, lam: int) -> list:
+    """Per j, the levels of an integer term table applied to the unit vector e_j, as vectors mod x^L - 1.
+
+    The slots are at most gain^s and at most isqrt(lam^s), lam the
+    table's _parseval, and the narrower width is taken.
+    """
+    gain = max(sum(abs(t[-1]) for t in terms) for terms in table)
+    width = _width(min(gain**root.s, math.isqrt(lam**root.s)))
     units = [[int(i == j) for i in range(len(table))] for j in range(len(table))]
     return [[_unpack(v, width, L) for v in _apply_levels(u, table, root, L, width)] for u in units]
 
 
-def _reduced_product(a: Dfao, table: list, den: int, root: RootSpec) -> tuple:
+def _reduced_product(a: Dfao, table: list, den: int, root: RootSpec, lam: int) -> tuple:
     """M-hat(k^s; w) as integer vectors mod x^L - 1, not normalized, over D, with its field Q(zeta_L).
 
     The ordered product of the s digit-substituted copies of M-hat(x), read
     as _reduced_table's table over den at L = lcm(m, r0), at x = w: column
-    j (Left) or row j (Right) is the levels applied to e_j, and D = den^s.
+    j (Left) or row j (Right) is the levels applied to e_j, and D = den^s;
+    lam is the table's _parseval.
     """
     K = cyclo_field(math.lcm(a.output_field.conductor, root.r0))
-    got = _unit_levels(table, root, K.conductor)
+    got = _unit_levels(table, root, K.conductor, lam)
     return [list(col) for col in zip(*got)] if a.direction == FORWARD else got, den**root.s, K
 
 
@@ -475,11 +536,12 @@ def _structure(a: Dfao) -> tuple:
 
 
 class _Machine:
-    """The padded-word machine of a (_pad_invariant), on first use its span and term table, and LRUs of its polynomials and first failures."""
+    """The padded-word machine of a (_pad_invariant), on first use its span, term table and lambda, and LRUs of its polynomials and first failures."""
 
     def __init__(self, a: Dfao):
         self.padded = _pad_invariant(prune_inaccessible(a))
         self._table: tuple = (None, None)
+        self.parseval: Optional[int] = None  # _parseval of the term table, the same at every L: set by the first table
         self.polys: OrderedDict = OrderedDict()
         self.failures: OrderedDict = OrderedDict()
 
@@ -493,6 +555,8 @@ class _Machine:
         """_reduced_table at conductor L, kept for the last L only: synthesis and verify of a root ask for the same L."""
         if self._table[0] != L:
             self._table = (L, _reduced_table(self.padded, self.span, L))
+            if self.parseval is None:
+                self.parseval = _parseval(self._table[1][0], L)
         return self._table[1]
 
 
@@ -521,7 +585,8 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
 
     def build():
         at_u1 = RootSpec(root.k, r0, u1, root.s)
-        product = _reduced_product(machine.padded, *machine.table(sigma.field.conductor), at_u1)
+        table, den = machine.table(sigma.field.conductor)
+        product = _reduced_product(machine.padded, table, den, at_u1, machine.parseval)
         return (_minimal_poly if use_minimal else _char_poly)(*product)
 
     coeffs = _cached(machine.polys, (root.s, r0, u1, use_minimal), build)
@@ -648,6 +713,8 @@ def verify(
         raise AutorecError("recurrence and automaton disagree on the base k")
     if n_max < 0:
         raise AutorecError(f"verification bound must be nonnegative, got {n_max}")
+    if budget is not None and budget < 0:
+        raise AutorecError(f"verification budget must be nonnegative, got {budget}")
     root, machine = rec.root, _machine(a)
     u1, _, pull = _frame(a.output_field.conductor, root.r0, root.primitive_exponent)
     K = pull.field
@@ -707,9 +774,9 @@ def _scan(cs: list, root: RootSpec, machine: _Machine, L: int) -> Optional[int]:
     sequence, is 0 on every word, and then every recurrence holds.  So a
     nonzero rho-hat is scanned (_first_failure), which returns None when
     every reached state or state tuple has a zero term.  With B the s
-    levels of the table and D = den^s, Horner's form gives D^l rho-hat =
-    sum over j of B^j(D^(l-j) C_j x), the C_j times e_L (_annihilate), so
-    a term is zero exactly when its residue is 0.
+    levels of the table and D = den^s, Horner's form (_horner) gives
+    D^l rho-hat = sum over j of B^j(D^(l-j) C_j x), the C_j times e_L
+    (_annihilate), so a term is zero exactly when its residue is 0.
     """
     a, span = machine.padded, machine.span
     gens, lift = span.generators, L // a.output_field.conductor
@@ -729,15 +796,17 @@ def _scan(cs: list, root: RootSpec, machine: _Machine, L: int) -> Optional[int]:
         xs, spread = [[(0, 1)]] + [[]] * (len(gens) - 1), len(gens)
         # the state tuple of m maps p to delta(p, m read least significant digit first)
         start, step = tuple(range(a.size)), lambda tau, dig: tuple(tau[row[dig]] for row in a.delta)
-    # slots: B multiplies them by at most gain, x by reach and a term by ||alpha_q||_1 or the rank
+    # slots, by the two bounds of _parseval: B multiplies the max slot by at most gain (l1) and the sum
+    # over generators of sum slot^2 by at most lam (l2), where ||C_j x_b||_2 <= ||C_j||_2 ||x_b||_1 (Young);
+    # x multiplies the max slot by at most reach, and a term multiplies it by ||alpha_q||_1 or the rank
     gain = max(1, *(sum(abs(t[-1]) for t in terms) for terms in table)) ** root.s
+    lam = max(1, machine.parseval) ** root.s
     l, D, reach = len(cs) - 1, den**root.s, max(1, *(sum(abs(y) for _, y in x) for x in outs))
-    width = _width(reach * spread * sum(max(map(abs, c)) * D ** (l - j) * gain**j for j, c in enumerate(cs)))
-    v = [0] * len(gens)
-    for i, c in enumerate(reversed(cs)):
-        v = _apply_levels(v, table, root, L, width)  # a no-op on the zeros before C_l
-        c = _pack(c, width)
-        v = [_combine([(u, 0, 1)] + [(c, p, y * D**i) for p, y in x], width, L) for u, x in zip(v, xs)]
+    l1 = sum(max(map(abs, c)) * D ** (l - j) * gain**j for j, c in enumerate(cs))
+    xx = max(1, sum(sum(abs(y) for _, y in x) ** 2 for x in xs))
+    l2 = sum(math.isqrt(D ** (2 * (l - j)) * lam**j * sum(map(operator.mul, c, c)) * xx) for j, c in enumerate(cs))
+    width = _width(reach * spread * min(l1, l2))
+    v = _horner(cs, xs, table, D, root, L, width)
     if not any(v):
         return None  # rho-hat = 0: the recurrence holds for all n
 
@@ -747,6 +816,20 @@ def _scan(cs: list, root: RootSpec, machine: _Machine, L: int) -> Optional[int]:
         return _combine([(v[b], p, y) for b, p, y in terms], width, L) != 0
 
     return _first_failure(start, step, a.base, nonzero)
+
+
+def _horner(cs: list, xs: list, table: list, D: int, root: RootSpec, L: int, width: int) -> list:
+    """D^l rho-hat = sum over j of B^j(D^(l-j) C_j x_b), one residue per generator b, by Horner's form at the slot width.
+
+    x_b is a list of (power of zeta_L, integer) pairs, B the s levels of
+    the table (_apply_levels) and D = den^s.
+    """
+    v = [0] * len(xs)
+    for i, c in enumerate(reversed(cs)):
+        v = _apply_levels(v, table, root, L, width)  # a no-op on the zeros before C_l
+        c = _pack(c, width)
+        v = [_combine([(u, 0, 1)] + [(c, p, y * D**i) for p, y in x], width, L) for u, x in zip(v, xs)]
+    return v
 
 
 # ----------------------------------------------------------------------

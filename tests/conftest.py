@@ -40,6 +40,7 @@ from autorec.recurrence import (
     _elements,
     _minimal_poly,
     _pairs,
+    _parseval,
     _reduced_product,
     _reduced_table,
 )
@@ -424,8 +425,9 @@ def minimal_poly(rows, field: CycloField) -> list:
 
 def reduced_product_at_root(a, span, root) -> tuple:
     """(M-hat(k^s; w) as field elements, its field): Left for a forward a, its Right mirror for a backward one."""
-    table = _reduced_table(a, span, math.lcm(a.output_field.conductor, root.r0))
-    vecs, den, field = _reduced_product(a, *table, root)
+    L = math.lcm(a.output_field.conductor, root.r0)
+    table, den = _reduced_table(a, span, L)
+    vecs, den, field = _reduced_product(a, table, den, root, _parseval(table, L))
     return _elements(vecs, den, field), field
 
 

@@ -39,3 +39,12 @@ def unit_levels(table: list, root, L: int) -> list:
     d = len(table)
     one, zero = [1] + [0] * (L - 1), [0] * L
     return [apply_levels([one if i == j else zero for i in range(d)], table, root, L) for j in range(d)]
+
+
+def horner(cs: list, xs: list, table: list, D: int, root, L: int) -> list:
+    """recurrence._horner on lists: sum over j of B^j(D^(l-j) C_j x_b) per generator b, B the s levels."""
+    v = [[0] * L for _ in xs]
+    for i, c in enumerate(reversed(cs)):
+        v = apply_levels(v, table, root, L)
+        v = [shift_sum([(u, 0, 1)] + [(c, p, y * D**i) for p, y in x], L) for u, x in zip(v, xs)]
+    return v

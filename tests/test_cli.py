@@ -164,6 +164,20 @@ def test_budget_error_exits_one(capsys):
     assert err.startswith("error[budget]")
 
 
+def test_negative_budget_exits_one(capsys):
+    for n_max in ("0", "10"):
+        code, _, err = run_cli(
+            capsys,
+            "verify",
+            "--dfao", "rudin_shapiro",
+            "--r", "3", "--e", "1",
+            "--n-max", n_max,
+            "--budget", "-1",
+        )
+        assert code == 1
+        assert err.startswith("error[domain]: verification budget must be nonnegative, got -1")
+
+
 def test_backward_machine_that_moves_its_output_on_a_leading_zero_holds(capsys, tmp_path):
     # reading a most-significant 0 in state a leads to b, whose output differs
     path = tmp_path / "zero_sensitive.dfao"

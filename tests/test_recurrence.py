@@ -451,6 +451,19 @@ def test_char_poly_slots_hold_a_coefficient_at_its_bound(monkeypatch):
 # synthesis at fixed roots
 
 
+def test_char_poly_slots_take_the_l2_bound_on_rudin_shapiro(rs, monkeypatch):
+    # on the product as the levels leave it at r = 1155, the l1 bound asks 9 bytes
+    # and the l2 bound 8; one byte less gives a polynomial other than Newton's
+    machine, root = recurrence._machine(rs), RootSpec(2, 1155, 1)
+    table, den = machine.table(1155)
+    vecs, den, f = recurrence._reduced_product(machine.padded, table, den, root, machine.parseval)
+    want = char_poly_newton_oracle(recurrence._elements(vecs, den, f), f)
+    width = recurrence._char_poly_width
+    assert width(vecs) == 8 and recurrence._char_poly(vecs, den, f) == want
+    monkeypatch.setattr(recurrence, "_char_poly_width", lambda n: width(n) - 1)
+    assert recurrence._char_poly(vecs, den, f) != want
+
+
 def test_synthesis_order_two_machine(rs):
     rec = synthesize(rs, RootSpec(2, 3, 1, s=2))
     assert rec.order == 2
@@ -1397,6 +1410,15 @@ def test_verify_budget_aborts(rs):
         verify(rec, rs, 10_000, budget=50)
 
 
+def test_verify_rejects_a_negative_budget(rs):
+    # before, budget -1 ran out at n = 1 and, with n_max = 0, passed
+    rec = synthesize(rs, RootSpec(2, 3, 1))
+    for n_max in (0, 10):
+        with pytest.raises(AutorecError, match="budget must be nonnegative, got -1"):
+            verify(rec, rs, n_max, budget=-1)
+    assert verify(rec, rs, 0, budget=0).all_zero
+
+
 def test_verify_budget_matches_per_term_oracle_over_a_sweep(rs):
     # verify sums the units per run of n with one bit length; the per-n oracle
     # must agree on the n and the text of every BudgetError
@@ -1409,7 +1431,7 @@ def test_verify_budget_matches_per_term_oracle_over_a_sweep(rs):
         spent = [0]  # the units of n' = 1, ..., n, one n at a time
         for n in range(1, n_max + 1):
             spent.append(spent[-1] + sum(L + (n * f).bit_length() for f in factors))
-        edges = {w + d for w in spent for d in (-1, 0, 1)}
+        edges = {w + d for w in spent for d in (-1, 0, 1) if w + d >= 0}  # a negative budget is rejected up front
         for budget in sorted(edges | set(range(0, spent[-1] + 3 * L, 7))):
             want = _outcome(verify_by_terms, rec, rs, n_max, budget)
             assert _outcome(verify, rec, rs, n_max, budget) == want, (rec.provenance, budget)
@@ -1878,7 +1900,7 @@ def test_packed_levels_match_list_levels(L):
                     # the kernel takes integers: the table over its common denominator D, the levels over D^s
                     den = math.lcm(*(t[-1].denominator for terms in table for t in terms))
                     ints = [[(src, e, p, int(c * den)) for src, e, p, c in terms] for terms in table]
-                    got = recurrence._unit_levels(ints, root, L)
+                    got = recurrence._unit_levels(ints, root, L, recurrence._parseval(ints, L))
                     got = [[[Fraction(x, den**s) for x in v] for v in col] for col in got]
                     assert got == want, (L, root, kind, d)
                     # the levels fold lazily, but return residues in [0, 2^(8 width L) - 1)
@@ -1887,7 +1909,89 @@ def test_packed_levels_match_list_levels(L):
             # every term at p = 0 and x^0: the final slot is (+-3)^s, the a-priori bound itself
             for c in (1, -1):
                 table = [[(0, 0, 0, c)] * 3]
-                assert recurrence._unit_levels(table, root, L) == [[[(3 * c) ** s] + [0] * (L - 1)]]
+                assert recurrence._unit_levels(table, root, L, recurrence._parseval(table, L)) == [[[(3 * c) ** s] + [0] * (L - 1)]]
+
+
+def _signed_power_table(rng, d: int, L: int) -> list:
+    """Rudin-Shapiro-like levels: each state gathers every source once, as +-x^e."""
+    return [[(src, rng.randrange(3), 0, rng.choice((1, -1))) for src in range(d)] for _ in range(d)]
+
+
+@pytest.mark.parametrize("L", sorted(_LEVEL_ROOTS))
+def test_level_slots_obey_the_parseval_bound(L):
+    # over random tables, integer, fractional and +-x^e, the squared slots of the
+    # list kernel's levels on e_j sum to at most lambda^s, and the packed kernel,
+    # at the narrower of the two widths, equals the list kernel
+    rng = random.Random(L + 1)
+    kinds = {
+        "int": lambda d: _level_table(rng, d, L, lambda: rng.randint(-3, 3)),
+        "fraction": lambda d: _level_table(rng, d, L, lambda: Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))),
+        "signed": lambda d: _signed_power_table(rng, d, L),
+    }
+    below = 0
+    for (k, r, e), steps in _LEVEL_ROOTS[L]:
+        for s in steps:
+            root = RootSpec(k, r, e, s)
+            for kind, make in kinds.items():
+                for d in (1, 2, 3, 4):
+                    table = make(d)
+                    den = math.lcm(*(Fraction(t[-1]).denominator for terms in table for t in terms))
+                    ints = [[(src, e, p, int(c * den)) for src, e, p, c in terms] for terms in table]
+                    lam = recurrence._parseval(ints, L)
+                    want = level_oracle.unit_levels(table, root, L)
+                    for col in want:
+                        assert sum((x * den**s) ** 2 for v in col for x in v) <= lam**s, (L, root, kind, d)
+                    got = recurrence._unit_levels(ints, root, L, lam)
+                    assert [[[Fraction(x, den**s) for x in v] for v in col] for col in got] == want, (L, root, kind, d)
+                    gain = max(sum(abs(t[-1]) for t in terms) for terms in ints)
+                    below += lam < gain**2
+    assert below > 0  # lambda binds somewhere: the l2 bound is exercised
+
+
+def test_rudin_shapiro_levels_have_lambda_two():
+    # the level [[1, x], [1, -x]]: (A* A) = 2 I at every root, where gain^2 = 4
+    table = [[(0, 0, 0, 1), (1, 1, 0, 1)], [(0, 0, 0, 1), (1, 1, 0, -1)]]
+    assert recurrence._parseval(table, 7) == 2
+
+
+def test_rudin_shapiro_slot_widths_at_r_1155(rs, monkeypatch):
+    # lambda = 2: the unit levels fit 2^30 in 4 bytes (8 by gain^s = 2^60), verify's
+    # Horner residues 9 bytes (16), and the characteristic polynomial 8 bytes (9)
+    widths = {"levels": set(), "horner": set(), "char_poly": set()}
+    for name, key in (("_apply_levels", "levels"), ("_horner", "horner"), ("_char_poly_width", "char_poly")):
+        def traced(*args, run=getattr(recurrence, name), key=key):
+            got = run(*args)
+            widths[key].add(got if key == "char_poly" else args[-1])
+            return got
+
+        monkeypatch.setattr(recurrence, name, traced)
+    rec = synthesize(rs, RootSpec(2, 1155, 1))
+    assert verify(rec, rs, 5).all_zero
+    # the level runs of synthesis, then those inside verify's Horner form
+    assert widths == {"levels": {4, 9}, "horner": {9}, "char_poly": {8}}
+
+
+def test_horner_residues_match_list_horner(monkeypatch):
+    # every rho-hat verify packs equals the list kernel's Horner form: an overflow
+    # inside _apply_levels, which _exact_combines cannot see, would show here
+    horner, runs = recurrence._horner, [0]
+
+    def checked(cs, xs, table, D, root, L, width):
+        got = horner(cs, xs, table, D, root, L, width)
+        assert [numberfield._unpack(v, width, L) for v in got] == level_oracle.horner(cs, xs, table, D, root, L)
+        runs[0] += 1
+        return got
+
+    monkeypatch.setattr(recurrence, "_horner", checked)
+    outs = (0, 1, -1, 127, -128, Fraction(1, 3), Fraction(255, 7))
+    for a in _random_machines(random.Random(11), 30, outs):
+        for r in (1, 5, 7):
+            rec = synthesize(a, RootSpec(a.base, r, 1))
+            for j in range(rec.order + 1):
+                cand = _perturbed(rec, j)
+                if not cand.coefficients[-1].is_zero():
+                    verify(cand, a, 100)
+    assert runs[0] > 100
 
 
 # ----------------------------------------------------------------------
