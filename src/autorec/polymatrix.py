@@ -6,8 +6,9 @@ For an automaton with states q_0, ..., q_(d-1) the transition matrix is
 
 The span analysis finds, by linear algebra modulo split primes whose
 lifted result is proved exact, which state functions f_i(w) =
-output(delta(q_i, w)) are redundant; the resulting relations compress
-M(x) to M-hat(x) over the generator states.
+output(delta(q_i, w)) are redundant, from the distinct output rows
+(out(delta(q_i, w)))_i; the resulting relations compress M(x) to
+M-hat(x) over the generator states.
 digit_cells gives the nonzero digit coefficients of either matrix as
 (row, col, digit, c) cells, and recurrence synthesis reads those cells.
 digit_product multiplies the scalar digit matrices of those cells into
@@ -18,6 +19,7 @@ digit first (Right), for the matrix command.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .errors import AutorecError
@@ -55,22 +57,26 @@ def _mat_mul(a, b, zero) -> list[list]:
 
 
 class SpanAnalysis:
-    """Exact linear structure of the state functions f_i.
+    """Exact linear structure of the state functions f_i of the automaton a.
 
-    witness_words   one word per distinct state tuple found by the
-                    breadth-first closure of (q_0, ..., q_(d-1))
     rank            dimension of span{f_0, ..., f_(d-1)}
     generators      greedy-leftmost spanning prefix; always contains 0
     alphas          for each non-generator p the coefficients of
                     f_p = sum_j alphas[p][j] f_(generators[j])
+    witness_words   one word per distinct state tuple, built on first
+                    read (_witness_words) and kept; nothing else reads them
     """
 
-    def __init__(self, field, witness_words, rank, generators, alphas):
-        self.field = field
-        self.witness_words = witness_words
+    def __init__(self, a: Dfao, rank, generators, alphas):
+        self.automaton = a
+        self.field = a.output_field
         self.rank = rank
         self.generators = generators
         self.alphas = alphas
+
+    @functools.cached_property
+    def witness_words(self) -> tuple:
+        return _witness_words(self.automaton)
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,55 +89,74 @@ class SpanAnalysis:
         }
 
     def __repr__(self):
-        return (
-            f"SpanAnalysis(rank={self.rank}, generators={self.generators}, "
-            f"{len(self.witness_words)} witness words)"
-        )
+        return f"SpanAnalysis(rank={self.rank}, generators={self.generators})"
 
 
-def span_analysis(a: Dfao) -> SpanAnalysis:
-    """Breadth-first tuple closure plus one elimination modulo split primes, certified exact.
+def _output_rows(a: Dfao) -> tuple:
+    """(keys, start, step): the output rows of a, r_w = (out(delta(q, w)))_q, as a closure reads them.
 
-    Starting from the identity tuple (q_0, ..., q_(d-1)), every digit is
-    applied coordinatewise until no new tuple appears.  Evaluating the
-    outputs along the witness word of each tuple gives a table whose
-    column space is in exact bijection with span{f_i}.  Gauss-Jordan
-    elimination over the distinct rows and the distinct columns of that
-    table (a column is a state; each is taken at its first occurrence)
-    yields everything: its pivot columns are the greedy leftmost spanning
-    set, since a repeated column is never a pivot, and in each other
-    column the entries in the rows of the pivots left of it are the unique
-    coefficients over them.  A state reads the column it repeats, so a
-    repeat of a pivot reads that pivot's unit column.  The generators
-    always keep state 0 so the partial sums of the induced sequence stay
-    expressible.
-
-    The elimination runs modulo split primes and is proved exact by a
-    height bound (numberfield._certified_rref states both), so the pivots,
-    the rank and the alphas are exact.  It sees distinct rows and columns
-    only: a reversed pattern machine with 50 states and 50 tuples has 10
-    distinct rows and 15 distinct columns.
+    keys are the distinct outputs as (vector, denominator) pairs, and a
+    row holds the index in keys of each state's output; start is the row
+    of the empty word.  Prepending a digit maps a row to a row,
+    r_(dw)(q) = r_w(delta(q, d)), so step(r, d) = r o delta_d needs no
+    state tuple, and the rows reached from start are the rows of all words.
     """
-    d = a.size
+    index: dict = {}
+    start = tuple(index.setdefault((v.vec, v.den), len(index)) for v in a.outputs)
     targets = [[row[dig] for row in a.delta] for dig in range(a.base)]  # delta(., dig) as a list
-    tuples, found = closure(tuple(range(d)), lambda tp, dig: tuple(map(targets[dig].__getitem__, tp)), a.base)
-    # the first occurrence of t in row-major order is the edge that found it
+    return list(index), start, lambda r, dig: tuple(map(r.__getitem__, targets[dig]))
+
+
+def _witness_words(a: Dfao) -> tuple:
+    """One word w per distinct state tuple (delta(q_0, w), ..., delta(q_(d-1), w)), in the order found.
+
+    The breadth-first closure of (q_0, ..., q_(d-1)) appends digits, and
+    each tuple's word is that of the first edge, in row-major order, that
+    found it.  It lists every tuple, which can be far more than the rows
+    (span_analysis), so it runs only when witness_words is read.
+    """
+    targets = [[row[dig] for row in a.delta] for dig in range(a.base)]
+    tuples, found = closure(tuple(range(a.size)), lambda tp, dig: tuple(map(targets[dig].__getitem__, tp)), a.base)
     words = [()] + [None] * (len(tuples) - 1)
     for pos, row in enumerate(found):
         for dig, t in enumerate(row):
             if words[t] is None:
                 words[t] = words[pos] + (dig,)
+    return tuple(words)
 
-    field = a.output_field
-    # a state reads the index of its output among the distinct ones; equal rows add
-    # nothing to the elimination, and a repeated column is never a pivot
-    index: dict = {}
-    ids = [index.setdefault((v.vec, v.den), len(index)) for v in a.outputs]
-    keys = dict.fromkeys(tuple(map(ids.__getitem__, tp)) for tp in tuples)
+
+def span_analysis(a: Dfao) -> SpanAnalysis:
+    """Breadth-first closure of the output rows plus one elimination modulo split primes, certified exact.
+
+    The row of the empty word, each state's output index, is closed under
+    the k row maps of prepended digits (_output_rows), which yields exactly
+    the distinct rows r_w = (out(delta(q, w)))_q and builds no state tuple.
+    The column space of that table is in exact bijection with span{f_i},
+    and neither the order of its rows nor their repeats change its column
+    relations.  Gauss-Jordan elimination over the distinct rows and the
+    distinct columns (a column is a state; each is taken at its first
+    occurrence) yields everything: its pivot columns are the greedy
+    leftmost spanning set, since a repeated column is never a pivot, and
+    in each other column the entries in the rows of the pivots left of it
+    are the unique coefficients over them.  A state reads the column it
+    repeats, so a repeat of a pivot reads that pivot's unit column.  The
+    generators always keep state 0 so the partial sums of the induced
+    sequence stay expressible.
+
+    The elimination runs modulo split primes and is proved exact by a
+    height bound (numberfield._certified_rref states both), so the pivots,
+    the rank and the alphas are exact.  It sees distinct rows and columns
+    only: a reversed pattern machine with 50 states has 10 distinct rows
+    and 15 distinct columns.  The witness words are left to the first read.
+    """
+    d = a.size
+    keys, start, step = _output_rows(a)
+    rows, _ = closure(start, step, a.base)
     cols: dict = {}  # column key -> its index among the first occurrences
-    reps = [cols.setdefault(col, len(cols)) for col in zip(*keys)]
+    reps = [cols.setdefault(col, len(cols)) for col in zip(*rows)]
     firsts = [reps.index(c) for c in range(len(cols))]
-    columns, coeffs = _certified_rref(field, list(index), [[row[q] for q in firsts] for row in keys])
+    field = a.output_field
+    columns, coeffs = _certified_rref(field, keys, [[row[q] for q in firsts] for row in rows])
     pivots = [firsts[c] for c in columns]
 
     generators = pivots if 0 in pivots else [0] + pivots
@@ -144,7 +169,7 @@ def span_analysis(a: Dfao) -> SpanAnalysis:
             out[gpos[g]] = x
         shared[c] = tuple(out)
     alphas = {p: shared[reps[p]] for p in range(d) if p not in gpos}
-    return SpanAnalysis(field, tuple(words), len(pivots), generators, alphas)
+    return SpanAnalysis(a, len(pivots), generators, alphas)
 
 
 # ----------------------------------------------------------------------

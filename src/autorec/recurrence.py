@@ -92,6 +92,7 @@ from .numberfield import (
 from .polymatrix import (
     SpanAnalysis,
     _mat_mul,
+    _output_rows,
     digit_cells,
     span_analysis,
 )
@@ -464,12 +465,18 @@ def _unit_levels(table: list, root: RootSpec, L: int, lam: int) -> list:
     """Per j, the levels of an integer term table applied to the unit vector e_j, as vectors mod x^L - 1.
 
     The slots are at most gain^s and at most isqrt(lam^s), lam the
-    table's _parseval, and the narrower width is taken.
+    table's _parseval, and the narrower width is taken.  One level run
+    serves all d unit vectors: slot t d + j of a residue at d times that
+    width holds column j's coefficient of x^t, so state i starts as slot
+    i, x^p moves every column by p d slots, and the columns, which the
+    levels act on one by one, are read back as every d-th slot.
     """
+    d = len(table)
     gain = max(sum(abs(t[-1]) for t in terms) for terms in table)
     width = _width(min(gain**root.s, math.isqrt(lam**root.s)))
-    units = [[int(i == j) for i in range(len(table))] for j in range(len(table))]
-    return [[_unpack(v, width, L) for v in _apply_levels(u, table, root, L, width)] for u in units]
+    units = [1 << 8 * width * i for i in range(d)]  # e_i: slot i of x^0
+    got = [_unpack(v, width, d * L) for v in _apply_levels(units, table, root, L, width * d)]
+    return [[v[j::d] for v in got] for j in range(d)]
 
 
 def _reduced_product(a: Dfao, table: list, den: int, root: RootSpec, lam: int) -> tuple:
@@ -547,9 +554,8 @@ class _Machine:
 
     @functools.cached_property
     def span(self) -> SpanAnalysis:
-        """The padded machine's span analysis, once per structure, kept without the witness words."""
-        span = span_analysis(self.padded)
-        return SpanAnalysis(span.field, (), span.rank, span.generators, span.alphas)
+        """The padded machine's span analysis, once per structure; nothing here reads its witness words."""
+        return span_analysis(self.padded)
 
     def table(self, L: int) -> tuple:
         """_reduced_table at conductor L, kept for the last L only: synthesis and verify of a root ask for the same L."""
@@ -630,14 +636,16 @@ def _first_failure(start, step, base: int, nonzero) -> Optional[int]:
     """1 + the least m whose expansion leads from start to a state where nonzero holds, or None when none does.
 
     step(state, digit) reads one digit, most significant first; m = 0 is
-    the empty word.  Each state is tested and extended once, at the first
-    length that reaches it and from the least m found there, as the
-    expansions of one length ascend with their values.  No failure is
-    lost: were a state on the path of the least failing m met before, at
-    some m', m' followed by the rest of m's digits would fail below m, as
-    a digit word has the term of its value, leading zeros or not
-    (_pad_invariant).  So None, every reached state tested zero, proves
-    every m.
+    the empty word.  A state is whatever the term of m is a function of,
+    and step a function of the state: a state of the machine forward, an
+    output row backward (_scan).  Each state is tested and extended once,
+    at the first length that reaches it and from the least m found there,
+    as the expansions of one length ascend with their values.  No failure
+    is lost: were a state on the path of the least failing m met before,
+    at some m', m' followed by the rest of m's digits would reach the same
+    states and fail below m, as a digit word has the term of its value,
+    leading zeros or not (_pad_invariant).  So None, every reached state
+    tested zero, proves every m.
     """
     frontier, seen = {start: 0}, {start}  # state -> least m, ascending in m
     digits = range(1, base)
@@ -695,7 +703,7 @@ def verify(
     is nonzero.  _scan builds rho-hat, rho over the span's generators, on
     the term table synthesis reads, with no normal form (_annihilate),
     and scans a nonzero rho-hat per distinct state, or per distinct
-    backward state tuple, for the first failure over all n, which verify
+    backward output row, for the first failure over all n, which verify
     reports when it is at most n_max.  The scan runs at the root u1 of
     w's Galois class (_frame) on the coefficients pulled back by
     sigma_t^(-1), and its first failure is kept on the automaton's
@@ -766,14 +774,17 @@ def _scan(cs: list, root: RootSpec, machine: _Machine, L: int) -> Optional[int]:
     out(g_b) and from e_0.  So with rho-hat = sum over j of C_j H-hat_(js)
     (or G-hat_(js)), the term of m is sum over b of alpha_(q,b) rho-hat(b),
     q = state(m), forward, and sum over b of rho-hat(b) out(tau(g_b)), tau
-    the state tuple of m, backward.  rho-hat = 0 proves every n.  The
+    the state tuple of m, backward, a function of the output row out o tau.
+    Reading m's next digit d maps tau to tau o delta_d, so the row r to
+    r o delta_d (polymatrix._output_rows), and the scan walks rows, not
+    tuples.  rho-hat = 0 proves every n.  The
     converse holds forward, as rho-hat(b) is the term of an m that
     reaches g_b (the padded machine ignores leading zeros), but not
     always backward: the f_(g_b) are independent unless state 0 is a
     generator and no pivot (span_analysis), that is, unless f_0, the
     sequence, is 0 on every word, and then every recurrence holds.  So a
     nonzero rho-hat is scanned (_first_failure), which returns None when
-    every reached state or state tuple has a zero term.  With B the s
+    every reached state or output row has a zero term.  With B the s
     levels of the table and D = den^s, Horner's form (_horner) gives
     D^l rho-hat = sum over j of B^j(D^(l-j) C_j x), the C_j times e_L
     (_annihilate), so a term is zero exactly when its residue is 0.
@@ -794,24 +805,27 @@ def _scan(cs: list, root: RootSpec, machine: _Machine, L: int) -> Optional[int]:
         start, step = 0, lambda q, dig: a.delta[q][dig]
     else:
         xs, spread = [[(0, 1)]] + [[]] * (len(gens) - 1), len(gens)
-        # the state tuple of m maps p to delta(p, m read least significant digit first)
-        start, step = tuple(range(a.size)), lambda tau, dig: tuple(tau[row[dig]] for row in a.delta)
+        # the row of m lists the output index of delta(p, m read least significant digit first)
+        _, start, step = _output_rows(a)
+        outs = list(dict(zip(start, outs)).values())  # per output index, as the indices first appear in order
     # slots, by the two bounds of _parseval: B multiplies the max slot by at most gain (l1) and the sum
-    # over generators of sum slot^2 by at most lam (l2), where ||C_j x_b||_2 <= ||C_j||_2 ||x_b||_1 (Young);
-    # x multiplies the max slot by at most reach, and a term multiplies it by ||alpha_q||_1 or the rank
+    # over generators of sum slot^2 by at most lam (l2), where ||C_j x_b||_2 <= ||C_j||_2 ||x_b||_1 (Young).
+    # l1 leaves x out, and x multiplies the max slot by at most reach; l2's xx = sum over b of ||x_b||_1^2
+    # holds x already.  Forward, a term multiplies the slot by ||alpha_q||_1: spread min(reach l1, l2).
+    # Backward, x = e_0, and a term by the rank and by out(tau(g_b)): reach spread min(l1, l2).
     gain = max(1, *(sum(abs(t[-1]) for t in terms) for terms in table)) ** root.s
     lam = max(1, machine.parseval) ** root.s
     l, D, reach = len(cs) - 1, den**root.s, max(1, *(sum(abs(y) for _, y in x) for x in outs))
     l1 = sum(max(map(abs, c)) * D ** (l - j) * gain**j for j, c in enumerate(cs))
     xx = max(1, sum(sum(abs(y) for _, y in x) ** 2 for x in xs))
     l2 = sum(math.isqrt(D ** (2 * (l - j)) * lam**j * sum(map(operator.mul, c, c)) * xx) for j, c in enumerate(cs))
-    width = _width(reach * spread * min(l1, l2))
+    width = _width(spread * (min(reach * l1, l2) if a.direction == FORWARD else reach * min(l1, l2)))
     v = _horner(cs, xs, table, D, root, L, width)
     if not any(v):
         return None  # rho-hat = 0: the recurrence holds for all n
 
     def nonzero(state) -> bool:
-        """Whether the term of a state (forward) or of a state tuple (backward) is nonzero."""
+        """Whether the term of a state (forward) or of an output row (backward) is nonzero."""
         terms = rows[state] if a.direction == FORWARD else [(b, p, y) for b, g in enumerate(gens) for p, y in outs[state[g]]]
         return _combine([(v[b], p, y) for b, p, y in terms], width, L) != 0
 

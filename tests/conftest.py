@@ -9,7 +9,9 @@ from itertools import product as iproduct
 import pytest
 
 from autorec.automaton import (
+    BACKWARD,
     FORWARD,
+    Dfao,
     PatternSpec,
     _pad_invariant,
     load_builtin,
@@ -53,6 +55,11 @@ TM_ZETA3 = (
     "base: 2\ndirection: forward\nstates: q0 q1\noutput: q0 = 1\noutput: q1 = zeta(3)\n"
     "delta: q0 0 -> q0\ndelta: q0 1 -> q1\ndelta: q1 0 -> q1\ndelta: q1 1 -> q0\n"
 )
+
+
+# a 6-state backward machine whose reversal has 4,854 states (4,855 padded) and the
+# padded reversal 16,121 state tuples but 13 output rows: span rank 7
+BLOWUP_MACHINE = Dfao(2, BACKWARD, "abcdef", [127, 255, 0, 255, -128, 1], [[0, 3], [2, 2], [5, 5], [4, 1], [0, 0], [2, 4]])
 
 
 @pytest.fixture(autouse=True)

@@ -7,13 +7,25 @@ from itertools import product as iproduct
 
 import pytest
 
-from autorec.automaton import FORWARD, Dfao, PatternSpec, closure, load_builtin, pattern_dfao, reverse_dfao
-from autorec import numberfield
+from autorec.automaton import (
+    BACKWARD,
+    FORWARD,
+    Dfao,
+    PatternSpec,
+    _pad_invariant,
+    closure,
+    load_builtin,
+    pattern_dfao,
+    prune_inaccessible,
+    reverse_dfao,
+)
+from autorec import numberfield, polymatrix, recurrence
 from autorec.errors import AutorecError
 from autorec.numberfield import CycloElement, cyclo_field
 from autorec.cli import _matrix_view
 from autorec.polymatrix import LEFT, RIGHT, SpanAnalysis, digit_product, span_analysis
 from conftest import (
+    BLOWUP_MACHINE,
     det_cofactor,
     partial_sum_poly,
     random_word,
@@ -25,6 +37,7 @@ from conftest import (
     word_value,
 )
 from poly_oracle import CycloPoly, PolyMatrix, power_product, transition_matrix, truncate
+from span_oracle import span_by_tuples
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +316,7 @@ def span_by_columns(a, sp) -> SpanAnalysis:
             for t, c in enumerate(exprs[p]):
                 coeffs[gpos[pivots[t]]] = field.coerce(c)
             alphas[p] = tuple(coeffs)
-    return SpanAnalysis(field, sp.witness_words, len(pivots), generators, alphas)
+    return SpanAnalysis(a, len(pivots), generators, alphas)
 
 
 def test_span_json_frozen():
@@ -394,7 +407,7 @@ def _dedupe_machines() -> list:
 def _assert_matches_full_table(a, sp, name):
     """sp agrees with span_by_full_table on its rank, generators, alphas and JSON."""
     rank, generators, alphas = span_by_full_table(a, sp)
-    want = SpanAnalysis(sp.field, sp.witness_words, rank, generators, alphas)
+    want = SpanAnalysis(a, rank, generators, alphas)
     assert (sp.rank, sp.generators, sp.alphas) == (rank, generators, alphas), name
     assert sp.to_json_dict() == want.to_json_dict(), name
 
@@ -427,6 +440,85 @@ def test_span_matches_full_table_elimination():
             else:
                 firsts[col] = alpha
     assert shared == 2337
+
+
+# ----------------------------------------------------------------------
+# the span on output rows against the state tuple closure
+
+_ROW_OUTPUTS = (0, 1, -1, 2, Fraction(1, 2), cyclo_field(3).omega(), cyclo_field(5).omega_power(2))
+
+
+def _row_machines() -> list:
+    """The shipped machines, seed 1's pattern machines and 300 random ones of 2 to 5 states, with their reversals of up to 400 states."""
+    machines = [(name, load_builtin(name)) for name in ("thue_morse", "rudin_shapiro", "baum_sweet")]
+    machines += [(repr(spec), pattern_dfao(spec)) for spec, _ in stratum_patterns(1)]
+    rng = random.Random(29)
+    for i in range(300):
+        size, k = rng.randint(2, 5), rng.choice((2, 3))
+        delta = [[rng.randrange(size) for _ in range(k)] for _ in range(size)]
+        outs = [rng.choice(_ROW_OUTPUTS) for _ in range(size)]
+        machines.append((f"random {i}", Dfao(k, (FORWARD, BACKWARD)[i % 2], [f"s{j}" for j in range(size)], outs, delta)))
+    reversals = []
+    for name, a in machines:
+        try:
+            reversals.append((name + " reversed", reverse_dfao(a, 400)))
+        except AutorecError:
+            pass  # more than 400 states
+    return machines + reversals
+
+
+def _closed(monkeypatch) -> list:
+    """The items of each closure polymatrix runs from now on, in order."""
+    built, run = [], polymatrix.closure
+
+    def counted(*args):
+        got = run(*args)
+        built.append(got[0])
+        return got
+
+    monkeypatch.setattr(polymatrix, "closure", counted)
+    return built
+
+
+def test_span_on_rows_matches_the_tuple_closure(monkeypatch):
+    # each machine and its padded-word machine, as synthesis reads it: the rows give the
+    # rank, generators and alphas of the tuples' distinct rows, and are never more
+    built = _closed(monkeypatch)
+    machines = _row_machines()
+    rows = tuples = 0
+    for name, a in machines:
+        padded = _pad_invariant(prune_inaccessible(a))
+        for b in (a,) if padded is a else (a, padded):
+            built.clear()
+            sp = span_analysis(b)
+            rank, generators, alphas, count = span_by_tuples(b)
+            assert (sp.rank, sp.generators, sp.alphas) == (rank, generators, alphas), name
+            (found,) = built
+            assert len(found) <= count, name
+            rows, tuples = rows + len(found), tuples + count
+    directions = {a.direction for _, a in machines}
+    assert len(machines) > 600 and directions == {FORWARD, BACKWARD} and 2 * rows < tuples
+
+
+def test_span_of_a_large_reversal_closes_13_rows(monkeypatch):
+    # the padded reversal has 16,121 state tuples; the span builds its 13 output rows alone
+    built = _closed(monkeypatch)
+    machine = recurrence._machine(reverse_dfao(BLOWUP_MACHINE))
+    assert machine.span.rank == 7 and machine.padded.size == 4855
+    assert [len(x) for x in built] == [13]
+
+
+def test_span_builds_witness_words_only_when_read(rs, monkeypatch):
+    words = polymatrix._witness_words
+
+    def refuse(a):
+        raise AssertionError("witness words built")
+
+    monkeypatch.setattr(polymatrix, "_witness_words", refuse)
+    sp = span_analysis(rs)
+    assert repr(sp) == "SpanAnalysis(rank=2, generators=[0, 1])"
+    monkeypatch.setattr(polymatrix, "_witness_words", words)
+    assert len(sp.witness_words) == 9 and "witness_words" in vars(sp)
 
 
 def _eliminations(monkeypatch) -> list:

@@ -19,7 +19,7 @@ from autorec.automaton import (
     reverse_dfao,
     sequence_term,
 )
-from autorec import numberfield, recurrence
+from autorec import numberfield, polymatrix, recurrence
 from autorec.errors import AutorecError, BudgetError
 from autorec.numberfield import (
     CycloElement,
@@ -30,7 +30,7 @@ from autorec.numberfield import (
     cyclotomic_int,
     factorize,
 )
-from autorec.polymatrix import LEFT, RIGHT, digit_cells, span_analysis
+from autorec.polymatrix import LEFT, RIGHT, _output_rows, digit_cells, span_analysis
 from autorec.recurrence import (
     Recurrence,
     RootSpec,
@@ -46,7 +46,9 @@ import blocksum_oracle
 from blocksum_oracle import BlockSums, block_sums, partial_sum_fast
 import level_oracle
 from conftest import (
+    BLOWUP_MACHINE,
     TM_ZETA3,
+    bounded_first_failure,
     char_poly,
     char_poly_newton_oracle,
     coset_product_oracle,
@@ -1089,7 +1091,8 @@ def test_one_machine_entry_serves_synthesis_integer_recurrence_and_verify(rs, mo
     warm += [rec.to_json_dict(), report.to_json_dict()]
     assert calls == {"span_analysis": 1, "_pad_invariant": 1}
     (machine,) = recurrence._MACHINE_CACHE.values()
-    assert machine.span.witness_words == () and machine.span.rank == 2
+    # the kept span never built its witness words
+    assert "witness_words" not in vars(machine.span) and machine.span.rank == 2
     cold = []
     for root in roots:
         clear_caches()
@@ -1665,9 +1668,9 @@ def _reached(start, step, base: int, cap: int) -> list:
 
 
 def test_verify_zero_pattern_matches_the_scan_by_normal_forms(shipped, monkeypatch):
-    # the term verify tests is zero at exactly the states (forward) and reached state
-    # tuples (backward) where the full machine's normal form is: a first failure alone
-    # misses a wrong term at a state the scan meets after it
+    # the term verify tests is zero at exactly the states (forward) and the output rows
+    # of the reached state tuples (backward) where the full machine's normal form is: a
+    # first failure alone misses a wrong term at a state the scan meets after it
     scans = {}
 
     def capture(name):
@@ -1698,14 +1701,67 @@ def test_verify_zero_pattern_matches_the_scan_by_normal_forms(shipped, monkeypat
                 verify_by_normal_forms(cand, a, 10**6)
                 if not scans:
                     continue
-                start, step, base, _ = next(iter(scans.values()))
+                # the oracle walks the full machine's states or state tuples, the package its
+                # states or output rows: each tuple reads the package's term at its row
+                walk = "full" if "full" in scans else "reduced"
+                start, step, base, _ = scans[walk]
                 states = _reached(start, step, base, 400)
-                got = {name: [nonzero(x) for x in states] for name, (*_, nonzero) in scans.items()}
+                ids = _output_rows(recurrence._machine(a).padded)[1]  # the oracle's tuples are on this machine
+                rows = states if walk == "reduced" or a.direction == FORWARD else [tuple(ids[q] for q in tau) for tau in states]
+                got = {name: [nonzero(x) for x in (rows if name == "reduced" else states)] for name, (*_, nonzero) in scans.items()}
                 want = got.get("full", [False] * len(states))
                 assert got.get("reduced", [False] * len(states)) == want, (a, rec.root, j)
                 compared.add((a.direction, 0 < sum(want) < len(states)))
     # forward and backward scans that find zero and nonzero terms among the states
     assert compared >= {(FORWARD, True), (BACKWARD, True)}
+
+
+def test_backward_first_failures_match_the_tuple_scan(monkeypatch):
+    # the scan walks output rows; walking the state tuples of the same padded machine,
+    # each read at its row, finds the same first failure
+    compared, current, run = [], [], recurrence._first_failure
+
+    def checked(start, step, base, nonzero):
+        got = run(start, step, base, nonzero)
+        (a,) = current
+        if a.direction == BACKWARD:
+            pad = recurrence._machine(a).padded
+            ids = _output_rows(pad)[1]
+            tuples = tuple(range(pad.size)), lambda tau, dig: tuple(tau[row[dig]] for row in pad.delta)
+            assert got == bounded_first_failure(*tuples, base, lambda tau: nonzero(tuple(ids[q] for q in tau)), 10**30), a
+            compared.append(got)
+        return got
+
+    monkeypatch.setattr(recurrence, "_first_failure", checked)
+    machines = [reverse_dfao(pattern_dfao(spec)) for seed in (1, 2) for spec, _ in stratum_patterns(seed)]
+    for a in _random_machines(random.Random(31), 60):
+        machines.append(a if a.direction == BACKWARD else reverse_dfao(a))
+    for a in machines:
+        current[:] = [a]
+        for r in (5, 7):
+            rec = synthesize(a, RootSpec(a.base, r, 1))
+            for j in range(rec.order + 1):
+                cand = _perturbed(rec, j)
+                if cand.coefficients[-1].is_zero():
+                    continue
+                verify(cand, a, 10**6)
+                if partial_sum_fast(a, 1, rec.root):  # refit to pass n = 1, so the scan must walk on
+                    verify(_fitted(cand, a), a, 10**6)
+    assert len(compared) > 300 and 1 in compared and any(n and n > 1 for n in compared), sorted(set(compared))
+
+
+def test_synthesis_and_verify_never_build_witness_words(monkeypatch):
+    # the tuple closure behind the span command's witness words stays out of every other path
+    def refuse(a):
+        raise AssertionError("witness words built")
+
+    monkeypatch.setattr(polymatrix, "_witness_words", refuse)
+    for a in (reverse_dfao(pattern_dfao(PatternSpec(2, (0, 1, 0), 3))), BLOWUP_MACHINE):
+        assert a.direction == BACKWARD
+        rec = synthesize(a, RootSpec(2, 5, 1))
+        assert verify(rec, a, 10**6).all_zero
+        assert verify(_perturbed(rec, 0), a, 10**6).first_failure is not None
+    assert lmin_bound(BLOWUP_MACHINE) == dim_experiment(BLOWUP_MACHINE).backward_dim == 6
 
 
 # ----------------------------------------------------------------------
@@ -1958,17 +2014,41 @@ def test_rudin_shapiro_slot_widths_at_r_1155(rs, monkeypatch):
     # lambda = 2: the unit levels fit 2^30 in 4 bytes (8 by gain^s = 2^60), verify's
     # Horner residues 9 bytes (16), and the characteristic polynomial 8 bytes (9)
     widths = {"levels": set(), "horner": set(), "char_poly": set()}
+    units = []  # the d of a _unit_levels call in progress: its one level run packs d columns per slot
     for name, key in (("_apply_levels", "levels"), ("_horner", "horner"), ("_char_poly_width", "char_poly")):
         def traced(*args, run=getattr(recurrence, name), key=key):
             got = run(*args)
-            widths[key].add(got if key == "char_poly" else args[-1])
+            widths[key].add(got if key == "char_poly" else args[-1] // (units[-1] if units and key == "levels" else 1))
             return got
 
         monkeypatch.setattr(recurrence, name, traced)
+
+    def unit_levels(table, *args, run=recurrence._unit_levels):
+        units.append(len(table))
+        try:
+            return run(table, *args)
+        finally:
+            units.pop()
+
+    monkeypatch.setattr(recurrence, "_unit_levels", unit_levels)
     rec = synthesize(rs, RootSpec(2, 1155, 1))
     assert verify(rec, rs, 5).all_zero
     # the level runs of synthesis, then those inside verify's Horner form
     assert widths == {"levels": {4, 9}, "horner": {9}, "char_poly": {8}}
+
+
+def test_forward_horner_slots_count_the_outputs_once(rs, monkeypatch):
+    # Rudin-Shapiro with outputs +-2 at zeta_7: the l2 bound's sum over generators of
+    # ||x_b||_1^2 already holds the outputs, so the Horner slots take 1 byte, not the 2
+    # that multiplying it by their l1 norm again asks for; every verdict stands
+    a = Dfao(rs.base, rs.direction, rs.states, [2 * v for v in rs.outputs], rs.delta)
+    widths, horner = [], recurrence._horner
+    monkeypatch.setattr(recurrence, "_horner", lambda *args: widths.append(args[-1]) or horner(*args))
+    rec = synthesize(a, RootSpec(2, 7, 1))
+    cands = [rec] + [_perturbed(rec, j) for j in range(rec.order + 1)]
+    reports = [verify(cand, a, 10**6).to_json_dict() for cand in cands]
+    assert reports == [verify_by_normal_forms(cand, a, 10**6).to_json_dict() for cand in cands]
+    assert widths == [1] * len(cands) and reports[0]["all_zero"] and not reports[1]["all_zero"]
 
 
 def test_horner_residues_match_list_horner(monkeypatch):
