@@ -30,9 +30,10 @@ the polynomials and first failures found on it; and one level kernel,
 _apply_levels, the s digit levels at x = w^(k^t) on one vector mod
 x^L - 1 per generator, packed as one residue mod 2^(8 width L) - 1.
 Synthesis applies them to unit vectors and takes a characteristic or
-minimal polynomial; verify takes rho over the generators, rho-hat,
-whose zero proves every n (_scan), scans a nonzero one for its first
-failure over all n and takes no normal form (_annihilate).  Both work
+minimal polynomial of the columns, which a transpose would not change
+(_unit_levels); verify takes rho over the generators, rho-hat, whose
+zero proves every n (_scan), scans a nonzero one for its first failure
+over all n and takes no normal form (_annihilate).  Both work
 at one root w1 per Galois class of a root sweep (_frame): synthesis
 maps the polynomial built at w1 by sigma_t, and verify pulls the
 coefficients back by sigma_t^(-1), so each polynomial and first failure
@@ -281,7 +282,9 @@ def _char_poly_width(n: list) -> int:
     - l2: it is at most ||a_1||_2 ||a_2||_2 times the ||a_i||_1 of the rest
       (Cauchy-Schwarz on a_1 * a_2), so at most sum over i_1 < i_2 of
       q_(i_1) q_(i_2) e_(j-2)(r after i_2) for j >= 2.
-    At j = 1 the l1 bound, sum of m_i, covers every entry.  The l2 norms
+    At j = 1 the l1 bound, sum of m_i, covers every entry.  The sums run
+    over the rows of n as given: its transpose has the same polynomial
+    and may take another width.  The l2 norms
     cost a pass over every slot, so the l2 bound is taken only past 8
     bytes, where _pack and _unpack leave struct for a codec per slot
     (numberfield._FORMATS).
@@ -462,7 +465,13 @@ def _apply_levels(vecs: list, table: list, root: RootSpec, L: int, width: int) -
 
 
 def _unit_levels(table: list, root: RootSpec, L: int, lam: int) -> list:
-    """Per j, the levels of an integer term table applied to the unit vector e_j, as vectors mod x^L - 1.
+    """The columns of B, the s levels of an integer term table: per j, B e_j, as vectors mod x^L - 1.
+
+    Read as rows, the columns make B's transpose, with B's characteristic
+    and minimal polynomials.  On _reduced_table's table over den at
+    L = lcm(m, r0), B / den^s is M-hat(k^s; w) (Left) on a forward machine
+    and the transpose of its Right mirror on a backward one, so synthesis
+    takes its polynomial from the columns as they stand.
 
     The slots are at most gain^s and at most isqrt(lam^s), lam the
     table's _parseval, and the narrower width is taken.  One level run
@@ -477,19 +486,6 @@ def _unit_levels(table: list, root: RootSpec, L: int, lam: int) -> list:
     units = [1 << 8 * width * i for i in range(d)]  # e_i: slot i of x^0
     got = [_unpack(v, width, d * L) for v in _apply_levels(units, table, root, L, width * d)]
     return [[v[j::d] for v in got] for j in range(d)]
-
-
-def _reduced_product(a: Dfao, table: list, den: int, root: RootSpec, lam: int) -> tuple:
-    """M-hat(k^s; w) as integer vectors mod x^L - 1, not normalized, over D, with its field Q(zeta_L).
-
-    The ordered product of the s digit-substituted copies of M-hat(x), read
-    as _reduced_table's table over den at L = lcm(m, r0), at x = w: column
-    j (Left) or row j (Right) is the levels applied to e_j, and D = den^s;
-    lam is the table's _parseval.
-    """
-    K = cyclo_field(math.lcm(a.output_field.conductor, root.r0))
-    got = _unit_levels(table, root, K.conductor, lam)
-    return [list(col) for col in zip(*got)] if a.direction == FORWARD else got, den**root.s, K
 
 
 # ----------------------------------------------------------------------
@@ -591,9 +587,10 @@ def synthesize(a: Dfao, root: RootSpec, use_minimal: bool = False) -> Recurrence
 
     def build():
         at_u1 = RootSpec(root.k, r0, u1, root.s)
-        table, den = machine.table(sigma.field.conductor)
-        product = _reduced_product(machine.padded, table, den, at_u1, machine.parseval)
-        return (_minimal_poly if use_minimal else _char_poly)(*product)
+        K = sigma.field
+        table, den = machine.table(K.conductor)
+        cols = _unit_levels(table, at_u1, K.conductor, machine.parseval)
+        return (_minimal_poly if use_minimal else _char_poly)(cols, den**root.s, K)
 
     coeffs = _cached(machine.polys, (root.s, r0, u1, use_minimal), build)
     if u1 != u:
@@ -727,7 +724,7 @@ def verify(
     u1, _, pull = _frame(a.output_field.conductor, root.r0, root.primitive_exponent)
     K = pull.field
     L = K.conductor
-    cs = [K.coerce(c) if L % c.field.conductor == 0 else _descend(c, L) for c in rec.coefficients]
+    cs = [_descend(c, L) for c in rec.coefficients]
     if any(c is None for c in cs):
         raise AutorecError(f"a recurrence coefficient lies outside Q(zeta_{L}), the field of the outputs and w")
     if u1 != root.primitive_exponent:

@@ -43,8 +43,8 @@ from autorec.recurrence import (
     _minimal_poly,
     _pairs,
     _parseval,
-    _reduced_product,
     _reduced_table,
+    _unit_levels,
 )
 from poly_oracle import CycloPoly, PolyMatrix
 
@@ -434,8 +434,10 @@ def reduced_product_at_root(a, span, root) -> tuple:
     """(M-hat(k^s; w) as field elements, its field): Left for a forward a, its Right mirror for a backward one."""
     L = math.lcm(a.output_field.conductor, root.r0)
     table, den = _reduced_table(a, span, L)
-    vecs, den, field = _reduced_product(a, table, den, root, _parseval(table, L))
-    return _elements(vecs, den, field), field
+    cols = _unit_levels(table, root, L, _parseval(table, L))
+    vecs = [list(row) for row in zip(*cols)] if a.direction == FORWARD else cols
+    field = cyclo_field(L)
+    return _elements(vecs, den**root.s, field), field
 
 
 def char_poly_newton_oracle(rows, field) -> list:

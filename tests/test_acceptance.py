@@ -35,9 +35,10 @@ from autorec.recurrence import (
     synthesize,
     verify,
 )
-from autorec.thuemorse import tm_identities_check, tm_classify, tm_coefficient, tm_table
+from autorec.thuemorse import tm_classify, tm_table
 from conftest import det_cofactor, galois_apply, occurrences, partial_sum_poly, reduced_product_at_root, t_for
 from poly_oracle import CycloPoly, cyclotomic_poly, power_product, transition_matrix, truncate
+from tm_oracle import tm_coefficient, tm_identities_check
 
 
 @pytest.fixture

@@ -70,26 +70,41 @@ def test_rational_is_read_off_the_power_basis(n, q, data):
         assert field._rational(vec) == q
 
 
-@settings(FIXED, max_examples=100)
-@given(
-    st.sampled_from((1, 3, 15, 105, 1155)),
-    st.integers(0, 5),
-    st.integers(1, 10**6),
-    st.sampled_from((2, 7, 15, 31, 63, 70)),
-    st.data(),
-)
-def test_char_poly_kernel_matches_newton_on_raw_vectors(n, d, den, bits, data):
+def test_char_poly_kernel_matches_newton_on_raw_vectors():
     # the vectors go in as drawn, a few terms each, not in normal form, over one denominator;
-    # entries below 2^bits in size give slots of every width from 1 byte to past 8
-    terms = st.lists(st.tuples(st.integers(0, n - 1), st.integers(-(2**bits), 2**bits)), max_size=4)
-    vecs = [[[0] * n for _ in range(d)] for _ in range(d)]
-    for row in vecs:
-        for v in row:
-            for place, x in data.draw(terms):
-                v[place] += x
-    field = cyclo_field(n)
-    rows = [[field.element([Fraction(x, den) for x in v]) for v in row] for row in vecs]
-    assert _char_poly(vecs, den, field) == char_poly_newton_oracle(rows, field)
+    # entries below 2^bits in size give slots of every width from 1 byte to past 8.  N and its
+    # transpose both go in: they have one polynomial, while the row sums that size the slots
+    # (_char_poly_width) differ on some of them
+    differ = set()
+
+    @settings(FIXED, max_examples=100)
+    @given(
+        st.sampled_from((1, 3, 15, 105, 1155)),
+        st.integers(0, 5),
+        st.integers(1, 10**6),
+        st.sampled_from((2, 7, 15, 31, 63, 70)),
+        st.data(),
+    )
+    def check(n, d, den, bits, data):
+        terms = st.lists(st.tuples(st.integers(0, n - 1), st.integers(-(2**bits), 2**bits)), max_size=4)
+        vecs = [[[0] * n for _ in range(d)] for _ in range(d)]
+        for row in vecs:
+            for v in row:
+                for place, x in data.draw(terms):
+                    v[place] += x
+        field, flipped = cyclo_field(n), _transposed(vecs)
+        rows = [[field.element([Fraction(x, den) for x in v]) for v in row] for row in vecs]
+        want = char_poly_newton_oracle(rows, field)
+        assert _char_poly(vecs, den, field) == want == _char_poly(flipped, den, field)
+        differ.add(recurrence._char_poly_width(vecs) != recurrence._char_poly_width(flipped))
+
+    check()
+    assert differ == {True, False}
+
+
+def _transposed(m: list) -> list:
+    """The transpose of a square matrix of vectors."""
+    return [list(col) for col in zip(*m)]
 
 
 def _conjugated(m: list, ops) -> list:
@@ -110,8 +125,9 @@ def test_minimal_poly_kernel_matches_solves_on_raw_vectors(monkeypatch):
     # the vectors go in as drawn, not in normal form, over denominators that include the first
     # split prime p of n, which certifies as D M is integral; random matrices take the
     # non-derogatory test, and a scalar, block-diag(B, B) or J_2 + scalar, conjugated by a
-    # unimodular matrix, the elimination
-    nonderogatory, branches = recurrence._nonderogatory, set()
+    # unimodular matrix, the elimination; N's transpose, derogatory when N is, goes in too, and
+    # the row sums that size _char_poly's slots differ between the two on some of them
+    nonderogatory, branches, differ = recurrence._nonderogatory, set(), set()
 
     def recorded(vecs, L):
         got = nonderogatory(vecs, L)
@@ -153,7 +169,10 @@ def test_minimal_poly_kernel_matches_solves_on_raw_vectors(monkeypatch):
             vecs = _conjugated(vecs, data.draw(ops))
         field = cyclo_field(n)
         rows = [[field.element([Fraction(x, den) for x in v]) for v in row] for row in vecs]
-        assert _minimal_poly(vecs, den, field) == minimal_poly_by_solves(rows, field)
+        flipped = _transposed(vecs)
+        want = minimal_poly_by_solves(rows, field)
+        assert _minimal_poly(vecs, den, field) == want == _minimal_poly(flipped, den, field)
+        differ.add(recurrence._char_poly_width(vecs) != recurrence._char_poly_width(flipped))
 
     check()
-    assert branches == {True, False}
+    assert branches == {True, False} and differ == {True, False}

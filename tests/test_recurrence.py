@@ -454,11 +454,11 @@ def test_char_poly_slots_hold_a_coefficient_at_its_bound(monkeypatch):
 
 
 def test_char_poly_slots_take_the_l2_bound_on_rudin_shapiro(rs, monkeypatch):
-    # on the product as the levels leave it at r = 1155, the l1 bound asks 9 bytes
+    # on the product's columns as the levels leave them at r = 1155, the l1 bound asks 9 bytes
     # and the l2 bound 8; one byte less gives a polynomial other than Newton's
-    machine, root = recurrence._machine(rs), RootSpec(2, 1155, 1)
+    machine, root, f = recurrence._machine(rs), RootSpec(2, 1155, 1), cyclo_field(1155)
     table, den = machine.table(1155)
-    vecs, den, f = recurrence._reduced_product(machine.padded, table, den, root, machine.parseval)
+    vecs, den = recurrence._unit_levels(table, root, 1155, machine.parseval), den**root.s
     want = char_poly_newton_oracle(recurrence._elements(vecs, den, f), f)
     width = recurrence._char_poly_width
     assert width(vecs) == 8 and recurrence._char_poly(vecs, den, f) == want

@@ -33,12 +33,9 @@ from autorec.thuemorse import (
     _tm_cyclic,
     _unit_certificate,
     tm_classify,
-    tm_coefficient,
-    tm_identities_check,
-    tm_poly,
     tm_table,
-    tm_term,
 )
+from tm_oracle import tm_coefficient, tm_identities_check, tm_poly, tm_term
 
 
 # ----------------------------------------------------------------------
